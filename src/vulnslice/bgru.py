@@ -19,16 +19,48 @@ GRU cell (per direction), with h_0 = 0:
     r_t = sigmoid(Wr x_t + Ur h_{t-1} + br)
     c_t = tanh(Wh x_t + Uh (r_t * h_{t-1}) + bh)
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
+
+Batched layout. There is one engine; a single sample is a batch of
+one. A batch of B samples is padded at the end to its longest length
+T and laid out time-major, (T, B, .). Each layer stacks its two
+directions on a leading axis, (2, T, B, .): direction 0 reads every
+sample forward, direction 1 reads every sample reversed over its own
+length, so its padding stays at the end too. Both directions are then
+forward scans with trailing padding, and one timestep loop runs them
+together. Padding comes after a sample's last valid step, so it never
+reaches a valid output, and the gradient it receives is exactly zero.
+The reversal is an involution per column, so the same index map takes
+direction 1 back to the original time order.
+
+Gate fusion (Appleyard et al., arXiv 1604.01946). Per layer the gate
+weights are stacked as W = [Wz|Wr|Wh] of shape (2, in, 3H),
+U = [Uz|Ur] of shape (2, H, 2H) and Uh of shape (2, H, H). One GEMM
+over all T*B rows gives every input projection before the loop; each
+step then does one matmul against [Uz|Ur] and one against Uh. The
+projection buffer (2, T, B, 3H) is reused: it holds x W + b, then the
+gate activations z|r|c written in place step by step, then, during
+BPTT, the gate pre-activation gradients. Hidden states carry a
+leading zero row, so h_{t-1} is a view. The BPTT loop only carries
+dh back through time; the weight gradients gW, gU and gb are
+accumulated afterwards as GEMMs and sums over the T*B rows.
+
+Inference goes through forward_batch, which keeps no BPTT caches and
+works in chunks of batch_size. Batching changes the order of BLAS
+summations, so a sample's trace in a batch agrees with its trace
+alone to about 1e-15, not bit for bit. The same samples in the same
+chunks give identical bits, which is why every CLI stage that scores
+samples runs forward_batch over the whole vectors.bin list.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .vectorize import SampleVector
 
 
@@ -93,18 +125,31 @@ PRESETS: dict[str, Hyperparams] = {
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    # clip to [-60, 60] with ufuncs: np.clip costs more than the math here
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
+
+
+def _param_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
+    """Every trainable array's shape, in canonical key order."""
+    h = hp.hidden_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer in range(hp.layers):
+        in_dim = hp.input_dim if layer == 0 else 2 * h
+        for direction in ("f", "b"):
+            for gate in ("z", "r", "h"):
+                prefix = f"l{layer}.{direction}."
+                shapes[f"{prefix}W{gate}"] = (h, in_dim)
+                shapes[f"{prefix}U{gate}"] = (h, h)
+                shapes[f"{prefix}b{gate}"] = (h,)
+    shapes["dense.W"] = (hp.dense_dim, 2 * h)
+    shapes["dense.b"] = (hp.dense_dim,)
+    shapes["head.w"] = (hp.dense_dim,)
+    shapes["head.b"] = (1,)
+    return shapes
 
 
 def param_keys(hp: Hyperparams) -> list[str]:
-    keys = []
-    for layer in range(hp.layers):
-        for direction in ("f", "b"):
-            for gate in ("z", "r", "h"):
-                for kind in ("W", "U", "b"):
-                    keys.append(f"l{layer}.{direction}.{kind}{gate}")
-    keys += ["dense.W", "dense.b", "head.w", "head.b"]
-    return keys
+    return list(_param_shapes(hp))
 
 
 @dataclass
@@ -128,25 +173,14 @@ def init_params(hp: Hyperparams, seed: int | None = None) -> BgruParams:
     """Glorot-uniform weights, zero biases, in canonical key order."""
     rng = np.random.default_rng(hp.seed if seed is None else seed)
     arrays: dict[str, np.ndarray] = {}
-
-    def glorot(shape: tuple[int, ...]) -> np.ndarray:
+    for key, shape in _param_shapes(hp).items():
+        if key.rsplit(".", 1)[1].startswith("b"):
+            arrays[key] = np.zeros(shape)
+            continue
         fan_in = shape[-1] if len(shape) > 1 else shape[0]
         fan_out = shape[0]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    h = hp.hidden_dim
-    for layer in range(hp.layers):
-        in_dim = hp.input_dim if layer == 0 else 2 * h
-        for direction in ("f", "b"):
-            for gate in ("z", "r", "h"):
-                arrays[f"l{layer}.{direction}.W{gate}"] = glorot((h, in_dim))
-                arrays[f"l{layer}.{direction}.U{gate}"] = glorot((h, h))
-                arrays[f"l{layer}.{direction}.b{gate}"] = np.zeros(h)
-    arrays["dense.W"] = glorot((hp.dense_dim, 2 * h))
-    arrays["dense.b"] = np.zeros(hp.dense_dim)
-    arrays["head.w"] = glorot((hp.dense_dim,))
-    arrays["head.b"] = np.zeros(1)
+        arrays[key] = rng.uniform(-limit, limit, size=shape)
     return BgruParams(arrays, hp)
 
 
@@ -162,158 +196,183 @@ class ActivationTrace:
 
 
 # --------------------------------------------------------------------------
-# forward / backward
+# batched forward / backward
 # --------------------------------------------------------------------------
 
 
-def _gru_scan(x: np.ndarray, p: dict, prefix: str) -> tuple[np.ndarray, dict]:
-    """Run one GRU direction over x (T, in_dim); returns (H, cache)."""
-    T = x.shape[0]
-    hidden = p[f"{prefix}.Uz"].shape[0]
-    h = np.zeros(hidden)
-    outs = np.empty((T, hidden))
-    zs = np.empty((T, hidden))
-    rs = np.empty((T, hidden))
-    cs = np.empty((T, hidden))
-    prevs = np.empty((T, hidden))
-    Wz, Uz, bz = p[f"{prefix}.Wz"], p[f"{prefix}.Uz"], p[f"{prefix}.bz"]
-    Wr, Ur, br = p[f"{prefix}.Wr"], p[f"{prefix}.Ur"], p[f"{prefix}.br"]
-    Wh, Uh, bh = p[f"{prefix}.Wh"], p[f"{prefix}.Uh"], p[f"{prefix}.bh"]
-    for t in range(T):
-        xt = x[t]
-        prevs[t] = h
-        z = _sigmoid(Wz @ xt + Uz @ h + bz)
-        r = _sigmoid(Wr @ xt + Ur @ h + br)
-        c = np.tanh(Wh @ xt + Uh @ (r * h) + bh)
-        h = (1.0 - z) * h + z * c
-        zs[t], rs[t], cs[t], outs[t] = z, r, c, h
-    cache = {"x": x, "z": zs, "r": rs, "c": cs, "prev": prevs}
-    return outs, cache
+@dataclass
+class _Batch:
+    """Samples padded at the end into one time-major (T, B, d) buffer."""
+
+    x: np.ndarray  # (T, B, d), zero after each sample's length
+    lengths: np.ndarray  # (B,)
+    rev: np.ndarray  # (T, B): t -> length-1-t inside a sample, t on padding
+    cols: np.ndarray  # (1, B): column index that pairs with rev
+
+    @classmethod
+    def pad(cls, matrices: list[np.ndarray], hp: Hyperparams) -> "_Batch":
+        for i, x in enumerate(matrices):
+            if x.ndim != 2 or x.shape[1] != hp.input_dim:
+                raise ModelError(
+                    f"sample {i}: shape {x.shape} does not match input "
+                    f"dimension {hp.input_dim}"
+                )
+            if x.shape[0] < 1:
+                raise ModelError(f"sample {i} has no timesteps")
+        lengths = np.array([x.shape[0] for x in matrices])
+        steps = int(lengths.max())
+        buf = np.zeros((steps, len(matrices), hp.input_dim))
+        for b, x in enumerate(matrices):
+            buf[: len(x), b] = x
+        t = np.arange(steps)[:, None]
+        rev = np.where(t < lengths, lengths - 1 - t, t)
+        return cls(buf, lengths, rev, np.arange(len(matrices))[None, :])
+
+    def flip(self, seq: np.ndarray) -> np.ndarray:
+        """Reverse each sample of seq (T, B, ...) over its own length.
+
+        An involution: it maps time order to the backward direction's
+        scan order and back. Padding stays where it is.
+        """
+        return seq[self.rev, self.cols]
 
 
-def _gru_backward(
-    cache: dict, d_out: np.ndarray, p: dict, prefix: str, grads: dict
+@dataclass
+class _LayerCache:
+    """What BPTT needs of one layer; gates holds z|r|c after the forward."""
+
+    xs: np.ndarray  # (2, T, B, in)
+    gates: np.ndarray  # (2, T, B, 3H)
+    hs: np.ndarray  # (2, T+1, B, H); hs[:, t] is h_{t-1}
+    mask: np.ndarray | None  # dropout mask on the layer's output
+
+
+def _stacked_weights(p: dict, layer: int):
+    """(W, Uzr, Uh, b) of one layer, stacked over the f and b directions."""
+    W, Uzr, Uh, b = [], [], [], []
+    for direction in ("f", "b"):
+        pre = f"l{layer}.{direction}."
+        W.append(np.concatenate([p[pre + "Wz"], p[pre + "Wr"], p[pre + "Wh"]]).T)
+        Uzr.append(np.concatenate([p[pre + "Uz"], p[pre + "Ur"]]).T)
+        Uh.append(p[pre + "Uh"].T)
+        b.append(np.concatenate([p[pre + "bz"], p[pre + "br"], p[pre + "bh"]]))
+    return np.stack(W), np.stack(Uzr), np.stack(Uh), np.stack(b)[:, None, :]
+
+
+def _layer_forward(
+    batch: _Batch, x: np.ndarray, weights, keep: bool
+) -> tuple[np.ndarray, _LayerCache | None]:
+    """Both directions of one layer over x (T, B, in) -> ((T, B, 2H), cache)."""
+    W, Uzr, Uh, bias = weights
+    steps, width = x.shape[0], x.shape[1]
+    h = Uh.shape[-1]
+    xs = np.stack([x, batch.flip(x)])
+    gates = np.matmul(xs.reshape(2, steps * width, -1), W)
+    gates += bias
+    gates = gates.reshape(2, steps, width, 3 * h)
+    hs = np.zeros((2, steps + 1, width, h))
+    for t in range(steps):
+        g = gates[:, t]
+        h_prev = hs[:, t]
+        zr = g[..., : 2 * h]
+        zr += h_prev @ Uzr
+        zr[...] = _sigmoid(zr)
+        z, r, c = g[..., :h], g[..., h : 2 * h], g[..., 2 * h :]
+        c += (r * h_prev) @ Uh
+        np.tanh(c, out=c)
+        hs[:, t + 1] = (1.0 - z) * h_prev + z * c
+    out = np.concatenate([hs[0, 1:], batch.flip(hs[1, 1:])], axis=-1)
+    cache = _LayerCache(xs, gates, hs, None) if keep else None
+    return out, cache
+
+
+def _layer_backward(
+    cache: _LayerCache,
+    d_out: np.ndarray,
+    weights,
+    prefix: str,
+    grads: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """BPTT for one direction; accumulates into grads, returns dX."""
-    x, zs, rs, cs, prevs = (
-        cache["x"],
-        cache["z"],
-        cache["r"],
-        cache["c"],
-        cache["prev"],
-    )
-    T = x.shape[0]
-    Wz, Uz = p[f"{prefix}.Wz"], p[f"{prefix}.Uz"]
-    Wr, Ur = p[f"{prefix}.Wr"], p[f"{prefix}.Ur"]
-    Wh, Uh = p[f"{prefix}.Wh"], p[f"{prefix}.Uh"]
-    gWz, gUz, gbz = (
-        grads[f"{prefix}.Wz"],
-        grads[f"{prefix}.Uz"],
-        grads[f"{prefix}.bz"],
-    )
-    gWr, gUr, gbr = (
-        grads[f"{prefix}.Wr"],
-        grads[f"{prefix}.Ur"],
-        grads[f"{prefix}.br"],
-    )
-    gWh, gUh, gbh = (
-        grads[f"{prefix}.Wh"],
-        grads[f"{prefix}.Uh"],
-        grads[f"{prefix}.bh"],
-    )
-    dx_all = np.zeros_like(x)
-    carry = np.zeros(Uz.shape[0])
-    for t in range(T - 1, -1, -1):
-        dh = d_out[t] + carry
-        z, r, c, h_prev, xt = zs[t], rs[t], cs[t], prevs[t], x[t]
-        dz = dh * (c - h_prev)
-        dc = dh * z
-        dh_prev = dh * (1.0 - z)
+    """BPTT for both directions of one layer.
 
-        da_h = dc * (1.0 - c * c)
-        gWh += np.outer(da_h, xt)
-        gUh += np.outer(da_h, r * h_prev)
-        gbh += da_h
-        dx = Wh.T @ da_h
-        drh = Uh.T @ da_h
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-
-        da_z = dz * z * (1.0 - z)
-        gWz += np.outer(da_z, xt)
-        gUz += np.outer(da_z, h_prev)
-        gbz += da_z
-        dx += Wz.T @ da_z
-        dh_prev = dh_prev + Uz.T @ da_z
-
-        da_r = dr * r * (1.0 - r)
-        gWr += np.outer(da_r, xt)
-        gUr += np.outer(da_r, h_prev)
-        gbr += da_r
-        dx += Wr.T @ da_r
-        dh_prev = dh_prev + Ur.T @ da_r
-
-        dx_all[t] = dx
-        carry = dh_prev
-    return dx_all
+    d_out is (2, T, B, H), each direction in its own scan order; it is
+    used up: once step t has read its slot, the slot keeps r_t * h_{t-1}
+    for gUh. Writes the layer's weight gradients into grads and returns
+    d xs, shape (2, T, B, in), also in scan order.
+    """
+    W, Uzr, Uh, _ = weights
+    gates, hs = cache.gates, cache.hs
+    steps, width, h = hs.shape[1] - 1, hs.shape[2], hs.shape[3]
+    UzrT = Uzr.transpose(0, 2, 1)
+    UhT = Uh.transpose(0, 2, 1)
+    carry = np.zeros((2, width, h))
+    for t in range(steps - 1, -1, -1):
+        g = gates[:, t]
+        z, r, c = g[..., :h], g[..., h : 2 * h], g[..., 2 * h :]
+        h_prev = hs[:, t]
+        dh = d_out[:, t] + carry
+        np.multiply(r, h_prev, out=d_out[:, t])
+        da_z = dh * (c - h_prev) * z * (1.0 - z)
+        da_h = dh * z * (1.0 - c * c)
+        d_rh = da_h @ UhT
+        da_r = d_rh * h_prev * r * (1.0 - r)
+        carry = dh * (1.0 - z) + d_rh * r
+        g[..., :h] = da_z
+        g[..., h : 2 * h] = da_r
+        g[..., 2 * h :] = da_h
+        carry += g[..., : 2 * h] @ UzrT
+    rows = steps * width
+    da = gates.reshape(2, rows, 3 * h)
+    # gradients in the parameters' own (out, in) layout, so each gate's
+    # block is a contiguous run of rows
+    daT = da.transpose(0, 2, 1)
+    gW = daT @ cache.xs.reshape(2, rows, -1)
+    gUzr = daT[:, : 2 * h] @ hs[:, :steps].reshape(2, rows, h)
+    gUh = daT[:, 2 * h :] @ d_out.reshape(2, rows, h)
+    gb = da.sum(axis=1)
+    for i, direction in enumerate(("f", "b")):
+        pre = f"{prefix}.{direction}."
+        for k, gate in enumerate(("z", "r", "h")):
+            block = slice(k * h, (k + 1) * h)
+            grads[pre + "W" + gate] = gW[i][block]
+            grads[pre + "b" + gate] = gb[i][block]
+        grads[pre + "Uz"] = gUzr[i][:h]
+        grads[pre + "Ur"] = gUzr[i][h:]
+        grads[pre + "Uh"] = gUh[i]
+    return (da @ W.transpose(0, 2, 1)).reshape(2, steps, width, -1)
 
 
-def _forward_sample(
-    x: np.ndarray,
+def _forward(
+    batch: _Batch,
     params: BgruParams,
     hp: Hyperparams,
     train_mode: bool,
     rng: np.random.Generator | None,
-) -> tuple[np.ndarray, list[dict]]:
-    """Full forward pass for one (T, d) sample; returns (trace, caches)."""
-    if x.ndim != 2 or x.shape[1] != hp.input_dim:
-        raise ModelError(
-            f"sample shape {x.shape} does not match input dimension "
-            f"{hp.input_dim}"
-        )
-    if x.shape[0] < 1:
-        raise ModelError("sample has no timesteps")
+    keep: bool,
+) -> tuple[np.ndarray, list]:
+    """Top-layer features (T, B, 2H) and, with keep, per-layer caches."""
     p = params.arrays
-    layer_caches: list[dict] = []
-    current = x
+    current = batch.x
+    caches = []
     for layer in range(hp.layers):
-        fwd_out, fwd_cache = _gru_scan(current, p, f"l{layer}.f")
-        bwd_out_rev, bwd_cache = _gru_scan(current[::-1], p, f"l{layer}.b")
-        bwd_out = bwd_out_rev[::-1]
-        combined = np.concatenate([fwd_out, bwd_out], axis=1)
-        mask = None
+        weights = _stacked_weights(p, layer)
+        current, cache = _layer_forward(batch, current, weights, keep)
         if layer < hp.layers - 1 and train_mode and hp.dropout > 0.0:
-            assert rng is not None, "training mode needs an RNG for dropout"
-            keep = 1.0 - hp.dropout
-            mask = (rng.random(combined.shape) < keep) / keep
-            combined = combined * mask
-        layer_caches.append(
-            {"f": fwd_cache, "b": bwd_cache, "mask": mask, "out": combined}
-        )
-        current = combined
-    feat = current  # (T, 2H)
-    dense_pre = feat @ p["dense.W"].T + p["dense.b"]
-    u = np.tanh(dense_pre)
-    o = _sigmoid(u @ p["head.w"] + p["head.b"][0])
-    layer_caches.append({"feat": feat, "u": u, "o": o})
-    return o, layer_caches
+            if rng is None:
+                raise ModelError("training mode needs an RNG for dropout")
+            kept = 1.0 - hp.dropout
+            mask = (rng.random(current.shape) < kept) / kept
+            current = current * mask
+            if cache is not None:
+                cache.mask = mask
+        caches.append((weights, cache))
+    return current, caches
 
 
-def bgru_forward(
-    sample: np.ndarray | SampleVector,
-    params: BgruParams,
-    hp: Hyperparams,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> ActivationTrace:
-    """Activation trace for one sample (matrix or SampleVector).
-
-    SampleVector inputs are trimmed to their non-padding timesteps, so
-    the trace's final entry is the last meaningful position.
-    """
-    x = _sample_matrix(sample, hp)
-    trace, _ = _forward_sample(x, params, hp, train_mode, rng)
-    return ActivationTrace(outputs=trace)
+def _head(feat: np.ndarray, p: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(dense activations, head probabilities) for features (..., 2H)."""
+    u = np.tanh(feat @ p["dense.W"].T + p["dense.b"])
+    return u, _sigmoid(u @ p["head.w"] + p["head.b"][0])
 
 
 def _sample_matrix(sample: np.ndarray | SampleVector, hp: Hyperparams) -> np.ndarray:
@@ -326,6 +385,43 @@ def _sample_matrix(sample: np.ndarray | SampleVector, hp: Hyperparams) -> np.nda
         steps = max(1, min(sample.kept_symbols, sample.capacity))
         return sample.matrix()[:steps]
     return np.asarray(sample, dtype=np.float64)
+
+
+def forward_batch(
+    samples: list[np.ndarray | SampleVector],
+    params: BgruParams,
+    hp: Hyperparams,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> list[ActivationTrace]:
+    """Activation traces for samples, in order, in chunks of hp.batch_size.
+
+    The batched inference entry point: it keeps no BPTT caches.
+    SampleVector inputs are trimmed to their non-padding timesteps, so
+    each trace's final entry is the last meaningful position.
+    """
+    traces: list[ActivationTrace] = []
+    for start in range(0, len(samples), hp.batch_size):
+        chunk = samples[start : start + hp.batch_size]
+        batch = _Batch.pad([_sample_matrix(s, hp) for s in chunk], hp)
+        feat, _ = _forward(batch, params, hp, train_mode, rng, keep=False)
+        _, probs = _head(feat, params.arrays)
+        traces += [
+            ActivationTrace(outputs=probs[:n, b].copy())
+            for b, n in enumerate(batch.lengths)
+        ]
+    return traces
+
+
+def bgru_forward(
+    sample: np.ndarray | SampleVector,
+    params: BgruParams,
+    hp: Hyperparams,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> ActivationTrace:
+    """Activation trace for one sample (matrix or SampleVector)."""
+    return forward_batch([sample], params, hp, train_mode, rng)[0]
 
 
 def loss_and_gradients(
@@ -342,53 +438,50 @@ def loss_and_gradients(
     """
     if not batch:
         raise ModelError("empty batch")
-    p = params.arrays
-    grads = params.zeros_like()
-    total = 0.0
-    scale = 1.0 / len(batch)
-    for idx, (x, label) in enumerate(batch):
+    for idx, (_, label) in enumerate(batch):
         if label not in (0, 1):
             raise ModelError(f"sample {idx}: label must be 0 or 1, got {label!r}")
-        trace, caches = _forward_sample(
-            np.asarray(x, dtype=np.float64), params, hp, train_mode, rng
-        )
-        prob = float(trace[-1])
-        eps = 1e-12
-        loss = -(
-            label * np.log(max(prob, eps))
-            + (1 - label) * np.log(max(1.0 - prob, eps))
-        )
-        if not np.isfinite(loss):
-            raise ModelError(f"non-finite loss for sample {idx}")
-        total += loss * scale
+    p = params.arrays
+    padded = _Batch.pad([np.asarray(x, dtype=np.float64) for x, _ in batch], hp)
+    labels = np.array([label for _, label in batch], dtype=np.float64)
+    feat, caches = _forward(padded, params, hp, train_mode, rng, keep=True)
+    last = (padded.lengths - 1, np.arange(len(batch)))
+    feat_last = feat[last]  # (B, 2H)
+    u, prob = _head(feat_last, p)
+    eps = 1e-12
+    losses = -(
+        labels * np.log(np.maximum(prob, eps))
+        + (1.0 - labels) * np.log(np.maximum(1.0 - prob, eps))
+    )
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise ModelError(f"non-finite loss for sample {bad[0]}")
+    scale = 1.0 / len(batch)
+    total = float(np.sum(losses * scale))
 
-        head_cache = caches[-1]
-        feat, u = head_cache["feat"], head_cache["u"]
-        T = feat.shape[0]
-        d_head_pre = (prob - label) * scale
-        grads["head.w"] += d_head_pre * u[-1]
-        grads["head.b"][0] += d_head_pre
-        du_last = d_head_pre * p["head.w"]
-        da_dense = du_last * (1.0 - u[-1] * u[-1])
-        grads["dense.W"] += np.outer(da_dense, feat[-1])
-        grads["dense.b"] += da_dense
-        d_feat = np.zeros_like(feat)
-        d_feat[-1] = p["dense.W"].T @ da_dense
+    grads: dict[str, np.ndarray] = {}
+    d_head_pre = (prob - labels) * scale  # (B,)
+    grads["head.w"] = d_head_pre @ u
+    grads["head.b"] = np.array([d_head_pre.sum()])
+    da_dense = np.outer(d_head_pre, p["head.w"]) * (1.0 - u * u)
+    grads["dense.W"] = da_dense.T @ feat_last
+    grads["dense.b"] = da_dense.sum(axis=0)
+    # the features are dead once their last steps are read: their buffer
+    # becomes the gradient, which is zero but at those steps
+    d_current = feat
+    d_current[...] = 0.0
+    d_current[last] = da_dense @ p["dense.W"]
 
-        d_current = d_feat
-        for layer in range(hp.layers - 1, -1, -1):
-            cache = caches[layer]
-            if cache["mask"] is not None:
-                d_current = d_current * cache["mask"]
-            h = hp.hidden_dim
-            d_fwd = d_current[:, :h]
-            d_bwd = d_current[:, h:]
-            dx_f = _gru_backward(cache["f"], d_fwd, p, f"l{layer}.f", grads)
-            dx_b_rev = _gru_backward(
-                cache["b"], d_bwd[::-1], p, f"l{layer}.b", grads
-            )
-            d_current = dx_f + dx_b_rev[::-1]
-    return total, grads
+    h = hp.hidden_dim
+    for layer in range(hp.layers - 1, -1, -1):
+        weights, cache = caches[layer]
+        if cache.mask is not None:
+            d_current = d_current * cache.mask
+        d_out = np.stack([d_current[..., :h], padded.flip(d_current[..., h:])])
+        d_xs = _layer_backward(cache, d_out, weights, f"l{layer}", grads)
+        if layer > 0:
+            d_current = d_xs[0] + padded.flip(d_xs[1])
+    return total, {key: grads[key] for key in p}
 
 
 # --------------------------------------------------------------------------
@@ -535,6 +628,8 @@ def explain(
     return report
 
 
+
+
 # --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------
@@ -545,71 +640,94 @@ _CKPT_VERSION = 1
 
 def save_checkpoint(path: str, params: BgruParams, root_seed: int) -> None:
     hp = params.hp
+    keys = param_keys(hp)
     header = {
         "version": _CKPT_VERSION,
         "seed": root_seed,
         "theta": hp.theta,
-        "hyperparams": {
-            "input_dim": hp.input_dim,
-            "seq_len": hp.seq_len,
-            "hidden_dim": hp.hidden_dim,
-            "layers": hp.layers,
-            "dense_dim": hp.dense_dim,
-            "dropout": hp.dropout,
-            "batch_size": hp.batch_size,
-            "epochs": hp.epochs,
-            "learning_rate": hp.learning_rate,
-            "seed": hp.seed,
-            "threshold": hp.threshold,
-        },
-        "keys": param_keys(hp),
+        "hyperparams": asdict(hp),
+        "keys": keys,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(_CKPT_MAGIC)
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        for key in param_keys(hp):
-            arr = params.arrays[key]
-            shape = arr.shape
-            handle.write(struct.pack("<B", len(shape)))
-            for dim in shape:
-                handle.write(struct.pack("<I", dim))
-            handle.write(arr.astype("<f8").tobytes())
+    parts = [_CKPT_MAGIC, struct.pack("<I", len(blob)), blob]
+    for key in keys:
+        arr = params.arrays[key]
+        parts.append(struct.pack("<B", arr.ndim))
+        parts += [struct.pack("<I", dim) for dim in arr.shape]
+        parts.append(arr.astype("<f8").tobytes())
+    artifacts.atomic_write_bytes(path, b"".join(parts))
+
+
+class _Reader:
+    """Bounds-checked cursor over a checkpoint's bytes."""
+
+    def __init__(self, path: str, data: bytes):
+        self.path = path
+        self.data = data
+        self.offset = 0
+
+    def fail(self, problem: str) -> ModelError:
+        return ModelError(
+            f"{self.path}: {problem}; re-run the 'train' stage to rewrite it"
+        )
+
+    def take(self, count: int, what: str) -> bytes:
+        end = self.offset + count
+        if end > len(self.data):
+            raise self.fail(f"checkpoint truncated inside {what}")
+        chunk = self.data[self.offset : end]
+        self.offset = end
+        return chunk
+
+    def uint(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def load_checkpoint(
     path: str, expect_theta: int | None = None, expect_dim: int | None = None
 ) -> tuple[BgruParams, int]:
-    """Load (params, root_seed); refuses dimension mismatches."""
+    """Load (params, root_seed).
+
+    Refuses dimension mismatches, and raises ModelError for a
+    truncated, oversized or otherwise corrupt file.
+    """
     with open(path, "rb") as handle:
-        if handle.read(4) != _CKPT_MAGIC:
-            raise ModelError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<I", handle.read(4))
-        header = json.loads(handle.read(header_len).decode("utf-8"))
-        if header["version"] != _CKPT_VERSION:
-            raise ModelError(f"{path}: unsupported checkpoint version")
+        reader = _Reader(path, handle.read())
+    if reader.take(len(_CKPT_MAGIC), "the magic number") != _CKPT_MAGIC:
+        raise reader.fail("not a checkpoint file")
+    header_len = reader.uint("<I", "the header length")
+    try:
+        header = json.loads(reader.take(header_len, "the header").decode("utf-8"))
+        version, seed = header["version"], header["seed"]
+        keys = header["keys"]
         hp = Hyperparams(**header["hyperparams"])
-        if expect_theta is not None and hp.theta != expect_theta:
-            raise ModelError(
-                f"{path}: checkpoint theta {hp.theta} != expected {expect_theta}"
-            )
-        if expect_dim is not None and hp.input_dim != expect_dim:
-            raise ModelError(
-                f"{path}: checkpoint input dimension {hp.input_dim} != "
-                f"expected {expect_dim}"
-            )
-        arrays: dict[str, np.ndarray] = {}
-        for key in header["keys"]:
-            (rank,) = struct.unpack("<B", handle.read(1))
-            shape = tuple(
-                struct.unpack("<I", handle.read(4))[0] for _ in range(rank)
-            )
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(handle.read(count * 8), dtype="<f8")
-            arrays[key] = data.reshape(shape).copy()
-    params = BgruParams(arrays, hp)
-    for key in param_keys(hp):
-        if key not in arrays:
-            raise ModelError(f"{path}: missing parameter block {key}")
-    return params, header["seed"]
+    except (ValueError, KeyError, TypeError, ModelError) as exc:
+        raise reader.fail(f"unreadable checkpoint header ({exc})") from None
+    if version != _CKPT_VERSION:
+        raise reader.fail(f"unsupported checkpoint version {version!r}")
+    if expect_theta is not None and hp.theta != expect_theta:
+        raise ModelError(
+            f"{path}: checkpoint theta {hp.theta} != expected {expect_theta}"
+        )
+    if expect_dim is not None and hp.input_dim != expect_dim:
+        raise ModelError(
+            f"{path}: checkpoint input dimension {hp.input_dim} != "
+            f"expected {expect_dim}"
+        )
+    shapes = _param_shapes(hp)
+    if keys != list(shapes):
+        raise reader.fail("parameter blocks do not match the hyperparameters")
+    arrays: dict[str, np.ndarray] = {}
+    for key, expected in shapes.items():
+        rank = reader.uint("<B", f"block {key}")
+        shape = tuple(reader.uint("<I", f"block {key}") for _ in range(rank))
+        if shape != expected:
+            raise reader.fail(f"block {key} has shape {shape}, expected {expected}")
+        count = int(np.prod(shape))
+        data = reader.take(8 * count, f"block {key}")
+        arrays[key] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+    if reader.offset != len(reader.data):
+        raise reader.fail(
+            f"{len(reader.data) - reader.offset} trailing bytes after the last block"
+        )
+    return BgruParams(arrays, hp), seed

@@ -29,11 +29,14 @@ from dataclasses import dataclass, field
 
 from . import artifacts
 from .artifacts import StageError, derive_seed
-from .bgru import (
+# predict and bgru_forward stay module attributes although the stages
+# use forward_batch: perfbench/child.py wraps them here by name.
+from .bgru import (  # noqa: F401
     Hyperparams,
     PRESETS,
     bgru_forward,
     explain as explain_trace,
+    forward_batch,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -551,9 +554,9 @@ def stage_detect(config: RunConfig) -> int:
     params, hp = _load_model(config)
     threshold = config.threshold if config.threshold is not None else hp.threshold
     findings = []
-    for sample in samples:
-        label, prob = predict(sample, params, hp, threshold)
-        if label != 1:
+    for sample, trace in zip(samples, forward_batch(samples, params, hp)):
+        prob = trace.final
+        if prob < threshold:
             continue
         record = by_id.get(sample.syvc_id, {})
         statements = record.get("statements", [])
@@ -591,12 +594,13 @@ def stage_evaluate(config: RunConfig) -> None:
     split_seed = derive_seed(config.seed, "split")
     _, test_side = split_by_program(samples, ratio=0.8, seed=split_seed)
     threshold = config.threshold if config.threshold is not None else hp.threshold
-    predictions = []
-    labels = []
-    for sample in test_side:
-        label, _ = predict(sample, params, hp, threshold)
-        predictions.append(label)
-        labels.append(int(sample.label))
+    # every sample, in the chunks detect uses, so both stages agree to the bit
+    final = {
+        sample.syvc_id: trace.final
+        for sample, trace in zip(samples, forward_batch(samples, params, hp))
+    }
+    predictions = [int(final[s.syvc_id] >= threshold) for s in test_side]
+    labels = [int(s.label) for s in test_side]
     counts = count_confusion(predictions, labels)
     report = compute_metrics(counts)
     artifacts.write_json(
@@ -624,12 +628,9 @@ def stage_explain(config: RunConfig) -> None:
     cset = config.characteristic_set()
     threshold = config.threshold if config.threshold is not None else hp.threshold
     records = []
-    for sample in samples:
+    for sample, trace in zip(samples, forward_batch(samples, params, hp)):
         sevc = sevcs.get(sample.syvc_id)
-        if sevc is None:
-            continue
-        trace = bgru_forward(sample, params, hp)
-        if trace.final < threshold:
+        if sevc is None or trace.final < threshold:
             continue
         sym = symbolize(sevc, cset)
         lo, hi = truncation_window(

@@ -42,14 +42,22 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray] = field(default_factory=dict)
     seed: int = 0
     mode: str = MODE_SKIPGRAM
+    # hash_vector results by symbol; read-only, since callers share them
+    _hashed: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def lookup(self, symbol: str) -> np.ndarray:
-        if self.mode == MODE_HASH:
-            return hash_vector(symbol, self.dimension, self.seed)
-        hit = self.vectors.get(symbol)
-        if hit is not None:
-            return hit
-        return hash_vector(symbol, self.dimension, self.seed)
+        if self.mode != MODE_HASH:
+            hit = self.vectors.get(symbol)
+            if hit is not None:
+                return hit
+        vec = self._hashed.get(symbol)
+        if vec is None:
+            vec = hash_vector(symbol, self.dimension, self.seed)
+            vec.flags.writeable = False
+            self._hashed[symbol] = vec
+        return vec
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.vectors

@@ -1,5 +1,8 @@
 """BGRU forward/backward math, Adamax arithmetic, training behavior."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from vulnslice.bgru import (
     adamax_step,
     bgru_forward,
     explain,
+    forward_batch,
     init_params,
     load_checkpoint,
     loss_and_gradients,
@@ -208,6 +212,42 @@ def test_gradients_match_finite_differences_sampled():
                 ), (key, idx)
 
 
+def mixed_batch(hp):
+    """Samples of mixed lengths, the shortest a single timestep."""
+    rng = np.random.default_rng(21)
+    lengths = (6, 1, 9, 3, 1, 7)
+    return [
+        (rng.standard_normal((n, hp.input_dim)), i % 2)
+        for i, n in enumerate(lengths)
+    ]
+
+
+def test_batched_traces_match_single_sample_traces():
+    hp = small_hp(layers=2, batch_size=4)  # two chunks, one of them short
+    params = init_params(hp)
+    samples = [x for x, _ in mixed_batch(hp)]
+    batched = forward_batch(samples, params, hp)
+    assert len(batched) == len(samples)
+    for x, trace in zip(samples, batched):
+        single = bgru_forward(x, params, hp)
+        assert trace.outputs.shape == (len(x),)
+        np.testing.assert_allclose(trace.outputs, single.outputs, rtol=0, atol=1e-12)
+
+
+def test_batched_gradients_equal_mean_of_single_samples():
+    hp = small_hp(layers=2)
+    params = init_params(hp, seed=4)
+    batch = mixed_batch(hp)
+    loss, grads = loss_and_gradients(batch, params, hp)
+    singles = [loss_and_gradients([pair], params, hp) for pair in batch]
+    assert abs(loss - np.mean([s_loss for s_loss, _ in singles])) <= 1e-12
+    assert list(grads) == param_keys(hp)
+    for key in grads:
+        mean = np.mean([s_grads[key] for _, s_grads in singles], axis=0)
+        assert grads[key].shape == params.arrays[key].shape
+        np.testing.assert_allclose(grads[key], mean, rtol=0, atol=1e-12, err_msg=key)
+
+
 def test_inference_mode_deterministic_despite_dropout():
     hp = small_hp(layers=2, dropout=0.5)
     params = init_params(hp)
@@ -378,3 +418,48 @@ def test_checkpoint_roundtrip_and_dimension_guard(tmp_path):
         load_checkpoint(path, expect_theta=hp.theta + 4)
     with pytest.raises(ModelError):
         load_checkpoint(path, expect_dim=5)
+
+
+def saved_checkpoint(tmp_path):
+    hp = small_hp(input_dim=4, seq_len=8)
+    path = tmp_path / "model.bin"
+    save_checkpoint(str(path), init_params(hp), root_seed=99)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: data[:-100],  # cut inside the parameter blocks
+        lambda data: data[:6],  # cut inside the header length
+        lambda data: data[:40],  # cut inside the header
+        lambda data: data + b"junk",  # trailing bytes
+        lambda data: data[:4] + (10**6).to_bytes(4, "little") + data[8:],  # oversized header
+    ],
+    ids=["truncated", "cut-length", "cut-header", "trailing", "oversized"],
+)
+def test_corrupt_checkpoint_raises_model_error(tmp_path, corrupt):
+    path, data = saved_checkpoint(tmp_path)
+    path.write_bytes(corrupt(data))
+    with pytest.raises(ModelError, match="re-run the 'train' stage"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_block_shape_mismatch_raises_model_error(tmp_path):
+    path, data = saved_checkpoint(tmp_path)
+    header_end = 8 + int.from_bytes(data[4:8], "little")
+    # the first block is l0.f.Wz, rank 2, shape (5, 4): claim (4, 5) instead
+    first_dim = header_end + 1
+    patched = bytearray(data)
+    patched[first_dim : first_dim + 8] = (4).to_bytes(4, "little") + (5).to_bytes(4, "little")
+    path.write_bytes(bytes(patched))
+    with pytest.raises(ModelError, match="re-run the 'train' stage"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_header_records_every_hyperparameter(tmp_path):
+    path, data = saved_checkpoint(tmp_path)
+    header = json.loads(data[8 : 8 + int.from_bytes(data[4:8], "little")])
+    hp = small_hp(input_dim=4, seq_len=8)
+    assert header["hyperparams"] == dataclasses.asdict(hp)
+    assert header["theta"] == hp.theta and header["seed"] == 99

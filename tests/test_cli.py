@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from vulnslice.cli import main
+from vulnslice.embeddings import EmbeddingTable, hash_vector
 
 TINY_PROGRAMS = {
     "leak.c": (
@@ -257,3 +258,33 @@ def test_ast_dump_records_shape(tmp_path, corpus):
     node = json.loads(lines[1])
     for field in ("id", "kind", "span", "parent_id", "program"):
         assert field in node
+
+
+def read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()[1:]]
+
+
+def test_detect_and_explain_agree(tmp_path, corpus):
+    out = tmp_path / "out"
+    assert run(corpus, out, "pipeline") in (0, 1)
+    detected = {r["syvc_id"]: r["probability"] for r in read_records(out / "detect.jsonl")}
+    explained = {r["syvc_id"]: r["probability"] for r in read_records(out / "explain.jsonl")}
+    assert detected
+    assert explained == detected
+
+
+def test_hash_lookup_cache_keeps_vectors_bytes(tmp_path, corpus, monkeypatch):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    stages = ("parse", "extract", "slice", "vectorize")
+    for stage in stages:
+        assert run(corpus, out_a, stage) == 0
+    # every lookup recomputed from scratch, as before memoization
+    monkeypatch.setattr(
+        EmbeddingTable,
+        "lookup",
+        lambda self, symbol: hash_vector(symbol, self.dimension, self.seed),
+    )
+    for stage in stages:
+        assert run(corpus, out_b, stage) == 0
+    assert (out_a / "vectors.bin").read_bytes() == (out_b / "vectors.bin").read_bytes()

@@ -103,3 +103,13 @@ def test_table_save_load_roundtrip(tmp_path):
     assert loaded.mode == table.mode
     for sym in table.vectors:
         assert np.allclose(loaded.vectors[sym], table.vectors[sym])
+
+
+def test_hash_lookups_are_memoized_read_only():
+    for table in (hash_table(6, seed=4), train_embeddings([["a"]], dimension=6, seed=4)):
+        first = table.lookup("q")
+        assert table.lookup("q") is first
+        assert np.array_equal(first, hash_vector("q", 6, table.seed))
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
