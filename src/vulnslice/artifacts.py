@@ -13,6 +13,9 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import IO
 
 
 class StageError(Exception):
@@ -27,32 +30,35 @@ def derive_seed(root_seed: int, tag: str) -> int:
     return int.from_bytes(digest, "big") % (2**32)
 
 
-def atomic_write_text(path: str, text: str) -> None:
+@contextmanager
+def atomic_open(path: str, mode: str) -> Iterator[IO]:
+    """Write `path` through a temp file beside it, renamed over it on success.
+
+    `mode` is "w" (UTF-8 text) or "wb". If the body or the rename fails,
+    the temp file is removed and any previous `path` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
+    encoding = None if "b" in mode else "utf-8"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    with atomic_open(path, "w") as handle:
+        handle.write(text)
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as handle:
+        handle.write(payload)
 
 
 def write_jsonl(path: str, artifact: str, seed: int, records: list[dict]) -> None:
@@ -80,13 +86,6 @@ def read_jsonl(path: str, expect_artifact: str | None = None) -> tuple[dict, lis
 
 def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def read_json(path: str) -> dict:
-    if not os.path.exists(path):
-        raise StageError(f"missing artifact {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def require(path: str, stage_to_run: str) -> str:

@@ -159,9 +159,6 @@ class BgruParams:
     arrays: dict[str, np.ndarray]
     hp: Hyperparams
 
-    def copy(self) -> "BgruParams":
-        return BgruParams({k: v.copy() for k, v in self.arrays.items()}, self.hp)
-
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.arrays.items()}
 

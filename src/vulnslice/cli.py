@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import artifacts
 from .artifacts import StageError, derive_seed
@@ -111,39 +111,23 @@ class RunConfig:
 
     def hyperparams(self) -> Hyperparams:
         base = PRESETS[self.preset]
-        updates: dict = {"seed": derive_seed(self.seed, "train")}
-        if self.dim is not None:
-            updates["input_dim"] = self.dim
-        theta = self.theta if self.theta is not None else (
-            base.seq_len * updates.get("input_dim", base.input_dim)
-        )
-        dim = updates.get("input_dim", base.input_dim)
+        dim = self.dim if self.dim is not None else base.input_dim
+        theta = self.theta if self.theta is not None else base.seq_len * dim
         if theta % dim != 0:
             raise StageError(f"theta={theta} is not divisible by dimension={dim}")
-        updates["seq_len"] = theta // dim
-        if self.threshold is not None:
-            updates["threshold"] = self.threshold
-        if self.epochs is not None:
-            updates["epochs"] = self.epochs
-        if self.hidden is not None:
-            updates["hidden_dim"] = self.hidden
-        if self.layers is not None:
-            updates["layers"] = self.layers
-        fields = {
-            "input_dim": base.input_dim,
-            "seq_len": base.seq_len,
-            "hidden_dim": base.hidden_dim,
-            "layers": base.layers,
-            "dense_dim": base.dense_dim,
-            "dropout": base.dropout,
-            "batch_size": base.batch_size,
-            "epochs": base.epochs,
-            "learning_rate": base.learning_rate,
-            "threshold": base.threshold,
-            "seed": base.seed,
+        overrides = {
+            "threshold": self.threshold,
+            "epochs": self.epochs,
+            "hidden_dim": self.hidden,
+            "layers": self.layers,
         }
-        fields.update(updates)
-        return Hyperparams(**fields)
+        return replace(
+            base,
+            input_dim=dim,
+            seq_len=theta // dim,
+            seed=derive_seed(self.seed, "train"),
+            **{name: value for name, value in overrides.items() if value is not None},
+        )
 
     def characteristic_set(self) -> CharacteristicSet:
         calls = (

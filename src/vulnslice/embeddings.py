@@ -1,7 +1,11 @@
 """Token embeddings: skip-gram with negative sampling, plus a hashed mode.
 
 The skip-gram trainer is deliberately single-threaded and seeded so the
-same corpus and seed always produce the same table, bit for bit. The
+same corpus and seed always produce the same table, bit for bit. It
+draws the negatives of all pairs of one window at once: one call for
+k * negatives doubles reads the same generator stream as k calls for
+`negatives` each, so the draws, and the float operations of each
+(center, context) pair, are those of a pair-by-pair loop. The
 "hash" mode derives every vector from a keyed blake2 digest instead of
 training; it is the fast deterministic fallback used by tests and as
 the out-of-vocabulary rule at encode time.
@@ -14,6 +18,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .artifacts import atomic_write_text
 
 MODE_SKIPGRAM = "skipgram"
 MODE_HASH = "hash"
@@ -59,9 +65,6 @@ class EmbeddingTable:
             self._hashed[symbol] = vec
         return vec
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.vectors
-
     def save(self, path: str) -> None:
         payload = {
             "dimension": self.dimension,
@@ -72,9 +75,7 @@ class EmbeddingTable:
                 for sym, vec in sorted(self.vectors.items())
             },
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
+        atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "EmbeddingTable":
@@ -116,6 +117,12 @@ def train_embeddings(
         raise EmbeddingError("cannot train embeddings on an empty corpus")
     if dimension < 1:
         raise EmbeddingError(f"embedding dimension must be >= 1, got {dimension}")
+    if window < 1:
+        raise EmbeddingError(f"window must be >= 1, got {window}")
+    if negatives < 0:
+        raise EmbeddingError(f"negatives must be >= 0, got {negatives}")
+    if epochs < 1:
+        raise EmbeddingError(f"epochs must be >= 1, got {epochs}")
 
     counts: dict[str, int] = {}
     for sentence in sentences:
@@ -132,38 +139,59 @@ def train_embeddings(
     center_vecs = (rng.random((v, dimension)) - 0.5) / dimension
     context_vecs = np.zeros((v, dimension), dtype=np.float64)
 
+    encoded = [[index[s] for s in sentence] for sentence in sentences]
+    width = negatives + 1
+    labels = np.zeros(width)
+    labels[0] = 1.0
+    # per-pair buffers, reused so each pair allocates nothing
+    rows = np.empty((width, dimension))
+    scores = np.empty(width)
+    gradient = np.empty(width)
+    gradient_column = gradient[:, None]  # outer products as a broadcast
+    updates = np.empty((width, dimension))
+    center_grad = np.empty(dimension)
+    # one row per (center, context) pair of a window: context, then negatives
+    most_pairs = min(2 * window, max(len(s) for s in sentences))
+    window_targets = np.empty((most_pairs, width), dtype=np.int64)
+
     total_tokens = sum(len(s) for s in sentences)
     scheduled = max(1, total_tokens * epochs)
     done = 0
     for _ in range(epochs):
-        for sentence in sentences:
-            ids = [index[s] for s in sentence]
+        for ids in encoded:
             for pos, center in enumerate(ids):
                 lr = max(min_lr, initial_lr * (1.0 - done / scheduled))
                 done += 1
                 reach = int(rng.integers(1, window + 1))
                 lo = max(0, pos - reach)
-                hi = min(len(ids), pos + reach + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    context = ids[ctx_pos]
-                    targets = np.empty(negatives + 1, dtype=np.int64)
-                    labels = np.zeros(negatives + 1)
-                    targets[0] = context
-                    labels[0] = 1.0
-                    draws = rng.random(negatives)
-                    targets[1:] = np.searchsorted(table_cdf, draws)
-                    cv = center_vecs[center]
-                    out = context_vecs[targets]
-                    logits = np.clip(out @ cv, -60.0, 60.0)
-                    scores = 1.0 / (1.0 + np.exp(-logits))
-                    gradient = (labels - scores) * lr
-                    center_grad = gradient @ out
+                contexts = ids[lo:pos] + ids[pos + 1:pos + reach + 1]
+                if not contexts:
+                    continue
+                k = len(contexts)
+                targets = window_targets[:k]
+                targets[:, 0] = contexts
+                # the same stream as one rng.random(negatives) per pair
+                targets[:, 1:] = np.searchsorted(
+                    table_cdf, rng.random(k * negatives)
+                ).reshape(k, negatives)
+                cv = center_vecs[center]
+                for pair in targets:
+                    context_vecs.take(pair, 0, rows)
+                    np.dot(rows, cv, out=scores)
+                    np.maximum(scores, -60.0, out=scores)
+                    np.minimum(scores, 60.0, out=scores)
+                    np.negative(scores, out=scores)
+                    np.exp(scores, out=scores)
+                    np.add(scores, 1.0, out=scores)
+                    np.divide(1.0, scores, out=scores)
+                    np.subtract(labels, scores, out=gradient)
+                    np.multiply(gradient, lr, out=gradient)
+                    np.multiply(gradient_column, cv, out=updates)
+                    np.dot(gradient, rows, out=center_grad)
                     # add.at accumulates correctly when a negative draw
                     # repeats an index
-                    np.add.at(context_vecs, targets, np.outer(gradient, cv))
-                    center_vecs[center] = cv + center_grad
+                    np.add.at(context_vecs, pair, updates)
+                    cv += center_grad
     return EmbeddingTable(
         dimension=dimension,
         vectors={s: center_vecs[index[s]].copy() for s in vocab},

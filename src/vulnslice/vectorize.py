@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .candidates import CharacteristicSet
 from .embeddings import EmbeddingTable
 from .frontend import (
@@ -229,7 +230,8 @@ def save_vectors(path: str, samples: list[SampleVector], seed: int) -> None:
     for s in samples:
         if s.theta != theta or s.dimension != d:
             raise EncodingError("mixed theta/dimension in one vector store")
-    with open(path, "wb") as handle:
+    # streamed record by record: the store is never held in memory twice
+    with atomic_open(path, "wb") as handle:
         handle.write(_MAGIC)
         handle.write(struct.pack("<IIIQQ", _VERSION, theta, d, len(samples), seed))
         for s in samples:
@@ -248,7 +250,7 @@ def save_vectors(path: str, samples: list[SampleVector], seed: int) -> None:
         }
         for i, s in enumerate(samples)
     ]
-    with open(path + ".idx", "w", encoding="utf-8") as handle:
+    with atomic_open(path + ".idx", "w") as handle:
         for record in index:
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")

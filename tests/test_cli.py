@@ -6,8 +6,11 @@ import shutil
 
 import pytest
 
+from vulnslice import cli
 from vulnslice.cli import main
 from vulnslice.embeddings import EmbeddingTable, hash_vector
+
+from test_embeddings import reference_train_embeddings
 
 TINY_PROGRAMS = {
     "leak.c": (
@@ -288,3 +291,16 @@ def test_hash_lookup_cache_keeps_vectors_bytes(tmp_path, corpus, monkeypatch):
     for stage in stages:
         assert run(corpus, out_b, stage) == 0
     assert (out_a / "vectors.bin").read_bytes() == (out_b / "vectors.bin").read_bytes()
+
+
+def test_skipgram_vectorize_matches_reference_trainer(tmp_path, corpus, monkeypatch):
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    stages = ("parse", "extract", "slice", "vectorize")
+    for stage in stages:
+        assert run(corpus, out_a, stage, "--embed-mode", "skipgram") == 0
+    monkeypatch.setattr(cli, "train_embeddings", reference_train_embeddings)
+    for stage in stages:
+        assert run(corpus, out_b, stage, "--embed-mode", "skipgram") == 0
+    for name in ("embeddings.json", "vectors.bin"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

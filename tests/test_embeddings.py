@@ -1,8 +1,13 @@
 """Embedding training determinism and geometry, hashed fallback."""
 
+import os
+
 import numpy as np
 import pytest
 
+from vulnslice import cli
+from vulnslice.artifacts import derive_seed
+from vulnslice.data import mini_corpus_manifest
 from vulnslice.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -113,3 +118,159 @@ def test_hash_lookups_are_memoized_read_only():
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 1.0
+
+
+# --------------------------------------------------------------------------
+# the trainer against its pair-by-pair reference
+# --------------------------------------------------------------------------
+
+
+def reference_train_embeddings(
+    corpus,
+    dimension=30,
+    seed=0,
+    window=5,
+    negatives=5,
+    epochs=5,
+    initial_lr=0.025,
+    min_lr=1e-4,
+):
+    """Skip-gram with one draw and one set of numpy calls per pair.
+
+    The trainer must return this table bit for bit: it reads the same
+    generator stream and does the same float operations in the same order.
+    """
+    sentences = [s for s in corpus if s]
+    counts = {}
+    for sentence in sentences:
+        for symbol in sentence:
+            counts[symbol] = counts.get(symbol, 0) + 1
+    vocab = sorted(counts, key=lambda s: (-counts[s], s))
+    index = {s: i for i, s in enumerate(vocab)}
+    v = len(vocab)
+
+    rng = np.random.default_rng(seed)
+    table_weights = np.array([counts[s] ** 0.75 for s in vocab], dtype=np.float64)
+    table_cdf = np.cumsum(table_weights / table_weights.sum())
+
+    center_vecs = (rng.random((v, dimension)) - 0.5) / dimension
+    context_vecs = np.zeros((v, dimension), dtype=np.float64)
+
+    total_tokens = sum(len(s) for s in sentences)
+    scheduled = max(1, total_tokens * epochs)
+    done = 0
+    for _ in range(epochs):
+        for sentence in sentences:
+            ids = [index[s] for s in sentence]
+            for pos, center in enumerate(ids):
+                lr = max(min_lr, initial_lr * (1.0 - done / scheduled))
+                done += 1
+                reach = int(rng.integers(1, window + 1))
+                lo = max(0, pos - reach)
+                hi = min(len(ids), pos + reach + 1)
+                for ctx_pos in range(lo, hi):
+                    if ctx_pos == pos:
+                        continue
+                    context = ids[ctx_pos]
+                    targets = np.empty(negatives + 1, dtype=np.int64)
+                    labels = np.zeros(negatives + 1)
+                    targets[0] = context
+                    labels[0] = 1.0
+                    draws = rng.random(negatives)
+                    targets[1:] = np.searchsorted(table_cdf, draws)
+                    cv = center_vecs[center]
+                    out = context_vecs[targets]
+                    logits = np.clip(out @ cv, -60.0, 60.0)
+                    scores = 1.0 / (1.0 + np.exp(-logits))
+                    gradient = (labels - scores) * lr
+                    center_grad = gradient @ out
+                    np.add.at(context_vecs, targets, np.outer(gradient, cv))
+                    center_vecs[center] = cv + center_grad
+    return EmbeddingTable(
+        dimension=dimension,
+        vectors={s: center_vecs[index[s]].copy() for s in vocab},
+        seed=seed,
+    )
+
+
+def assert_same_table(got, want):
+    assert (got.dimension, got.seed, got.mode) == (want.dimension, want.seed, want.mode)
+    assert list(got.vectors) == list(want.vectors)
+    for sym, vec in want.vectors.items():
+        assert np.array_equal(got.vectors[sym], vec), sym
+
+
+WORDS = [["V1", "=", "V2", ";"], ["memset", "(", "V1", ",", "0", ")", ";"]] * 3
+
+
+@pytest.mark.parametrize(
+    "corpus, options",
+    [
+        ([["a"], ["b"], ["a"], ["c"]], {}),
+        ([["a"], ["b", "c", "a"], ["d"], ["c", "a"]], {}),
+        ([["x", "y", "x", "x", "z", "x", "x"], ["x", "x"]], {}),
+        ([["a", "b"] * 6, ["b", "a", "a"]], {}),
+        (WORDS, {"dimension": 1}),
+        (WORDS, {"window": 1}),
+        (WORDS, {"negatives": 0}),
+        (WORDS, {"dimension": 1, "window": 1, "negatives": 0, "epochs": 1}),
+        (WORDS, {"window": 50, "negatives": 12, "epochs": 2}),
+    ],
+    ids=[
+        "single-token-sentences",
+        "single-token-sentences-mixed",
+        "repeat-in-window",
+        "two-symbol-vocabulary",
+        "dimension-1",
+        "window-1",
+        "negatives-0",
+        "all-minimal",
+        "window-wider-than-sentences",
+    ],
+)
+def test_trainer_matches_reference_bit_for_bit(corpus, options):
+    options = {"dimension": 6, "seed": 13, **options}
+    assert_same_table(
+        train_embeddings(corpus, **options),
+        reference_train_embeddings(corpus, **options),
+    )
+
+
+def test_trainer_matches_reference_on_mini_corpus(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(corpus, **options):
+        table = train_embeddings(corpus, **options)
+        calls.append((corpus, options, table))
+        return table
+
+    monkeypatch.setattr(cli, "train_embeddings", recording)
+    for stage in ("parse", "extract", "slice", "vectorize"):
+        args = [stage, "--manifest", mini_corpus_manifest()]
+        assert cli.main(args + ["--out", str(tmp_path), "--seed", "101"]) == 0
+    [(corpus, options, table)] = calls
+    assert options["seed"] == derive_seed(101, "embeddings")
+    assert_same_table(table, reference_train_embeddings(corpus, **options))
+
+
+@pytest.mark.parametrize(
+    "option", [{"window": 0}, {"negatives": -1}, {"epochs": 0}]
+)
+def test_trainer_rejects_bad_arguments(option):
+    with pytest.raises(EmbeddingError, match=next(iter(option))):
+        train_embeddings(WORDS, dimension=4, seed=0, **option)
+
+
+def test_table_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "table.json"
+    train_embeddings([["a", "b"]], dimension=3, seed=1).save(str(path))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        train_embeddings([["c", "d"]], dimension=3, seed=2).save(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["table.json"]

@@ -1,5 +1,7 @@
 """Symbolization rules, truncation branches, vector store round-trip."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,25 @@ def test_vector_store_roundtrip(tmp_path):
         assert back.label == orig.label
         assert back.program == orig.program
         assert np.allclose(back.values, orig.values, atol=1e-6)
+
+
+def test_vector_store_writes_are_atomic(tmp_path, monkeypatch):
+    table = hash_table(4, seed=5)
+    sym = SymbolicSeVC(0, ["a", "b"], 0, 1, kind="FC", program="p")
+    samples = [encode(sym, table, 16)]
+    path = tmp_path / "vectors.bin"
+    save_vectors(str(path), samples, seed=1)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert sorted(before) == ["vectors.bin", "vectors.bin.idx"]
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_vectors(str(path), samples * 2, seed=2)
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert after == before
 
 
 def test_vector_store_rejects_garbage(tmp_path):
