@@ -63,8 +63,10 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def write_jsonl(path: str, artifact: str, seed: int, records: list[dict]) -> None:
     header = {"artifact": artifact, "version": 1, "seed": seed}
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(record, sort_keys=True) for record in records]
+    # the same bytes as json.dumps(..., sort_keys=True), which would build
+    # a new encoder for every record
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(header)] + [encode(record) for record in records]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

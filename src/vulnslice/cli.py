@@ -208,10 +208,15 @@ def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
     models = []
     for prog in manifest.programs:
         model = load_program(prog.source_paths, name=prog.path)
-        # program-relative file names keep artifacts portable
+        # manifest-relative file names keep artifacts portable
+        rel = {p: os.path.relpath(p, manifest.root) for p in prog.source_paths}
         for fn in model.functions:
-            fn.file_path = os.path.relpath(fn.file_path, manifest.root)
-        model.files = [os.path.relpath(f, manifest.root) for f in model.files]
+            fn.file_path = rel[fn.file_path]
+        model.files = [rel[f] for f in model.files]
+        for diag in model.diagnostics:
+            # messages start with the file name, as "file:line: ..."
+            diag.message = rel[diag.file] + diag.message[len(diag.file):]
+            diag.file = rel[diag.file]
         models.append(model)
     return models
 

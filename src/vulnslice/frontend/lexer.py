@@ -5,6 +5,14 @@ preprocessor lines, and non-ASCII bytes with spaces (preserving every
 line break and column, so token positions always point into the
 original source), then a master-regex pass cuts the scrubbed text into
 position-tagged tokens.
+
+Both passes are single regex scans. Scrubbing is one ``re.sub`` whose
+pattern starts with the set of characters that can begin something to
+blank, so the regex engine skips all other text. Tokenizing is one
+``finditer`` over a pattern that matches a token together with the
+whitespace before it; a running line number and line-start offset give
+each token's position, and a character no token matches raises
+LexError on its line.
 """
 
 from __future__ import annotations
@@ -41,10 +49,7 @@ ROLE_TYPE = "type"
 ROLE_FIELD = "field"
 ROLE_FUNCTION = "function-name"
 
-_PUNCT_TEXTS = frozenset("( ) [ ] { } ; ,".split())
-
-
-@dataclass
+@dataclass(slots=True)
 class Token:
     """One lexeme with its 1-based source position.
 
@@ -66,7 +71,65 @@ class Token:
 class LexError(Exception):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+
+# What scrub blanks, found from its first character: the pattern starts
+# with a character class, which lets the regex engine skip every other
+# character, and each branch then tests that character by lookbehind.
+# The class is newline, '/', quotes and junk, written as a negated class
+# because a range up to U+10FFFF takes milliseconds to compile.
+# A preprocessor line is found from the newline before it (scrub puts
+# one in front of the text): "#" after nothing but whitespace and junk,
+# running on across lines whose last solid character is a backslash.
+# Literals are matched whole so that "//" or "/*" inside one is text; a
+# quote that starts no closed literal is an error.
+_SCRUB_RE = re.compile(
+    r"""
+    [^\t\r !#-&(-.0-~]
+    (?:
+      (?<=\n)(?P<pp>[^\n!-~]*\#(?:[^\n]*\\[ \t\r]*\n)*[^\n]*)
+    | (?<=/)(?P<line>/[^\n]*)
+    | (?<=/)(?P<block>\*.*?(?:\*/|\Z))
+    | (?<=")(?P<string>(?:[^"\\\n]|\\[^\n])*")
+    | (?<=')(?P<char>(?:[^'\\\n]|\\[^\n])*')
+    | (?<=["'])(?P<open>)
+    | (?<=[^\n/"'])(?P<junk>)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_JUNK_RE = re.compile(r"[^\t\n\r -~]")
+_SOLID_RE = re.compile(r"[^\n]")
+# inside a literal, an escaped character is kept and any other non-ASCII one blanked
+_LITERAL_JUNK_RE = re.compile(r"\\[^\n]|[^\x00-~]")
+
+
+def _blank(m: re.Match) -> str:
+    text = m.group()  # the first character, then the group's text
+    group = m.lastgroup
+    if group in ("string", "char"):
+        if max(text) <= "~":
+            return text
+        return _LITERAL_JUNK_RE.sub(
+            lambda e: e.group() if e.group()[0] == "\\" else " ", text
+        )
+    if group == "junk":
+        return " "
+    if group == "pp":
+        hash_at = text.index("#")
+        return _JUNK_RE.sub(" ", text[:hash_at]) + _SOLID_RE.sub(" ", text[hash_at:])
+    if group == "line":
+        return " " * len(text)
+    # the newline put in front of the text counts as the line before line 1
+    line = m.string.count("\n", 0, m.start())
+    if group == "open":
+        kind = "string" if text == '"' else "character"
+        raise LexError(f"unterminated {kind} literal", line)
+    if len(text) < 4 or not text.endswith("*/"):
+        raise LexError("unterminated block comment", line)
+    return _SOLID_RE.sub(" ", text)
 
 
 def scrub(text: str) -> str:
@@ -74,122 +137,48 @@ def scrub(text: str) -> str:
 
     The result has exactly the same length and line structure as the
     input: every removed character becomes a space, newlines survive.
-    Raises LexError on an unterminated string, character, or block
-    comment.
+    Control characters other than tab and carriage return count as
+    junk too, outside literals. Raises LexError on an unterminated
+    string, character, or block comment.
     """
-    chars = list(text)
-    n = len(chars)
-    i = 0
-    line = 1
-    at_line_start = True  # only whitespace seen on the current line
-    while i < n:
-        c = chars[i]
-        if c == "\n":
-            line += 1
-            at_line_start = True
-            i += 1
-            continue
-        if ord(c) > 126 or (ord(c) < 32 and c not in "\t\r"):
-            chars[i] = " "
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#" and at_line_start:
-            # Preprocessor line, skipped verbatim; honor \-continuations.
-            last_solid = ""
-            while i < n:
-                if chars[i] == "\n":
-                    continued = last_solid == "\\"
-                    last_solid = ""
-                    line += 1
-                    i += 1
-                    if not continued:
-                        break
-                else:
-                    if chars[i] not in " \t\r":
-                        last_solid = chars[i]
-                    chars[i] = " "
-                    i += 1
-            at_line_start = True
-            continue
-        at_line_start = False
-        if c == "/" and i + 1 < n and chars[i + 1] == "/":
-            while i < n and chars[i] != "\n":
-                chars[i] = " "
-                i += 1
-            continue
-        if c == "/" and i + 1 < n and chars[i + 1] == "*":
-            start_line = line
-            chars[i] = " "
-            chars[i + 1] = " "
-            i += 2
-            closed = False
-            while i < n:
-                if chars[i] == "*" and i + 1 < n and chars[i + 1] == "/":
-                    chars[i] = " "
-                    chars[i + 1] = " "
-                    i += 2
-                    closed = True
-                    break
-                if chars[i] == "\n":
-                    line += 1
-                else:
-                    chars[i] = " "
-                i += 1
-            if not closed:
-                raise LexError("unterminated block comment", start_line)
-            continue
-        if c in "\"'":
-            quote = c
-            start_line = line
-            i += 1
-            closed = False
-            while i < n:
-                if chars[i] == "\\" and i + 1 < n and chars[i + 1] != "\n":
-                    i += 2
-                    continue
-                if chars[i] == quote:
-                    i += 1
-                    closed = True
-                    break
-                if chars[i] == "\n":
-                    break
-                if ord(chars[i]) > 126:
-                    chars[i] = " "
-                i += 1
-            if not closed:
-                kind = "string" if quote == '"' else "character"
-                raise LexError(f"unterminated {kind} literal", start_line)
-            continue
-        i += 1
-    return "".join(chars)
+    return _SCRUB_RE.sub(_blank, "\n" + text)[1:]
 
 
+# One token, after any whitespace before it.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<char>'(?:[^'\\\n]|\\.)+')
-  | (?P<number>
-        0[xX][0-9a-fA-F]+[uUlL]*
-      | \d+\.\d*(?:[eE][+-]?\d+)?[fFlL]?
-      | \.\d+(?:[eE][+-]?\d+)?[fFlL]?
-      | \d+(?:[eE][+-]?\d+)[fFlL]?
-      | \d+[uUlL]*
+    \s*
+    (?:
+      (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<char>'(?:[^'\\\n]|\\.)+')
+    | (?P<number>
+          0[xX][0-9a-fA-F]+[uUlL]*
+        | \d+\.\d*(?:[eE][+-]?\d+)?[fFlL]?
+        | \.\d+(?:[eE][+-]?\d+)?[fFlL]?
+        | \d+(?:[eE][+-]?\d+)[fFlL]?
+        | \d+[uUlL]*
+      )
+    | (?P<ident>[A-Za-z_]\w*)
+    | (?P<op>
+          <<=|>>=|\.\.\.
+        | ->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
+        | \+=|-=|\*=|/=|%=|&=|\|=|\^=
+        | [-+*/%=<>!~&|^?:.]
+      )
+    | (?P<punct>[()\[\]{};,])
     )
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<op>
-        <<=|>>=|\.\.\.
-      | ->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
-      | \+=|-=|\*=|/=|%=|&=|\|=|\^=
-      | [-+*/%=<>!~&|^?:.]
-    )
-  | (?P<punct>[()\[\]{};,])
     """,
     re.VERBOSE,
 )
+_WS_RE = re.compile(r"\s*")
+# token kind per master-regex group ("ident" is split by KEYWORDS)
+_GROUP_KINDS = {
+    "string": STRING,
+    "char": CONSTANT,
+    "number": CONSTANT,
+    "op": OPERATOR,
+    "punct": PUNCTUATOR,
+}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -200,42 +189,31 @@ def tokenize(source: str) -> list[Token]:
     starts in the original buffer.
     """
     text = scrub(source)
-    line_starts = [0]
-    for m in re.finditer("\n", text):
-        line_starts.append(m.end())
-
-    def position(offset: int) -> tuple[int, int]:
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - line_starts[lo] + 1
-
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            ln, col = position(pos)
-            raise LexError(f"unexpected character {text[pos]!r}", ln)
-        pos = m.end()
+    append = tokens.append
+    count = text.count
+    line = 1
+    line_start = pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
         group = m.lastgroup
-        if group == "ws":
-            continue
-        lexeme = m.group(0)
-        ln, col = position(m.start())
+        start = m.start(group)
+        if start != pos:
+            newlines = count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, start) + 1
+        pos = m.end()
+        lexeme = m[group]
         if group == "ident":
             kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
-        elif group == "string":
-            kind = STRING
-        elif group in ("char", "number"):
-            kind = CONSTANT
-        elif group == "punct":
-            kind = PUNCTUATOR
         else:
-            kind = PUNCTUATOR if lexeme in _PUNCT_TEXTS else OPERATOR
-        tokens.append(Token(kind, lexeme, ln, col))
+            kind = _GROUP_KINDS[group]
+        append(Token(kind, lexeme, line, start - line_start + 1))
+    # nothing matched at pos: past any whitespace is the first bad character
+    bad = _WS_RE.match(text, pos).end()
+    if bad < len(text):
+        line += count("\n", pos, bad)
+        raise LexError(f"unexpected character {text[bad]!r}", line)
     return tokens

@@ -21,7 +21,17 @@ dependence graphs have a node where parameters are defined.
 
 Anything outside the subset raises a parse error naming the line;
 top-level recovery skips to the next function boundary and records a
-diagnostic instead of failing the whole file.
+diagnostic instead of failing the whole file. ``load_program`` skips a
+file that does not lex the same way, with a diagnostic.
+
+Binary expressions are parsed by precedence climbing over one
+``{operator: level}`` table (``_BINARY_PRECEDENCE``, levels 0-9 from
+``||`` to ``* / %``, all left-associative): one call per operand
+instead of one per level. Nodes are numbered in creation order, so
+children come before their parent. Each node gets its function-relative
+span and its children their parent id when it is created, so a finished
+function needs no further pass over its tree; only statement ownership
+is stamped afterwards, over each statement's subtree.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from .lexer import (
     ROLE_TYPE,
     STRING,
     TYPE_KEYWORDS,
+    LexError,
     Token,
     tokenize,
 )
@@ -65,20 +76,25 @@ ST_OTHER = "other"
 
 ASSIGN_OPS = frozenset("= += -= *= /= %= &= |= ^= <<= >>=".split())
 
-_BINARY_LEVELS = [
-    frozenset({"||"}),
-    frozenset({"&&"}),
-    frozenset({"|"}),
-    frozenset({"^"}),
-    frozenset({"&"}),
-    frozenset({"==", "!="}),
-    frozenset({"<", "<=", ">", ">="}),
-    frozenset({"<<", ">>"}),
-    frozenset({"+", "-"}),
-    frozenset({"*", "/", "%"}),
-]
+# Binary operator -> precedence level, loosest (0) to tightest (9).
+_BINARY_PRECEDENCE = {
+    op: level
+    for level, ops in enumerate(
+        ["||", "&&", "|", "^", "&", "== !=", "< <= > >=", "<< >>", "+ -", "* / %"]
+    )
+    for op in ops.split()
+}
 
 _UNARY_OPS = frozenset({"!", "~", "+", "-", "*", "&", "++", "--"})
+
+_LEAF_KINDS = {
+    KEYWORD: "Keyword",
+    IDENTIFIER: "Identifier",
+    CONSTANT: "Constant",
+    STRING: "StringLit",
+    OPERATOR: "Operator",
+    PUNCTUATOR: "Punct",
+}
 
 
 class ParseError(Exception):
@@ -114,7 +130,7 @@ class Statement:
         return " ".join(t.text for t in self.tokens)
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     """AST node over a contiguous token span of its function.
 
@@ -190,12 +206,6 @@ class ProgramModel:
                     return fn
         raise KeyError(statement_id)
 
-    def function_by_name(self, name: str) -> FunctionDecl | None:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        return None
-
     def user_function_names(self) -> frozenset[str]:
         return frozenset(fn.name for fn in self.functions)
 
@@ -209,6 +219,7 @@ class _FileParser:
         first_function_index: int,
     ):
         self.toks = tokens
+        self.n_toks = len(tokens)
         self.file = file_path
         self.pos = 0
         self.stmt_id = first_statement_id
@@ -216,7 +227,7 @@ class _FileParser:
         self.node_id = 0
         self.diagnostics: list[Diagnostic] = []
         self.functions: list[FunctionDecl] = []
-        # per-function state
+        # per-function state; AST spans count tokens from _fn_start
         self._fn_start = 0
         self._statements: list[Statement] = []
         # live brace depth, so error recovery knows how many blocks to close
@@ -226,11 +237,11 @@ class _FileParser:
 
     def peek(self, offset: int = 0) -> Token | None:
         i = self.pos + offset
-        return self.toks[i] if i < len(self.toks) else None
+        return self.toks[i] if i < self.n_toks else None
 
     def at(self, text: str, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.text == text
+        i = self.pos + offset
+        return i < self.n_toks and self.toks[i].text == text
 
     def error(self, message: str) -> ParseError:
         t = self.peek()
@@ -239,18 +250,20 @@ class _FileParser:
 
     def advance(self) -> int:
         """Consume the current token, returning its index."""
-        if self.pos >= len(self.toks):
-            raise self.error("unexpected end of file")
         i = self.pos
-        self.pos += 1
+        if i >= self.n_toks:
+            raise self.error("unexpected end of file")
+        self.pos = i + 1
         return i
 
     def expect(self, text: str) -> int:
+        i = self.pos
+        if i < self.n_toks and self.toks[i].text == text:
+            self.pos = i + 1
+            return i
         t = self.peek()
-        if t is None or t.text != text:
-            found = t.text if t else "end of file"
-            raise self.error(f"expected {text!r}, found {found!r}")
-        return self.advance()
+        found = t.text if t else "end of file"
+        raise self.error(f"expected {text!r}, found {found!r}")
 
     def expect_identifier(self) -> int:
         t = self.peek()
@@ -262,38 +275,34 @@ class _FileParser:
     # --- node helpers ---------------------------------------------------
 
     def leaf(self, index: int) -> AstNode:
-        tok = self.toks[index]
-        kind = {
-            KEYWORD: "Keyword",
-            IDENTIFIER: "Identifier",
-            CONSTANT: "Constant",
-            STRING: "StringLit",
-            OPERATOR: "Operator",
-            PUNCTUATOR: "Punct",
-        }[tok.kind]
-        node = AstNode(self.node_id, kind, (index, index + 1))
-        self.node_id += 1
-        return node
+        node_id = self.node_id
+        self.node_id = node_id + 1
+        lo = index - self._fn_start
+        return AstNode(node_id, _LEAF_KINDS[self.toks[index].kind], (lo, lo + 1))
 
     def node(self, kind: str, children: list[AstNode]) -> AstNode:
         assert children, f"internal node {kind} needs children"
-        lo = children[0].span[0]
-        hi = children[0].span[1]
-        for child in children[1:]:
+        node_id = self.node_id
+        self.node_id = node_id + 1
+        lo = hi = children[0].span[0]
+        for child in children:
             assert child.span[0] == hi, (
                 f"non-contiguous children for {kind}: gap at token {hi}"
             )
             hi = child.span[1]
-        node = AstNode(self.node_id, kind, (lo, hi), list(children))
-        self.node_id += 1
-        return node
+            child.parent_id = node_id
+        return AstNode(node_id, kind, (lo, hi), children)
 
     def stamp(self, node: AstNode, statement_id: int) -> None:
-        for n in node.walk():
+        stack = [node]
+        while stack:
+            n = stack.pop()
             n.statement_id = statement_id
+            stack.extend(n.children)
 
-    def make_statement(self, kind: str, lo: int, hi: int) -> Statement:
-        toks = self.toks[lo:hi]
+    def make_statement(self, kind: str, lo: int) -> Statement:
+        """The statement over tokens lo up to the current position."""
+        toks = self.toks[lo : self.pos]
         st = Statement(
             id=self.stmt_id,
             function_index=self.fn_index,
@@ -345,23 +354,6 @@ class _FileParser:
             elif text == ";" and not seen_brace and depth == 0:
                 return
 
-    def looks_like_type_start(self) -> bool:
-        t = self.peek()
-        if t is None:
-            return False
-        if t.kind == KEYWORD and t.text in TYPE_KEYWORDS:
-            return True
-        # typedef'd type heuristic: ident (ident | '*'+ ident)
-        if t.kind == IDENTIFIER:
-            j = 1
-            while self.at("*", j):
-                j += 1
-            nxt = self.peek(j)
-            return j > 1 and nxt is not None and nxt.kind == IDENTIFIER or (
-                j == 1 and nxt is not None and nxt.kind == IDENTIFIER
-            )
-        return False
-
     def parse_decl_specifiers(self) -> list[AstNode]:
         """Type keywords/qualifiers plus at most one typedef-ish name."""
         nodes: list[AstNode] = []
@@ -412,9 +404,7 @@ class _FileParser:
         if not self.at("("):
             raise self.error("expected '(' to start a parameter list")
         params, param_list_node = self.parse_param_list()
-        sig_lo = spec_nodes[0].span[0]
-        sig_hi = param_list_node.span[1]
-        signature = self.make_statement(ST_OTHER, sig_lo, sig_hi)
+        signature = self.make_statement(ST_OTHER, self._fn_start)
         if not self.at("{"):
             raise self.error("expected '{' (function body)")
         block = self.parse_block()
@@ -422,24 +412,17 @@ class _FileParser:
             "FunctionDef",
             spec_nodes + stars + [name_node, param_list_node, block],
         )
-        # Stamp signature tokens with the signature statement id.
+        # Stamp signature tokens with the signature statement id (no
+        # statement is made inside a signature, so none is stamped yet).
         for child in spec_nodes + stars + [name_node, param_list_node]:
-            for n in child.walk():
-                if n.statement_id is None:
-                    n.statement_id = signature.id
-        fn_node.statement_id = None
+            self.stamp(child, signature.id)
 
-        name = self.toks[name_idx].text
-        lo, hi = fn_node.span
-        fn_tokens = self.toks[lo:hi]
-        self._rebase(fn_node, lo)
-        self._assign_parents(fn_node)
         fn = FunctionDecl(
             index=self.fn_index,
-            name=name,
+            name=self.toks[name_idx].text,
             file_path=self.file,
             parameters=params,
-            tokens=fn_tokens,
+            tokens=self.toks[self._fn_start : self.pos],
             signature=signature,
             body=[s for s in self._statements if s.id != signature.id],
             ast=fn_node,
@@ -448,15 +431,6 @@ class _FileParser:
         self.functions.append(fn)
         self.fn_index += 1
         self.node_id = 0
-
-    def _rebase(self, root: AstNode, offset: int) -> None:
-        for n in root.walk():
-            n.span = (n.span[0] - offset, n.span[1] - offset)
-
-    def _assign_parents(self, root: AstNode) -> None:
-        for n in root.walk():
-            for child in n.children:
-                child.parent_id = n.id
 
     def parse_param_list(self) -> tuple[list[str], AstNode]:
         children = [self.leaf(self.expect("("))]
@@ -525,7 +499,7 @@ class _FileParser:
             lo = self.advance()
             children = [self.leaf(lo), self.leaf(self.expect(";"))]
             node = self.node(kind, children)
-            st = self.make_statement(ST_OTHER, lo, node.span[1] + self._offset())
+            st = self.make_statement(ST_OTHER, lo)
             self.stamp(node, st.id)
             return node
         if t.text in ("do", "switch", "goto", "typedef", "case", "default"):
@@ -533,11 +507,6 @@ class _FileParser:
         if self.looks_like_declaration():
             return self.parse_declaration()
         return self.parse_expression_statement()
-
-    def _offset(self) -> int:
-        # Spans are absolute until the function is rebased, so span
-        # indices and token indices agree during parsing.
-        return 0
 
     def looks_like_declaration(self) -> bool:
         t = self.peek()
@@ -556,7 +525,7 @@ class _FileParser:
         after = self.peek(j + 1)
         return after is not None and after.text in (";", "=", ",", "[")
 
-    def parse_declaration(self, consume_semicolon: bool = True) -> AstNode:
+    def parse_declaration(self) -> AstNode:
         lo = self.pos
         children = self.parse_decl_specifiers()
         while True:
@@ -565,10 +534,9 @@ class _FileParser:
                 children.append(self.leaf(self.advance()))
                 continue
             break
-        if consume_semicolon:
-            children.append(self.leaf(self.expect(";")))
+        children.append(self.leaf(self.expect(";")))
         node = self.node("IdentifierDeclStatement", children)
-        st = self.make_statement(ST_DECLARATION, lo, node.span[1])
+        st = self.make_statement(ST_DECLARATION, lo)
         self.stamp(node, st.id)
         return node
 
@@ -601,12 +569,13 @@ class _FileParser:
         return self.parse_assignment_expr()
 
     def parse_if(self) -> AstNode:
+        lo = self.pos
         kw = self.leaf(self.expect("if"))
         open_paren = self.leaf(self.expect("("))
         cond_expr = self.parse_expression()
         close_paren = self.leaf(self.expect(")"))
         cond = self.node("Condition", [kw, open_paren, cond_expr, close_paren])
-        st = self.make_statement(ST_PREDICATE, cond.span[0], cond.span[1])
+        st = self.make_statement(ST_PREDICATE, lo)
         self.stamp(cond, st.id)
         children = [cond, self.parse_statement()]
         if self.at("else"):
@@ -615,12 +584,13 @@ class _FileParser:
         return self.node("IfStatement", children)
 
     def parse_while(self) -> AstNode:
+        lo = self.pos
         kw = self.leaf(self.expect("while"))
         open_paren = self.leaf(self.expect("("))
         cond_expr = self.parse_expression()
         close_paren = self.leaf(self.expect(")"))
         cond = self.node("Condition", [kw, open_paren, cond_expr, close_paren])
-        st = self.make_statement(ST_PREDICATE, cond.span[0], cond.span[1])
+        st = self.make_statement(ST_PREDICATE, lo)
         self.stamp(cond, st.id)
         return self.node("WhileStatement", [cond, self.parse_statement()])
 
@@ -634,7 +604,7 @@ class _FileParser:
         else:
             lo = self.pos
             expr = self.parse_expression()
-            st = self.make_statement(ST_EXPRESSION, lo, expr.span[1])
+            st = self.make_statement(ST_EXPRESSION, lo)
             self.stamp(expr, st.id)
             children.append(expr)
             children.append(self.leaf(self.expect(";")))
@@ -643,7 +613,7 @@ class _FileParser:
             lo = self.pos
             cond_expr = self.parse_expression()
             cond = self.node("Condition", [cond_expr])
-            st = self.make_statement(ST_PREDICATE, lo, cond.span[1])
+            st = self.make_statement(ST_PREDICATE, lo)
             self.stamp(cond, st.id)
             children.append(cond)
         children.append(self.leaf(self.expect(";")))
@@ -651,7 +621,7 @@ class _FileParser:
         if not self.at(")"):
             lo = self.pos
             step = self.parse_expression()
-            st = self.make_statement(ST_EXPRESSION, lo, step.span[1])
+            st = self.make_statement(ST_EXPRESSION, lo)
             self.stamp(step, st.id)
             children.append(step)
         children.append(self.leaf(self.expect(")")))
@@ -665,7 +635,7 @@ class _FileParser:
             children.append(self.parse_expression())
         children.append(self.leaf(self.expect(";")))
         node = self.node("ReturnStatement", children)
-        st = self.make_statement(ST_RETURN, lo, node.span[1])
+        st = self.make_statement(ST_RETURN, lo)
         self.stamp(node, st.id)
         return node
 
@@ -675,7 +645,7 @@ class _FileParser:
         semi = self.leaf(self.expect(";"))
         node = self.node("ExpressionStatement", [expr, semi])
         kind = ST_CALL if expr.kind == "CallExpression" else ST_EXPRESSION
-        st = self.make_statement(kind, lo, node.span[1])
+        st = self.make_statement(kind, lo)
         self.stamp(node, st.id)
         return node
 
@@ -708,13 +678,18 @@ class _FileParser:
             return self.node("CondExpr", [cond, q, then, colon, other])
         return cond
 
-    def parse_binary(self, level: int) -> AstNode:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        node = self.parse_binary(level + 1)
+    def parse_binary(self, min_level: int) -> AstNode:
+        """Precedence climbing: operators of level >= min_level, left-assoc.
+
+        The right operand binds only tighter operators, so the tree and
+        the node creation order are those of one recursive function per
+        level.
+        """
+        node = self.parse_unary()
         while True:
             t = self.peek()
-            if t is None or t.text not in _BINARY_LEVELS[level]:
+            level = -1 if t is None else _BINARY_PRECEDENCE.get(t.text, -1)
+            if level < min_level:
                 return node
             op = self.leaf(self.advance())
             rhs = self.parse_binary(level + 1)
@@ -790,7 +765,8 @@ class _FileParser:
                 return node
             if t.text == "(":
                 if node.kind == "Identifier":
-                    self.toks[node.span[0]].role = ROLE_CALLEE
+                    # still the primary's leaf, so its token was the last consumed
+                    self.toks[self.pos - 1].role = ROLE_CALLEE
                 callee = self.node("Callee", [node])
                 children = [callee, self.leaf(self.advance())]
                 if not self.at(")"):
@@ -856,7 +832,9 @@ def parse_source(source: str, file_path: str = "<memory>") -> ProgramModel:
 def load_program(paths: list[str], name: str = "") -> ProgramModel:
     """Parse several source files into one merged ProgramModel.
 
-    Statement ids and function indices stay unique across files.
+    Statement ids and function indices stay unique across files. A file
+    that does not lex is skipped with a diagnostic, the way a function
+    that does not parse is.
     """
     model = ProgramModel(name=name or (paths[0] if paths else ""))
     next_stmt = 0
@@ -864,9 +842,15 @@ def load_program(paths: list[str], name: str = "") -> ProgramModel:
     for path in paths:
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
             text = handle.read()
-        part = parse(tokenize(text), path, next_stmt, next_fn)
-        model.functions.extend(part.functions)
         model.files.append(path)
+        try:
+            tokens = tokenize(text)
+        except LexError as exc:
+            message = f"{path}:{exc.line}: {exc.message} (file skipped)"
+            model.diagnostics.append(Diagnostic(path, exc.line, message))
+            continue
+        part = parse(tokens, path, next_stmt, next_fn)
+        model.functions.extend(part.functions)
         model.diagnostics.extend(part.diagnostics)
         for fn in part.functions:
             for st in fn.all_statements():

@@ -119,9 +119,6 @@ class CallGraph:
     edges: list[CallSite] = field(default_factory=list)
     unresolved: list[CallSite] = field(default_factory=list)
 
-    def calls_from(self, function_index: int) -> list[CallSite]:
-        return [e for e in self.edges if e.caller_index == function_index]
-
     def calls_to(self, function_index: int) -> list[CallSite]:
         return [e for e in self.edges if e.callee_index == function_index]
 

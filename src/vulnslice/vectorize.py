@@ -71,14 +71,6 @@ class SymbolicSeVC:
     kind: str = ""
     program: str = ""
 
-    @property
-    def backward_len(self) -> int:
-        return self.anchor_lo
-
-    @property
-    def forward_len(self) -> int:
-        return len(self.symbols) - self.anchor_hi
-
 
 @dataclass
 class SampleVector:

@@ -304,3 +304,64 @@ def test_skipgram_vectorize_matches_reference_trainer(tmp_path, corpus, monkeypa
         assert run(corpus, out_b, stage, "--embed-mode", "skipgram") == 0
     for name in ("embeddings.json", "vectors.bin"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def write_corpus(root, programs):
+    root.mkdir(parents=True)
+    for name, text in programs.items():
+        (root / name).write_text(text)
+    manifest = {
+        "corpus_root": ".",
+        "programs": [{"path": name, "class": "good"} for name in programs],
+    }
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def parse_only(root, out):
+    return main(
+        ["parse", "--manifest", str(root / "manifest.json"), "--out", str(out),
+         "--seed", "5"]
+    )
+
+
+def test_file_that_does_not_lex_is_skipped_with_a_diagnostic(tmp_path):
+    root = tmp_path / "corpus"
+    write_corpus(
+        root,
+        {"leak.c": TINY_PROGRAMS["leak.c"], "broken.c": "int a; /* never closed\nint b;\n"},
+    )
+    out = tmp_path / "out"
+    assert parse_only(root, out) == 0
+    report = json.loads((out / "parse_report.json").read_text())
+    assert report["diagnostics"] == [
+        {
+            "program": "broken.c",
+            "file": "broken.c",
+            "line": 1,
+            "message": "broken.c:1: unterminated block comment (file skipped)",
+        }
+    ]
+    assert report["functions"] == 1
+    assert {r["program"] for r in read_records(out / "ast.jsonl")} == {"leak.c"}
+
+
+def test_parse_report_is_the_same_wherever_the_corpus_lies(tmp_path):
+    programs = {
+        "leak.c": TINY_PROGRAMS["leak.c"],
+        "broken.c": "int a; /* never closed\n",
+        "mixed.c": "void s(int x){switch (x) {case 1: break;}}\nvoid ok(){int a;}\n",
+    }
+    reports = []
+    for place in ("first", os.path.join("second", "deeper")):
+        root = tmp_path / place / "corpus"
+        write_corpus(root, programs)
+        assert parse_only(root, tmp_path / place / "out") == 0
+        reports.append((tmp_path / place / "out" / "parse_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert [(d["file"], d["line"]) for d in report["diagnostics"]] == [
+        ("broken.c", 1),
+        ("mixed.c", 1),
+    ]
+    assert report["diagnostics"][1]["message"].startswith("mixed.c:1: 'switch'")
+    assert str(tmp_path).encode() not in reports[0]

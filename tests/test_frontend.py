@@ -5,6 +5,7 @@ import pytest
 from vulnslice.frontend import (
     LexError,
     ParseError,
+    load_program,
     parse_source,
     tokenize,
 )
@@ -244,3 +245,24 @@ def test_typedef_style_declaration():
     assert fn.body[0].kind == "declaration"
     roles = [t.role for t in fn.body[0].tokens if t.text == "size_t"]
     assert roles == ["type"]
+
+
+def test_load_program_skips_a_file_that_does_not_lex(tmp_path):
+    bad = tmp_path / "a.c"
+    bad.write_text("int a; /* never closed\n")
+    good = tmp_path / "b.c"
+    good.write_text("void f(){int a;}\n")
+    model = load_program([str(bad), str(good)])
+    assert [fn.name for fn in model.functions] == ["f"]
+    assert model.functions[0].signature.id == 0
+    assert model.files == [str(bad), str(good)]
+    (diag,) = model.diagnostics
+    assert (diag.file, diag.line) == (str(bad), 1)
+    assert diag.message == f"{bad}:1: unterminated block comment (file skipped)"
+
+
+def test_tokenize_unexpected_character_names_its_line():
+    with pytest.raises(LexError) as err:
+        tokenize("int a;\n\n  @ b;")
+    assert err.value.line == 3
+    assert "'@'" in str(err.value)
