@@ -19,7 +19,7 @@ callee sits inside an AE statement); containment is never deduplicated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .frontend import (
@@ -96,6 +96,13 @@ class SyVC:
     line: int
     span: tuple[int, int]
     anchor_text: str
+
+    @classmethod
+    def from_record(cls, record: dict) -> SyVC:
+        """The candidate of a ``syvc_record``; other keys are ignored."""
+        values = {f.name: record[f.name] for f in fields(cls)}
+        values["span"] = tuple(values["span"])
+        return cls(**values)
 
 
 def _statement_node(
@@ -234,14 +241,7 @@ def _statement_token_starts(fn: FunctionDecl) -> dict[int, int]:
 
 
 def syvc_record(syvc: SyVC) -> dict:
-    """The syvc.jsonl record for one candidate."""
-    return {
-        "id": syvc.id,
-        "kind": syvc.kind,
-        "file": syvc.file,
-        "function": syvc.function,
-        "line": syvc.line,
-        "statement_id": syvc.statement_id,
-        "span": [syvc.span[0], syvc.span[1]],
-        "anchor_text": syvc.anchor_text,
-    }
+    """The syvc.jsonl record for one candidate: every field, span as a list."""
+    record = {f.name: getattr(syvc, f.name) for f in fields(syvc)}
+    record["span"] = list(syvc.span)
+    return record

@@ -5,7 +5,7 @@ directory and write their own atomically:
 
     parse     -> ast.jsonl, parse_report.json
     extract   -> syvc.jsonl
-    slice     -> sevc.jsonl
+    slice     -> sevc.jsonl, slice_report.json
     vectorize -> embeddings.json, vectors.bin (+ .idx)
     label     -> labels.jsonl, review.jsonl
     train     -> checkpoint.bin, train_report.json
@@ -59,7 +59,7 @@ from .evaluation import (
     split_by_program,
 )
 from .frontend import ProgramModel, dump_ast, load_program
-from .graphs import Pdg, build_call_graph, build_pdgs
+from .graphs import GraphError, build_call_graph, build_pdgs
 from .labeling import (
     Annotation,
     GroundTruth,
@@ -70,6 +70,7 @@ from .labeling import (
 from .slicing import (
     SeVC,
     SevcStatement,
+    SliceConsistencyError,
     assemble_sevc,
     interprocedural_slices,
     sevc_record,
@@ -304,7 +305,6 @@ def stage_extract(config: RunConfig) -> None:
             # downstream artifacts can join on them
             record["id"] = len(records)
             record["program"] = model.name
-            record["function_index"] = syvc.function_index
             records.append(record)
     artifacts.write_jsonl(
         config.path("syvc.jsonl"), "syvc", config.seed, records
@@ -326,6 +326,11 @@ def stage_slice(config: RunConfig) -> None:
         by_program.setdefault(record["program"], []).append(record)
     sevc_records = []
     diagnostics = []
+    skipped = []  # slice_report.json: what could not be sliced, and why
+
+    def skip(program: str, syvc_id: int | None, exc: Exception) -> None:
+        skipped.append({"program": program, "syvc_id": syvc_id, "message": str(exc)})
+
     for program_name in sorted(by_program):
         model = models.get(program_name)
         if model is None:
@@ -333,41 +338,45 @@ def stage_slice(config: RunConfig) -> None:
                 f"syvc.jsonl references unknown program {program_name!r}; "
                 "re-run the 'extract' stage"
             )
-        pdgs = build_pdgs(model)
+        try:
+            pdgs = build_pdgs(model)
+        except GraphError as exc:
+            # without one function's PDG its callers' slices would stop
+            # short, so the whole program is skipped
+            skip(program_name, None, exc)
+            continue
         if config.deps == "dd":
             pdgs = {
-                idx: Pdg(
-                    function_index=p.function_index,
-                    nodes=p.nodes,
-                    edges=[e for e in p.edges if e.kind == "data"],
-                    entry=p.entry,
-                    lines=p.lines,
-                )
+                idx: replace(p, edges=[e for e in p.edges if e.kind == "data"])
                 for idx, p in pdgs.items()
             }
         call_graph = build_call_graph(model)
         for record in by_program[program_name]:
-            syvc = SyVC(
-                id=record["id"],
-                kind=record["kind"],
-                statement_id=record["statement_id"],
-                function_index=record["function_index"],
-                file=record["file"],
-                function=record["function"],
-                line=record["line"],
-                span=(record["span"][0], record["span"][1]),
-                anchor_text=record["anchor_text"],
-            )
-            slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
+            syvc = SyVC.from_record(record)
+            try:
+                slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
+                sevc = assemble_sevc(model, slice_, syvc, call_graph)
+            except SliceConsistencyError as exc:
+                skip(program_name, syvc.id, exc)
+                continue
             diagnostics.extend(slice_.diagnostics)
-            sevc = assemble_sevc(model, slice_, syvc, call_graph)
             sevc_records.append(sevc_record(sevc))
     artifacts.write_jsonl(
         config.path("sevc.jsonl"), "sevc", config.seed, sevc_records
     )
+    artifacts.write_json(
+        config.path("slice_report.json"),
+        {
+            "seed": config.seed,
+            "programs": len(by_program),
+            "sevcs": len(sevc_records),
+            "skipped": skipped,
+        },
+    )
     print(
         f"sliced {len(sevc_records)} SeVCs "
-        f"({len(set(diagnostics))} distinct slice diagnostics)"
+        f"({len(set(diagnostics))} distinct slice diagnostics, "
+        f"{len(skipped)} skipped)"
     )
 
 

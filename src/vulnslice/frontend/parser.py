@@ -322,13 +322,15 @@ class _FileParser:
             if self.at(";"):
                 self.advance()
                 continue
-            start = self.pos
+            start, first_stmt = self.pos, self.stmt_id
             try:
                 self.parse_function_def()
             except ParseError as exc:
                 self.diagnostics.append(
                     Diagnostic(self.file, exc.line, f"{exc} (function skipped)")
                 )
+                # the next function's ids must not depend on this one
+                self.stmt_id = first_stmt
                 self.recover(start)
 
     def recover(self, start: int) -> None:
@@ -394,6 +396,7 @@ class _FileParser:
     def parse_function_def(self) -> None:
         self._fn_start = self.pos
         self._statements = []
+        self.node_id = 0
         spec_nodes = self.parse_decl_specifiers()
         stars: list[AstNode] = []
         while self.at("*"):
@@ -430,7 +433,6 @@ class _FileParser:
         )
         self.functions.append(fn)
         self.fn_index += 1
-        self.node_id = 0
 
     def parse_param_list(self) -> tuple[list[str], AstNode]:
         children = [self.leaf(self.expect("("))]

@@ -17,11 +17,16 @@ Def/use extraction is token-based, no alias analysis:
 
 Uninitialized declarators count as definitions so declaration-anchored
 slices connect to later uses of the variable.
+
+Every graph walk here and in ``slicing`` is ``reachable`` over a map
+built by ``adjacency``: unreachable-code pruning, exit reachability,
+and the forward and backward slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .frontend import (
     IDENTIFIER,
@@ -39,6 +44,26 @@ EXIT = -1  # synthetic exit node id, local to each function's graphs
 
 class GraphError(Exception):
     pass
+
+
+def adjacency(nodes, pairs) -> dict[int, list[int]]:
+    """``a -> [b, ...]`` in pair order, with an entry for every node."""
+    adj: dict[int, list[int]] = {n: [] for n in nodes}
+    for a, b in pairs:
+        adj[a].append(b)
+    return adj
+
+
+def reachable(adj: dict[int, list[int]], starts) -> set[int]:
+    """The nodes reachable from ``starts`` along ``adj``, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -67,21 +92,19 @@ class Cfg:
     diagnostics: list[str] = field(default_factory=list)
 
     def successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            succ[a].append(b)
-        return succ
+        return adjacency(self.nodes, self.edges)
 
     def predecessors(self) -> dict[int, list[int]]:
-        pred: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            pred[b].append(a)
-        return pred
+        return adjacency(self.nodes, ((b, a) for a, b in self.edges))
 
 
 @dataclass
 class Pdg:
-    """Program dependence graph: CFG nodes + data/control edges."""
+    """Program dependence graph: CFG nodes + data/control edges.
+
+    The adjacency maps are built once, on first use: derive a changed
+    PDG with ``dataclasses.replace`` rather than editing one in place.
+    """
 
     function_index: int
     nodes: list[int]
@@ -90,18 +113,15 @@ class Pdg:
     exit: int = EXIT
     lines: dict[int, int] = field(default_factory=dict)
 
+    @cached_property
     def data_successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            if e.kind == "data":
-                succ[e.src].append(e.dst)
-        return succ
+        return adjacency(
+            self.nodes, ((e.src, e.dst) for e in self.edges if e.kind == "data")
+        )
 
+    @cached_property
     def all_predecessors(self) -> dict[int, list[int]]:
-        pred: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            pred[e.dst].append(e.src)
-        return pred
+        return adjacency(self.nodes, ((e.dst, e.src) for e in self.edges))
 
 
 @dataclass(frozen=True)
@@ -116,11 +136,30 @@ class CallSite:
 
 @dataclass
 class CallGraph:
+    """Resolved call sites, grouped on first use; unresolved ones apart."""
+
     edges: list[CallSite] = field(default_factory=list)
     unresolved: list[CallSite] = field(default_factory=list)
 
-    def calls_to(self, function_index: int) -> list[CallSite]:
-        return [e for e in self.edges if e.callee_index == function_index]
+    @cached_property
+    def sites_by_caller(self) -> dict[int, list[CallSite]]:
+        return _group(self.edges, "caller_index")
+
+    @cached_property
+    def sites_by_callee(self) -> dict[int, list[CallSite]]:
+        return _group(self.edges, "callee_index")
+
+    @cached_property
+    def unresolved_by_statement(self) -> dict[int, list[CallSite]]:
+        return _group(self.unresolved, "statement_id")
+
+
+def _group(sites: list[CallSite], key: str) -> dict[int, list[CallSite]]:
+    """Sites by the value of one field, each group in list order."""
+    groups: dict[int, list[CallSite]] = {}
+    for site in sites:
+        groups.setdefault(getattr(site, key), []).append(site)
+    return groups
 
 
 # --------------------------------------------------------------------------
@@ -131,14 +170,14 @@ class CallGraph:
 class _CfgBuilder:
     def __init__(self, fn: FunctionDecl):
         self.fn = fn
-        self.edges: list[tuple[int, int]] = []
+        # a dict keeps the first insertion order and drops repeated edges
+        self.edges: dict[tuple[int, int], None] = {}
         self.enclosing: dict[int, int] = {}
         self.predicate_stack: list[int] = []
         self.stmt_of_node: dict[int, int] = {}
 
     def edge(self, a: int, b: int) -> None:
-        if (a, b) not in set(self.edges):
-            self.edges.append((a, b))
+        self.edges[a, b] = None
 
     def build(self) -> Cfg:
         fn = self.fn
@@ -151,7 +190,7 @@ class _CfgBuilder:
         cfg = Cfg(
             function_index=fn.index,
             nodes=nodes,
-            edges=self.edges,
+            edges=list(self.edges),
             entry=entry,
             enclosing_predicate=self.enclosing,
         )
@@ -317,14 +356,7 @@ class _CfgBuilder:
 
 def _prune_unreachable(cfg: Cfg) -> None:
     """Drop nodes with no path from entry (e.g. code after return)."""
-    succ = cfg.successors()
-    seen = {cfg.entry}
-    stack = [cfg.entry]
-    while stack:
-        for nxt in succ[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+    seen = reachable(cfg.successors(), [cfg.entry])
     seen.add(cfg.exit)
     dropped = [n for n in cfg.nodes if n not in seen]
     if dropped:
@@ -571,24 +603,12 @@ def post_dominators(cfg: Cfg) -> dict[int, set[int]]:
     return pdom
 
 
-def _exit_reachable(cfg: Cfg) -> set[int]:
-    pred_of = cfg.predecessors()
-    seen = {cfg.exit}
-    stack = [cfg.exit]
-    while stack:
-        for p in pred_of[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
-
-
 def immediate_post_dominators(
     cfg: Cfg, pdom: dict[int, set[int]] | None = None
 ) -> dict[int, int]:
     """ipdom(n): the closest strict post-dominator of n."""
     pdom = pdom if pdom is not None else post_dominators(cfg)
-    reach = _exit_reachable(cfg)
+    reach = reachable(cfg.predecessors(), [cfg.exit])
     ipdom: dict[int, int] = {}
     for n in cfg.nodes:
         if n == cfg.exit or n not in reach:
@@ -609,7 +629,7 @@ def compute_control_deps(cfg: Cfg) -> list[DependenceEdge]:
     and a diagnostic is recorded on the CFG.
     """
     pdom = post_dominators(cfg)
-    reach = _exit_reachable(cfg)
+    reach = reachable(cfg.predecessors(), [cfg.exit])
     ipdom = immediate_post_dominators(cfg, pdom)
     stranded = [n for n in cfg.nodes if n not in reach and n != cfg.exit]
     edges: set[tuple[int, int]] = set()
@@ -649,9 +669,8 @@ def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None) -> Pdg:
     cfg = cfg if cfg is not None else build_cfg(fn)
     facts = extract_def_use(fn)
     edges = compute_data_deps(cfg, facts) + compute_control_deps(cfg)
-    lines = {
-        st.id: st.line_first for st in fn.all_statements() if st.id in set(cfg.nodes)
-    }
+    members = set(cfg.nodes)
+    lines = {st.id: st.line_first for st in fn.all_statements() if st.id in members}
     return Pdg(
         function_index=fn.index,
         nodes=list(cfg.nodes),

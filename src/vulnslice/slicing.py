@@ -16,7 +16,10 @@ slices together:
   site. Only the caller chain recurses upward; a return-entered callee
   already has its arguments covered at the call site.
 
-Call-graph cycles are cut with visited-function sets.
+Call-graph cycles are cut with visited-function sets. Every slice,
+intra- or interprocedural, is ``graphs.reachable`` over one of a PDG's
+two kept adjacency maps: data successors forward, data and control
+predecessors backward.
 
 The assembled SeVC lists statements in source order within a function
 and orders functions caller-before-callee, depth-first along call
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frontend import ProgramModel, ST_RETURN
-from .graphs import CallGraph, CallSite, Pdg, build_call_graph
+from .graphs import CallGraph, CallSite, Pdg, reachable
 from .candidates import SyVC
 
 REGION_BACKWARD = "backward"
@@ -83,75 +86,39 @@ def _ordered(pdg: Pdg, nodes: set[int]) -> list[int]:
     return sorted(nodes, key=lambda n: (pdg.lines.get(n, 0), n))
 
 
-def forward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
-    """Nodes reachable from the anchor via data edges, anchor included."""
-    if anchor_statement not in set(pdg.nodes):
+def _slice(pdg: Pdg, anchor_statement: int, adj: dict[int, list[int]]) -> list[int]:
+    if anchor_statement not in adj:  # the map has a key for every PDG node
         raise SliceConsistencyError(
             f"anchor statement {anchor_statement} not in PDG of function "
             f"{pdg.function_index}"
         )
-    succ = pdg.data_successors()
-    seen = {anchor_statement}
-    stack = [anchor_statement]
-    while stack:
-        for nxt in succ[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return _ordered(pdg, seen)
+    return _ordered(pdg, reachable(adj, [anchor_statement]))
+
+
+def forward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
+    """Nodes reachable from the anchor via data edges, anchor included."""
+    return _slice(pdg, anchor_statement, pdg.data_successors)
 
 
 def backward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
     """Nodes that reach the anchor via data or control edges."""
-    if anchor_statement not in set(pdg.nodes):
-        raise SliceConsistencyError(
-            f"anchor statement {anchor_statement} not in PDG of function "
-            f"{pdg.function_index}"
-        )
-    pred = pdg.all_predecessors()
-    seen = {anchor_statement}
-    stack = [anchor_statement]
-    while stack:
-        for nxt in pred[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return _ordered(pdg, seen)
+    return _slice(pdg, anchor_statement, pdg.all_predecessors)
 
 
-def _forward_from(pdg: Pdg, starts: set[int]) -> set[int]:
-    succ = pdg.data_successors()
-    seen = set(starts)
-    stack = list(starts)
-    while stack:
-        for nxt in succ[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def _backward_from(pdg: Pdg, starts: set[int]) -> set[int]:
-    pred = pdg.all_predecessors()
-    seen = set(starts)
-    stack = list(starts)
-    while stack:
-        for nxt in pred[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+def _append_fresh(
+    order: list[int], members: set[int], pdg: Pdg, nodes: set[int]
+) -> None:
+    """Append the nodes not yet in ``members`` to ``order``, in source order."""
+    fresh = nodes - members
+    order.extend(_ordered(pdg, fresh))
+    members |= fresh
 
 
 def _bound_parameters(site: CallSite, program: ProgramModel) -> list[str]:
     """Callee parameters bound to arguments that mention a variable."""
     assert site.callee_index is not None
     callee = program.functions[site.callee_index]
-    bound = []
-    for position, param in enumerate(callee.parameters):
-        if position < len(site.arg_identifiers) and site.arg_identifiers[position]:
-            bound.append(param)
-    return bound
+    return [p for p, names in zip(callee.parameters, site.arg_identifiers) if names]
 
 
 def interprocedural_slices(
@@ -165,23 +132,14 @@ def interprocedural_slices(
     pdg = pdgs[home]
     diagnostics: list[str] = []
 
-    sites_by_function: dict[int, list[CallSite]] = {}
-    for site in call_graph.edges:
-        sites_by_function.setdefault(site.caller_index, []).append(site)
-    unresolved_by_stmt: dict[int, list[CallSite]] = {}
-    for site in call_graph.unresolved:
-        unresolved_by_stmt.setdefault(site.statement_id, []).append(site)
-
-    fs_nodes = forward_slice(pdg, syvc.statement_id)
-    bs_nodes = backward_slice(pdg, syvc.statement_id)
-    forward: list[int] = list(fs_nodes)
-    backward: list[int] = list(bs_nodes)
+    forward = forward_slice(pdg, syvc.statement_id)
+    backward = backward_slice(pdg, syvc.statement_id)
     forward_set = set(forward)
     backward_set = set(backward)
 
     def note_unresolved(stmts: set[int]) -> None:
         for sid in sorted(stmts):
-            for site in unresolved_by_stmt.get(sid, []):
+            for site in call_graph.unresolved_by_statement.get(sid, []):
                 diagnostics.append(
                     f"call to unresolved function {site.callee_name!r} at "
                     f"statement {sid} skipped"
@@ -189,16 +147,13 @@ def interprocedural_slices(
 
     # --- forward: descend into callees via bound parameters ------------
     visited_fwd = {home}
-    queue: list[tuple[int, set[int]]] = [(home, set(fs_nodes))]
+    queue: list[tuple[int, set[int]]] = [(home, set(forward))]
     while queue:
         func, added = queue.pop(0)
         note_unresolved(added)
-        for site in sites_by_function.get(func, []):
-            if site.statement_id not in added:
-                continue
+        for site in call_graph.sites_by_caller.get(func, []):
             callee_idx = site.callee_index
-            assert callee_idx is not None
-            if callee_idx in visited_fwd:
+            if site.statement_id not in added or callee_idx in visited_fwd:
                 continue
             params = _bound_parameters(site, program)
             if not params:
@@ -214,65 +169,50 @@ def interprocedural_slices(
             if not starts:
                 continue
             visited_fwd.add(callee_idx)
-            sub = _forward_from(callee_pdg, starts)
+            sub = reachable(callee_pdg.data_successors, starts)
             sub.add(callee_pdg.entry)  # the callee signature joins the slice
-            fresh = sub - forward_set
-            for n in sorted(fresh, key=lambda x: (callee_pdg.lines.get(x, 0), x)):
-                forward.append(n)
-            forward_set |= fresh
+            _append_fresh(forward, forward_set, callee_pdg, sub)
             queue.append((callee_idx, sub))
 
     # --- backward: callee returns and caller chains ---------------------
-    return_stmts: dict[int, list[int]] = {}
-    for fn in program.functions:
-        return_stmts[fn.index] = [
-            st.id for st in fn.body if st.kind == ST_RETURN
-        ]
-
     visited_ret: set[int] = set()
     visited_up = {home}
-    bqueue: list[tuple[int, set[int], bool]] = [(home, set(bs_nodes), True)]
+    bqueue: list[tuple[int, set[int], bool]] = [(home, set(backward), True)]
     while bqueue:
         func, added, allow_up = bqueue.pop(0)
         note_unresolved(added)
         # (a) descend into callees whose return value feeds the slice
-        for site in sites_by_function.get(func, []):
+        for site in call_graph.sites_by_caller.get(func, []):
             if site.statement_id not in added or not site.value_consumed:
                 continue
             callee_idx = site.callee_index
-            assert callee_idx is not None
             if callee_idx in visited_ret or callee_idx == home:
                 continue
-            rets = return_stmts.get(callee_idx, [])
             callee_pdg = pdgs[callee_idx]
-            starts = {r for r in rets if r in set(callee_pdg.nodes)}
+            starts = {
+                st.id
+                for st in program.functions[callee_idx].body
+                if st.kind == ST_RETURN and st.id in callee_pdg.all_predecessors
+            }
             if not starts:
                 continue
             visited_ret.add(callee_idx)
-            sub = _backward_from(callee_pdg, starts)
-            fresh = sub - backward_set
-            for n in sorted(fresh, key=lambda x: (callee_pdg.lines.get(x, 0), x)):
-                backward.append(n)
-            backward_set |= fresh
+            sub = reachable(callee_pdg.all_predecessors, starts)
+            _append_fresh(backward, backward_set, callee_pdg, sub)
             bqueue.append((callee_idx, sub, False))
         # (b) ascend to callers when this function's parameters matter
         entry = pdgs[func].entry
-        if allow_up and entry in added | backward_set:
-            for site in call_graph.calls_to(func):
+        if allow_up and (entry in added or entry in backward_set):
+            for site in call_graph.sites_by_callee.get(func, []):
                 caller = site.caller_index
                 if caller in visited_up:
                     continue
                 visited_up.add(caller)
                 caller_pdg = pdgs[caller]
-                if site.statement_id not in set(caller_pdg.nodes):
+                if site.statement_id not in caller_pdg.all_predecessors:
                     continue
-                sub = set(backward_slice(caller_pdg, site.statement_id))
-                fresh = sub - backward_set
-                for n in sorted(
-                    fresh, key=lambda x: (caller_pdg.lines.get(x, 0), x)
-                ):
-                    backward.append(n)
-                backward_set |= fresh
+                sub = reachable(caller_pdg.all_predecessors, [site.statement_id])
+                _append_fresh(backward, backward_set, caller_pdg, sub)
                 bqueue.append((caller, sub, True))
 
     return ProgramSlice(
@@ -288,7 +228,7 @@ def assemble_sevc(
     program: ProgramModel,
     slice_: ProgramSlice,
     syvc: SyVC,
-    call_graph: CallGraph | None = None,
+    call_graph: CallGraph,
 ) -> SeVC:
     """Order the slice into a SeVC and tag statement regions.
 
@@ -310,8 +250,6 @@ def assemble_sevc(
         sids.sort(key=lambda s: (stmt_index[s].line_first, s))
 
     # caller -> callee relation restricted to sliced call sites
-    if call_graph is None:
-        call_graph = build_call_graph(program)
     callees: dict[int, list[tuple[int, int]]] = {}
     incoming: dict[int, int] = {f: 0 for f in functions_of}
     for site in call_graph.edges:

@@ -8,6 +8,7 @@ import pytest
 
 from vulnslice import cli
 from vulnslice.cli import main
+from vulnslice.data import mini_corpus_manifest
 from vulnslice.embeddings import EmbeddingTable, hash_vector
 
 from test_embeddings import reference_train_embeddings
@@ -129,6 +130,7 @@ def test_stage_sequencing_and_artifacts(tmp_path, corpus, capsys):
         "parse_report.json",
         "syvc.jsonl",
         "sevc.jsonl",
+        "slice_report.json",
         "embeddings.json",
         "vectors.bin",
         "vectors.bin.idx",
@@ -365,3 +367,87 @@ def test_parse_report_is_the_same_wherever_the_corpus_lies(tmp_path):
     ]
     assert report["diagnostics"][1]["message"].startswith("mixed.c:1: 'switch'")
     assert str(tmp_path).encode() not in reports[0]
+
+
+def stages(manifest, out, *names, extra=()):
+    """Run the named stages in order; the first non-zero exit code, or 0."""
+    for name in names:
+        code = main([name, "--manifest", str(manifest), "--out", str(out), "--seed", "5", *extra])
+        if code:
+            return code
+    return 0
+
+
+@pytest.mark.parametrize(
+    "bad, syvc_id, message",
+    [
+        # the strcpy candidate sits after a return, outside the CFG
+        ("void f(char *s){ char buf[8]; return; strcpy(buf, s); }", 4,
+         "anchor statement 3 not in PDG of function 0"),
+        ("void spin(){ int a; for(;;){ a = a + 1; } }", None,
+         "'for' without a condition is outside the subset (bad.c:spin)"),
+        ("void stray(){ int a; a = a + 1; break; }", None,
+         "'break' outside a loop at statement 3 (bad.c:stray)"),
+    ],
+)
+def test_one_bad_candidate_or_function_does_not_abort_slice(
+    tmp_path, capsys, bad, syvc_id, message
+):
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    write_corpus(alone, {"leak.c": TINY_PROGRAMS["leak.c"]})
+    write_corpus(both, {"leak.c": TINY_PROGRAMS["leak.c"], "bad.c": bad + "\n"})
+    assert stages(alone / "manifest.json", tmp_path / "out-alone", "parse", "extract", "slice") == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert stages(both / "manifest.json", out, "parse", "extract", "slice") == 0
+    assert "1 skipped" in capsys.readouterr().out
+    report = json.loads((out / "slice_report.json").read_text())
+    assert report["skipped"] == [{"program": "bad.c", "syvc_id": syvc_id, "message": message}]
+    sevcs = read_records(out / "sevc.jsonl")
+    assert [r for r in sevcs if r["program"] == "leak.c"] == read_records(
+        tmp_path / "out-alone" / "sevc.jsonl"
+    )
+    # the bad program's reachable candidates are still sliced
+    assert len(sevcs) == 3 + (syvc_id is not None)
+    assert report["sevcs"] == len(sevcs) and report["programs"] == 2
+
+
+def test_slice_of_an_unknown_program_names_extract(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    write_corpus(root, {"leak.c": TINY_PROGRAMS["leak.c"], "reader.c": TINY_PROGRAMS["reader.c"]})
+    out = tmp_path / "out"
+    assert stages(root / "manifest.json", out, "parse", "extract") == 0
+    write_corpus(tmp_path / "smaller", {"leak.c": TINY_PROGRAMS["leak.c"]})
+    capsys.readouterr()
+    assert stages(tmp_path / "smaller" / "manifest.json", out, "slice") == 2
+    err = capsys.readouterr().err
+    assert "unknown program 'reader.c'" in err and "re-run the 'extract' stage" in err
+
+
+def test_vectorize_of_stale_statement_ids_names_slice(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    write_corpus(root, {"leak.c": TINY_PROGRAMS["leak.c"]})
+    out = tmp_path / "out"
+    assert stages(root / "manifest.json", out, "parse", "extract", "slice") == 0
+    (root / "leak.c").write_text("void leak(char *input)\n{\n}\n")
+    capsys.readouterr()
+    assert stages(root / "manifest.json", out, "vectorize", extra=["--embed-mode", "hash"]) == 2
+    assert "re-run 'slice'" in capsys.readouterr().err
+
+
+def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):
+    ddcd, dd = tmp_path / "ddcd", tmp_path / "dd"
+    assert stages(mini_corpus_manifest(), ddcd, "parse", "extract", "slice") == 0
+    shutil.copytree(ddcd, dd)
+    assert stages(mini_corpus_manifest(), dd, "slice", extra=["--deps", "dd"]) == 0
+
+    def statements(out):
+        return {
+            r["syvc_id"]: {s["statement_id"] for s in r["statements"]}
+            for r in read_records(out / "sevc.jsonl")
+        }
+
+    full, data = statements(ddcd), statements(dd)
+    assert len(full) == 117 and full.keys() == data.keys()
+    assert all(data[k] <= full[k] for k in full)
+    assert any(data[k] != full[k] for k in full)

@@ -10,6 +10,8 @@ from vulnslice.frontend import (
     tokenize,
 )
 
+from test_frontend_reference import structural_dump
+
 
 def kinds_and_texts(source):
     return [(t.kind, t.text) for t in tokenize(source)]
@@ -209,7 +211,7 @@ def test_parse_determinism():
 def test_parse_recovery_skips_bad_function():
     src = """
     void good_one(){int a;}
-    void bad_one(){switch (x) {case 1: break;}}
+    void bad_one(){int b; switch (x) {case 1: break;}}
     void good_two(){int b;}
     """
     model = parse_source(src)
@@ -217,6 +219,10 @@ def test_parse_recovery_skips_bad_function():
     assert names == ["good_one", "good_two"]
     assert len(model.diagnostics) == 1
     assert model.diagnostics[0].line >= 3
+    # good_two's ids do not depend on the failed function before it
+    without_bad = parse_source(src.replace("void bad_one(){int b; switch (x) {case 1: break;}}", ""))
+    assert structural_dump(model)["functions"][1] == structural_dump(without_bad)["functions"][1]
+    assert [st.id for st in model.functions[1].all_statements()] == [2, 3]
 
 
 def test_statement_ids_unique_and_resolve():
