@@ -388,8 +388,6 @@ def forward_batch(
     samples: list[np.ndarray | SampleVector],
     params: BgruParams,
     hp: Hyperparams,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> list[ActivationTrace]:
     """Activation traces for samples, in order, in chunks of hp.batch_size.
 
@@ -401,7 +399,7 @@ def forward_batch(
     for start in range(0, len(samples), hp.batch_size):
         chunk = samples[start : start + hp.batch_size]
         batch = _Batch.pad([_sample_matrix(s, hp) for s in chunk], hp)
-        feat, _ = _forward(batch, params, hp, train_mode, rng, keep=False)
+        feat, _ = _forward(batch, params, hp, train_mode=False, rng=None, keep=False)
         _, probs = _head(feat, params.arrays)
         traces += [
             ActivationTrace(outputs=probs[:n, b].copy())
@@ -414,11 +412,9 @@ def bgru_forward(
     sample: np.ndarray | SampleVector,
     params: BgruParams,
     hp: Hyperparams,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> ActivationTrace:
     """Activation trace for one sample (matrix or SampleVector)."""
-    return forward_batch([sample], params, hp, train_mode, rng)[0]
+    return forward_batch([sample], params, hp)[0]
 
 
 def loss_and_gradients(
@@ -585,7 +581,7 @@ def predict(
 ) -> tuple[int, float]:
     """(label, probability) for one sample; label 1 iff prob >= threshold."""
     cut = hp.threshold if threshold is None else threshold
-    trace = bgru_forward(sample, params, hp, train_mode=False)
+    trace = bgru_forward(sample, params, hp)
     prob = trace.final
     return (1 if prob >= cut else 0), prob
 

@@ -16,7 +16,9 @@ directory and write their own atomically:
 
 One root seed drives every stochastic stage and is recorded in every
 artifact header. Flags can also be set through VULNSLICE_* environment
-variables (e.g. VULNSLICE_SEED=7 mirrors --seed 7).
+variables (e.g. VULNSLICE_SEED=7 mirrors --seed 7). An empty variable
+counts as unset, and a bad value is a usage error (exit 2), as it would
+be on the command line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import artifacts
 from .artifacts import StageError, derive_seed
@@ -405,28 +407,9 @@ def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
                 raise StageError(
                     "sevc.jsonl out of sync with sources; re-run 'slice'"
                 )
-            statements.append(
-                SevcStatement(
-                    file=s["file"],
-                    function=s["function"],
-                    statement_id=s["statement_id"],
-                    line=s["line"],
-                    text=s["text"],
-                    region=s["region"],
-                    tokens=list(st.tokens),
-                )
-            )
+            statements.append(SevcStatement.from_record(s, list(st.tokens)))
         sevcs.append(
-            SeVC(
-                syvc_id=record["syvc_id"],
-                kind=record["kind"],
-                anchor_statement=record["anchor_statement"],
-                statements=statements,
-                user_functions=model.user_function_names(),
-                label=record.get("label"),
-                needs_review=bool(record.get("needs_review")),
-                program=record["program"],
-            )
+            SeVC.from_record(record, statements, model.user_function_names())
         )
     return sevcs
 
@@ -533,6 +516,8 @@ def stage_train(config: RunConfig) -> None:
 
 
 def _load_model(config: RunConfig):
+    """The trained parameters and the detection threshold: --threshold,
+    else the checkpoint's."""
     artifacts.require(config.path("checkpoint.bin"), "train")
     hp = config.hyperparams()
     params, _ = load_checkpoint(
@@ -540,7 +525,9 @@ def _load_model(config: RunConfig):
         expect_theta=hp.theta,
         expect_dim=hp.input_dim,
     )
-    return params, params.hp
+    if config.threshold is not None:
+        return params, config.threshold
+    return params, params.hp.threshold
 
 
 def stage_detect(config: RunConfig) -> int:
@@ -549,10 +536,9 @@ def stage_detect(config: RunConfig) -> int:
     samples, _ = load_vectors(config.path("vectors.bin"))
     _, sevc_records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc")
     by_id = {r["syvc_id"]: r for r in sevc_records}
-    params, hp = _load_model(config)
-    threshold = config.threshold if config.threshold is not None else hp.threshold
+    params, threshold = _load_model(config)
     findings = []
-    for sample, trace in zip(samples, forward_batch(samples, params, hp)):
+    for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
         prob = trace.final
         if prob < threshold:
             continue
@@ -588,14 +574,13 @@ def stage_detect(config: RunConfig) -> int:
 
 def stage_evaluate(config: RunConfig) -> None:
     samples = _labeled_samples(config)
-    params, hp = _load_model(config)
+    params, threshold = _load_model(config)
     split_seed = derive_seed(config.seed, "split")
     _, test_side = split_by_program(samples, ratio=0.8, seed=split_seed)
-    threshold = config.threshold if config.threshold is not None else hp.threshold
     # every sample, in the chunks detect uses, so both stages agree to the bit
     final = {
         sample.syvc_id: trace.final
-        for sample, trace in zip(samples, forward_batch(samples, params, hp))
+        for sample, trace in zip(samples, forward_batch(samples, params, params.hp))
     }
     predictions = [int(final[s.syvc_id] >= threshold) for s in test_side]
     labels = [int(s.label) for s in test_side]
@@ -622,11 +607,10 @@ def stage_explain(config: RunConfig) -> None:
     artifacts.require(config.path("vectors.bin"), "vectorize")
     samples, _ = load_vectors(config.path("vectors.bin"))
     sevcs = {s.syvc_id: s for s in _rehydrate_sevcs(config)}
-    params, hp = _load_model(config)
+    params, threshold = _load_model(config)
     cset = config.characteristic_set()
-    threshold = config.threshold if config.threshold is not None else hp.threshold
     records = []
-    for sample, trace in zip(samples, forward_batch(samples, params, hp)):
+    for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
         sevc = sevcs.get(sample.syvc_id)
         if sevc is None or trace.final < threshold:
             continue
@@ -681,7 +665,8 @@ def stage_pipeline(config: RunConfig) -> int:
 
 
 def _env(name: str, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
+    """VULNSLICE_<name>, or ``default`` when it is unset or empty."""
+    return os.environ.get(ENV_PREFIX + name) or default
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -714,17 +699,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="corpus manifest (json)",
         )
         p.add_argument("--out", default=_env("OUT", "out"), help="artifact directory")
-        p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+        p.add_argument("--seed", type=int, default=_env("SEED", "0"))
         p.add_argument(
-            "--theta", type=int,
-            default=int(_env("THETA")) if _env("THETA") else None,
+            "--theta", type=int, default=_env("THETA"),
             help="total vector length (defaults to preset seq_len * dim)",
         )
-        p.add_argument(
-            "--dim", type=int,
-            default=int(_env("DIM")) if _env("DIM") else None,
-            help="embedding dimension",
-        )
+        p.add_argument("--dim", type=int, default=_env("DIM"), help="embedding dimension")
         p.add_argument(
             "--kinds",
             default=_env("KINDS", ",".join(ALL_KINDS)),
@@ -735,14 +715,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
             choices=sorted(PRESETS),
             default=_env("PRESET", "desk"),
         )
-        p.add_argument(
-            "--threshold", type=float,
-            default=float(_env("THRESHOLD")) if _env("THRESHOLD") else None,
-        )
+        p.add_argument("--threshold", type=float, default=_env("THRESHOLD"))
         p.add_argument(
             "--strict-review",
             action="store_true",
-            default=_env("STRICT_REVIEW", "") not in ("", "0", "false"),
+            default=_env("STRICT_REVIEW", "0") not in ("0", "false"),
             help="drop needs-review samples from training",
         )
         p.add_argument("--fc-list", default=_env("FC_LIST"))
@@ -751,18 +728,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
             choices=[MODE_SKIPGRAM, MODE_HASH],
             default=_env("EMBED_MODE", MODE_SKIPGRAM),
         )
-        p.add_argument(
-            "--epochs", type=int,
-            default=int(_env("EPOCHS")) if _env("EPOCHS") else None,
-        )
-        p.add_argument(
-            "--hidden", type=int,
-            default=int(_env("HIDDEN")) if _env("HIDDEN") else None,
-        )
-        p.add_argument(
-            "--layers", type=int,
-            default=int(_env("LAYERS")) if _env("LAYERS") else None,
-        )
+        p.add_argument("--epochs", type=int, default=_env("EPOCHS"))
+        p.add_argument("--hidden", type=int, default=_env("HIDDEN"))
+        p.add_argument("--layers", type=int, default=_env("LAYERS"))
         p.add_argument(
             "--deps",
             choices=["ddcd", "dd"],
@@ -770,32 +738,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="backward-slice dependences: data+control or data only",
         )
         p.add_argument(
-            "--delta", type=float, default=float(_env("DELTA", "0.6")),
+            "--delta", type=float, default=_env("DELTA", "0.6"),
             help="activation jump for critical tokens (explain stage)",
         )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    return RunConfig(
-        manifest=args.manifest,
-        out=args.out,
-        seed=args.seed,
-        theta=args.theta,
-        dim=args.dim,
-        kinds=kinds,
-        preset=args.preset,
-        threshold=args.threshold,
-        strict_review=args.strict_review,
-        fc_list=args.fc_list,
-        embed_mode=args.embed_mode,
-        epochs=args.epochs,
-        hidden=args.hidden,
-        layers=args.layers,
-        deps=args.deps,
-        delta=args.delta,
-    )
+    # every flag's dest is the name of its RunConfig field
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    values["kinds"] = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
+    return RunConfig(**values)
 
 
 STAGE_FUNCS = {

@@ -175,13 +175,6 @@ class FunctionDecl:
     def all_statements(self) -> list[Statement]:
         return [self.signature] + self.body
 
-    def leaf_tokens(self) -> list[Token]:
-        """Function tokens as covered by AST leaves, in span order."""
-        leaves = sorted(
-            (n for n in self.ast.walk() if n.is_leaf), key=lambda n: n.span[0]
-        )
-        return [self.tokens[n.span[0]] for n in leaves]
-
 
 @dataclass
 class ProgramModel:
@@ -198,13 +191,6 @@ class ProgramModel:
             for st in fn.all_statements():
                 index[st.id] = st
         return index
-
-    def function_of(self, statement_id: int) -> FunctionDecl:
-        for fn in self.functions:
-            for st in fn.all_statements():
-                if st.id == statement_id:
-                    return fn
-        raise KeyError(statement_id)
 
     def user_function_names(self) -> frozenset[str]:
         return frozenset(fn.name for fn in self.functions)

@@ -741,22 +741,3 @@ def _call_value_consumed(node: AstNode, index: dict[int, AstNode]) -> bool:
     parent = index.get(node.parent_id) if node.parent_id is not None else None
     return not (parent is not None and parent.kind == "ExpressionStatement")
 
-
-def export_pdg_dot(pdg: Pdg, name: str = "pdg") -> str:
-    """PDG in DOT: one node per line, one edge per line with its kind."""
-    def node_name(n: int) -> str:
-        return '"exit"' if n == pdg.exit else f'"n{n}"'
-
-    lines = [f"digraph {name} {{"]
-    for n in pdg.nodes:
-        label = "exit" if n == pdg.exit else str(n)
-        lines.append(f'  {node_name(n)} [label="{label}"];')
-    for e in pdg.edges:
-        style = "solid" if e.kind == "data" else "dashed"
-        var = f" ({e.variable})" if e.variable else ""
-        lines.append(
-            f"  {node_name(e.src)} -> {node_name(e.dst)} "
-            f'[style={style}, label="{e.kind}{var}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

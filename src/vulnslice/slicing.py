@@ -28,7 +28,7 @@ sites, mirroring the order in which the program would reach them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .frontend import ProgramModel, ST_RETURN
 from .graphs import CallGraph, CallSite, Pdg, reachable
@@ -64,6 +64,11 @@ class SevcStatement:
     region: str
     tokens: list = field(default_factory=list)
 
+    @classmethod
+    def from_record(cls, record: dict, tokens: list) -> SevcStatement:
+        """The statement of one ``sevc_record`` entry, with its tokens."""
+        return cls(**{name: record[name] for name in _STATEMENT_FIELDS}, tokens=tokens)
+
 
 @dataclass
 class SeVC:
@@ -78,8 +83,27 @@ class SeVC:
     needs_review: bool = False
     program: str = ""
 
+    @classmethod
+    def from_record(
+        cls,
+        record: dict,
+        statements: list[SevcStatement],
+        user_functions: frozenset[str],
+    ) -> SeVC:
+        """The SeVC of a ``sevc_record``, with what the program supplies."""
+        values = {name: record[name] for name in _SEVC_FIELDS}
+        return cls(**values, statements=statements, user_functions=user_functions)
+
     def lines_by_file(self) -> set[tuple[str, int]]:
         return {(s.file, s.line) for s in self.statements}
+
+
+# sevc.jsonl holds every field but those the parsed program supplies:
+# each statement's tokens and the program's user functions
+_STATEMENT_FIELDS = tuple(f.name for f in fields(SevcStatement) if f.name != "tokens")
+_SEVC_FIELDS = tuple(
+    f.name for f in fields(SeVC) if f.name not in ("statements", "user_functions")
+)
 
 
 def _ordered(pdg: Pdg, nodes: set[int]) -> list[int]:
@@ -323,23 +347,11 @@ def assemble_sevc(
 
 
 def sevc_record(sevc: SeVC) -> dict:
-    """The sevc.jsonl record for one SeVC."""
-    return {
-        "syvc_id": sevc.syvc_id,
-        "kind": sevc.kind,
-        "anchor_statement": sevc.anchor_statement,
-        "program": sevc.program,
-        "label": sevc.label,
-        "needs_review": sevc.needs_review,
-        "statements": [
-            {
-                "file": s.file,
-                "function": s.function,
-                "statement_id": s.statement_id,
-                "line": s.line,
-                "text": s.text,
-                "region": s.region,
-            }
-            for s in sevc.statements
-        ],
-    }
+    """The sevc.jsonl record for one SeVC: every field but those the
+    parsed program supplies (statement tokens and user functions)."""
+    record = {name: getattr(sevc, name) for name in _SEVC_FIELDS}
+    record["statements"] = [
+        {name: getattr(s, name) for name in _STATEMENT_FIELDS}
+        for s in sevc.statements
+    ]
+    return record

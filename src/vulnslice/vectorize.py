@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -211,6 +211,13 @@ def encode(sym: SymbolicSeVC, table: EmbeddingTable, theta: int) -> SampleVector
 
 _MAGIC = b"SVEC"
 _VERSION = 1
+# the per-sample fields of the .idx sidecar, one json line per row; the
+# rest (values, theta, dimension) live in the binary store and its header
+_INDEX_FIELDS = tuple(
+    f.name
+    for f in fields(SampleVector)
+    if f.name not in ("values", "theta", "dimension")
+)
 
 
 def save_vectors(path: str, samples: list[SampleVector], seed: int) -> None:
@@ -229,17 +236,7 @@ def save_vectors(path: str, samples: list[SampleVector], seed: int) -> None:
         for s in samples:
             handle.write(s.values.astype("<f4").tobytes())
     index = [
-        {
-            "row": i,
-            "syvc_id": s.syvc_id,
-            "kind": s.kind,
-            "program": s.program,
-            "kept_symbols": s.kept_symbols,
-            "anchor_lo": s.anchor_lo,
-            "anchor_hi": s.anchor_hi,
-            "label": s.label,
-            "needs_review": s.needs_review,
-        }
+        {"row": i, **{name: getattr(s, name) for name in _INDEX_FIELDS}}
         for i, s in enumerate(samples)
     ]
     with atomic_open(path + ".idx", "w") as handle:
@@ -265,35 +262,15 @@ def load_vectors(path: str) -> tuple[list[SampleVector], int]:
     with open(path + ".idx", "r", encoding="utf-8") as handle:
         for line in handle:
             rec = json.loads(line)
-            i = rec["row"]
             samples.append(
                 SampleVector(
-                    values=matrix[i],
+                    values=matrix[rec["row"]],
                     theta=theta,
                     dimension=d,
-                    syvc_id=rec["syvc_id"],
-                    kept_symbols=rec["kept_symbols"],
-                    anchor_lo=rec["anchor_lo"],
-                    anchor_hi=rec["anchor_hi"],
-                    label=rec["label"],
-                    needs_review=rec["needs_review"],
-                    program=rec["program"],
-                    kind=rec["kind"],
+                    **{name: rec[name] for name in _INDEX_FIELDS},
                 )
             )
     if len(samples) != count:
         raise EncodingError(f"{path}: index rows do not match header count")
     return samples, seed
 
-
-def export_vectors_text(samples: list[SampleVector]) -> list[str]:
-    """Line-delimited debug view of a vector store."""
-    lines = []
-    for s in samples:
-        head = (
-            f"syvc={s.syvc_id} kind={s.kind} program={s.program} "
-            f"kept={s.kept_symbols} anchor=[{s.anchor_lo},{s.anchor_hi})"
-        )
-        body = " ".join(f"{x:.6g}" for x in s.values)
-        lines.append(f"{head} | {body}")
-    return lines

@@ -252,8 +252,8 @@ def test_inference_mode_deterministic_despite_dropout():
     hp = small_hp(layers=2, dropout=0.5)
     params = init_params(hp)
     x = np.random.default_rng(3).standard_normal((6, hp.input_dim))
-    a = bgru_forward(x, params, hp, train_mode=False)
-    b = bgru_forward(x, params, hp, train_mode=False)
+    a = bgru_forward(x, params, hp)
+    b = bgru_forward(x, params, hp)
     assert np.array_equal(a.outputs, b.outputs)
 
 

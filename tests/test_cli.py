@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import pytest
 
@@ -234,6 +235,60 @@ def test_env_variable_overrides(tmp_path, corpus, monkeypatch, capsys):
         for line in (out / "syvc.jsonl").read_text().splitlines()[1:]
     ]
     assert records and all(r["kind"] == "AU" for r in records)
+
+
+def parse_config(*argv):
+    return cli.config_from_args(cli.build_arg_parser().parse_args(["parse", *argv]))
+
+
+@pytest.mark.parametrize("name, value", [("THETA", "abc"), ("DELTA", "x"), ("SEED", "7.5")])
+def test_bad_env_value_is_a_usage_error(monkeypatch, capsys, name, value):
+    monkeypatch.setenv("VULNSLICE_" + name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--manifest", "m.json"])
+    assert exc.value.code == 2
+    assert f"--{name.lower()}: invalid" in capsys.readouterr().err
+
+
+def test_empty_env_value_counts_as_unset(monkeypatch):
+    for name in ("SEED", "THETA", "DELTA", "OUT"):
+        monkeypatch.setenv("VULNSLICE_" + name, "")
+    config = parse_config("--manifest", "m.json")
+    assert (config.seed, config.theta, config.delta, config.out) == (0, None, 0.6, "out")
+
+
+# for each RunConfig field: a value other than its default, as given on
+# the command line (None for a switch), and as the field must then hold it
+FLAG_VALUES = {
+    "manifest": ("other.json", "other.json"),
+    "out": ("elsewhere", "elsewhere"),
+    "seed": ("7", 7),
+    "theta": ("96", 96),
+    "dim": ("8", 8),
+    "kinds": ("FC, AE", ("FC", "AE")),
+    "preset": ("paper", "paper"),
+    "threshold": ("0.25", 0.25),
+    "strict_review": (None, True),
+    "fc_list": ("calls.txt", "calls.txt"),
+    "embed_mode": ("hash", "hash"),
+    "epochs": ("3", 3),
+    "hidden": ("5", 5),
+    "layers": ("2", 2),
+    "deps": ("dd", "dd"),
+    "delta": ("0.25", 0.25),
+}
+
+
+@pytest.mark.parametrize("field", fields(cli.RunConfig), ids=lambda f: f.name)
+def test_each_flag_reaches_its_config_field(monkeypatch, field):
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    given, expected = FLAG_VALUES[field.name]
+    flag = ["--" + field.name.replace("_", "-")] + ([given] if given else [])
+    default = getattr(parse_config("--manifest", "m.json"), field.name)
+    assert getattr(parse_config("--manifest", "m.json", *flag), field.name) == expected
+    assert expected != default
 
 
 def test_bad_manifest_is_error(tmp_path, capsys):

@@ -183,7 +183,8 @@ def test_roundtrip_leaves_reproduce_tokens():
     assert model.diagnostics == []
     assert len(model.functions) == 2
     for fn in model.functions:
-        assert [t.text for t in fn.leaf_tokens()] == [t.text for t in fn.tokens]
+        leaves = sorted(n.span[0] for n in fn.ast.walk() if n.is_leaf)
+        assert [fn.tokens[i].text for i in leaves] == [t.text for t in fn.tokens]
 
 
 def test_ast_internal_spans_are_union_of_children():
@@ -230,9 +231,9 @@ def test_statement_ids_unique_and_resolve():
     index = model.statement_index()
     ids = list(index)
     assert len(ids) == len(set(ids))
-    for sid in ids:
-        fn = model.function_of(sid)
-        assert index[sid].function_index == fn.index
+    for fn in model.functions:
+        for st in fn.all_statements():
+            assert index[st.id] is st and st.function_index == fn.index
 
 
 def test_callee_and_declared_roles():

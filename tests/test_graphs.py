@@ -11,7 +11,6 @@ from vulnslice.graphs import (
     build_pdg,
     compute_control_deps,
     compute_data_deps,
-    export_pdg_dot,
     extract_def_use,
     post_dominators,
 )
@@ -244,16 +243,6 @@ def test_function_with_no_calls_has_no_edges():
     model = parse_source("void f(int v){v = v + 1;}")
     graph = build_call_graph(model)
     assert graph.edges == [] and graph.unresolved == []
-
-
-def test_export_pdg_dot_lines():
-    model = parse_source("void f(int p){if (p) { a = p; }}")
-    fn = model.functions[0]
-    pdg = build_pdg(fn)
-    dot = export_pdg_dot(pdg)
-    assert dot.startswith("digraph") and dot.endswith("}")
-    assert "style=dashed" in dot  # control edge present
-    assert "style=solid" in dot  # data edge present
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,14 @@ reference. Every SyVC of the mini corpus, of the bundled C files, of the
 mini-corpus templates and of seeded random programs must give the same
 forward and backward node order and the same diagnostics from both,
 under data+control PDGs and under data-only PDGs, or fail the same way.
+Each SeVC assembled from those slices must also come back equal from its
+``sevc_record`` through ``SeVC.from_record``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -33,8 +36,12 @@ from vulnslice.graphs import (
 )
 from vulnslice.slicing import (
     ProgramSlice,
+    SeVC,
+    SevcStatement,
     SliceConsistencyError,
+    assemble_sevc,
     interprocedural_slices,
+    sevc_record,
 )
 
 from oracles import random_structured_source
@@ -277,6 +284,24 @@ def data_only(pdgs: dict[int, Pdg]) -> dict[int, Pdg]:
     }
 
 
+def assert_record_round_trips(model: ProgramModel, call_graph, pdgs, syvc) -> None:
+    """The SeVC read back from its sevc.jsonl line, tokens and user
+    functions taken from the parsed program, equals the SeVC written."""
+    slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
+    sevc = dataclasses.replace(
+        assemble_sevc(model, slice_, syvc, call_graph),
+        label=syvc.id % 2,
+        needs_review=syvc.id % 3 == 0,
+    )
+    record = json.loads(json.dumps(sevc_record(sevc)))
+    index = model.statement_index()
+    statements = [
+        SevcStatement.from_record(s, list(index[s["statement_id"]].tokens))
+        for s in record["statements"]
+    ]
+    assert SeVC.from_record(record, statements, model.user_function_names()) == sevc
+
+
 def assert_same_as_reference(model: ProgramModel) -> int:
     """Compare every SyVC's slices; returns how many SyVCs were sliced."""
     syvcs = extract_syvcs(model, CharacteristicSet())
@@ -290,6 +315,8 @@ def assert_same_as_reference(model: ProgramModel) -> int:
             new = outcome(interprocedural_slices, model, call_graph, pdgs, syvc)
             old = outcome(reference_interprocedural_slices, model, call_graph, pdgs, syvc)
             assert new == old, (model.name, syvc)
+            if new[0] != "SliceConsistencyError":
+                assert_record_round_trips(model, call_graph, pdgs, syvc)
     return len(syvcs)
 
 

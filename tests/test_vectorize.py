@@ -1,6 +1,7 @@
 """Symbolization rules, truncation branches, vector store round-trip."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from vulnslice.vectorize import (
     SampleVector,
     SymbolicSeVC,
     encode,
-    export_vectors_text,
     load_vectors,
     save_vectors,
     symbolize,
@@ -234,10 +234,11 @@ def test_alpha_invariant_vectors():
 def test_vector_store_roundtrip(tmp_path):
     table = hash_table(4, seed=5)
     samples = []
-    for i, text in enumerate(["a b c", "d e", "f"]):
-        sym = SymbolicSeVC(i, text.split(), 0, 1, kind="FC", program=f"p{i}")
+    for i, (text, kind) in enumerate([("a b c", "FC"), ("d e", "AU"), ("f", "PU")]):
+        sym = SymbolicSeVC(i, text.split(), 0, 1, kind=kind, program=f"p{i}")
         vec = encode(sym, table, 16)
         vec.label = i % 2
+        vec.needs_review = i == 1
         samples.append(vec)
     path = str(tmp_path / "vectors.bin")
     save_vectors(path, samples, seed=77)
@@ -245,9 +246,9 @@ def test_vector_store_roundtrip(tmp_path):
     assert seed == 77
     assert len(loaded) == 3
     for orig, back in zip(samples, loaded):
-        assert back.syvc_id == orig.syvc_id
-        assert back.label == orig.label
-        assert back.program == orig.program
+        for f in fields(SampleVector):
+            if f.name != "values":
+                assert getattr(back, f.name) == getattr(orig, f.name), f.name
         assert np.allclose(back.values, orig.values, atol=1e-6)
 
 
@@ -277,9 +278,3 @@ def test_vector_store_rejects_garbage(tmp_path):
     with pytest.raises(EncodingError):
         load_vectors(path)
 
-
-def test_export_vectors_text():
-    table = hash_table(2, seed=5)
-    sym = SymbolicSeVC(3, ["x"], 0, 1, kind="AE", program="p")
-    lines = export_vectors_text([encode(sym, table, 4)])
-    assert len(lines) == 1 and "syvc=3" in lines[0]
