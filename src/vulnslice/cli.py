@@ -19,11 +19,16 @@ artifact header. Flags can also be set through VULNSLICE_* environment
 variables (e.g. VULNSLICE_SEED=7 mirrors --seed 7). An empty variable
 counts as unset, and a bad value is a usage error (exit 2), as it would
 be on the command line.
+
+Only vectorize and the stages after it import numpy (through bgru,
+vectorize, embeddings and evaluation); parse, extract and slice run
+on the numpy-free program-analysis layers and never load it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -31,19 +36,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import artifacts
 from .artifacts import StageError, derive_seed
-# predict and bgru_forward stay module attributes although the stages
-# use forward_batch: perfbench/child.py wraps them here by name.
-from .bgru import (  # noqa: F401
-    Hyperparams,
-    PRESETS,
-    bgru_forward,
-    explain as explain_trace,
-    forward_batch,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    train as train_model,
-)
 from .candidates import (
     ALL_KINDS,
     CharacteristicSet,
@@ -52,13 +44,6 @@ from .candidates import (
     extract_syvcs,
     load_fc_calls,
     syvc_record,
-)
-from .embeddings import MODE_HASH, MODE_SKIPGRAM, hash_table, train_embeddings
-from .evaluation import (
-    compute_metrics,
-    count_confusion,
-    format_metrics_table,
-    split_by_program,
 )
 from .frontend import ProgramModel, dump_ast, load_program
 from .graphs import GraphError, build_call_graph, build_pdgs
@@ -69,6 +54,7 @@ from .labeling import (
     parse_diff,
     review_queue,
 )
+from .presets import MODE_HASH, MODE_SKIPGRAM, PRESETS, Hyperparams
 from .slicing import (
     SeVC,
     SevcStatement,
@@ -77,14 +63,55 @@ from .slicing import (
     interprocedural_slices,
     sevc_record,
 )
-from .vectorize import (
-    SampleVector,
-    encode,
-    load_vectors,
-    save_vectors,
-    symbolize,
-    truncation_window,
-)
+
+# The numpy-backed names the stages use, as name -> "module:attribute"
+# in this package. Module __getattr__ resolves them on first access, and
+# main binds them before it runs a stage that imports numpy, so
+# getattr(cli, name) and patches by name work as for an eager import.
+# predict and bgru_forward stay here although the stages use
+# forward_batch: perfbench/child.py wraps them by name.
+LAZY_NAMES = {
+    "train_model": "bgru:train",
+    "forward_batch": "bgru:forward_batch",
+    "load_checkpoint": "bgru:load_checkpoint",
+    "save_checkpoint": "bgru:save_checkpoint",
+    "explain_trace": "bgru:explain",
+    "predict": "bgru:predict",
+    "bgru_forward": "bgru:bgru_forward",
+    "symbolize": "vectorize:symbolize",
+    "encode": "vectorize:encode",
+    "save_vectors": "vectorize:save_vectors",
+    "load_vectors": "vectorize:load_vectors",
+    "truncation_window": "vectorize:truncation_window",
+    "SampleVector": "vectorize:SampleVector",
+    "train_embeddings": "embeddings:train_embeddings",
+    "hash_table": "embeddings:hash_table",
+    "compute_metrics": "evaluation:compute_metrics",
+    "count_confusion": "evaluation:count_confusion",
+    "format_metrics_table": "evaluation:format_metrics_table",
+    "split_by_program": "evaluation:split_by_program",
+}
+
+# stages that run on the program-analysis layers alone
+NUMPY_FREE_STAGES = ("parse", "extract", "slice")
+
+
+def __getattr__(name: str):
+    target = LAZY_NAMES.get(name)
+    if target is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attribute = target.split(":")
+    value = getattr(importlib.import_module(f".{module}", __package__), attribute)
+    globals()[name] = value
+    return value
+
+
+def _bind_lazy_names() -> None:
+    """Bind every lazy name; one already bound (say, wrapped) stays."""
+    for name in LAZY_NAMES:
+        if name not in globals():
+            __getattr__(name)
+
 
 ENV_PREFIX = "VULNSLICE_"
 
@@ -669,6 +696,32 @@ def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name) or default
 
 
+_SWITCH_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
+def _switch(value: str) -> bool:
+    try:
+        return _SWITCH_WORDS[value.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"invalid switch value {value!r} (use 1/true/yes/on or 0/false/no/off)"
+        ) from None
+
+
+class _SwitchAction(argparse.Action):
+    """A flag that takes no value. argparse converts a string default
+    (from a VULNSLICE_* variable) with the type, as for any other flag."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, type=_switch, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vulnslice",
@@ -718,8 +771,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, default=_env("THRESHOLD"))
         p.add_argument(
             "--strict-review",
-            action="store_true",
-            default=_env("STRICT_REVIEW", "0") not in ("0", "false"),
+            action=_SwitchAction,
+            default=_env("STRICT_REVIEW", "0"),
             help="drop needs-review samples from training",
         )
         p.add_argument("--fc-list", default=_env("FC_LIST"))
@@ -769,6 +822,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         os.makedirs(config.out, exist_ok=True)
+        if args.stage not in NUMPY_FREE_STAGES:
+            _bind_lazy_names()
         if args.stage == "pipeline":
             return stage_pipeline(config)
         if args.stage == "detect":

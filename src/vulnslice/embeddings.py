@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import atomic_write_text
-
-MODE_SKIPGRAM = "skipgram"
-MODE_HASH = "hash"
+from .presets import MODE_HASH, MODE_SKIPGRAM
 
 
 class EmbeddingError(Exception):

@@ -245,32 +245,48 @@ def save_vectors(path: str, samples: list[SampleVector], seed: int) -> None:
             handle.write("\n")
 
 
+def _corrupt(path: str, problem: str) -> EncodingError:
+    return EncodingError(f"{path}: {problem}; re-run the 'vectorize' stage")
+
+
 def load_vectors(path: str) -> tuple[list[SampleVector], int]:
     """Load a vector store; returns (samples, seed)."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != _MAGIC:
-            raise EncodingError(f"{path}: not a vector store (bad magic {magic!r})")
-        version, theta, d, count, seed = struct.unpack("<IIIQQ", handle.read(28))
+            raise _corrupt(path, f"not a vector store (bad magic {magic!r})")
+        header = handle.read(28)
+        if len(header) != 28:
+            raise _corrupt(path, "truncated vector store header")
+        version, theta, d, count, seed = struct.unpack("<IIIQQ", header)
         if version != _VERSION:
-            raise EncodingError(f"{path}: unsupported vector store version {version}")
+            raise _corrupt(path, f"unsupported vector store version {version}")
         raw = np.frombuffer(handle.read(count * theta * 4), dtype="<f4")
-    if raw.size != count * theta:
-        raise EncodingError(f"{path}: truncated vector store")
+        if raw.size != count * theta:
+            raise _corrupt(path, "truncated vector store")
+        if handle.read(1):
+            raise _corrupt(path, "bytes after the last record")
+    try:
+        with open(path + ".idx", "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except FileNotFoundError:
+        raise _corrupt(path, "index sidecar .idx is missing") from None
+    except UnicodeDecodeError:
+        raise _corrupt(path, "index sidecar .idx is not text") from None
+    if len(lines) != count:
+        raise _corrupt(path, "index rows do not match header count")
     matrix = raw.reshape(count, theta).astype(np.float64)
     samples: list[SampleVector] = []
-    with open(path + ".idx", "r", encoding="utf-8") as handle:
-        for line in handle:
+    for row, line in enumerate(lines):
+        try:
             rec = json.loads(line)
-            samples.append(
-                SampleVector(
-                    values=matrix[rec["row"]],
-                    theta=theta,
-                    dimension=d,
-                    **{name: rec[name] for name in _INDEX_FIELDS},
-                )
-            )
-    if len(samples) != count:
-        raise EncodingError(f"{path}: index rows do not match header count")
+            in_order = rec["row"] == row
+            index_fields = {name: rec[name] for name in _INDEX_FIELDS}
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise _corrupt(path, f"bad index line {row + 1} ({exc!r})") from None
+        if not in_order:
+            raise _corrupt(path, f"index line {row + 1} is for row {rec['row']!r}")
+        samples.append(
+            SampleVector(values=matrix[row], theta=theta, dimension=d, **index_fields)
+        )
     return samples, seed
-

@@ -1,8 +1,11 @@
 """CLI stage wiring: artifacts, exit codes, reproducibility."""
 
+import importlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -248,6 +251,26 @@ def test_bad_env_value_is_a_usage_error(monkeypatch, capsys, name, value):
         main(["parse", "--manifest", "m.json"])
     assert exc.value.code == 2
     assert f"--{name.lower()}: invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("true", True), ("Yes", True), ("ON", True),
+     ("0", False), ("False", False), ("no", False), ("OFF", False)],
+)
+def test_strict_review_env_words(monkeypatch, value, expected):
+    monkeypatch.setenv("VULNSLICE_STRICT_REVIEW", value)
+    assert parse_config("--manifest", "m.json").strict_review is expected
+    assert parse_config("--manifest", "m.json", "--strict-review").strict_review is True
+
+
+@pytest.mark.parametrize("value", ["maybe", "2", "nope"])
+def test_bad_strict_review_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("VULNSLICE_STRICT_REVIEW", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", "m.json"])
+    assert exc.value.code == 2
+    assert "--strict-review: invalid" in capsys.readouterr().err
 
 
 def test_empty_env_value_counts_as_unset(monkeypatch):
@@ -506,3 +529,57 @@ def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):
     assert len(full) == 117 and full.keys() == data.keys()
     assert all(data[k] <= full[k] for k in full)
     assert any(data[k] != full[k] for k in full)
+
+
+NUMPY_PROBE = """
+import sys
+from vulnslice import cli
+
+assert "numpy" not in sys.modules, "import vulnslice.cli"
+manifest, out = sys.argv[1:]
+for stage in ("parse", "extract", "slice"):
+    assert cli.main([stage, "--manifest", manifest, "--out", out]) == 0, stage
+    assert "numpy" not in sys.modules, stage
+assert cli.main(["vectorize", "--manifest", manifest, "--out", out, "--embed-mode", "hash"]) == 0
+assert "numpy" in sys.modules, "vectorize"
+"""
+
+
+def test_front_half_stages_do_not_import_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {k: v for k, v in env.items() if not k.startswith(cli.ENV_PREFIX)}
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, mini_corpus_manifest(), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_lazy_names_are_the_layer_attributes():
+    for name, target in cli.LAZY_NAMES.items():
+        module, attribute = target.split(":")
+        layer = importlib.import_module(f"vulnslice.{module}")
+        assert getattr(cli, name) is getattr(layer, attribute), name
+    with pytest.raises(AttributeError):
+        cli.not_a_lazy_name
+
+
+def test_names_patched_before_main_are_the_ones_the_stage_calls(
+    tmp_path, corpus, monkeypatch
+):
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice", "vectorize", "label", "train"):
+        assert run(corpus, out, stage) == 0
+    # back to the state of a fresh process: no lazy name bound yet
+    for name in cli.LAZY_NAMES:
+        monkeypatch.delattr(cli, name)
+    calls = []
+    for name in ("load_vectors", "load_checkpoint"):
+        def recording(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    assert run(corpus, out, "detect") in (0, 1)
+    assert calls == ["load_vectors", "load_checkpoint"]

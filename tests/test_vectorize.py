@@ -1,5 +1,6 @@
 """Symbolization rules, truncation branches, vector store round-trip."""
 
+import json
 import os
 from dataclasses import fields
 
@@ -277,4 +278,64 @@ def test_vector_store_rejects_garbage(tmp_path):
         fh.write(b"NOPE" + b"\x00" * 32)
     with pytest.raises(EncodingError):
         load_vectors(path)
+
+
+
+def drop_index(path):
+    os.remove(path + ".idx")
+
+
+def edit_index(path, edit):
+    with open(path + ".idx") as fh:
+        lines = fh.read().splitlines()
+    with open(path + ".idx", "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
+def append_bytes(path, payload):
+    with open(path, "ab") as fh:
+        fh.write(payload)
+
+
+def truncate(path, size):
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+
+
+def strip_field(line, name):
+    record = json.loads(line)
+    del record[name]
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (drop_index, "index sidecar .idx is missing"),
+        (lambda p: edit_index(p, lambda ls: ls[:1] + ["{not json"] + ls[2:]), "bad index line 2"),
+        (lambda p: edit_index(p, lambda ls: [strip_field(ls[0], "kind")] + ls[1:]), "bad index line 1"),
+        (lambda p: edit_index(p, lambda ls: [strip_field(ls[0], "row")] + ls[1:]), "bad index line 1"),
+        (lambda p: edit_index(p, lambda ls: [ls[1], ls[0], ls[2]]), "index line 1 is for row 1"),
+        (lambda p: edit_index(p, lambda ls: ls[:2]), "index rows do not match header count"),
+        (lambda p: append_bytes(p + ".idx", b"\xff\n"), "index sidecar .idx is not text"),
+        (lambda p: append_bytes(p, b"\x00"), "bytes after the last record"),
+        (lambda p: truncate(p, 40), "truncated vector store"),
+        (lambda p: truncate(p, 6), "truncated vector store header"),
+    ],
+    ids=["missing-idx", "idx-not-json", "idx-lacks-field", "idx-lacks-row",
+         "rows-out-of-order", "rows-short", "idx-not-text", "trailing-bytes", "short-records",
+         "short-header"],
+)
+def test_vector_store_rejects_corrupt_store_naming_vectorize(tmp_path, corrupt, problem):
+    table = hash_table(4, seed=5)
+    samples = [
+        encode(SymbolicSeVC(i, ["a", "b"], 0, 1, kind="FC", program="p"), table, 16)
+        for i in range(3)
+    ]
+    path = str(tmp_path / "vectors.bin")
+    save_vectors(path, samples, seed=1)
+    corrupt(path)
+    with pytest.raises(EncodingError, match="re-run the 'vectorize' stage") as exc:
+        load_vectors(path)
+    assert problem in str(exc.value)
 
