@@ -61,8 +61,12 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         handle.write(payload)
 
 
-def write_jsonl(path: str, artifact: str, seed: int, records: list[dict]) -> None:
-    header = {"artifact": artifact, "version": 1, "seed": seed}
+def write_jsonl(
+    path: str, artifact: str, seed: int, records: list[dict], **header_fields
+) -> None:
+    """One header line (artifact, version, seed and ``header_fields``), then
+    one line per record."""
+    header = {"artifact": artifact, "version": 1, "seed": seed, **header_fields}
     # the same bytes as json.dumps(..., sort_keys=True), which would build
     # a new encoder for every record
     encode = json.JSONEncoder(sort_keys=True).encode

@@ -48,8 +48,11 @@ Inference goes through forward_batch, which keeps no BPTT caches and
 works in chunks of batch_size. Batching changes the order of BLAS
 summations, so a sample's trace in a batch agrees with its trace
 alone to about 1e-15, not bit for bit. The same samples in the same
-chunks give identical bits, which is why every CLI stage that scores
-samples runs forward_batch over the whole vectors.bin list.
+chunks give identical bits, which is why detect and evaluate, the two
+CLI stages that score samples, both run forward_batch over the whole
+vectors.bin list. explain scores nothing: it reads the traces that
+detect wrote to detect.jsonl, and ActivationTrace, CriticalToken and
+explain live in the numpy-free symbols module (re-exported here).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ import numpy as np
 
 from . import artifacts
 from .presets import PRESETS, Hyperparams, ModelError  # noqa: F401  re-exported
+from .symbols import ActivationTrace, CriticalToken, explain  # noqa: F401  re-exported
 from .vectorize import SampleVector
 
 
@@ -120,17 +124,6 @@ def init_params(hp: Hyperparams, seed: int | None = None) -> BgruParams:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         arrays[key] = rng.uniform(-limit, limit, size=shape)
     return BgruParams(arrays, hp)
-
-
-@dataclass
-class ActivationTrace:
-    """Per-timestep activation outputs; the final one is the verdict."""
-
-    outputs: np.ndarray  # shape (T,), each in (0, 1)
-
-    @property
-    def final(self) -> float:
-        return float(self.outputs[-1])
 
 
 # --------------------------------------------------------------------------
@@ -525,43 +518,6 @@ def predict(
     trace = bgru_forward(sample, params, hp)
     prob = trace.final
     return (1 if prob >= cut else 0), prob
-
-
-@dataclass(frozen=True)
-class CriticalToken:
-    position: int  # timestep (0-based) of the critical token
-    symbol: str
-    direction: str  # "vulnerable" | "not-vulnerable"
-    delta: float
-
-
-def explain(
-    trace: ActivationTrace, symbols: list[str], delta: float = 0.6
-) -> list[CriticalToken]:
-    """Tokens whose activation jump crosses +-delta between timesteps.
-
-    A rise of at least delta marks the right-hand token as critical
-    toward vulnerable; a fall of at least delta marks it critical
-    toward not vulnerable.
-    """
-    outputs = trace.outputs
-    if len(symbols) != len(outputs):
-        raise ModelError(
-            f"{len(symbols)} symbols vs {len(outputs)} trace steps; "
-            "pass the kept (non-padding) symbol window"
-        )
-    report: list[CriticalToken] = []
-    for t in range(len(outputs) - 1):
-        jump = float(outputs[t + 1] - outputs[t])
-        if jump >= delta:
-            report.append(CriticalToken(t + 1, symbols[t + 1], "vulnerable", jump))
-        elif jump <= -delta:
-            report.append(
-                CriticalToken(t + 1, symbols[t + 1], "not-vulnerable", jump)
-            )
-    return report
-
-
 
 
 # --------------------------------------------------------------------------

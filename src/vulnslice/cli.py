@@ -11,7 +11,7 @@ directory and write their own atomically:
     train     -> checkpoint.bin, train_report.json
     detect    -> detect.jsonl (exit code 1 when anything is flagged)
     evaluate  -> metrics.json (+ table on stdout)
-    explain   -> explain.jsonl
+    explain   -> explain.jsonl (from detect.jsonl and sevc.jsonl)
     pipeline  -> all of the above in order
 
 One root seed drives every stochastic stage and is recorded in every
@@ -20,9 +20,17 @@ variables (e.g. VULNSLICE_SEED=7 mirrors --seed 7). An empty variable
 counts as unset, and a bad value is a usage error (exit 2), as it would
 be on the command line.
 
-Only vectorize and the stages after it import numpy (through bgru,
-vectorize, embeddings and evaluation); parse, extract and slice run
-on the numpy-free program-analysis layers and never load it.
+detect records, for each finding, the BGRU's activation output at
+every kept symbol, and in its header the threshold it applied.
+explain explains exactly those findings from those activations: it
+scores nothing itself. It takes detect's threshold; an explicit
+--threshold that differs from it is an error (exit 2) that asks to
+re-run detect with it.
+
+Only vectorize, train, detect and evaluate (and pipeline) import numpy,
+through bgru, vectorize, embeddings and evaluation. parse, extract,
+slice, label and explain run on the numpy-free program-analysis layers
+and the numpy-free symbols module, and never load it.
 """
 
 from __future__ import annotations
@@ -63,6 +71,8 @@ from .slicing import (
     interprocedural_slices,
     sevc_record,
 )
+from .symbols import ActivationTrace, symbolize, truncation_window
+from .symbols import explain as explain_trace
 
 # The numpy-backed names the stages use, as name -> "module:attribute"
 # in this package. Module __getattr__ resolves them on first access, and
@@ -75,14 +85,11 @@ LAZY_NAMES = {
     "forward_batch": "bgru:forward_batch",
     "load_checkpoint": "bgru:load_checkpoint",
     "save_checkpoint": "bgru:save_checkpoint",
-    "explain_trace": "bgru:explain",
     "predict": "bgru:predict",
     "bgru_forward": "bgru:bgru_forward",
-    "symbolize": "vectorize:symbolize",
     "encode": "vectorize:encode",
     "save_vectors": "vectorize:save_vectors",
     "load_vectors": "vectorize:load_vectors",
-    "truncation_window": "vectorize:truncation_window",
     "SampleVector": "vectorize:SampleVector",
     "train_embeddings": "embeddings:train_embeddings",
     "hash_table": "embeddings:hash_table",
@@ -93,7 +100,7 @@ LAZY_NAMES = {
 }
 
 # stages that run on the program-analysis layers alone
-NUMPY_FREE_STAGES = ("parse", "extract", "slice")
+NUMPY_FREE_STAGES = ("parse", "extract", "slice", "label", "explain")
 
 
 def __getattr__(name: str):
@@ -583,10 +590,13 @@ def stage_detect(config: RunConfig) -> int:
                 "files": files,
                 "functions": functions,
                 "lines": lines,
+                # the activation at every kept symbol; explain works from these
+                "activations": trace.outputs.tolist(),
             }
         )
     artifacts.write_jsonl(
-        config.path("detect.jsonl"), "detections", config.seed, findings
+        config.path("detect.jsonl"), "detections", config.seed, findings,
+        threshold=threshold,
     )
     for f in findings:
         print(
@@ -630,28 +640,46 @@ def stage_evaluate(config: RunConfig) -> None:
     print(format_metrics_table(report, counts))
 
 
+def _stale_detections(problem: str) -> StageError:
+    return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
+
+
 def stage_explain(config: RunConfig) -> None:
-    artifacts.require(config.path("vectors.bin"), "vectorize")
-    samples, _ = load_vectors(config.path("vectors.bin"))
+    artifacts.require(config.path("detect.jsonl"), "detect")
+    header, findings = artifacts.read_jsonl(config.path("detect.jsonl"), "detections")
+    threshold = header.get("threshold")
+    if threshold is None or any("activations" not in f for f in findings):
+        raise _stale_detections("holds no activations (written by an older detect)")
+    if config.threshold is not None and config.threshold != threshold:
+        raise _stale_detections(
+            f"flags at threshold {threshold}, not at --threshold {config.threshold}"
+        )
     sevcs = {s.syvc_id: s for s in _rehydrate_sevcs(config)}
-    params, threshold = _load_model(config)
     cset = config.characteristic_set()
+    capacity = config.hyperparams().seq_len
     records = []
-    for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
-        sevc = sevcs.get(sample.syvc_id)
-        if sevc is None or trace.final < threshold:
-            continue
+    for finding in findings:
+        sevc = sevcs.get(finding["syvc_id"])
+        if sevc is None:
+            raise _stale_detections(
+                f"flags SyVC {finding['syvc_id']}, which sevc.jsonl does not hold"
+            )
         sym = symbolize(sevc, cset)
         lo, hi = truncation_window(
-            len(sym.symbols), sym.anchor_lo, sym.anchor_hi, sample.capacity
+            len(sym.symbols), sym.anchor_lo, sym.anchor_hi, capacity
         )
-        window = sym.symbols[lo:hi]
-        critical = explain_trace(trace, window, delta=config.delta)
+        trace = ActivationTrace(finding["activations"])
+        if len(trace.outputs) != hi - lo:
+            raise _stale_detections(
+                f"holds {len(trace.outputs)} activations for SyVC "
+                f"{finding['syvc_id']}, whose kept symbol window has {hi - lo}"
+            )
+        critical = explain_trace(trace, sym.symbols[lo:hi], delta=config.delta)
         records.append(
             {
-                "syvc_id": sample.syvc_id,
-                "program": sample.program,
-                "probability": round(trace.final, 6),
+                "syvc_id": finding["syvc_id"],
+                "program": finding["program"],
+                "probability": finding["probability"],
                 "critical_tokens": [
                     {
                         "position": c.position,
@@ -768,7 +796,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
             choices=sorted(PRESETS),
             default=_env("PRESET", "desk"),
         )
-        p.add_argument("--threshold", type=float, default=_env("THRESHOLD"))
+        p.add_argument(
+            "--threshold", type=float, default=_env("THRESHOLD"),
+            help="flag at this probability or above (default: the checkpoint's); "
+            "explain takes detect's and refuses a different one",
+        )
         p.add_argument(
             "--strict-review",
             action=_SwitchAction,

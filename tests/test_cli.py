@@ -10,10 +10,12 @@ from dataclasses import fields
 
 import pytest
 
-from vulnslice import cli
+from vulnslice import artifacts, bgru, cli
+from vulnslice.bgru import forward_batch, load_checkpoint
 from vulnslice.cli import main
 from vulnslice.data import mini_corpus_manifest
 from vulnslice.embeddings import EmbeddingTable, hash_vector
+from vulnslice.vectorize import load_vectors, symbolize, truncation_window
 
 from test_embeddings import reference_train_embeddings
 
@@ -536,24 +538,32 @@ import sys
 from vulnslice import cli
 
 assert "numpy" not in sys.modules, "import vulnslice.cli"
-manifest, out = sys.argv[1:]
-for stage in ("parse", "extract", "slice"):
-    assert cli.main([stage, "--manifest", manifest, "--out", out]) == 0, stage
+flags = sys.argv[1:]
+for stage in ("parse", "extract", "slice", "label", "explain"):
+    assert cli.main([stage, *flags]) == 0, stage
     assert "numpy" not in sys.modules, stage
-assert cli.main(["vectorize", "--manifest", manifest, "--out", out, "--embed-mode", "hash"]) == 0
+assert cli.main(["vectorize", *flags, "--embed-mode", "hash"]) == 0
 assert "numpy" in sys.modules, "vectorize"
 """
 
 
 def test_front_half_stages_do_not_import_numpy(tmp_path):
+    out = tmp_path / "out"
+    flags = ["--manifest", mini_corpus_manifest(), "--out", str(out)]
+    # explain needs detect's findings: a threshold near 0 flags every SeVC
+    pipeline = ["--embed-mode", "hash", "--epochs", "1", "--threshold", "0.000001"]
+    assert main(["pipeline", *flags, *pipeline]) == 1
+    assert read_records(out / "detect.jsonl")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env = {k: v for k, v in env.items() if not k.startswith(cli.ENV_PREFIX)}
+    explained = (out / "explain.jsonl").read_bytes()
     result = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, mini_corpus_manifest(), str(tmp_path / "out")],
+        [sys.executable, "-c", NUMPY_PROBE, *flags],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert (out / "explain.jsonl").read_bytes() == explained
 
 
 def test_lazy_names_are_the_layer_attributes():
@@ -583,3 +593,144 @@ def test_names_patched_before_main_are_the_ones_the_stage_calls(
         monkeypatch.setattr(cli, name, recording)
     assert run(corpus, out, "detect") in (0, 1)
     assert calls == ["load_vectors", "load_checkpoint"]
+
+
+def old_explain_records(config):
+    """explain.jsonl's records computed as the explain stage once did: a
+    second forward pass over every sample of vectors.bin."""
+    hp = config.hyperparams()
+    samples, _ = load_vectors(config.path("vectors.bin"))
+    params, _ = load_checkpoint(
+        config.path("checkpoint.bin"), expect_theta=hp.theta, expect_dim=hp.input_dim
+    )
+    threshold = params.hp.threshold if config.threshold is None else config.threshold
+    sevcs = {s.syvc_id: s for s in cli._rehydrate_sevcs(config)}
+    cset = config.characteristic_set()
+    records = []
+    for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
+        if trace.final < threshold:
+            continue
+        sym = symbolize(sevcs[sample.syvc_id], cset)
+        lo, hi = truncation_window(
+            len(sym.symbols), sym.anchor_lo, sym.anchor_hi, sample.capacity
+        )
+        critical = bgru.explain(trace, sym.symbols[lo:hi], delta=config.delta)
+        records.append(
+            {
+                "syvc_id": sample.syvc_id,
+                "program": sample.program,
+                "probability": round(trace.final, 6),
+                "critical_tokens": [
+                    {"position": c.position, "symbol": c.symbol,
+                     "direction": c.direction, "delta": round(c.delta, 6)}
+                    for c in critical
+                ],
+            }
+        )
+    return records
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--delta", "0.02"), ("--threshold", "0.000001", "--delta", "0.02"),
+     # 12 symbols: long SeVCs are truncated around their anchor
+     ("--theta", "192", "--threshold", "0.000001", "--delta", "0.02")],
+    ids=["defaults", "small-delta", "everything-flagged", "truncated"],
+)
+def test_explain_equals_a_second_forward_pass(tmp_path, corpus, flags):
+    out = tmp_path / "out"
+    assert run(corpus, out, "pipeline", *flags) in (0, 1)
+    config = cli.config_from_args(cli.build_arg_parser().parse_args(
+        ["explain", "--manifest", str(corpus / "manifest.json"), "--out", str(out),
+         "--seed", "5", "--embed-mode", "hash", "--epochs", "4", *flags]
+    ))
+    expected = old_explain_records(config)
+    assert expected
+    assert read_records(out / "explain.jsonl") == expected
+    if config.delta < 0.6:
+        assert any(r["critical_tokens"] for r in expected)
+    if config.theta == 192:
+        samples, _ = load_vectors(config.path("vectors.bin"))
+        assert any(s.kept_symbols == 12 for s in samples)
+
+
+def detected(tmp_path, corpus, *flags):
+    out = tmp_path / "out"
+    assert run(corpus, out, "pipeline", *flags) in (0, 1)
+    return out
+
+
+def rewrite_detections(out, change):
+    """Apply ``change(header, records)`` to detect.jsonl in place."""
+    header, records = artifacts.read_jsonl(str(out / "detect.jsonl"))
+    change(header, records)
+    extra = {k: v for k, v in header.items() if k not in ("artifact", "version", "seed")}
+    artifacts.write_jsonl(
+        str(out / "detect.jsonl"), header["artifact"], header["seed"], records, **extra
+    )
+
+
+def test_detect_records_its_threshold_and_explain_takes_it(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    at_checkpoint_threshold = read_records(out / "detect.jsonl")
+    assert run(corpus, out, "detect", "--threshold", "0.55") == 1
+    header, findings = artifacts.read_jsonl(str(out / "detect.jsonl"))
+    assert header["threshold"] == 0.55
+    flagged = [f["syvc_id"] for f in findings]
+    assert 0 < len(flagged) < len(at_checkpoint_threshold)
+    # without --threshold, explain covers what detect flagged at 0.55,
+    # not what the checkpoint's 0.5 would flag
+    assert run(corpus, out, "explain") == 0
+    assert [r["syvc_id"] for r in read_records(out / "explain.jsonl")] == flagged
+    assert run(corpus, out, "explain", "--threshold", "0.55") == 0
+    capsys.readouterr()
+    assert run(corpus, out, "explain", "--threshold", "0.5") == 2
+    err = capsys.readouterr().err
+    assert "threshold 0.55" in err and "re-run the 'detect' stage" in err
+
+
+def test_explain_without_detect_names_detect(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    (out / "detect.jsonl").unlink()
+    capsys.readouterr()
+    assert run(corpus, out, "explain") == 2
+    assert "run the 'detect' stage first" in capsys.readouterr().err
+
+
+def test_explain_of_findings_without_activations_names_detect(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+
+    def as_an_older_detect_wrote_it(header, records):
+        del header["threshold"]
+        for record in records:
+            del record["activations"]
+
+    rewrite_detections(out, as_an_older_detect_wrote_it)
+    capsys.readouterr()
+    assert run(corpus, out, "explain") == 2
+    err = capsys.readouterr().err
+    assert "holds no activations" in err and "re-run the 'detect' stage" in err
+
+
+def test_explain_of_a_finding_missing_from_sevc_jsonl_names_detect(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    gone = read_records(out / "detect.jsonl")[0]["syvc_id"]
+    header, sevcs = artifacts.read_jsonl(str(out / "sevc.jsonl"))
+    artifacts.write_jsonl(
+        str(out / "sevc.jsonl"), header["artifact"], header["seed"],
+        [r for r in sevcs if r["syvc_id"] != gone],
+    )
+    capsys.readouterr()
+    assert run(corpus, out, "explain") == 2
+    err = capsys.readouterr().err
+    assert f"flags SyVC {gone}, which sevc.jsonl does not hold" in err
+    assert "re-run the 'detect' stage" in err
+
+
+def test_explain_of_a_wrong_activation_count_names_detect(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    rewrite_detections(out, lambda header, records: records[0]["activations"].append(0.5))
+    capsys.readouterr()
+    assert run(corpus, out, "explain") == 2
+    err = capsys.readouterr().err
+    assert "activations for SyVC" in err and "re-run the 'detect' stage" in err
