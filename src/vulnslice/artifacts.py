@@ -74,20 +74,43 @@ def write_jsonl(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_jsonl(path: str, expect_artifact: str | None = None) -> tuple[dict, list[dict]]:
-    if not os.path.exists(path):
+def read_jsonl(
+    path: str, expect_artifact: str | None = None, stage: str | None = None
+) -> tuple[dict, list[dict]]:
+    """The header and the records of a ``write_jsonl`` artifact.
+
+    ``stage`` is the stage that writes it: a missing, empty or corrupt
+    artifact raises a ``StageError`` that asks to run it.
+    """
+    if stage is not None:
+        require(path, stage)
+    elif not os.path.exists(path):
         raise StageError(f"missing artifact {path}")
+    rerun = f"; re-run the '{stage}' stage" if stage is not None else ""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
-    if not lines:
-        raise StageError(f"artifact {path} is empty")
-    header = json.loads(lines[0])
+        text = handle.read()
+    values = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise StageError(
+                f"{path} line {number} is not valid JSON ({exc.msg}){rerun}"
+            ) from None
+        if not isinstance(value, dict):
+            raise StageError(f"{path} line {number} is not a JSON object{rerun}")
+        values.append(value)
+    if not values:
+        raise StageError(f"artifact {path} is empty{rerun}")
+    header = values[0]
     if expect_artifact is not None and header.get("artifact") != expect_artifact:
         raise StageError(
             f"{path} holds artifact {header.get('artifact')!r}, "
-            f"expected {expect_artifact!r}"
+            f"expected {expect_artifact!r}{rerun}"
         )
-    return header, [json.loads(line) for line in lines[1:]]
+    return header, values[1:]
 
 
 def write_json(path: str, payload: dict) -> None:

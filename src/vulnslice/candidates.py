@@ -30,12 +30,7 @@ from .frontend import (
     FunctionDecl,
     ProgramModel,
 )
-
-KIND_FC = "FC"
-KIND_AU = "AU"
-KIND_PU = "PU"
-KIND_AE = "AE"
-ALL_KINDS = (KIND_FC, KIND_AU, KIND_PU, KIND_AE)
+from .presets import ALL_KINDS, KIND_AE, KIND_AU, KIND_FC, KIND_PU
 
 
 class CharacteristicConfigError(Exception):

@@ -27,60 +27,80 @@ scores nothing itself. It takes detect's threshold; an explicit
 --threshold that differs from it is an error (exit 2) that asks to
 re-run detect with it.
 
-Only vectorize, train, detect and evaluate (and pipeline) import numpy,
-through bgru, vectorize, embeddings and evaluation. parse, extract,
-slice, label and explain run on the numpy-free program-analysis layers
-and the numpy-free symbols module, and never load it.
+A stage process imports only the layers its stage runs. ``import
+vulnslice.cli`` loads artifacts and presets alone; each stage function
+declares its layers (``_uses``), whose names it binds when called:
+
+    parse     frontend
+    extract   frontend, candidates
+    slice     frontend, candidates, graphs, slicing
+    vectorize the slice layers, symbols, embeddings, vectorize
+    label     the slice layers, labeling
+    train     vectorize (with symbols, frontend, embeddings), bgru,
+              evaluation
+    detect    vectorize (with symbols, frontend, embeddings), bgru
+    evaluate  as train
+    explain   the slice layers, symbols
+    pipeline  all of them, before its first stage
+
+So only vectorize, train, detect and evaluate import numpy (through
+embeddings, vectorize, bgru and evaluation).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 from . import artifacts
 from .artifacts import StageError, derive_seed
-from .candidates import (
-    ALL_KINDS,
-    CharacteristicSet,
-    SyVC,
-    default_fc_calls,
-    extract_syvcs,
-    load_fc_calls,
-    syvc_record,
-)
-from .frontend import ProgramModel, dump_ast, load_program
-from .graphs import GraphError, build_call_graph, build_pdgs
-from .labeling import (
-    Annotation,
-    GroundTruth,
-    apply_labels,
-    parse_diff,
-    review_queue,
-)
-from .presets import MODE_HASH, MODE_SKIPGRAM, PRESETS, Hyperparams
-from .slicing import (
-    SeVC,
-    SevcStatement,
-    SliceConsistencyError,
-    assemble_sevc,
-    interprocedural_slices,
-    sevc_record,
-)
-from .symbols import ActivationTrace, symbolize, truncation_window
-from .symbols import explain as explain_trace
+from .presets import ALL_KINDS, MODE_HASH, MODE_SKIPGRAM, PRESETS, Hyperparams
 
-# The numpy-backed names the stages use, as name -> "module:attribute"
-# in this package. Module __getattr__ resolves them on first access, and
-# main binds them before it runs a stage that imports numpy, so
-# getattr(cli, name) and patches by name work as for an eager import.
+if TYPE_CHECKING:
+    from .candidates import CharacteristicSet
+    from .frontend import ProgramModel
+    from .slicing import SeVC
+    from .vectorize import SampleVector
+
+# Every layer name the stages use, as name -> "module:attribute" in this
+# package. Module __getattr__ resolves them on first access, and a
+# function declared with @_uses binds its layers' names before it runs,
+# so getattr(cli, name) and patches by name work as for an eager import.
 # predict and bgru_forward stay here although the stages use
 # forward_batch: perfbench/child.py wraps them by name.
 LAZY_NAMES = {
+    "load_program": "frontend:load_program",
+    "dump_ast": "frontend:dump_ast",
+    "CharacteristicSet": "candidates:CharacteristicSet",
+    "SyVC": "candidates:SyVC",
+    "default_fc_calls": "candidates:default_fc_calls",
+    "extract_syvcs": "candidates:extract_syvcs",
+    "load_fc_calls": "candidates:load_fc_calls",
+    "syvc_record": "candidates:syvc_record",
+    "GraphError": "graphs:GraphError",
+    "build_call_graph": "graphs:build_call_graph",
+    "build_pdgs": "graphs:build_pdgs",
+    "SeVC": "slicing:SeVC",
+    "SevcStatement": "slicing:SevcStatement",
+    "SliceConsistencyError": "slicing:SliceConsistencyError",
+    "assemble_sevc": "slicing:assemble_sevc",
+    "interprocedural_slices": "slicing:interprocedural_slices",
+    "sevc_record": "slicing:sevc_record",
+    "Annotation": "labeling:Annotation",
+    "GroundTruth": "labeling:GroundTruth",
+    "apply_labels": "labeling:apply_labels",
+    "parse_diff": "labeling:parse_diff",
+    "review_queue": "labeling:review_queue",
+    "ActivationTrace": "symbols:ActivationTrace",
+    "symbolize": "symbols:symbolize",
+    "truncation_window": "symbols:truncation_window",
+    "explain_trace": "symbols:explain",
     "train_model": "bgru:train",
     "forward_batch": "bgru:forward_batch",
     "load_checkpoint": "bgru:load_checkpoint",
@@ -90,7 +110,6 @@ LAZY_NAMES = {
     "encode": "vectorize:encode",
     "save_vectors": "vectorize:save_vectors",
     "load_vectors": "vectorize:load_vectors",
-    "SampleVector": "vectorize:SampleVector",
     "train_embeddings": "embeddings:train_embeddings",
     "hash_table": "embeddings:hash_table",
     "compute_metrics": "evaluation:compute_metrics",
@@ -98,9 +117,6 @@ LAZY_NAMES = {
     "format_metrics_table": "evaluation:format_metrics_table",
     "split_by_program": "evaluation:split_by_program",
 }
-
-# stages that run on the program-analysis layers alone
-NUMPY_FREE_STAGES = ("parse", "extract", "slice", "label", "explain")
 
 
 def __getattr__(name: str):
@@ -113,11 +129,30 @@ def __getattr__(name: str):
     return value
 
 
-def _bind_lazy_names() -> None:
-    """Bind every lazy name; one already bound (say, wrapped) stays."""
-    for name in LAZY_NAMES:
-        if name not in globals():
-            __getattr__(name)
+def _uses(*layers: str):
+    """Declare the layers whose names a function reads.
+
+    Each call binds those names first (one already bound, say wrapped,
+    stays), so the function works whether or not main called it, and a
+    stage process imports only the layers of the functions it runs.
+    """
+    names = [
+        name for name, target in LAZY_NAMES.items()
+        if target.split(":")[0] in layers
+    ]
+
+    def declare(func):
+        @functools.wraps(func)
+        def bound(*args, **kwargs):
+            for name in names:
+                if name not in globals():
+                    __getattr__(name)
+            return func(*args, **kwargs)
+
+        bound.layers = layers
+        return bound
+
+    return declare
 
 
 ENV_PREFIX = "VULNSLICE_"
@@ -166,6 +201,7 @@ class RunConfig:
             **{name: value for name, value in overrides.items() if value is not None},
         )
 
+    @_uses("candidates")
     def characteristic_set(self) -> CharacteristicSet:
         calls = (
             load_fc_calls(self.fc_list)
@@ -241,6 +277,7 @@ def load_manifest(path: str) -> Manifest:
     return manifest
 
 
+@_uses("frontend")
 def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
     models = []
     for prog in manifest.programs:
@@ -258,6 +295,7 @@ def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
     return models
 
 
+@_uses("labeling")
 def _ground_truth(manifest: Manifest) -> GroundTruth:
     truth = GroundTruth()
     for prog in manifest.programs:
@@ -293,6 +331,7 @@ def _ground_truth(manifest: Manifest) -> GroundTruth:
 # --------------------------------------------------------------------------
 
 
+@_uses("frontend")
 def stage_parse(config: RunConfig) -> None:
     manifest = load_manifest(config.manifest)
     models = _parse_programs(manifest)
@@ -329,6 +368,7 @@ def stage_parse(config: RunConfig) -> None:
     )
 
 
+@_uses("candidates")
 def stage_extract(config: RunConfig) -> None:
     artifacts.require(config.path("parse_report.json"), "parse")
     manifest = load_manifest(config.manifest)
@@ -352,9 +392,11 @@ def stage_extract(config: RunConfig) -> None:
     print(f"extracted {len(records)} SyVCs ({summary})")
 
 
+@_uses("candidates", "graphs", "slicing")
 def stage_slice(config: RunConfig) -> None:
-    artifacts.require(config.path("syvc.jsonl"), "extract")
-    _, syvc_records = artifacts.read_jsonl(config.path("syvc.jsonl"), "syvc")
+    _, syvc_records = artifacts.read_jsonl(
+        config.path("syvc.jsonl"), "syvc", "extract"
+    )
     manifest = load_manifest(config.manifest)
     models = {m.name: m for m in _parse_programs(manifest)}
     by_program: dict[str, list[dict]] = {}
@@ -416,10 +458,10 @@ def stage_slice(config: RunConfig) -> None:
     )
 
 
+@_uses("slicing")
 def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
     """Rebuild SeVC objects (with tokens) from sevc.jsonl + reparse."""
-    artifacts.require(config.path("sevc.jsonl"), "slice")
-    _, records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc")
+    _, records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
     manifest = load_manifest(config.manifest)
     models = {m.name: m for m in _parse_programs(manifest)}
     stmt_indexes = {
@@ -448,6 +490,7 @@ def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
     return sevcs
 
 
+@_uses("symbols", "embeddings", "vectorize")
 def stage_vectorize(config: RunConfig) -> None:
     sevcs = _rehydrate_sevcs(config)
     if not sevcs:
@@ -475,6 +518,7 @@ def stage_vectorize(config: RunConfig) -> None:
     )
 
 
+@_uses("labeling")
 def stage_label(config: RunConfig) -> None:
     sevcs = _rehydrate_sevcs(config)
     manifest = load_manifest(config.manifest)
@@ -504,11 +548,13 @@ def stage_label(config: RunConfig) -> None:
     )
 
 
+@_uses("vectorize")
 def _labeled_samples(config: RunConfig) -> list[SampleVector]:
     artifacts.require(config.path("vectors.bin"), "vectorize")
-    artifacts.require(config.path("labels.jsonl"), "label")
     samples, _ = load_vectors(config.path("vectors.bin"))
-    _, label_records = artifacts.read_jsonl(config.path("labels.jsonl"), "labels")
+    _, label_records = artifacts.read_jsonl(
+        config.path("labels.jsonl"), "labels", "label"
+    )
     labels = {r["syvc_id"]: r for r in label_records}
     for sample in samples:
         record = labels.get(sample.syvc_id)
@@ -521,6 +567,7 @@ def _labeled_samples(config: RunConfig) -> list[SampleVector]:
     return samples
 
 
+@_uses("evaluation", "bgru")
 def stage_train(config: RunConfig) -> None:
     samples = _labeled_samples(config)
     if config.strict_review:
@@ -549,6 +596,7 @@ def stage_train(config: RunConfig) -> None:
     )
 
 
+@_uses("bgru")
 def _load_model(config: RunConfig):
     """The trained parameters and the detection threshold: --threshold,
     else the checkpoint's."""
@@ -564,20 +612,25 @@ def _load_model(config: RunConfig):
     return params, params.hp.threshold
 
 
+@_uses("vectorize", "bgru")
 def stage_detect(config: RunConfig) -> int:
     artifacts.require(config.path("vectors.bin"), "vectorize")
-    artifacts.require(config.path("sevc.jsonl"), "slice")
     samples, _ = load_vectors(config.path("vectors.bin"))
-    _, sevc_records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc")
+    _, sevc_records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
     by_id = {r["syvc_id"]: r for r in sevc_records}
+    stale = [s.syvc_id for s in samples if s.syvc_id not in by_id]
+    if stale:
+        raise StageError(
+            f"vectors.bin holds {len(stale)} SyVCs that sevc.jsonl does not "
+            f"(first {stale[0]}); re-run the 'vectorize' stage"
+        )
     params, threshold = _load_model(config)
     findings = []
     for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
         prob = trace.final
         if prob < threshold:
             continue
-        record = by_id.get(sample.syvc_id, {})
-        statements = record.get("statements", [])
+        statements = by_id[sample.syvc_id]["statements"]
         files = sorted({s["file"] for s in statements})
         lines = [s["line"] for s in statements]
         functions = sorted({s["function"] for s in statements})
@@ -609,6 +662,7 @@ def stage_detect(config: RunConfig) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
+@_uses("evaluation", "bgru")
 def stage_evaluate(config: RunConfig) -> None:
     samples = _labeled_samples(config)
     params, threshold = _load_model(config)
@@ -644,9 +698,11 @@ def _stale_detections(problem: str) -> StageError:
     return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
 
 
+@_uses("symbols")
 def stage_explain(config: RunConfig) -> None:
-    artifacts.require(config.path("detect.jsonl"), "detect")
-    header, findings = artifacts.read_jsonl(config.path("detect.jsonl"), "detections")
+    header, findings = artifacts.read_jsonl(
+        config.path("detect.jsonl"), "detections", "detect"
+    )
     threshold = header.get("threshold")
     if threshold is None or any("activations" not in f for f in findings):
         raise _stale_detections("holds no activations (written by an older detect)")
@@ -701,6 +757,8 @@ def stage_explain(config: RunConfig) -> None:
     )
 
 
+# every layer, bound before the first stage as one eager import would
+@_uses(*dict.fromkeys(target.split(":")[0] for target in LAZY_NAMES.values()))
 def stage_pipeline(config: RunConfig) -> int:
     stage_parse(config)
     stage_extract(config)
@@ -854,8 +912,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         os.makedirs(config.out, exist_ok=True)
-        if args.stage not in NUMPY_FREE_STAGES:
-            _bind_lazy_names()
         if args.stage == "pipeline":
             return stage_pipeline(config)
         if args.stage == "detect":

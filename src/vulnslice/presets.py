@@ -1,14 +1,21 @@
-"""Model settings every stage names on its command line.
+"""Settings every stage names on its command line.
 
-The BGRU hyperparameters with their published presets, and the
-embedding modes. They live apart from ``bgru`` and ``embeddings`` so
-that the command line, which needs them for every stage, can be built
-without importing numpy.
+The SyVC kinds, the BGRU hyperparameters with their published presets,
+and the embedding modes. They live apart from ``candidates``, ``bgru``
+and ``embeddings`` so that the command line, which needs them for every
+stage, can be built without importing numpy or a program-analysis
+layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+KIND_FC = "FC"
+KIND_AU = "AU"
+KIND_PU = "PU"
+KIND_AE = "AE"
+ALL_KINDS = (KIND_FC, KIND_AU, KIND_PU, KIND_AE)
 
 MODE_SKIPGRAM = "skipgram"
 MODE_HASH = "hash"

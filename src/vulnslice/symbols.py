@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .candidates import CharacteristicSet
 from .frontend import (
     IDENTIFIER,
     ROLE_CALLEE,
@@ -42,7 +42,10 @@ from .frontend import (
     STRING,
 )
 from .presets import ModelError
-from .slicing import SeVC
+
+if TYPE_CHECKING:
+    from .candidates import CharacteristicSet
+    from .slicing import SeVC
 
 STRING_SYMBOL = '"STR"'
 

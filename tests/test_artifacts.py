@@ -1,6 +1,8 @@
-"""Artifact writers: JSONL bytes."""
+"""Artifact files: JSONL bytes, and the errors a bad one raises."""
 
 import json
+
+import pytest
 
 from vulnslice import artifacts
 
@@ -18,3 +20,27 @@ def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
     expected = [json.dumps(header, sort_keys=True)]
     expected += [json.dumps(record, sort_keys=True) for record in records]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"artifact": "demo"}\n{"id": 1}\n\n{"id": \n', "line 4 is not valid JSON"),
+        ('{"artifact": "demo"}\n[1, 2]\n', "line 2 is not a JSON object"),
+        ('\n\n', "is empty"),
+        ('{"artifact": "other"}\n', "holds artifact 'other', expected 'demo'"),
+    ],
+    ids=["cut-record", "not-an-object", "empty", "wrong-artifact"],
+)
+def test_read_jsonl_errors_name_the_file_line_and_stage(tmp_path, text, message):
+    path = tmp_path / "demo.jsonl"
+    path.write_text(text)
+    with pytest.raises(artifacts.StageError) as caught:
+        artifacts.read_jsonl(str(path), "demo", "make-demo")
+    assert message in str(caught.value) and str(path) in str(caught.value)
+    assert str(caught.value).endswith("; re-run the 'make-demo' stage")
+
+
+def test_read_jsonl_of_a_missing_artifact_asks_to_run_its_stage(tmp_path):
+    with pytest.raises(artifacts.StageError, match="missing artifact demo.jsonl; run the 'make-demo' stage first"):
+        artifacts.read_jsonl(str(tmp_path / "demo.jsonl"), "demo", "make-demo")

@@ -1,6 +1,9 @@
 """CLI stage wiring: artifacts, exit codes, reproducibility."""
 
+import builtins
+import dis
 import importlib
+import inspect
 import json
 import os
 import shutil
@@ -533,37 +536,106 @@ def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):
     assert any(data[k] != full[k] for k in full)
 
 
-NUMPY_PROBE = """
+STAGE_PROBE = """
+import json
 import sys
+
 from vulnslice import cli
 
-assert "numpy" not in sys.modules, "import vulnslice.cli"
-flags = sys.argv[1:]
-for stage in ("parse", "extract", "slice", "label", "explain"):
-    assert cli.main([stage, *flags]) == 0, stage
-    assert "numpy" not in sys.modules, stage
-assert cli.main(["vectorize", *flags, "--embed-mode", "hash"]) == 0
-assert "numpy" in sys.modules, "vectorize"
+code = cli.main(sys.argv[2:]) if sys.argv[2:] else None
+loaded = sorted(m for m in sys.modules if m.startswith("vulnslice.") or m == "numpy")
+with open(sys.argv[1], "w") as handle:
+    json.dump({"code": code, "modules": loaded}, handle)
 """
 
+# The modules a stage process loads beyond vulnslice.cli, artifacts and
+# presets: the layers its stage uses and what they import.
+FRONTEND = {"frontend", "frontend.lexer", "frontend.parser"}
+SLICER = FRONTEND | {"candidates", "data", "graphs", "slicing"}
+MODEL = FRONTEND | {"symbols", "embeddings", "vectorize", "bgru", "numpy"}
+STAGE_MODULES = {
+    None: set(),  # import vulnslice.cli alone
+    "parse": FRONTEND,
+    "extract": FRONTEND | {"candidates", "data"},
+    "slice": SLICER - {"data"},
+    "vectorize": SLICER | {"symbols", "embeddings", "vectorize", "numpy"},
+    "label": (SLICER - {"data"}) | {"labeling"},
+    "train": MODEL | {"evaluation"},
+    "detect": MODEL,
+    "evaluate": MODEL | {"evaluation"},
+    "explain": SLICER | {"symbols"},
+}
 
-def test_front_half_stages_do_not_import_numpy(tmp_path):
-    out = tmp_path / "out"
-    flags = ["--manifest", mini_corpus_manifest(), "--out", str(out)]
-    # explain needs detect's findings: a threshold near 0 flags every SeVC
-    pipeline = ["--embed-mode", "hash", "--epochs", "1", "--threshold", "0.000001"]
-    assert main(["pipeline", *flags, *pipeline]) == 1
-    assert read_records(out / "detect.jsonl")
+
+def test_each_stage_process_loads_only_its_layers(tmp_path, capsys):
+    """Each stage alone in a fresh process, as the benchmark runs them: it
+    loads exactly its layers and writes what the in-process pipeline does.
+    In one process, names bound by an earlier stage could hide a stage
+    that does not declare a layer it uses."""
+    in_process, by_stage = tmp_path / "pipeline", tmp_path / "stages"
+    # a threshold near 0 flags every SeVC, so explain has work
+    flags = ["--manifest", mini_corpus_manifest(), "--seed", "5", "--embed-mode", "hash",
+             "--epochs", "1", "--threshold", "0.000001"]
+    capsys.readouterr()
+    assert main(["pipeline", *flags, "--out", str(in_process)]) == 1
+    pipeline_stdout = capsys.readouterr().out
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env = {k: v for k, v in env.items() if not k.startswith(cli.ENV_PREFIX)}
-    explained = (out / "explain.jsonl").read_bytes()
-    result = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *flags],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    assert (out / "explain.jsonl").read_bytes() == explained
+    stdout = ""
+    for stage, extra in STAGE_MODULES.items():
+        argv = [] if stage is None else [stage, *flags, "--out", str(by_stage)]
+        probe = tmp_path / "probe.json"
+        result = subprocess.run(
+            [sys.executable, "-c", STAGE_PROBE, str(probe), *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        stdout += result.stdout
+        report = json.loads(probe.read_text())
+        assert report["code"] == (None if stage is None else int(stage == "detect")), stage
+        expected = {"vulnslice.artifacts", "vulnslice.cli", "vulnslice.presets"}
+        expected |= {m if m == "numpy" else f"vulnslice.{m}" for m in extra}
+        assert set(report["modules"]) == expected, stage
+    assert stdout == pipeline_stdout
+    names = sorted(os.listdir(in_process))
+    assert names == sorted(os.listdir(by_stage))
+    for name in names:
+        assert (in_process / name).read_bytes() == (by_stage / name).read_bytes(), name
+
+
+def _globals_read(code) -> set[str]:
+    """The global names a code object and the functions nested in it read."""
+    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _globals_read(const)
+    return names
+
+
+def test_every_global_a_cli_function_reads_is_bound():
+    """A name a cli function reads is bound at import, or is a lazy name of
+    a layer the function declares with @_uses, so the function works when
+    called without main (as old_explain_records calls _rehydrate_sevcs)."""
+    layer_of = {name: target.split(":")[0] for name, target in cli.LAZY_NAMES.items()}
+    at_import = set(vars(cli)) - set(layer_of)
+    owners = [cli] + [
+        v for v in vars(cli).values() if isinstance(v, type) and v.__module__ == cli.__name__
+    ]
+    functions = [
+        value for owner in owners for value in vars(owner).values()
+        if inspect.isfunction(value) and value.__module__ == cli.__name__
+    ]
+    assert {f.__name__ for f in functions} >= {"stage_slice", "characteristic_set", "main"}
+    for function in functions:
+        read = _globals_read(inspect.unwrap(function).__code__)
+        unbound = read - at_import - set(layer_of) - set(dir(builtins))
+        assert not unbound, (function.__name__, unbound)
+        undeclared = {
+            name for name in read & set(layer_of)
+            if layer_of[name] not in getattr(function, "layers", ())
+        }
+        assert not undeclared, (function.__name__, undeclared)
 
 
 def test_lazy_names_are_the_layer_attributes():
@@ -734,3 +806,37 @@ def test_explain_of_a_wrong_activation_count_names_detect(tmp_path, corpus, caps
     assert run(corpus, out, "explain") == 2
     err = capsys.readouterr().err
     assert "activations for SyVC" in err and "re-run the 'detect' stage" in err
+
+
+def test_detect_of_a_stale_sevc_jsonl_names_vectorize(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    header, sevcs = artifacts.read_jsonl(str(out / "sevc.jsonl"))
+    # a re-sliced sevc.jsonl that no longer holds every SyVC of vectors.bin
+    artifacts.write_jsonl(
+        str(out / "sevc.jsonl"), header["artifact"], header["seed"], sevcs[:2]
+    )
+    capsys.readouterr()
+    assert run(corpus, out, "detect") == 2
+    err = capsys.readouterr().err
+    assert f"vectors.bin holds {len(sevcs) - 2} SyVCs that sevc.jsonl does not" in err
+    assert "re-run the 'vectorize' stage" in err
+
+
+@pytest.mark.parametrize(
+    "name, stage, producer",
+    [("syvc.jsonl", "slice", "extract"), ("sevc.jsonl", "detect", "slice"),
+     ("sevc.jsonl", "explain", "slice"), ("labels.jsonl", "train", "label"),
+     ("detect.jsonl", "explain", "detect")],
+)
+def test_a_truncated_jsonl_artifact_names_the_stage_that_writes_it(
+    tmp_path, corpus, capsys, name, stage, producer
+):
+    out = detected(tmp_path, corpus, "--threshold", "0.000001")
+    lines = (out / name).read_text().splitlines()
+    # cut inside the last record, as a copy cut short would leave it
+    (out / name).write_text("\n".join(lines[:-1] + [lines[-1][:20]]))
+    capsys.readouterr()
+    assert run(corpus, out, stage, "--threshold", "0.000001") == 2
+    err = capsys.readouterr().err
+    assert f"{out / name} line {len(lines)} is not valid JSON" in err
+    assert f"re-run the '{producer}' stage" in err
