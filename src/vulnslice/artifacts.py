@@ -64,9 +64,12 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 def write_jsonl(
     path: str, artifact: str, seed: int, records: list[dict], **header_fields
 ) -> None:
-    """One header line (artifact, version, seed and ``header_fields``), then
-    one line per record."""
-    header = {"artifact": artifact, "version": 1, "seed": seed, **header_fields}
+    """One header line (artifact, version, seed, ``header_fields`` and the
+    record count), then one line per record."""
+    header = {
+        "artifact": artifact, "version": 1, "seed": seed, **header_fields,
+        "record_count": len(records),
+    }
     # the same bytes as json.dumps(..., sort_keys=True), which would build
     # a new encoder for every record
     encode = json.JSONEncoder(sort_keys=True).encode
@@ -80,7 +83,9 @@ def read_jsonl(
     """The header and the records of a ``write_jsonl`` artifact.
 
     ``stage`` is the stage that writes it: a missing, empty or corrupt
-    artifact raises a ``StageError`` that asks to run it.
+    artifact raises a ``StageError`` that asks to run it. So does one
+    whose record count is not its header's, as a copy cut short at a
+    line boundary leaves it.
     """
     if stage is not None:
         require(path, stage)
@@ -110,7 +115,15 @@ def read_jsonl(
             f"{path} holds artifact {header.get('artifact')!r}, "
             f"expected {expect_artifact!r}{rerun}"
         )
-    return header, values[1:]
+    records = values[1:]
+    if "record_count" not in header:
+        raise StageError(f"{path} has no record count in its header{rerun}")
+    if header["record_count"] != len(records):
+        raise StageError(
+            f"{path} holds {len(records)} records, its header counts "
+            f"{header['record_count']}{rerun}"
+        )
+    return header, records
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -169,9 +169,7 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
     matching several enabled kinds yields one SyVC per kind.
     """
     found: list[tuple] = []
-    stmt_index = {
-        st.id: st for fn in program.functions for st in fn.all_statements()
-    }
+    stmt_index = program.statement_index()
     for fn in program.functions:
         stmt_token_start = _statement_token_starts(fn)
         node_index = {n.id: n for n in fn.ast.walk()}

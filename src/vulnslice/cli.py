@@ -36,21 +36,33 @@ declares its layers (``_uses``), whose names it binds when called:
     slice     frontend, candidates, graphs, slicing
     vectorize the slice layers, symbols, embeddings, vectorize
     label     the slice layers, labeling
-    train     vectorize (with symbols, frontend, embeddings), bgru,
-              evaluation
-    detect    vectorize (with symbols, frontend, embeddings), bgru
+    train     vectorize (with symbols, embeddings), bgru, evaluation
+    detect    vectorize (with symbols, embeddings), bgru
     evaluate  as train
     explain   the slice layers, symbols
     pipeline  all of them, before its first stage
 
 So only vectorize, train, detect and evaluate import numpy (through
-embeddings, vectorize, bgru and evaluation).
+embeddings, vectorize, bgru and evaluation), and train, detect and
+evaluate, which parse nothing, load no frontend: symbols takes the
+token kinds and roles from the small lexicon module.
+
+main runs a stage, or the pipeline, with automatic cyclic garbage
+collection off, and restores the caller's setting when it returns. A
+parse pass allocates tens of thousands of tokens and AST nodes that
+live until the stage ends, and the collector would re-walk them all,
+at about a third of the pass's time, to free nothing. Freeing stays
+with reference counting, which is enough because stage data holds no
+reference cycles: the cyclic garbage a stage leaves is the same few
+objects (the argument parser's) whatever the corpus size, and
+tests/test_cli.py::test_stage_data_leaves_no_cyclic_garbage enforces it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib
 import json
 import os
@@ -464,9 +476,6 @@ def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
     _, records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
     manifest = load_manifest(config.manifest)
     models = {m.name: m for m in _parse_programs(manifest)}
-    stmt_indexes = {
-        name: model.statement_index() for name, model in models.items()
-    }
     sevcs = []
     for record in records:
         model = models.get(record["program"])
@@ -475,7 +484,7 @@ def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
                 f"sevc.jsonl references unknown program "
                 f"{record['program']!r}; re-run the 'slice' stage"
             )
-        index = stmt_indexes[record["program"]]
+        index = model.statement_index()
         statements = []
         for s in record["statements"]:
             st = index.get(s["statement_id"])
@@ -907,23 +916,29 @@ STAGE_FUNCS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    # no cyclic GC while a stage runs (see the module docstring)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        config = config_from_args(args)
-        os.makedirs(config.out, exist_ok=True)
-        if args.stage == "pipeline":
-            return stage_pipeline(config)
-        if args.stage == "detect":
-            return stage_detect(config)
-        STAGE_FUNCS[args.stage](config)
-        return EXIT_OK
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as exc:  # domain errors also exit 2, with their type
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        args = build_arg_parser().parse_args(argv)
+        try:
+            config = config_from_args(args)
+            os.makedirs(config.out, exist_ok=True)
+            if args.stage == "pipeline":
+                return stage_pipeline(config)
+            if args.stage == "detect":
+                return stage_detect(config)
+            STAGE_FUNCS[args.stage](config)
+            return EXIT_OK
+        except StageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        except Exception as exc:  # domain errors also exit 2, with their type
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

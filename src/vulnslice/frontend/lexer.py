@@ -20,6 +20,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..lexicon import (  # noqa: F401  re-exported
+    CONSTANT,
+    IDENTIFIER,
+    KEYWORD,
+    OPERATOR,
+    PUNCTUATOR,
+    ROLE_CALLEE,
+    ROLE_DECLARED,
+    ROLE_FIELD,
+    ROLE_FUNCTION,
+    ROLE_PLAIN,
+    ROLE_TYPE,
+    STRING,
+)
+
 KEYWORDS = frozenset(
     """
     auto break case char const continue default do double else enum extern
@@ -33,21 +48,6 @@ TYPE_KEYWORDS = frozenset(
     "union unsigned void volatile".split()
 )
 
-# Token kinds (spec'd vocabulary).
-KEYWORD = "keyword"
-IDENTIFIER = "identifier"
-CONSTANT = "constant"
-STRING = "string-literal"
-OPERATOR = "operator"
-PUNCTUATOR = "punctuator"
-
-# Roles attached during parsing; "plain" identifiers are variable mentions.
-ROLE_PLAIN = "plain"
-ROLE_DECLARED = "declared"
-ROLE_CALLEE = "callee"
-ROLE_TYPE = "type"
-ROLE_FIELD = "field"
-ROLE_FUNCTION = "function-name"
 
 @dataclass(slots=True)
 class Token:

@@ -184,13 +184,18 @@ class ProgramModel:
     files: list[str] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     name: str = ""
+    _statement_index: dict[int, Statement] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def statement_index(self) -> dict[int, Statement]:
-        index: dict[int, Statement] = {}
-        for fn in self.functions:
-            for st in fn.all_statements():
-                index[st.id] = st
-        return index
+        """Statement id -> statement, built on the first call and kept:
+        extract, slice and every SyVC's SeVC share it."""
+        if self._statement_index is None:
+            self._statement_index = {
+                st.id: st for fn in self.functions for st in fn.all_statements()
+            }
+        return self._statement_index
 
     def user_function_names(self) -> frozenset[str]:
         return frozenset(fn.name for fn in self.functions)

@@ -292,26 +292,25 @@ def assemble_sevc(
             if callee in incoming:
                 incoming[callee] += 1
 
-    order: list[int] = []
-    emitted: set[int] = set()
-
-    def visit(func: int) -> None:
-        if func in emitted:
-            return
-        emitted.add(func)
-        order.append(func)
-        for _, callee in callees.get(func, []):
-            visit(callee)
-
     roots = sorted(f for f, count in incoming.items() if count == 0)
     anchor_func = stmt_index[slice_.anchor_statement].function_index
     if anchor_func in incoming and incoming[anchor_func] == 0:
         # make the anchor's own chain lead when several roots exist
         roots = [anchor_func] + [f for f in roots if f != anchor_func]
-    for f in roots:
-        visit(f)
-    for f in sorted(functions_of):
-        visit(f)
+
+    # depth-first pre-order from the roots, then from every function left;
+    # an explicit stack, because a recursive closure is a reference cycle
+    # that only the cyclic collector frees
+    order: list[int] = []
+    emitted: set[int] = set()
+    stack = (roots + sorted(functions_of))[::-1]
+    while stack:
+        func = stack.pop()
+        if func in emitted:
+            continue
+        emitted.add(func)
+        order.append(func)
+        stack.extend(callee for _, callee in reversed(callees.get(func, [])))
 
     backward_set = set(slice_.backward_nodes)
     statements: list[SevcStatement] = []

@@ -33,7 +33,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .frontend import (
+from .lexicon import (
     IDENTIFIER,
     ROLE_CALLEE,
     ROLE_FIELD,

@@ -16,7 +16,7 @@ def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
     ]
     path = tmp_path / "records.jsonl"
     artifacts.write_jsonl(str(path), "demo", 7, records)
-    header = {"artifact": "demo", "version": 1, "seed": 7}
+    header = {"artifact": "demo", "version": 1, "seed": 7, "record_count": 4}
     expected = [json.dumps(header, sort_keys=True)]
     expected += [json.dumps(record, sort_keys=True) for record in records]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
@@ -29,8 +29,12 @@ def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
         ('{"artifact": "demo"}\n[1, 2]\n', "line 2 is not a JSON object"),
         ('\n\n', "is empty"),
         ('{"artifact": "other"}\n', "holds artifact 'other', expected 'demo'"),
+        ('{"artifact": "demo", "record_count": 3}\n{"id": 1}\n{"id": 2}\n',
+         "holds 2 records, its header counts 3"),
+        ('{"artifact": "demo"}\n{"id": 1}\n', "has no record count in its header"),
     ],
-    ids=["cut-record", "not-an-object", "empty", "wrong-artifact"],
+    ids=["cut-record", "not-an-object", "empty", "wrong-artifact", "cut-at-a-line",
+         "no-count"],
 )
 def test_read_jsonl_errors_name_the_file_line_and_stage(tmp_path, text, message):
     path = tmp_path / "demo.jsonl"

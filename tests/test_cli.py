@@ -2,6 +2,7 @@
 
 import builtins
 import dis
+import gc
 import importlib
 import inspect
 import json
@@ -18,6 +19,7 @@ from vulnslice.bgru import forward_batch, load_checkpoint
 from vulnslice.cli import main
 from vulnslice.data import mini_corpus_manifest
 from vulnslice.embeddings import EmbeddingTable, hash_vector
+from vulnslice.frontend import ProgramModel
 from vulnslice.vectorize import load_vectors, symbolize, truncation_window
 
 from test_embeddings import reference_train_embeddings
@@ -550,9 +552,9 @@ with open(sys.argv[1], "w") as handle:
 
 # The modules a stage process loads beyond vulnslice.cli, artifacts and
 # presets: the layers its stage uses and what they import.
-FRONTEND = {"frontend", "frontend.lexer", "frontend.parser"}
+FRONTEND = {"lexicon", "frontend", "frontend.lexer", "frontend.parser"}
 SLICER = FRONTEND | {"candidates", "data", "graphs", "slicing"}
-MODEL = FRONTEND | {"symbols", "embeddings", "vectorize", "bgru", "numpy"}
+MODEL = {"lexicon", "symbols", "embeddings", "vectorize", "bgru", "numpy"}
 STAGE_MODULES = {
     None: set(),  # import vulnslice.cli alone
     "parse": FRONTEND,
@@ -840,3 +842,100 @@ def test_a_truncated_jsonl_artifact_names_the_stage_that_writes_it(
     err = capsys.readouterr().err
     assert f"{out / name} line {len(lines)} is not valid JSON" in err
     assert f"re-run the '{producer}' stage" in err
+
+
+def test_a_sevc_jsonl_cut_at_a_line_boundary_names_slice(tmp_path, capsys):
+    out = tmp_path / "out"
+    manifest = mini_corpus_manifest()
+    assert stages(manifest, out, "parse", "extract", "slice") == 0
+    lines = (out / "sevc.jsonl").read_text().splitlines(keepends=True)
+    # the header and the first 50 of 117 records: every line is whole
+    (out / "sevc.jsonl").write_text("".join(lines[:51]))
+    capsys.readouterr()
+    assert stages(manifest, out, "label") == 2
+    captured = capsys.readouterr()
+    assert "labeled" not in captured.out
+    assert f"{out / 'sevc.jsonl'} holds 50 records, its header counts 117" in captured.err
+    assert "re-run the 'slice' stage" in captured.err
+
+
+def test_slice_builds_each_statement_index_once(tmp_path, corpus, monkeypatch):
+    out = tmp_path / "out"
+    assert run(corpus, out, "parse") == 0
+    assert run(corpus, out, "extract") == 0
+    built = {}  # id of each index slice used -> its program; all kept alive
+    real = ProgramModel.statement_index
+
+    def recording(model):
+        index = real(model)
+        built[id(index)] = (model.name, index)
+        return index
+
+    monkeypatch.setattr(ProgramModel, "statement_index", recording)
+    assert run(corpus, out, "slice") == 0
+    programs = [name for name, _ in built.values()]
+    assert sorted(programs) == sorted({r["program"] for r in read_records(out / "syvc.jsonl")})
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_main_runs_a_stage_without_cyclic_gc_and_restores_the_setting(
+    tmp_path, monkeypatch, collecting
+):
+    seen = []
+
+    def stage(code=None, error=None):
+        def run_stage(config):
+            seen.append(gc.isenabled())
+            if error is not None:
+                raise error
+            return code
+
+        return run_stage
+
+    argv = ["--manifest", "unused.json", "--out", str(tmp_path / "out")]
+    monkeypatch.delenv(cli.ENV_PREFIX + "MANIFEST", raising=False)
+    try:
+        if not collecting:
+            gc.disable()
+        monkeypatch.setitem(cli.STAGE_FUNCS, "parse", stage())
+        assert main(["parse", *argv]) == 0
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "stage_detect", stage(code=1))
+        assert main(["detect", *argv]) == 1
+        assert gc.isenabled() is collecting
+        for error in (cli.StageError("stop"), ValueError("stop")):
+            monkeypatch.setitem(cli.STAGE_FUNCS, "parse", stage(error=error))
+            assert main(["parse", *argv]) == 2
+            assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit) as usage:
+            main(["parse"])  # no --manifest
+        assert usage.value.code == 2 and gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
+
+
+def test_stage_data_leaves_no_cyclic_garbage(tmp_path, corpus):
+    """main runs stages with the cyclic collector off, so the garbage a
+    stage leaves in reference cycles must not grow with the corpus: after
+    a warm-up run, a 2-program corpus and the 40-program mini corpus
+    leave the same count."""
+    small = corpus / "small.json"
+    small.write_text(json.dumps({"corpus_root": ".", "programs": [
+        {"path": "leak.c", "class": "bad", "vulnerable_lines": [4]},
+        {"path": "guarded.c", "class": "good"},
+    ]}))
+    manifests = {"small": str(small), "mini": mini_corpus_manifest()}
+    flags = ["--seed", "5", "--embed-mode", "hash", "--epochs", "1"]
+
+    def cyclic_garbage(stage, name):
+        out = tmp_path / name
+        gc.collect()
+        assert main([stage, "--manifest", manifests[name], "--out", str(out), *flags]) in (0, 1)
+        return gc.collect()
+
+    for name in manifests:  # every stage's inputs
+        cyclic_garbage("pipeline", name)
+    for stage in [*cli.STAGE_FUNCS, "detect", "pipeline"]:
+        cyclic_garbage(stage, "small")  # warm-up
+        assert cyclic_garbage(stage, "small") == cyclic_garbage(stage, "mini"), stage
