@@ -19,14 +19,16 @@ Uninitialized declarators count as definitions so declaration-anchored
 slices connect to later uses of the variable.
 
 Every graph walk here and in ``slicing`` is ``reachable`` over a map
-built by ``adjacency``: unreachable-code pruning, exit reachability,
-and the forward and backward slices.
+built by ``adjacency``: unreachable-code pruning, reaching definitions,
+and the forward and backward slices. The one other walk is the
+postorder DFS that numbers the post-dominator tree, which needs the
+order nodes finish in, not just the set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .frontend import (
     IDENTIFIER,
@@ -76,19 +78,13 @@ class DependenceEdge:
 
 @dataclass
 class Cfg:
-    """Control flow graph of one function.
-
-    ``enclosing_predicate`` maps statements to their innermost
-    syntactic predicate; it backs the fallback attachment rule for
-    nodes that cannot reach the exit.
-    """
+    """Control flow graph of one function."""
 
     function_index: int
     nodes: list[int]
     edges: list[tuple[int, int]]
     entry: int
     exit: int = EXIT
-    enclosing_predicate: dict[int, int] = field(default_factory=dict)
     diagnostics: list[str] = field(default_factory=list)
 
     def successors(self) -> dict[int, list[int]]:
@@ -172,9 +168,6 @@ class _CfgBuilder:
         self.fn = fn
         # a dict keeps the first insertion order and drops repeated edges
         self.edges: dict[tuple[int, int], None] = {}
-        self.enclosing: dict[int, int] = {}
-        self.predicate_stack: list[int] = []
-        self.stmt_of_node: dict[int, int] = {}
 
     def edge(self, a: int, b: int) -> None:
         self.edges[a, b] = None
@@ -183,7 +176,7 @@ class _CfgBuilder:
         fn = self.fn
         entry = fn.signature.id
         # loop context: (continue_target, break_collector)
-        exits, _ = self.wire_block(fn.ast, [entry], [])
+        exits = self.wire_block(fn.ast, [entry], [])
         for e in exits:
             self.edge(e, EXIT)
         nodes = [entry] + [s.id for s in fn.body] + [EXIT]
@@ -192,28 +185,23 @@ class _CfgBuilder:
             nodes=nodes,
             edges=list(self.edges),
             entry=entry,
-            enclosing_predicate=self.enclosing,
         )
         _prune_unreachable(cfg)
         return cfg
 
     def wire_block(
         self, block: AstNode, dangling: list[int], loops: list[tuple[int, list[int]]]
-    ) -> tuple[list[int], bool]:
+    ) -> list[int]:
         """Wire a Block/FunctionDef's statements; return open exits."""
         for child in block.children:
             dangling, terminated = self.wire_item(child, dangling, loops)
             if terminated and not dangling:
                 break
-        return dangling, False
+        return dangling
 
     def connect(self, dangling: list[int], target: int) -> None:
         for d in dangling:
             self.edge(d, target)
-
-    def note_nesting(self, sid: int) -> None:
-        if self.predicate_stack:
-            self.enclosing[sid] = self.predicate_stack[-1]
 
     def wire_item(
         self,
@@ -224,8 +212,7 @@ class _CfgBuilder:
         """Wire one AST item. Returns (new dangling exits, terminated)."""
         kind = node.kind
         if kind in ("Block", "FunctionDef"):
-            out, _ = self.wire_block(node, dangling, loops)
-            return out, False
+            return self.wire_block(node, dangling, loops), False
         if kind in (
             "IdentifierDeclStatement",
             "ExpressionStatement",
@@ -233,20 +220,17 @@ class _CfgBuilder:
             sid = node.statement_id
             assert sid is not None
             self.connect(dangling, sid)
-            self.note_nesting(sid)
             return [sid], False
         if kind == "ReturnStatement":
             sid = node.statement_id
             assert sid is not None
             self.connect(dangling, sid)
-            self.note_nesting(sid)
             self.edge(sid, EXIT)
             return [], True
         if kind == "BreakStatement":
             sid = node.statement_id
             assert sid is not None
             self.connect(dangling, sid)
-            self.note_nesting(sid)
             if not loops:
                 raise GraphError(
                     f"'break' outside a loop at statement {sid} "
@@ -258,7 +242,6 @@ class _CfgBuilder:
             sid = node.statement_id
             assert sid is not None
             self.connect(dangling, sid)
-            self.note_nesting(sid)
             if not loops:
                 raise GraphError(
                     f"'continue' outside a loop at statement {sid} "
@@ -276,13 +259,11 @@ class _CfgBuilder:
         return dangling, False
 
     def wire_if(self, node, dangling, loops) -> list[int]:
-        children = [c for c in node.children]
+        children = node.children
         cond = children[0]
         pred = cond.statement_id
         assert pred is not None
         self.connect(dangling, pred)
-        self.note_nesting(pred)
-        self.predicate_stack.append(pred)
         then_exits, _ = self.wire_item(children[1], [pred], loops)
         else_exits: list[int] = []
         has_else = len(children) >= 4
@@ -291,7 +272,6 @@ class _CfgBuilder:
             out = then_exits + else_exits
         else:
             out = then_exits + [pred]
-        self.predicate_stack.pop()
         return out
 
     def wire_while(self, node, dangling, loops) -> list[int]:
@@ -299,12 +279,9 @@ class _CfgBuilder:
         pred = cond.statement_id
         assert pred is not None
         self.connect(dangling, pred)
-        self.note_nesting(pred)
         breaks: list[int] = []
-        self.predicate_stack.append(pred)
         body_exits, _ = self.wire_item(body, [pred], [*loops, (pred, breaks)])
         self.connect(body_exits, pred)
-        self.predicate_stack.pop()
         return [pred] + breaks
 
     def wire_for(self, node, dangling, loops) -> list[int]:
@@ -331,26 +308,21 @@ class _CfgBuilder:
             sid = init.statement_id
             assert sid is not None
             self.connect(dangling, sid)
-            self.note_nesting(sid)
             dangling = [sid]
         pred = cond.statement_id
         assert pred is not None
         step_id = step.statement_id if step is not None else None
         breaks: list[int] = []
         self.connect(dangling, pred)
-        self.note_nesting(pred)
-        self.predicate_stack.append(pred)
         continue_target = step_id if step_id is not None else pred
         body_exits, _ = self.wire_item(
             body, [pred], [*loops, (continue_target, breaks)]
         )
         if step_id is not None:
             self.connect(body_exits, step_id)
-            self.note_nesting(step_id)
             self.edge(step_id, pred)
         else:
             self.connect(body_exits, pred)
-        self.predicate_stack.pop()
         return [pred] + breaks
 
 
@@ -528,46 +500,32 @@ def compute_data_deps(
 ) -> list[DependenceEdge]:
     """Edges (def site -> use site, variable) from reaching definitions.
 
-    Strong defs kill earlier defs of the same variable; weak defs only
-    generate. A use at the defining node reads the incoming state, so
-    self-loops only arise through actual cycles.
+    A definition of v at m reaches every node that a path from m gets to
+    without passing a strong definition of v; weak defs only generate.
+    A use at the defining node reads the incoming state, so self-loops
+    only arise through actual cycles.
     """
-    nodes = list(cfg.nodes)
-    gen: dict[int, frozenset[tuple[int, str]]] = {}
-    kill_vars: dict[int, set[str]] = {}
-    for n in nodes:
-        f = facts.get(n)
-        if f is None:
-            gen[n] = frozenset()
-            kill_vars[n] = set()
-        else:
-            gen[n] = frozenset((n, v) for v in f.defs)
-            kill_vars[n] = set(f.strong_defs)
-    preds = cfg.predecessors()
-    in_sets: dict[int, frozenset[tuple[int, str]]] = {n: frozenset() for n in nodes}
-    out_sets: dict[int, frozenset[tuple[int, str]]] = {n: frozenset() for n in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            incoming: set[tuple[int, str]] = set()
-            for p in preds[n]:
-                incoming |= out_sets[p]
-            new_in = frozenset(incoming)
-            survivors = {(m, v) for (m, v) in new_in if v not in kill_vars[n]}
-            new_out = frozenset(survivors | set(gen[n]))
-            if new_in != in_sets[n] or new_out != out_sets[n]:
-                in_sets[n] = new_in
-                out_sets[n] = new_out
-                changed = True
+    sites: dict[str, list[int]] = {}
+    for n in cfg.nodes:
+        if n in facts:
+            for v in facts[n].defs:
+                sites.setdefault(v, []).append(n)
+    succ = cfg.successors()
     edges: list[DependenceEdge] = []
-    for n in nodes:
-        f = facts.get(n)
-        if f is None or not f.uses:
-            continue
-        for (m, v) in in_sets[n]:
-            if v in f.uses:
-                edges.append(DependenceEdge(m, n, "data", v))
+    for v, defining in sites.items():
+        # edges leave only the nodes that do not strongly define v
+        passing = adjacency(
+            cfg.nodes,
+            (
+                (a, b)
+                for a, b in cfg.edges
+                if a not in facts or v not in facts[a].strong_defs
+            ),
+        )
+        for m in defining:
+            for n in reachable(passing, succ[m]):
+                if n in facts and v in facts[n].uses:
+                    edges.append(DependenceEdge(m, n, "data", v))
     edges.sort(key=lambda e: (e.src, e.dst, e.variable or ""))
     return edges
 
@@ -577,83 +535,73 @@ def compute_data_deps(
 # --------------------------------------------------------------------------
 
 
-def post_dominators(cfg: Cfg) -> dict[int, set[int]]:
-    """Iterative post-dominance: pdom(n) = {n} U intersection over succs."""
+def immediate_post_dominators(cfg: Cfg) -> dict[int, int]:
+    """ipdom(n), the closest strict post-dominator, of every node but the exit.
+
+    This is the Cooper-Harvey-Kennedy dominator tree ("A Simple, Fast
+    Dominance Algorithm", 2001) of the reversed CFG: number the nodes
+    by a postorder DFS from the exit along predecessor edges, then meet
+    each node's successors with two fingers until nothing changes. A
+    node the DFS does not reach has no path to the exit: ``GraphError``.
+    """
+    preds = cfg.predecessors()
+    order: list[int] = []  # postorder: the exit comes last
+    seen = {cfg.exit}
+    stack = [(cfg.exit, iter(preds[cfg.exit]))]
+    while stack:
+        node, pending = stack[-1]
+        nxt = next((p for p in pending if p not in seen), None)
+        if nxt is None:
+            stack.pop()
+            order.append(node)
+        else:
+            seen.add(nxt)
+            stack.append((nxt, iter(preds[nxt])))
+    stranded = [n for n in cfg.nodes if n not in seen]
+    if stranded:
+        raise GraphError(
+            f"CFG nodes {stranded} of function {cfg.function_index} "
+            "have no path to exit"
+        )
+    rank = {n: i for i, n in enumerate(order)}
+    ipdom = {cfg.exit: cfg.exit}
+
+    def meet(a: int, b: int) -> int:
+        while a != b:
+            while rank[a] < rank[b]:
+                a = ipdom[a]
+            while rank[b] < rank[a]:
+                b = ipdom[b]
+        return a
+
     succ = cfg.successors()
-    all_nodes = set(cfg.nodes)
-    pdom: dict[int, set[int]] = {n: set(all_nodes) for n in cfg.nodes}
-    pdom[cfg.exit] = {cfg.exit}
     changed = True
     while changed:
         changed = False
-        for n in cfg.nodes:
-            if n == cfg.exit:
-                continue
-            succs = succ[n]
-            if not succs:
-                continue
-            merged: set[int] | None = None
-            for s in succs:
-                merged = set(pdom[s]) if merged is None else merged & pdom[s]
-            assert merged is not None
-            merged.add(n)
-            if merged != pdom[n]:
-                pdom[n] = merged
+        for n in reversed(order[:-1]):
+            new = reduce(meet, (s for s in succ[n] if s in ipdom))
+            if ipdom.get(n) != new:
+                ipdom[n] = new
                 changed = True
-    return pdom
-
-
-def immediate_post_dominators(
-    cfg: Cfg, pdom: dict[int, set[int]] | None = None
-) -> dict[int, int]:
-    """ipdom(n): the closest strict post-dominator of n."""
-    pdom = pdom if pdom is not None else post_dominators(cfg)
-    reach = reachable(cfg.predecessors(), [cfg.exit])
-    ipdom: dict[int, int] = {}
-    for n in cfg.nodes:
-        if n == cfg.exit or n not in reach:
-            continue
-        candidates = [c for c in pdom[n] if c != n]
-        # Candidates form a chain; the immediate one has the most
-        # post-dominators of its own (it sits closest to n).
-        best = max(candidates, key=lambda c: (len(pdom[c]), c))
-        ipdom[n] = best
+    del ipdom[cfg.exit]
     return ipdom
 
 
 def compute_control_deps(cfg: Cfg) -> list[DependenceEdge]:
     """Edges (predicate -> dependent node) per the post-dominance rule.
 
-    A node with no path to the exit cannot be placed by post-dominance;
-    it is attached to its innermost enclosing predicate as a fallback
-    and a diagnostic is recorded on the CFG.
+    For each CFG edge a -> b, walk b up the post-dominator tree. The
+    least common ancestor of a and b is either ipdom(a) or a itself
+    (loop case); every node strictly below it is control-dependent on
+    a. An edge to ipdom(a) induces nothing.
     """
-    pdom = post_dominators(cfg)
-    reach = reachable(cfg.predecessors(), [cfg.exit])
-    ipdom = immediate_post_dominators(cfg, pdom)
-    stranded = [n for n in cfg.nodes if n not in reach and n != cfg.exit]
+    ipdom = immediate_post_dominators(cfg)
     edges: set[tuple[int, int]] = set()
-    for n in stranded:
-        cfg.diagnostics.append(
-            f"node {n} has no path to exit; attached to enclosing predicate"
-        )
-        parent = cfg.enclosing_predicate.get(n)
-        if parent is not None and parent != n:
-            edges.add((parent, n))
-    for (a, b) in cfg.edges:
-        if a not in reach or b not in reach:
-            continue
-        if b in pdom[a]:
-            continue  # b post-dominates a: this edge induces nothing
-        # Walk b up the post-dominator tree. The least common ancestor
-        # of a and b is either ipdom(a) or a itself (loop case); every
-        # node strictly below it is control-dependent on a.
+    for a, b in cfg.edges:
         stop = ipdom[a]
         x = b
         while x != stop and x != a:
             edges.add((a, x))
-            if x not in ipdom:
-                raise GraphError(f"post-dominator walk escaped for edge {(a, b)}")
             x = ipdom[x]
     out = [DependenceEdge(a, b, "control") for (a, b) in edges]
     out.sort(key=lambda e: (e.src, e.dst))

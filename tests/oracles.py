@@ -219,6 +219,87 @@ def random_structured_source(rng: np.random.Generator, max_nodes: int) -> str:
     return "\n".join([f"void generated({params})", "{"] + lines + ["}"])
 
 
+def random_jump_source(rng: np.random.Generator, max_nodes: int) -> str:
+    """Random function with the flow ``random_structured_source`` lacks.
+
+    Adds ``break`` and ``continue`` (inside loops only), ``for`` with a
+    step, ``while (1)``, early ``return`` with dead code after it, and
+    the weak definitions ``*p = ...`` and ``g(&v)``. ``max_nodes``
+    bounds the statements, a ``for`` counting as three.
+    """
+    budget = [int(rng.integers(1, max_nodes + 1))]
+    lines: list[str] = []
+
+    def rand_var() -> str:
+        return _VARS[int(rng.integers(0, len(_VARS)))]
+
+    def emit_simple(pad: str) -> None:
+        roll = rng.random()
+        if roll < 0.15:
+            lines.append(f"{pad}*p = {rand_var()};")
+        elif roll < 0.3:
+            lines.append(f"{pad}g(&{rand_var()});")
+        else:
+            lines.append(f"{pad}{rand_var()} = {rand_var()} + {rand_var()};")
+
+    def emit_body(header: str, indent: int, depth: int, in_loop: bool) -> None:
+        pad = "    " * indent
+        lines.append(pad + header)
+        lines.append(pad + "{")
+        emit_block(indent + 1, depth + 1, in_loop)
+        lines.append(pad + "}")
+
+    def emit_block(indent: int, depth: int, in_loop: bool) -> None:
+        pad = "    " * indent
+        for _ in range(int(rng.integers(1, 4))):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            roll = rng.random()
+            nest = depth < 2 and budget[0] >= 1
+            if nest and roll < 0.2:
+                emit_body(f"if ({rand_var()} < {rand_var()})", indent, depth, in_loop)
+                if rng.random() < 0.4 and budget[0] > 0:
+                    emit_body("else", indent, depth, in_loop)
+            elif nest and roll < 0.32:
+                cond = "1" if rng.random() < 0.4 else f"{rand_var()} > 2"
+                emit_body(f"while ({cond})", indent, depth, True)
+            elif nest and roll < 0.42 and budget[0] >= 3:
+                budget[0] -= 2  # init and step
+                v = rand_var()
+                header = f"for ({v} = 0; {v} < {rand_var()}; {v}++)"
+                emit_body(header, indent, depth, True)
+            elif in_loop and roll < 0.58:
+                lines.append(pad + ("break;" if rng.random() < 0.5 else "continue;"))
+            elif roll < 0.66:
+                lines.append(pad + "return;")
+            else:
+                emit_simple(pad)
+
+    emit_block(1, 0, False)
+    params = ", ".join(f"int {v}" for v in _VARS)
+    return "\n".join([f"void generated({params}, int *p)", "{"] + lines + ["}"])
+
+
+def long_function_source(statements: int) -> str:
+    """One function of ``statements`` statements, rounded up to a multiple
+    of four: a straight line of assignments with an ``if`` every fourth
+    statement, its body one more assignment."""
+    params = ", ".join(f"int v{i}" for i in range(8))
+    lines = [f"void long_function({params})", "{"]
+    for k in range(0, statements, 4):
+        a, b, c = (f"v{(k + j) % 8}" for j in range(3))
+        lines += [
+            f"    {a} = {b} + {k};",
+            f"    {b} = {c} - {a};",
+            f"    if ({c} > {k})",
+            "    {",
+            f"        {c} = {a} + {b};",
+            "    }",
+        ]
+    return "\n".join(lines + ["}"])
+
+
 def random_pdg(rng: np.random.Generator, max_nodes: int) -> Pdg:
     """Random dependence graph over 2..max_nodes statement nodes."""
     n = int(rng.integers(2, max_nodes + 1))

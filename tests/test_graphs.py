@@ -1,23 +1,31 @@
 """CFG shapes, def/use facts, dependence edges, and the path oracles."""
 
+import time
+
 import numpy as np
 import pytest
 
 from vulnslice.frontend import parse_source
 from vulnslice.graphs import (
     EXIT,
+    Cfg,
+    GraphError,
     build_call_graph,
     build_cfg,
     build_pdg,
+    build_pdgs,
     compute_control_deps,
     compute_data_deps,
     extract_def_use,
-    post_dominators,
+    immediate_post_dominators,
 )
 
 from oracles import (
+    long_function_source,
     oracle_control_deps,
     oracle_data_deps,
+    oracle_post_dominates,
+    random_jump_source,
     random_structured_source,
 )
 
@@ -110,12 +118,27 @@ def test_break_exits_loop():
     assert (brk, wpred) not in cfg.edges
 
 
-def test_post_dominators_rooted_at_exit():
+def test_immediate_post_dominator_tree_of_if():
     fn, cfg = cfg_of("void f(int p){if (p) { one(); } two();}")
-    pdom = post_dominators(cfg)
-    for node in cfg.nodes:
-        assert EXIT in pdom[node]
-    assert pdom[EXIT] == {EXIT}
+    sig, pred, one, two = (st.id for st in fn.all_statements())
+    assert immediate_post_dominators(cfg) == {
+        sig: pred,
+        pred: two,
+        one: two,
+        two: EXIT,
+    }
+
+
+def test_node_with_no_path_to_exit_is_a_graph_error():
+    # the parser cannot produce this CFG: node 1 loops on itself forever
+    cfg = Cfg(
+        function_index=0,
+        nodes=[0, 1, EXIT],
+        edges=[(0, 1), (1, 1), (0, EXIT)],
+        entry=0,
+    )
+    with pytest.raises(GraphError, match=r"nodes \[1\] of function 0 have no path"):
+        compute_control_deps(cfg)
 
 
 def test_control_dep_canonical_if():
@@ -266,3 +289,53 @@ def test_dependences_match_path_oracles_sampled():
         }
         want_data = oracle_data_deps(cfg, facts)
         assert got_data == want_data, source
+
+
+def test_post_dominator_tree_matches_path_oracle_sampled():
+    rng = np.random.default_rng(515)
+    for generate in (random_structured_source, random_jump_source):
+        for _ in range(40):
+            source = generate(rng, max_nodes=8)
+            cfg = build_cfg(parse_source(source).functions[0])
+            ipdom = immediate_post_dominators(cfg)
+            for node in cfg.nodes:
+                ancestors = set()
+                x = node
+                while x != EXIT:
+                    x = ipdom[x]
+                    ancestors.add(x)
+                want = {
+                    j
+                    for j in cfg.nodes
+                    if j != node and oracle_post_dominates(cfg, j, node)
+                }
+                assert ancestors == want, (source, node)
+
+
+def test_dependences_match_path_oracles_with_jumps_sampled():
+    rng = np.random.default_rng(616)
+    checked = 0
+    while checked < 60:
+        source = random_jump_source(rng, max_nodes=8)
+        fn = parse_source(source).functions[0]
+        cfg = build_cfg(fn)
+        if len(cfg.nodes) > 8 + 2:  # statements + entry/exit budget
+            continue
+        checked += 1
+        facts = extract_def_use(fn)
+        got_control = {(e.src, e.dst) for e in compute_control_deps(cfg)}
+        assert got_control == oracle_control_deps(cfg), source
+        got_data = {
+            (e.src, e.dst, e.variable) for e in compute_data_deps(cfg, facts)
+        }
+        assert got_data == oracle_data_deps(cfg, facts), source
+
+
+def test_build_pdgs_scales_to_a_1200_statement_function():
+    model = parse_source(long_function_source(1200))
+    assert len(model.functions[0].body) == 1200
+    start = time.perf_counter()
+    pdgs = build_pdgs(model)
+    elapsed = time.perf_counter() - start
+    assert len(pdgs[0].nodes) == 1200 + 2
+    assert elapsed < 10.0, f"build_pdgs took {elapsed:.1f}s"
