@@ -64,17 +64,28 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 def write_jsonl(
     path: str, artifact: str, seed: int, records: list[dict], **header_fields
 ) -> None:
-    """One header line (artifact, version, seed, ``header_fields`` and the
-    record count), then one line per record."""
-    header = {
-        "artifact": artifact, "version": 1, "seed": seed, **header_fields,
-        "record_count": len(records),
-    }
+    """``write_jsonl_lines`` of the records, each JSON-encoded with sorted
+    keys."""
     # the same bytes as json.dumps(..., sort_keys=True), which would build
     # a new encoder for every record
     encode = json.JSONEncoder(sort_keys=True).encode
-    lines = [encode(header)] + [encode(record) for record in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_jsonl_lines(
+        path, artifact, seed, [encode(record) for record in records],
+        **header_fields,
+    )
+
+
+def write_jsonl_lines(
+    path: str, artifact: str, seed: int, lines: list[str], **header_fields
+) -> None:
+    """One header line (artifact, version, seed, ``header_fields`` and the
+    record count), then the given record lines, already JSON-encoded."""
+    header = {
+        "artifact": artifact, "version": 1, "seed": seed, **header_fields,
+        "record_count": len(lines),
+    }
+    text = "\n".join([json.dumps(header, sort_keys=True), *lines])
+    atomic_write_text(path, text + "\n")
 
 
 def read_jsonl(

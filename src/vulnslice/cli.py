@@ -14,6 +14,10 @@ directory and write their own atomically:
     explain   -> explain.jsonl (from detect.jsonl and sevc.jsonl)
     pipeline  -> all of the above in order
 
+parse writes the lines frontend.dump_ast formats, one per AST node of
+each function in pre-order, through artifacts.write_jsonl_lines; the
+other JSONL artifacts are records that artifacts.write_jsonl encodes.
+
 One root seed drives every stochastic stage and is recorded in every
 artifact header. Flags can also be set through VULNSLICE_* environment
 variables (e.g. VULNSLICE_SEED=7 mirrors --seed 7). An empty variable
@@ -196,6 +200,8 @@ class RunConfig:
     def hyperparams(self) -> Hyperparams:
         base = PRESETS[self.preset]
         dim = self.dim if self.dim is not None else base.input_dim
+        if dim < 1:
+            raise StageError(f"dimension={dim} must be positive")
         theta = self.theta if self.theta is not None else base.seq_len * dim
         if theta % dim != 0:
             raise StageError(f"theta={theta} is not divisible by dimension={dim}")
@@ -347,13 +353,11 @@ def _ground_truth(manifest: Manifest) -> GroundTruth:
 def stage_parse(config: RunConfig) -> None:
     manifest = load_manifest(config.manifest)
     models = _parse_programs(manifest)
-    ast_records = []
+    ast_lines = []
     diagnostics = []
     functions = statements = 0
     for model in models:
-        for record in dump_ast(model):
-            record["program"] = model.name
-            ast_records.append(record)
+        ast_lines.extend(dump_ast(model))
         for diag in model.diagnostics:
             diagnostics.append(
                 {"program": model.name, "file": diag.file, "line": diag.line,
@@ -361,8 +365,8 @@ def stage_parse(config: RunConfig) -> None:
             )
         functions += len(model.functions)
         statements += sum(len(f.all_statements()) for f in model.functions)
-    artifacts.write_jsonl(
-        config.path("ast.jsonl"), "ast-dump", config.seed, ast_records
+    artifacts.write_jsonl_lines(
+        config.path("ast.jsonl"), "ast-dump", config.seed, ast_lines
     )
     artifacts.write_json(
         config.path("parse_report.json"),
@@ -417,6 +421,7 @@ def stage_slice(config: RunConfig) -> None:
     sevc_records = []
     diagnostics = []
     skipped = []  # slice_report.json: what could not be sliced, and why
+    graph_diagnostics = []  # slice_report.json: e.g. dead code the CFG pruned
 
     def skip(program: str, syvc_id: int | None, exc: Exception) -> None:
         skipped.append({"program": program, "syvc_id": syvc_id, "message": str(exc)})
@@ -440,6 +445,11 @@ def stage_slice(config: RunConfig) -> None:
                 idx: replace(p, edges=[e for e in p.edges if e.kind == "data"])
                 for idx, p in pdgs.items()
             }
+        for fn in model.functions:
+            graph_diagnostics.extend(
+                {"program": program_name, "function": fn.name, "message": message}
+                for message in pdgs[fn.index].diagnostics
+            )
         call_graph = build_call_graph(model)
         for record in by_program[program_name]:
             syvc = SyVC.from_record(record)
@@ -461,6 +471,7 @@ def stage_slice(config: RunConfig) -> None:
             "programs": len(by_program),
             "sevcs": len(sevc_records),
             "skipped": skipped,
+            "graph_diagnostics": graph_diagnostics,
         },
     )
     print(
@@ -806,6 +817,18 @@ def _switch(value: str) -> bool:
         ) from None
 
 
+def _kinds(value: str) -> tuple[str, ...]:
+    kinds = tuple(k.strip() for k in value.split(",") if k.strip())
+    if not kinds:
+        raise argparse.ArgumentTypeError(f"invalid kind list {value!r} (names no kind)")
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"invalid kind list {value!r} (repeats {', '.join(repeated)})"
+        )
+    return kinds
+
+
 class _SwitchAction(argparse.Action):
     """A flag that takes no value. argparse converts a string default
     (from a VULNSLICE_* variable) with the type, as for any other flag."""
@@ -855,6 +878,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=_env("DIM"), help="embedding dimension")
         p.add_argument(
             "--kinds",
+            type=_kinds,
             default=_env("KINDS", ",".join(ALL_KINDS)),
             help="comma-separated SyVC kinds (FC,AU,PU,AE)",
         )
@@ -898,9 +922,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     # every flag's dest is the name of its RunConfig field
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    values["kinds"] = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    return RunConfig(**values)
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 STAGE_FUNCS = {

@@ -36,6 +36,7 @@ is stamped afterwards, over each statement's subtree.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .lexer import (
@@ -852,20 +853,39 @@ def load_program(paths: list[str], name: str = "") -> ProgramModel:
     return model
 
 
-def dump_ast(model: ProgramModel) -> list[dict]:
-    """AST dump records: one node per line (id, kind, span, parent-id)."""
-    records = []
+def dump_ast(model: ProgramModel) -> list[str]:
+    """The ``ast.jsonl`` record lines of a program: one JSON object per
+    AST node, each function's nodes in ``AstNode.walk`` (pre-order) order.
+
+    A line holds the node's file, function, id, kind, parent id, span and
+    statement id, and the program's name, and is byte for byte what
+    ``json.JSONEncoder(sort_keys=True).encode`` gives for that record.
+    Names and kinds are JSON-encoded once each, not once per node.
+    """
+    dumps = json.dumps
+    program = dumps(model.name)
+    kinds: dict[str, str] = {}
+    lines: list[str] = []
+    append = lines.append
     for fn in model.functions:
-        for node in fn.ast.walk():
-            records.append(
-                {
-                    "file": fn.file_path,
-                    "function": fn.name,
-                    "id": node.id,
-                    "kind": node.kind,
-                    "span": [node.span[0], node.span[1]],
-                    "parent_id": node.parent_id,
-                    "statement_id": node.statement_id,
-                }
+        head = f'{{"file": {dumps(fn.file_path)}, "function": {dumps(fn.name)}, "id": '
+        stack = [fn.ast]
+        pop = stack.pop
+        extend = stack.extend
+        while stack:
+            node = pop()
+            kind = kinds.get(node.kind)
+            if kind is None:
+                kind = kinds[node.kind] = dumps(node.kind)
+            parent = node.parent_id
+            statement = node.statement_id
+            lo, hi = node.span
+            append(
+                f'{head}{node.id}, "kind": {kind}, "parent_id": '
+                f'{"null" if parent is None else parent}, "program": {program}, '
+                f'"span": [{lo}, {hi}], "statement_id": '
+                f'{"null" if statement is None else statement}}}'
             )
-    return records
+            if node.children:
+                extend(reversed(node.children))
+    return lines

@@ -108,6 +108,8 @@ class Pdg:
     entry: int
     exit: int = EXIT
     lines: dict[int, int] = field(default_factory=dict)
+    # the CFG's diagnostics, e.g. statements pruned as unreachable
+    diagnostics: list[str] = field(default_factory=list)
 
     @cached_property
     def data_successors(self) -> dict[int, list[int]]:
@@ -625,6 +627,7 @@ def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None) -> Pdg:
         edges=edges,
         entry=cfg.entry,
         lines=lines,
+        diagnostics=list(cfg.diagnostics),
     )
 
 

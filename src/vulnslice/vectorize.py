@@ -111,9 +111,11 @@ def save_vectors(path: str, samples: list[SampleVector], seed: int) -> None:
         {"row": i, **{name: getattr(s, name) for name in _INDEX_FIELDS}}
         for i, s in enumerate(samples)
     ]
+    # the same bytes as json.dumps(..., sort_keys=True), with one encoder
+    encode = json.JSONEncoder(sort_keys=True).encode
     with atomic_open(path + ".idx", "w") as handle:
         for record in index:
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(encode(record))
             handle.write("\n")
 
 

@@ -23,6 +23,27 @@ def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "records",
+    [
+        [{"b": [1, 2.5, None], "a": 'é \U0001f600 " \\'}, {"n": float("nan")}, {}],
+        [],
+    ],
+    ids=["records", "none"],
+)
+def test_write_jsonl_lines_of_encoded_records_writes_the_same_bytes(tmp_path, records):
+    by_records = tmp_path / "records.jsonl"
+    by_lines = tmp_path / "lines.jsonl"
+    artifacts.write_jsonl(str(by_records), "demo", 7, records, threshold=0.5)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(record) for record in records]
+    artifacts.write_jsonl_lines(str(by_lines), "demo", 7, lines, threshold=0.5)
+    assert by_lines.read_bytes() == by_records.read_bytes()
+    header, read = artifacts.read_jsonl(str(by_lines), "demo")
+    assert (header["record_count"], header["threshold"]) == (len(records), 0.5)
+    assert len(read) == len(records)
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ('{"artifact": "demo"}\n{"id": 1}\n\n{"id": \n', "line 4 is not valid JSON"),

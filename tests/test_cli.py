@@ -261,6 +261,40 @@ def test_bad_env_value_is_a_usage_error(monkeypatch, capsys, name, value):
 
 
 @pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--kinds", "FC,FC"], None),
+        (["--kinds", "FC, AU,FC"], None),
+        (["--kinds", ""], None),
+        (["--kinds", ","], None),
+        ([], "AU,AU"),
+        ([], " , "),
+    ],
+    ids=["repeated", "repeated-apart", "empty", "comma", "env-repeated", "env-empty-list"],
+)
+def test_repeated_or_empty_kinds_are_a_usage_error(monkeypatch, capsys, argv, env):
+    monkeypatch.delenv("VULNSLICE_KINDS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("VULNSLICE_KINDS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["extract", "--manifest", "m.json", *argv])
+    assert exc.value.code == 2
+    assert "--kinds: invalid kind list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_dimension_must_be_positive(tmp_path, corpus, capsys, dim):
+    with pytest.raises(artifacts.StageError, match=f"dimension={dim} must be positive"):
+        parse_config("--manifest", "m.json", "--dim", dim).hyperparams()
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        assert run(corpus, out, stage) == 0
+    capsys.readouterr()
+    assert run(corpus, out, "vectorize", "--dim", dim) == 2
+    assert capsys.readouterr().err == f"error: dimension={dim} must be positive\n"
+
+
+@pytest.mark.parametrize(
     "value, expected",
     [("1", True), ("true", True), ("Yes", True), ("ON", True),
      ("0", False), ("False", False), ("no", False), ("OFF", False)],
@@ -495,6 +529,31 @@ def test_one_bad_candidate_or_function_does_not_abort_slice(
     # the bad program's reachable candidates are still sliced
     assert len(sevcs) == 3 + (syvc_id is not None)
     assert report["sevcs"] == len(sevcs) and report["programs"] == 2
+
+
+@pytest.mark.parametrize("deps", ["ddcd", "dd"])
+def test_slice_report_lists_dead_code_the_cfg_pruned(tmp_path, deps):
+    dead = (
+        "void dead(char *s)\n"
+        "{\n"
+        "    char buf[8];\n"
+        "    strcpy(buf, s);\n"
+        "    return;\n"
+        "    buf[0] = 0;\n"
+        "}\n"
+    )
+    root = tmp_path / "corpus"
+    write_corpus(root, {"leak.c": TINY_PROGRAMS["leak.c"], "dead.c": dead})
+    out = tmp_path / "out"
+    assert stages(
+        root / "manifest.json", out, "parse", "extract", "slice", extra=["--deps", deps]
+    ) == 0
+    report = json.loads((out / "slice_report.json").read_text())
+    # statements: 0 the signature, 1 buf, 2 strcpy, 3 return, 4 the dead store
+    assert report["graph_diagnostics"] == [
+        {"program": "dead.c", "function": "dead",
+         "message": "unreachable statements pruned from CFG: [4]"}
+    ]
 
 
 def test_slice_of_an_unknown_program_names_extract(tmp_path, capsys):

@@ -9,18 +9,27 @@ kept here, unchanged, as references. Every bundled C file, programs
 built from the mini-corpus templates, and random mutants of both must
 give the same tokens, statements and AST from both, or fail with the
 same exception type on the same line.
+
+``dump_ast`` used to return one dict per AST node, to which the parse
+stage added the program name before JSON-encoding it. That builder is
+kept too: every line ``dump_ast`` now formats itself must be the
+encoding of its record.
 """
 
 import importlib.util
+import json
 import os
 import re
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vulnslice.data import data_path
+from vulnslice import cli
+from vulnslice.data import data_path, mini_corpus_manifest
 from vulnslice.frontend import parser as frontend_parser
-from vulnslice.frontend import parse_source, tokenize
+from vulnslice.frontend import dump_ast, parse_source, tokenize
 from vulnslice.frontend.lexer import (
     CONSTANT,
     IDENTIFIER,
@@ -33,6 +42,8 @@ from vulnslice.frontend.lexer import (
     Token,
 )
 from vulnslice.frontend.parser import AstNode, ProgramModel
+
+from oracles import random_structured_source
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -499,3 +510,96 @@ def mutants(draw):
 @given(mutants())
 def test_mutants_match_reference(source):
     assert_same_as_reference(source)
+
+
+# --------------------------------------------------------------------------
+# the ast.jsonl dump
+# --------------------------------------------------------------------------
+
+
+def reference_ast_records(model: ProgramModel) -> list[dict]:
+    """The old dump_ast records, with the program name parse added."""
+    records = []
+    for fn in model.functions:
+        for node in fn.ast.walk():
+            records.append(
+                {
+                    "file": fn.file_path,
+                    "function": fn.name,
+                    "id": node.id,
+                    "kind": node.kind,
+                    "span": [node.span[0], node.span[1]],
+                    "parent_id": node.parent_id,
+                    "statement_id": node.statement_id,
+                }
+            )
+    for record in records:
+        record["program"] = model.name
+    return records
+
+
+def reference_ast_lines(model: ProgramModel) -> list[str]:
+    encode = json.JSONEncoder(sort_keys=True).encode
+    return [encode(record) for record in reference_ast_records(model)]
+
+
+def test_ast_dump_of_bundled_files_matches_reference():
+    for name, source in BUNDLED.items():
+        model = parse_source(source, name)
+        assert model.functions, name
+        assert dump_ast(model) == reference_ast_lines(model), name
+
+
+def test_ast_dump_of_mini_corpus_matches_reference():
+    manifest = cli.load_manifest(mini_corpus_manifest())
+    models = cli._parse_programs(manifest)
+    assert len(models) == 40
+    for model in models:
+        assert dump_ast(model) == reference_ast_lines(model), model.name
+
+
+def test_ast_dump_of_random_programs_matches_reference():
+    rng = np.random.default_rng(1207)
+    for i in range(60):
+        model = parse_source(random_structured_source(rng, 14), f"random_{i}.c")
+        assert dump_ast(model) == reference_ast_lines(model)
+
+
+def test_ast_dump_skips_a_function_that_did_not_parse():
+    source = (
+        "void good_one(){int a;}\n"
+        "void bad_one(){int b; switch (x) {case 1: break;}}\n"
+        "void good_two(char *p){if (p) {p[0] = 'x';} return;}\n"
+    )
+    model = parse_source(source, "recover.c")
+    assert [fn.name for fn in model.functions] == ["good_one", "good_two"]
+    assert model.diagnostics
+    lines = dump_ast(model)
+    assert lines == reference_ast_lines(model)
+    assert {json.loads(line)["function"] for line in lines} == {"good_one", "good_two"}
+
+
+def test_ast_dump_escapes_file_and_program_names(tmp_path):
+    program = 'odd "name" \\ caf\u00e9'
+    os.makedirs(tmp_path / program)
+    file_name = 'it\'s "\\ \u00fcber.c'
+    (tmp_path / program / file_name).write_text(
+        "int first(int a)\n{\n    return a + 1;\n}\n\n"
+        "void second(char *s)\n{\n    first(s[0]);\n}\n",
+        encoding="utf-8",
+    )
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"programs": [{"path": program, "class": "safe"}]}),
+        encoding="utf-8",
+    )
+    [model] = cli._parse_programs(cli.load_manifest(str(manifest)))
+    assert model.name == program
+    assert model.functions[0].file_path == os.path.join(program, file_name)
+    expected = reference_ast_lines(model)
+    assert dump_ast(model) == expected
+    out = tmp_path / "out"
+    assert cli.main(["parse", "--manifest", str(manifest), "--out", str(out)]) == 0
+    written = (out / "ast.jsonl").read_text(encoding="utf-8").splitlines()
+    assert written[1:] == expected
+    assert json.loads(written[1])["program"] == program
