@@ -13,8 +13,12 @@ inside a statement) that matches one of four syntax characteristics:
       with at least one identifier strictly right of the first ``=``.
 
 AU/PU deliberately test the whole declaration's token text, so every
-name in ``char *p, q;`` is a PU candidate. Candidates may nest (an FC
-callee sits inside an AE statement); containment is never deduplicated.
+name in ``char *p, q;`` is a PU candidate. Compound assignments
+(``+=`` and the like) are not AE. Candidates may nest (an FC callee
+sits inside an AE statement); containment is never deduplicated.
+
+Each statement's nodes come from the parser: extraction walks its
+``Statement.roots``, and spans are rebased by its ``Statement.start``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .frontend import (
     IDENTIFIER,
     OPERATOR,
     ROLE_DECLARED,
+    ST_DECLARATION,
     AstNode,
     FunctionDecl,
     ProgramModel,
@@ -62,7 +67,6 @@ class CharacteristicSet:
 
     fc_calls: frozenset[str] = field(default_factory=default_fc_calls)
     enabled: tuple[str, ...] = ALL_KINDS
-    include_compound_assign: bool = False
 
     def __post_init__(self):
         for kind in self.enabled:
@@ -100,27 +104,11 @@ class SyVC:
         return cls(**values)
 
 
-def _statement_node(
-    node: AstNode, node_index: dict[int, AstNode]
-) -> AstNode | None:
-    """Outermost node sharing ``node``'s statement id (the statement node)."""
-    if node.statement_id is None:
-        return None
-    current = node
-    while current.parent_id is not None:
-        parent = node_index[current.parent_id]
-        if parent.statement_id != node.statement_id:
-            break
-        current = parent
-    return current
-
-
 def match_characteristic(
     node: AstNode,
     kind: str,
     cset: CharacteristicSet,
     fn: FunctionDecl,
-    _node_index: dict[int, AstNode] | None = None,
 ) -> bool:
     """Does one AST node of ``fn`` match the given characteristic?"""
     if kind not in ALL_KINDS:
@@ -136,30 +124,22 @@ def match_characteristic(
         tok = fn.tokens[node.span[0]]
         if tok.role != ROLE_DECLARED:
             return False
-        index = _node_index or {n.id: n for n in fn.ast.walk()}
-        stmt_node = _statement_node(node, index)
-        if stmt_node is None or stmt_node.kind != "IdentifierDeclStatement":
+        st = fn.statement(node.statement_id)
+        if st.kind != ST_DECLARATION:
             return False
-        texts = {fn.tokens[i].text for i in range(*stmt_node.span)}
+        texts = {t.text for t in st.tokens}
         if kind == KIND_AU:
             return "[" in texts and "]" in texts
         return "*" in texts
     # AE
     if node.kind != "ExpressionStatement":
         return False
-    assign_ops = {"="}
-    if cset.include_compound_assign:
-        assign_ops |= {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
     lo, hi = node.span
-    first_eq = None
     for i in range(lo, hi):
         tok = fn.tokens[i]
-        if tok.kind == OPERATOR and tok.text in assign_ops:
-            first_eq = i
-            break
-    if first_eq is None:
-        return False
-    return any(fn.tokens[i].kind == IDENTIFIER for i in range(first_eq + 1, hi))
+        if tok.kind == OPERATOR and tok.text == "=":
+            return any(fn.tokens[j].kind == IDENTIFIER for j in range(i + 1, hi))
+    return False
 
 
 def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
@@ -169,40 +149,29 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
     matching several enabled kinds yields one SyVC per kind.
     """
     found: list[tuple] = []
-    stmt_index = program.statement_index()
     for fn in program.functions:
-        stmt_token_start = _statement_token_starts(fn)
-        node_index = {n.id: n for n in fn.ast.walk()}
-        for node in fn.ast.walk():
-            for kind in cset.enabled:
-                if not match_characteristic(node, kind, cset, fn, node_index):
-                    continue
-                span_node = node
-                if kind == KIND_AE:
-                    # Report the expression itself, without the ';'.
-                    for child in node.children:
-                        if child.kind not in ("Punct",):
-                            span_node = child
-                            break
-                sid = node.statement_id
-                assert sid is not None
-                st = stmt_index[sid]
-                base = stmt_token_start[sid]
-                lo, hi = span_node.span
-                span = (lo - base, hi - base)
-                text = " ".join(t.text for t in st.tokens[span[0] : span[1]])
-                found.append(
-                    (
-                        fn.index,
-                        sid,
-                        span,
-                        kind,
-                        st.line_first,
-                        fn.file_path,
-                        fn.name,
-                        text,
+        for st in fn.all_statements():
+            for node in (n for root in st.roots for n in root.walk()):
+                for kind in cset.enabled:
+                    if not match_characteristic(node, kind, cset, fn):
+                        continue
+                    # AE reports the expression itself, without the ';'
+                    span_node = node.children[0] if kind == KIND_AE else node
+                    lo, hi = span_node.span
+                    span = (lo - st.start, hi - st.start)
+                    text = " ".join(t.text for t in st.tokens[span[0] : span[1]])
+                    found.append(
+                        (
+                            fn.index,
+                            st.id,
+                            span,
+                            kind,
+                            st.line_first,
+                            fn.file_path,
+                            fn.name,
+                            text,
+                        )
                     )
-                )
     found.sort(key=lambda rec: (rec[0], rec[1], rec[2], ALL_KINDS.index(rec[3])))
     return [
         SyVC(
@@ -218,19 +187,6 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
         )
         for i, (fidx, sid, span, kind, line, file, fname, text) in enumerate(found)
     ]
-
-
-def _statement_token_starts(fn: FunctionDecl) -> dict[int, int]:
-    """First function-token index of each statement (for span rebasing)."""
-    starts: dict[int, int] = {}
-    for node in fn.ast.walk():
-        sid = node.statement_id
-        if sid is None:
-            continue
-        lo = node.span[0]
-        if sid not in starts or lo < starts[sid]:
-            starts[sid] = lo
-    return starts
 
 
 def syvc_record(syvc: SyVC) -> dict:

@@ -198,11 +198,17 @@ class RunConfig:
     delta: float = 0.6
 
     def hyperparams(self) -> Hyperparams:
+        """The run's BGRU settings. A bad --dim, --theta or --hidden is
+        a ``StageError`` that names it."""
         base = PRESETS[self.preset]
         dim = self.dim if self.dim is not None else base.input_dim
         if dim < 1:
             raise StageError(f"dimension={dim} must be positive")
         theta = self.theta if self.theta is not None else base.seq_len * dim
+        if theta < 1:
+            raise StageError(f"theta={theta} must be positive")
+        if self.hidden is not None and self.hidden < 1:
+            raise StageError(f"hidden={self.hidden} must be positive")
         if theta % dim != 0:
             raise StageError(f"theta={theta} is not divisible by dimension={dim}")
         overrides = {
@@ -512,12 +518,12 @@ def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
 
 @_uses("symbols", "embeddings", "vectorize")
 def stage_vectorize(config: RunConfig) -> None:
+    hp = config.hyperparams()  # a bad flag fails before the corpus is parsed
     sevcs = _rehydrate_sevcs(config)
     if not sevcs:
         raise StageError("no SeVCs to vectorize; check the 'slice' stage output")
     cset = config.characteristic_set()
     symbolic = [symbolize(sevc, cset) for sevc in sevcs]
-    hp = config.hyperparams()
     d = hp.input_dim
     theta = hp.theta
     embed_seed = derive_seed(config.seed, "embeddings")

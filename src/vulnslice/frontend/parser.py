@@ -30,8 +30,12 @@ Binary expressions are parsed by precedence climbing over one
 instead of one per level. Nodes are numbered in creation order, so
 children come before their parent. Each node gets its function-relative
 span and its children their parent id when it is created, so a finished
-function needs no further pass over its tree; only statement ownership
-is stamped afterwards, over each statement's subtree.
+function needs no further pass over its tree. Statement ownership is
+decided where each statement is made: the statement records the
+outermost nodes it owns (``Statement.roots``) and the function-relative
+index of its first token (``Statement.start``), and every node of those
+subtrees is stamped with its id. Consumers start their walks from the
+roots, so nothing outside this module follows ``parent_id`` links.
 """
 
 from __future__ import annotations
@@ -114,7 +118,13 @@ class Diagnostic:
 
 @dataclass
 class Statement:
-    """One source statement or control predicate."""
+    """One source statement or control predicate.
+
+    ``start`` is the function-relative index of its first token;
+    ``roots`` are the outermost AST nodes it owns, in source order, and
+    their spans cover exactly its tokens. Only the signature has more
+    than one root.
+    """
 
     id: int
     function_index: int
@@ -122,10 +132,8 @@ class Statement:
     line_first: int
     line_last: int
     tokens: list[Token]
-
-    @property
-    def line(self) -> int:
-        return self.line_first
+    start: int
+    roots: list[AstNode] = field(default_factory=list, compare=False, repr=False)
 
     def text(self) -> str:
         return " ".join(t.text for t in self.tokens)
@@ -175,6 +183,14 @@ class FunctionDecl:
 
     def all_statements(self) -> list[Statement]:
         return [self.signature] + self.body
+
+    def statement(self, statement_id: int) -> Statement:
+        """The statement with this id. A function's statement ids run
+        consecutively from its signature's, in source order."""
+        offset = statement_id - self.signature.id
+        st = self.body[offset - 1] if offset > 0 else self.signature
+        assert st.id == statement_id, f"statement {statement_id} not in {self.name}"
+        return st
 
 
 @dataclass
@@ -302,10 +318,19 @@ class _FileParser:
             line_first=toks[0].line,
             line_last=toks[-1].line,
             tokens=toks,
+            start=lo - self._fn_start,
         )
         self.stmt_id += 1
         self._statements.append(st)
         return st
+
+    def own(self, node: AstNode, kind: str, lo: int) -> AstNode:
+        """Make the statement over tokens lo up to the current position,
+        with ``node`` as its one root."""
+        st = self.make_statement(kind, lo)
+        st.roots.append(node)
+        self.stamp(node, st.id)
+        return node
 
     # --- top level -------------------------------------------------------
 
@@ -407,9 +432,10 @@ class _FileParser:
             "FunctionDef",
             spec_nodes + stars + [name_node, param_list_node, block],
         )
-        # Stamp signature tokens with the signature statement id (no
-        # statement is made inside a signature, so none is stamped yet).
-        for child in spec_nodes + stars + [name_node, param_list_node]:
+        # The signature owns every child but the body (no statement is
+        # made inside a signature, so none is stamped yet).
+        signature.roots = fn_node.children[:-1]
+        for child in signature.roots:
             self.stamp(child, signature.id)
 
         fn = FunctionDecl(
@@ -492,10 +518,7 @@ class _FileParser:
             kind = "BreakStatement" if t.text == "break" else "ContinueStatement"
             lo = self.advance()
             children = [self.leaf(lo), self.leaf(self.expect(";"))]
-            node = self.node(kind, children)
-            st = self.make_statement(ST_OTHER, lo)
-            self.stamp(node, st.id)
-            return node
+            return self.own(self.node(kind, children), ST_OTHER, lo)
         if t.text in ("do", "switch", "goto", "typedef", "case", "default"):
             raise self.error(f"{t.text!r} statements are outside the subset")
         if self.looks_like_declaration():
@@ -530,9 +553,7 @@ class _FileParser:
             break
         children.append(self.leaf(self.expect(";")))
         node = self.node("IdentifierDeclStatement", children)
-        st = self.make_statement(ST_DECLARATION, lo)
-        self.stamp(node, st.id)
-        return node
+        return self.own(node, ST_DECLARATION, lo)
 
     def parse_declarator(self) -> AstNode:
         children: list[AstNode] = []
@@ -569,9 +590,7 @@ class _FileParser:
         cond_expr = self.parse_expression()
         close_paren = self.leaf(self.expect(")"))
         cond = self.node("Condition", [kw, open_paren, cond_expr, close_paren])
-        st = self.make_statement(ST_PREDICATE, lo)
-        self.stamp(cond, st.id)
-        children = [cond, self.parse_statement()]
+        children = [self.own(cond, ST_PREDICATE, lo), self.parse_statement()]
         if self.at("else"):
             children.append(self.leaf(self.advance()))
             children.append(self.parse_statement())
@@ -584,8 +603,7 @@ class _FileParser:
         cond_expr = self.parse_expression()
         close_paren = self.leaf(self.expect(")"))
         cond = self.node("Condition", [kw, open_paren, cond_expr, close_paren])
-        st = self.make_statement(ST_PREDICATE, lo)
-        self.stamp(cond, st.id)
+        self.own(cond, ST_PREDICATE, lo)
         return self.node("WhileStatement", [cond, self.parse_statement()])
 
     def parse_for(self) -> AstNode:
@@ -597,27 +615,18 @@ class _FileParser:
             children.append(self.parse_declaration())
         else:
             lo = self.pos
-            expr = self.parse_expression()
-            st = self.make_statement(ST_EXPRESSION, lo)
-            self.stamp(expr, st.id)
-            children.append(expr)
+            children.append(self.own(self.parse_expression(), ST_EXPRESSION, lo))
             children.append(self.leaf(self.expect(";")))
         # condition: its own control-predicate statement (bare expression)
         if not self.at(";"):
             lo = self.pos
-            cond_expr = self.parse_expression()
-            cond = self.node("Condition", [cond_expr])
-            st = self.make_statement(ST_PREDICATE, lo)
-            self.stamp(cond, st.id)
-            children.append(cond)
+            cond = self.node("Condition", [self.parse_expression()])
+            children.append(self.own(cond, ST_PREDICATE, lo))
         children.append(self.leaf(self.expect(";")))
         # step
         if not self.at(")"):
             lo = self.pos
-            step = self.parse_expression()
-            st = self.make_statement(ST_EXPRESSION, lo)
-            self.stamp(step, st.id)
-            children.append(step)
+            children.append(self.own(self.parse_expression(), ST_EXPRESSION, lo))
         children.append(self.leaf(self.expect(")")))
         children.append(self.parse_statement())
         return self.node("ForStatement", children)
@@ -628,10 +637,7 @@ class _FileParser:
         if not self.at(";"):
             children.append(self.parse_expression())
         children.append(self.leaf(self.expect(";")))
-        node = self.node("ReturnStatement", children)
-        st = self.make_statement(ST_RETURN, lo)
-        self.stamp(node, st.id)
-        return node
+        return self.own(self.node("ReturnStatement", children), ST_RETURN, lo)
 
     def parse_expression_statement(self) -> AstNode:
         lo = self.pos
@@ -639,9 +645,7 @@ class _FileParser:
         semi = self.leaf(self.expect(";"))
         node = self.node("ExpressionStatement", [expr, semi])
         kind = ST_CALL if expr.kind == "CallExpression" else ST_EXPRESSION
-        st = self.make_statement(kind, lo)
-        self.stamp(node, st.id)
-        return node
+        return self.own(node, kind, lo)
 
     # --- expressions --------------------------------------------------
 

@@ -22,7 +22,10 @@ Every graph walk here and in ``slicing`` is ``reachable`` over a map
 built by ``adjacency``: unreachable-code pruning, reaching definitions,
 and the forward and backward slices. The one other walk is the
 postorder DFS that numbers the post-dominator tree, which needs the
-order nodes finish in, not just the set.
+order nodes finish in, not just the set. On the AST side, def/use
+facts and call sites are read from the subtrees under each statement's
+``Statement.roots``, as the parser recorded them; the CFG is wired from
+the function's tree top down.
 """
 
 from __future__ import annotations
@@ -475,20 +478,9 @@ def extract_def_use(fn: FunctionDecl) -> dict[int, StatementFacts]:
     facts: dict[int, StatementFacts] = {
         st.id: StatementFacts() for st in fn.all_statements()
     }
-    index = {n.id: n for n in fn.ast.walk()}
-    # A statement can have several top-level nodes (signature pieces);
-    # collect over each of them.
-    tops: dict[int, list[AstNode]] = {}
-    for node in fn.ast.walk():
-        sid = node.statement_id
-        if sid is None:
-            continue
-        parent = index.get(node.parent_id) if node.parent_id is not None else None
-        if parent is None or parent.statement_id != sid:
-            tops.setdefault(sid, []).append(node)
-    for sid, nodes in tops.items():
-        for node in nodes:
-            _collect(node, fn, facts[sid])
+    for st in fn.all_statements():
+        for root in st.roots:
+            _collect(root, fn, facts[st.id])
     return facts
 
 
@@ -642,36 +634,34 @@ def build_call_graph(program: ProgramModel) -> CallGraph:
         by_name.setdefault(fn.name, fn.index)
     graph = CallGraph()
     for fn in program.functions:
-        index = {n.id: n for n in fn.ast.walk()}
-        for node in fn.ast.walk():
-            if node.kind != "CallExpression":
-                continue
-            callee = node.children[0]
-            inner = callee.children[0]
-            if inner.kind != "Identifier":
-                continue  # member/function-pointer calls are out of scope
-            name = fn.tokens[inner.span[0]].text
-            args = [
-                c
-                for c in node.children[1:]
-                if c.kind not in ("Punct",)
-            ]
-            arg_ids = tuple(_argument_identifiers(a, fn) for a in args)
-            sid = node.statement_id
-            assert sid is not None
-            consumed = _call_value_consumed(node, index)
-            site = CallSite(
-                caller_index=fn.index,
-                callee_name=name,
-                statement_id=sid,
-                arg_identifiers=arg_ids,
-                value_consumed=consumed,
-                callee_index=by_name.get(name),
-            )
-            if site.callee_index is None:
-                graph.unresolved.append(site)
-            else:
-                graph.edges.append(site)
+        for st in fn.all_statements():
+            for root in st.roots:
+                # only a bare call statement discards the call's value
+                discarded = (
+                    root.children[0] if root.kind == "ExpressionStatement" else None
+                )
+                for node in root.walk():
+                    if node.kind != "CallExpression":
+                        continue
+                    inner = node.children[0].children[0]
+                    if inner.kind != "Identifier":
+                        continue  # member/function-pointer calls are out of scope
+                    name = fn.tokens[inner.span[0]].text
+                    args = [c for c in node.children[1:] if c.kind != "Punct"]
+                    site = CallSite(
+                        caller_index=fn.index,
+                        callee_name=name,
+                        statement_id=st.id,
+                        arg_identifiers=tuple(
+                            _argument_identifiers(a, fn) for a in args
+                        ),
+                        value_consumed=node is not discarded,
+                        callee_index=by_name.get(name),
+                    )
+                    if site.callee_index is None:
+                        graph.unresolved.append(site)
+                    else:
+                        graph.edges.append(site)
     graph.edges.sort(key=lambda s: (s.caller_index, s.statement_id))
     graph.unresolved.sort(key=lambda s: (s.caller_index, s.statement_id))
     return graph
@@ -685,10 +675,3 @@ def _argument_identifiers(node: AstNode, fn: FunctionDecl) -> tuple[str, ...]:
             if tok.role in (ROLE_PLAIN, ROLE_DECLARED) and tok.text not in names:
                 names.append(tok.text)
     return tuple(names)
-
-
-def _call_value_consumed(node: AstNode, index: dict[int, AstNode]) -> bool:
-    """False only for a bare call statement (result discarded)."""
-    parent = index.get(node.parent_id) if node.parent_id is not None else None
-    return not (parent is not None and parent.kind == "ExpressionStatement")
-

@@ -98,14 +98,12 @@ def test_ae_ignores_use_in_declaration():
     assert not match_characteristic(decl, "AE", full_set(), fn)
 
 
-def test_ae_compound_assignment_behind_flag():
+def test_ae_excludes_compound_assignment():
     model = parse_source("void f(int v){int o; o = 0; o += v;}")
     fn = model.functions[0]
     stmts = [n for n in fn.ast.walk() if n.kind == "ExpressionStatement"]
     compound = stmts[1]
     assert not match_characteristic(compound, "AE", full_set(), fn)
-    relaxed = full_set(include_compound_assign=True)
-    assert match_characteristic(compound, "AE", relaxed, fn)
 
 
 def test_unknown_kind_raises():

@@ -294,6 +294,32 @@ def test_dimension_must_be_positive(tmp_path, corpus, capsys, dim):
     assert capsys.readouterr().err == f"error: dimension={dim} must be positive\n"
 
 
+@pytest.mark.parametrize("flag, value", [("theta", "0"), ("theta", "-32"), ("hidden", "0")])
+def test_theta_and_hidden_must_be_positive(tmp_path, corpus, capsys, flag, value):
+    message = f"{flag}={value} must be positive"
+    with pytest.raises(artifacts.StageError, match=message):
+        parse_config("--manifest", "m.json", f"--{flag}", value).hyperparams()
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        assert run(corpus, out, stage) == 0
+    capsys.readouterr()
+    assert run(corpus, out, "vectorize", f"--{flag}", value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_vectorize_rejects_a_bad_flag_before_parsing(tmp_path, corpus, monkeypatch):
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        assert run(corpus, out, stage) == 0
+    parsed = []
+    real = cli._parse_programs
+    monkeypatch.setattr(cli, "_parse_programs", lambda m: parsed.append(m) or real(m))
+    assert run(corpus, out, "vectorize", "--theta", "0") == 2
+    assert parsed == []
+    assert run(corpus, out, "vectorize") == 0
+    assert len(parsed) == 1
+
+
 @pytest.mark.parametrize(
     "value, expected",
     [("1", True), ("true", True), ("Yes", True), ("ON", True),

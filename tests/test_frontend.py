@@ -1,7 +1,14 @@
 """Lexer and parser contracts: token grammar, positions, AST shape."""
 
+import ast
+import pathlib
+
+import numpy as np
 import pytest
 
+import vulnslice
+from vulnslice import cli
+from vulnslice.data import mini_corpus_manifest
 from vulnslice.frontend import (
     LexError,
     ParseError,
@@ -10,7 +17,8 @@ from vulnslice.frontend import (
     tokenize,
 )
 
-from test_frontend_reference import structural_dump
+from oracles import long_function_source, random_jump_source, random_structured_source
+from test_frontend_reference import BUNDLED, structural_dump
 
 
 def kinds_and_texts(source):
@@ -273,3 +281,62 @@ def test_tokenize_unexpected_character_names_its_line():
         tokenize("int a;\n\n  @ b;")
     assert err.value.line == 3
     assert "'@'" in str(err.value)
+
+
+def _ownership_programs():
+    for name, source in BUNDLED.items():
+        yield parse_source(source, name)
+    yield from cli._parse_programs(cli.load_manifest(mini_corpus_manifest()))
+    rng = np.random.default_rng(2113)
+    for generate in (random_structured_source, random_jump_source):
+        for _ in range(60):
+            yield parse_source(generate(rng, max_nodes=10))
+    yield parse_source(long_function_source(300))
+    yield parse_source(
+        "int f(char buf[], int n)\n{\n    ;\n    for (int i = 0; i < n; i++)\n"
+        "    {\n        if (i) continue; else break;\n    }\n    return n;\n}\n"
+    )
+
+
+def test_statement_roots_and_start_are_the_nodes_it_owns():
+    """A statement's roots are its nodes whose parent is not its own, in
+    walk order, and cover exactly its tokens; its start is its nodes'
+    first token."""
+    for model in _ownership_programs():
+        for fn in model.functions:
+            by_id = {n.id: n for n in fn.ast.walk()}
+            roots = {st.id: [] for st in fn.all_statements()}
+            starts = {}
+            for node in fn.ast.walk():
+                sid = node.statement_id
+                if sid is None:
+                    continue
+                starts[sid] = min(starts.get(sid, node.span[0]), node.span[0])
+                parent = by_id.get(node.parent_id)
+                if parent is None or parent.statement_id != sid:
+                    roots[sid].append(node)
+            for st in fn.all_statements():
+                got = [n.id for n in st.roots]
+                assert got == [n.id for n in roots[st.id]], (model.name, st.id)
+                assert st.start == starts[st.id], (model.name, st.id)
+                covered = [fn.tokens[i] for r in st.roots for i in range(*r.span)]
+                assert len(covered) == len(st.tokens)
+                assert all(a is b for a, b in zip(covered, st.tokens))
+                assert fn.statement(st.id) is st
+
+
+def test_only_the_parser_reads_parent_links():
+    """Every consumer walks down from ``Statement.roots``; ``parent_id``
+    is the parser's, for ``ast.jsonl``."""
+    package = pathlib.Path(vulnslice.__file__).parent
+    parser = package / "frontend" / "parser.py"
+    readers = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if path != parser
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "parent_id"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == []
