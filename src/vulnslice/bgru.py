@@ -32,27 +32,28 @@ reaches a valid output, and the gradient it receives is exactly zero.
 The reversal is an involution per column, so the same index map takes
 direction 1 back to the original time order.
 
-Gate fusion (Appleyard et al., arXiv 1604.01946). Per layer the gate
-weights are stacked as W = [Wz|Wr|Wh] of shape (2, in, 3H),
-U = [Uz|Ur] of shape (2, H, 2H) and Uh of shape (2, H, H). One GEMM
-over all T*B rows gives every input projection before the loop; each
-step then does one matmul against [Uz|Ur] and one against Uh. The
-projection buffer (2, T, B, 3H) is reused: it holds x W + b, then the
-gate activations z|r|c written in place step by step, then, during
-BPTT, the gate pre-activation gradients. Hidden states carry a
-leading zero row, so h_{t-1} is a view. The BPTT loop only carries
-dh back through time; the weight gradients gW, gU and gb are
+Gate fusion (Appleyard et al., arXiv 1604.01946). Each layer's GRU
+weights are stored as the engine multiplies by them: the direction is
+the leading axis and each gate an (out, in) block of rows, so
+W = [Wz;Wr;Wh] is (2, 3H, in), U = [Uz;Ur] is (2, 2H, H), Uh is
+(2, H, H) and b = [bz|br|bh] is (2, 3H). One GEMM over all T*B rows
+gives every input projection before the loop; each step then does one
+matmul against [Uz;Ur] and one against Uh, through transposed views.
+The projection buffer (2, T, B, 3H) is reused: it holds x W + b, then
+the gate activations z|r|c written in place step by step, then, during
+BPTT, the gate pre-activation gradients. Hidden states carry a leading
+zero row, so h_{t-1} is a view. The BPTT loop only carries dh back
+through time; the weight gradients, in the stored layout, are
 accumulated afterwards as GEMMs and sums over the T*B rows.
 
 Inference goes through forward_batch, which keeps no BPTT caches and
 works in chunks of batch_size. Batching changes the order of BLAS
 summations, so a sample's trace in a batch agrees with its trace
-alone to about 1e-15, not bit for bit. The same samples in the same
-chunks give identical bits, which is why detect and evaluate, the two
-CLI stages that score samples, both run forward_batch over the whole
-vectors.bin list. explain scores nothing: it reads the traces that
-detect wrote to detect.jsonl, and ActivationTrace, CriticalToken and
-explain live in the numpy-free symbols module (re-exported here).
+alone to about 1e-15, not bit for bit. detect, the one CLI stage that
+scores samples, runs it over the whole vectors.bin list and records
+each finding's trace: evaluate counts detect's findings, and explain
+reads their traces. ActivationTrace, CriticalToken and explain live
+in the numpy-free symbols module (re-exported here).
 """
 
 from __future__ import annotations
@@ -80,12 +81,10 @@ def _param_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     for layer in range(hp.layers):
         in_dim = hp.input_dim if layer == 0 else 2 * h
-        for direction in ("f", "b"):
-            for gate in ("z", "r", "h"):
-                prefix = f"l{layer}.{direction}."
-                shapes[f"{prefix}W{gate}"] = (h, in_dim)
-                shapes[f"{prefix}U{gate}"] = (h, h)
-                shapes[f"{prefix}b{gate}"] = (h,)
+        shapes[f"l{layer}.W"] = (2, 3 * h, in_dim)
+        shapes[f"l{layer}.U"] = (2, 2 * h, h)
+        shapes[f"l{layer}.Uh"] = (2, h, h)
+        shapes[f"l{layer}.b"] = (2, 3 * h)
     shapes["dense.W"] = (hp.dense_dim, 2 * h)
     shapes["dense.b"] = (hp.dense_dim,)
     shapes["head.w"] = (hp.dense_dim,)
@@ -112,17 +111,21 @@ class BgruParams:
 
 
 def init_params(hp: Hyperparams, seed: int | None = None) -> BgruParams:
-    """Glorot-uniform weights, zero biases, in canonical key order."""
+    """Glorot-uniform weights, zero biases. Each gate's (out, in) block
+    is drawn on its own: per layer, direction f then b, gates z, r, h,
+    W before U; then dense.W and head.w."""
     rng = np.random.default_rng(hp.seed if seed is None else seed)
-    arrays: dict[str, np.ndarray] = {}
-    for key, shape in _param_shapes(hp).items():
-        if key.rsplit(".", 1)[1].startswith("b"):
-            arrays[key] = np.zeros(shape)
-            continue
-        fan_in = shape[-1] if len(shape) > 1 else shape[0]
-        fan_out = shape[0]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        arrays[key] = rng.uniform(-limit, limit, size=shape)
+    arrays = {key: np.zeros(shape) for key, shape in _param_shapes(hp).items()}
+    h = hp.hidden_dim
+    blocks = []
+    for layer in range(hp.layers):
+        W, U, Uh = (arrays[f"l{layer}.{name}"] for name in ("W", "U", "Uh"))
+        for d in range(2):
+            for k, recurrent in enumerate((U[d, :h], U[d, h:], Uh[d])):
+                blocks += [W[d, k * h : (k + 1) * h], recurrent]
+    for block in blocks + [arrays["dense.W"], arrays["head.w"]]:
+        limit = np.sqrt(6.0 / (block.shape[-1] + block.shape[0]))
+        block[...] = rng.uniform(-limit, limit, size=block.shape)
     return BgruParams(arrays, hp)
 
 
@@ -178,18 +181,6 @@ class _LayerCache:
     mask: np.ndarray | None  # dropout mask on the layer's output
 
 
-def _stacked_weights(p: dict, layer: int):
-    """(W, Uzr, Uh, b) of one layer, stacked over the f and b directions."""
-    W, Uzr, Uh, b = [], [], [], []
-    for direction in ("f", "b"):
-        pre = f"l{layer}.{direction}."
-        W.append(np.concatenate([p[pre + "Wz"], p[pre + "Wr"], p[pre + "Wh"]]).T)
-        Uzr.append(np.concatenate([p[pre + "Uz"], p[pre + "Ur"]]).T)
-        Uh.append(p[pre + "Uh"].T)
-        b.append(np.concatenate([p[pre + "bz"], p[pre + "br"], p[pre + "bh"]]))
-    return np.stack(W), np.stack(Uzr), np.stack(Uh), np.stack(b)[:, None, :]
-
-
 def _layer_forward(
     batch: _Batch, x: np.ndarray, weights, keep: bool
 ) -> tuple[np.ndarray, _LayerCache | None]:
@@ -197,19 +188,21 @@ def _layer_forward(
     W, Uzr, Uh, bias = weights
     steps, width = x.shape[0], x.shape[1]
     h = Uh.shape[-1]
+    UzrT = Uzr.transpose(0, 2, 1)
+    UhT = Uh.transpose(0, 2, 1)
     xs = np.stack([x, batch.flip(x)])
-    gates = np.matmul(xs.reshape(2, steps * width, -1), W)
-    gates += bias
+    gates = np.matmul(xs.reshape(2, steps * width, -1), W.transpose(0, 2, 1))
+    gates += bias[:, None, :]
     gates = gates.reshape(2, steps, width, 3 * h)
     hs = np.zeros((2, steps + 1, width, h))
     for t in range(steps):
         g = gates[:, t]
         h_prev = hs[:, t]
         zr = g[..., : 2 * h]
-        zr += h_prev @ Uzr
+        zr += h_prev @ UzrT
         zr[...] = _sigmoid(zr)
         z, r, c = g[..., :h], g[..., h : 2 * h], g[..., 2 * h :]
-        c += (r * h_prev) @ Uh
+        c += (r * h_prev) @ UhT
         np.tanh(c, out=c)
         hs[:, t + 1] = (1.0 - z) * h_prev + z * c
     out = np.concatenate([hs[0, 1:], batch.flip(hs[1, 1:])], axis=-1)
@@ -234,8 +227,6 @@ def _layer_backward(
     W, Uzr, Uh, _ = weights
     gates, hs = cache.gates, cache.hs
     steps, width, h = hs.shape[1] - 1, hs.shape[2], hs.shape[3]
-    UzrT = Uzr.transpose(0, 2, 1)
-    UhT = Uh.transpose(0, 2, 1)
     carry = np.zeros((2, width, h))
     for t in range(steps - 1, -1, -1):
         g = gates[:, t]
@@ -245,32 +236,21 @@ def _layer_backward(
         np.multiply(r, h_prev, out=d_out[:, t])
         da_z = dh * (c - h_prev) * z * (1.0 - z)
         da_h = dh * z * (1.0 - c * c)
-        d_rh = da_h @ UhT
+        d_rh = da_h @ Uh
         da_r = d_rh * h_prev * r * (1.0 - r)
         carry = dh * (1.0 - z) + d_rh * r
         g[..., :h] = da_z
         g[..., h : 2 * h] = da_r
         g[..., 2 * h :] = da_h
-        carry += g[..., : 2 * h] @ UzrT
+        carry += g[..., : 2 * h] @ Uzr
     rows = steps * width
     da = gates.reshape(2, rows, 3 * h)
-    # gradients in the parameters' own (out, in) layout, so each gate's
-    # block is a contiguous run of rows
     daT = da.transpose(0, 2, 1)
-    gW = daT @ cache.xs.reshape(2, rows, -1)
-    gUzr = daT[:, : 2 * h] @ hs[:, :steps].reshape(2, rows, h)
-    gUh = daT[:, 2 * h :] @ d_out.reshape(2, rows, h)
-    gb = da.sum(axis=1)
-    for i, direction in enumerate(("f", "b")):
-        pre = f"{prefix}.{direction}."
-        for k, gate in enumerate(("z", "r", "h")):
-            block = slice(k * h, (k + 1) * h)
-            grads[pre + "W" + gate] = gW[i][block]
-            grads[pre + "b" + gate] = gb[i][block]
-        grads[pre + "Uz"] = gUzr[i][:h]
-        grads[pre + "Ur"] = gUzr[i][h:]
-        grads[pre + "Uh"] = gUh[i]
-    return (da @ W.transpose(0, 2, 1)).reshape(2, steps, width, -1)
+    grads[prefix + ".W"] = daT @ cache.xs.reshape(2, rows, -1)
+    grads[prefix + ".U"] = daT[:, : 2 * h] @ hs[:, :steps].reshape(2, rows, h)
+    grads[prefix + ".Uh"] = daT[:, 2 * h :] @ d_out.reshape(2, rows, h)
+    grads[prefix + ".b"] = da.sum(axis=1)
+    return (da @ W).reshape(2, steps, width, -1)
 
 
 def _forward(
@@ -286,7 +266,7 @@ def _forward(
     current = batch.x
     caches = []
     for layer in range(hp.layers):
-        weights = _stacked_weights(p, layer)
+        weights = tuple(p[f"l{layer}.{name}"] for name in ("W", "U", "Uh", "b"))
         current, cache = _layer_forward(batch, current, weights, keep)
         if layer < hp.layers - 1 and train_mode and hp.dropout > 0.0:
             if rng is None:
@@ -463,8 +443,6 @@ def adamax_step(
 class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     epochs: int = 0
-    seed: int = 0
-    samples: int = 0
 
 
 def _dataset_matrices(
@@ -490,7 +468,7 @@ def train(
     dropout_rng = np.random.default_rng(seeds[2])
     state = AdamaxState.fresh(params)
     pairs = _dataset_matrices(dataset, hp)
-    report = TrainReport(epochs=hp.epochs, seed=hp.seed, samples=len(pairs))
+    report = TrainReport(epochs=hp.epochs)
     for _ in range(hp.epochs):
         order = shuffle_rng.permutation(len(pairs))
         epoch_loss = 0.0
@@ -525,7 +503,7 @@ def predict(
 # --------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"BGRU"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(path: str, params: BgruParams, root_seed: int) -> None:

@@ -10,7 +10,7 @@ directory and write their own atomically:
     label     -> labels.jsonl, review.jsonl
     train     -> checkpoint.bin, train_report.json
     detect    -> detect.jsonl (exit code 1 when anything is flagged)
-    evaluate  -> metrics.json (+ table on stdout)
+    evaluate  -> metrics.json (from detect.jsonl and labels.jsonl)
     explain   -> explain.jsonl (from detect.jsonl and sevc.jsonl)
     pipeline  -> all of the above in order
 
@@ -24,10 +24,11 @@ variables (e.g. VULNSLICE_SEED=7 mirrors --seed 7). An empty variable
 counts as unset, and a bad value is a usage error (exit 2), as it would
 be on the command line.
 
-detect records, for each finding, the BGRU's activation output at
-every kept symbol, and in its header the threshold it applied.
-explain explains exactly those findings from those activations: it
-scores nothing itself. It takes detect's threshold; an explicit
+detect is the one stage that scores samples. It records, for each
+finding, the BGRU's activation output at every kept symbol, and in its
+header the threshold it applied. evaluate counts exactly those
+findings as its positive predictions, and explain explains them from
+those activations. Both take detect's threshold; an explicit
 --threshold that differs from it is an error (exit 2) that asks to
 re-run detect with it.
 
@@ -42,7 +43,7 @@ declares its layers (``_uses``), whose names it binds when called:
     label     the slice layers, labeling
     train     vectorize (with symbols, embeddings), bgru, evaluation
     detect    vectorize (with symbols, embeddings), bgru
-    evaluate  as train
+    evaluate  vectorize (with symbols, embeddings), evaluation
     explain   the slice layers, symbols
     pipeline  all of them, before its first stage
 
@@ -254,20 +255,41 @@ class Manifest:
     fc_list: str | None = None
 
 
+def _text(record: dict, key: str, where: str) -> str | None:
+    value = record.get(key)
+    if value is not None and not isinstance(value, str):
+        raise StageError(f"{where}: {key!r} must be a string")
+    return value
+
+
 def load_manifest(path: str) -> Manifest:
+    """Read a corpus manifest. A malformed one is a StageError that names
+    the file and, where there is one, the program record."""
     if not os.path.exists(path):
         raise StageError(f"manifest not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:
+            raise StageError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("programs", []), list):
+        raise StageError(f"manifest {path} must be a JSON object with a 'programs' list")
     base = os.path.dirname(os.path.abspath(path))
-    root = os.path.normpath(os.path.join(base, raw.get("corpus_root", ".")))
+    corpus_root = _text(raw, "corpus_root", f"manifest {path}") or "."
+    root = os.path.normpath(os.path.join(base, corpus_root))
     manifest = Manifest(root=root)
-    if raw.get("fc_list"):
+    if _text(raw, "fc_list", f"manifest {path}"):
         fc = os.path.join(root, raw["fc_list"])
         if not os.path.exists(fc):
             raise StageError(f"manifest fc_list does not exist: {fc}")
         manifest.fc_list = fc
-    for record in raw.get("programs", []):
+    for number, record in enumerate(raw.get("programs", [])):
+        where = f"manifest {path}, programs[{number}]"
+        if not isinstance(record, dict) or _text(record, "path", where) is None:
+            raise StageError(f"{where}: a program record needs a 'path' string")
+        lines = record.get("vulnerable_lines", [])
+        if not isinstance(lines, list) or not all(type(n) is int for n in lines):
+            raise StageError(f"{where}: 'vulnerable_lines' must be a list of line numbers")
         rel = record["path"]
         full = os.path.join(root, rel)
         if os.path.isdir(full):
@@ -283,7 +305,7 @@ def load_manifest(path: str) -> Manifest:
         if not sources:
             raise StageError(f"manifest program has no C sources: {full}")
         diff_path = None
-        if record.get("diff"):
+        if _text(record, "diff", where):
             diff_path = os.path.join(root, record["diff"])
             if not os.path.exists(diff_path):
                 raise StageError(f"manifest diff does not exist: {diff_path}")
@@ -291,8 +313,8 @@ def load_manifest(path: str) -> Manifest:
             ManifestProgram(
                 path=rel,
                 source_paths=sources,
-                program_class=record.get("class"),
-                vulnerable_lines=tuple(record.get("vulnerable_lines", [])),
+                program_class=_text(record, "class", where),
+                vulnerable_lines=tuple(lines),
                 diff_path=diff_path,
             )
         )
@@ -622,22 +644,6 @@ def stage_train(config: RunConfig) -> None:
     )
 
 
-@_uses("bgru")
-def _load_model(config: RunConfig):
-    """The trained parameters and the detection threshold: --threshold,
-    else the checkpoint's."""
-    artifacts.require(config.path("checkpoint.bin"), "train")
-    hp = config.hyperparams()
-    params, _ = load_checkpoint(
-        config.path("checkpoint.bin"),
-        expect_theta=hp.theta,
-        expect_dim=hp.input_dim,
-    )
-    if config.threshold is not None:
-        return params, config.threshold
-    return params, params.hp.threshold
-
-
 @_uses("vectorize", "bgru")
 def stage_detect(config: RunConfig) -> int:
     artifacts.require(config.path("vectors.bin"), "vectorize")
@@ -650,7 +656,12 @@ def stage_detect(config: RunConfig) -> int:
             f"vectors.bin holds {len(stale)} SyVCs that sevc.jsonl does not "
             f"(first {stale[0]}); re-run the 'vectorize' stage"
         )
-    params, threshold = _load_model(config)
+    artifacts.require(config.path("checkpoint.bin"), "train")
+    hp = config.hyperparams()
+    params, _ = load_checkpoint(
+        config.path("checkpoint.bin"), expect_theta=hp.theta, expect_dim=hp.input_dim
+    )
+    threshold = params.hp.threshold if config.threshold is None else config.threshold
     findings = []
     for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
         prob = trace.final
@@ -688,18 +699,35 @@ def stage_detect(config: RunConfig) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-@_uses("evaluation", "bgru")
+def _stale_detections(problem: str) -> StageError:
+    return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
+
+
+def _detections(config: RunConfig) -> list[dict]:
+    """detect.jsonl's findings; an old file or another --threshold is stale."""
+    header, findings = artifacts.read_jsonl(
+        config.path("detect.jsonl"), "detections", "detect"
+    )
+    threshold = header.get("threshold")
+    if threshold is None or any("activations" not in f for f in findings):
+        raise _stale_detections("holds no activations (written by an older detect)")
+    if config.threshold is not None and config.threshold != threshold:
+        raise _stale_detections(
+            f"flags at threshold {threshold}, not at --threshold {config.threshold}"
+        )
+    return findings
+
+
+@_uses("evaluation")
 def stage_evaluate(config: RunConfig) -> None:
+    flagged = {f["syvc_id"] for f in _detections(config)}
     samples = _labeled_samples(config)
-    params, threshold = _load_model(config)
+    if not flagged <= {s.syvc_id for s in samples}:
+        raise _stale_detections("flags a SyVC that vectors.bin does not hold")
     split_seed = derive_seed(config.seed, "split")
     _, test_side = split_by_program(samples, ratio=0.8, seed=split_seed)
-    # every sample, in the chunks detect uses, so both stages agree to the bit
-    final = {
-        sample.syvc_id: trace.final
-        for sample, trace in zip(samples, forward_batch(samples, params, params.hp))
-    }
-    predictions = [int(final[s.syvc_id] >= threshold) for s in test_side]
+    # detect scored every sample: its findings are the positive predictions
+    predictions = [int(s.syvc_id in flagged) for s in test_side]
     labels = [int(s.label) for s in test_side]
     counts = count_confusion(predictions, labels)
     report = compute_metrics(counts)
@@ -720,22 +748,9 @@ def stage_evaluate(config: RunConfig) -> None:
     print(format_metrics_table(report, counts))
 
 
-def _stale_detections(problem: str) -> StageError:
-    return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
-
-
 @_uses("symbols")
 def stage_explain(config: RunConfig) -> None:
-    header, findings = artifacts.read_jsonl(
-        config.path("detect.jsonl"), "detections", "detect"
-    )
-    threshold = header.get("threshold")
-    if threshold is None or any("activations" not in f for f in findings):
-        raise _stale_detections("holds no activations (written by an older detect)")
-    if config.threshold is not None and config.threshold != threshold:
-        raise _stale_detections(
-            f"flags at threshold {threshold}, not at --threshold {config.threshold}"
-        )
+    findings = _detections(config)
     sevcs = {s.syvc_id: s for s in _rehydrate_sevcs(config)}
     cset = config.characteristic_set()
     capacity = config.hyperparams().seq_len
@@ -823,6 +838,13 @@ def _switch(value: str) -> bool:
         ) from None
 
 
+def _delta(value: str) -> float:
+    delta = float(value)
+    if not delta > 0:  # NaN too: at 0 or below every token would be critical
+        raise argparse.ArgumentTypeError(f"invalid delta {value!r} (must be positive)")
+    return delta
+
+
 def _kinds(value: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in value.split(",") if k.strip())
     if not kinds:
@@ -896,7 +918,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threshold", type=float, default=_env("THRESHOLD"),
             help="flag at this probability or above (default: the checkpoint's); "
-            "explain takes detect's and refuses a different one",
+            "evaluate and explain take detect's and refuse a different one",
         )
         p.add_argument(
             "--strict-review",
@@ -920,7 +942,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             help="backward-slice dependences: data+control or data only",
         )
         p.add_argument(
-            "--delta", type=float, default=_env("DELTA", "0.6"),
+            "--delta", type=_delta, default=_env("DELTA", "0.6"),
             help="activation jump for critical tokens (explain stage)",
         )
     return parser

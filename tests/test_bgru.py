@@ -99,7 +99,17 @@ def test_forward_matches_independent_scalar_recurrence():
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    def cell(prefix, seq):
+    H = 2
+
+    def gate(name, d, k):
+        """Gate k's (out, in) block of direction d in a fused array."""
+        return params[f"l0.{name}"][d][k * H : (k + 1) * H]
+
+    def cell(d, seq):
+        Wz, Wr, Wh = (gate("W", d, k) for k in range(3))
+        Uz, Ur = gate("U", d, 0), gate("U", d, 1)
+        bz, br, bh = (gate("b", d, k) for k in range(3))
+        Uh = params["l0.Uh"][d]
         h = [0.0] * 2
         outs = []
         for t in range(len(seq)):
@@ -107,30 +117,30 @@ def test_forward_matches_independent_scalar_recurrence():
             z = [0.0, 0.0]
             r = [0.0, 0.0]
             for i in range(2):
-                az = params[f"{prefix}.bz"][i]
-                ar = params[f"{prefix}.br"][i]
+                az = bz[i]
+                ar = br[i]
                 for j in range(3):
-                    az += params[f"{prefix}.Wz"][i][j] * seq[t][j]
-                    ar += params[f"{prefix}.Wr"][i][j] * seq[t][j]
+                    az += Wz[i][j] * seq[t][j]
+                    ar += Wr[i][j] * seq[t][j]
                 for j in range(2):
-                    az += params[f"{prefix}.Uz"][i][j] * h[j]
-                    ar += params[f"{prefix}.Ur"][i][j] * h[j]
+                    az += Uz[i][j] * h[j]
+                    ar += Ur[i][j] * h[j]
                 z[i] = sig(az)
                 r[i] = sig(ar)
             for i in range(2):
-                ah = params[f"{prefix}.bh"][i]
+                ah = bh[i]
                 for j in range(3):
-                    ah += params[f"{prefix}.Wh"][i][j] * seq[t][j]
+                    ah += Wh[i][j] * seq[t][j]
                 for j in range(2):
-                    ah += params[f"{prefix}.Uh"][i][j] * (r[j] * h[j])
+                    ah += Uh[i][j] * (r[j] * h[j])
                 c = np.tanh(ah)
                 nh[i] = (1 - z[i]) * h[i] + z[i] * c
             h = nh
             outs.append(list(h))
         return outs
 
-    fwd = cell("l0.f", [list(row) for row in x])
-    bwd_rev = cell("l0.b", [list(row) for row in x[::-1]])
+    fwd = cell(0, [list(row) for row in x])
+    bwd_rev = cell(1, [list(row) for row in x[::-1]])
     bwd = bwd_rev[::-1]
     expected = []
     for t in range(T):
@@ -448,12 +458,24 @@ def test_corrupt_checkpoint_raises_model_error(tmp_path, corrupt):
 def test_checkpoint_block_shape_mismatch_raises_model_error(tmp_path):
     path, data = saved_checkpoint(tmp_path)
     header_end = 8 + int.from_bytes(data[4:8], "little")
-    # the first block is l0.f.Wz, rank 2, shape (5, 4): claim (4, 5) instead
-    first_dim = header_end + 1
+    # the first block is l0.W, rank 3, shape (2, 15, 4): claim (2, 4, 15) instead
+    second_dim = header_end + 1 + 4
     patched = bytearray(data)
-    patched[first_dim : first_dim + 8] = (4).to_bytes(4, "little") + (5).to_bytes(4, "little")
+    patched[second_dim : second_dim + 8] = (4).to_bytes(4, "little") + (15).to_bytes(4, "little")
     path.write_bytes(bytes(patched))
     with pytest.raises(ModelError, match="re-run the 'train' stage"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_of_an_older_version_names_train(tmp_path):
+    """Version 1 stored 18 per-gate arrays a layer; no converter reads it."""
+    path, data = saved_checkpoint(tmp_path)
+    header_end = 8 + int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8:header_end])
+    assert header["version"] == 2 and header["keys"][:4] == ["l0.W", "l0.U", "l0.Uh", "l0.b"]
+    blob = json.dumps({**header, "version": 1}, sort_keys=True).encode()
+    path.write_bytes(data[:4] + len(blob).to_bytes(4, "little") + blob + data[header_end:])
+    with pytest.raises(ModelError, match="unsupported checkpoint version 1; re-run the 'train' stage"):
         load_checkpoint(str(path))
 
 

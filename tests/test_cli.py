@@ -15,10 +15,12 @@ from dataclasses import fields
 import pytest
 
 from vulnslice import artifacts, bgru, cli
+from vulnslice.artifacts import derive_seed
 from vulnslice.bgru import forward_batch, load_checkpoint
 from vulnslice.cli import main
 from vulnslice.data import mini_corpus_manifest
 from vulnslice.embeddings import EmbeddingTable, hash_vector
+from vulnslice.evaluation import compute_metrics, count_confusion, split_by_program
 from vulnslice.frontend import ProgramModel
 from vulnslice.vectorize import load_vectors, symbolize, truncation_window
 
@@ -340,6 +342,20 @@ def test_bad_strict_review_env_is_a_usage_error(monkeypatch, capsys, value):
     assert "--strict-review: invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "-inf"])
+def test_delta_must_be_positive(tmp_path, monkeypatch, capsys, value):
+    """At delta <= 0 every position would be a critical token."""
+    for argv, env in (([f"--delta={value}"], None), ([], value)):
+        monkeypatch.delenv("VULNSLICE_DELTA", raising=False)
+        if env is not None:
+            monkeypatch.setenv("VULNSLICE_DELTA", env)
+        # tmp_path holds no artifacts: the flag is refused before any is read
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--manifest", "m.json", "--out", str(tmp_path), *argv])
+        assert exc.value.code == 2
+        assert f"--delta: invalid delta {value!r} (must be positive)" in capsys.readouterr().err
+
+
 def test_empty_env_value_counts_as_unset(monkeypatch):
     for name in ("SEED", "THETA", "DELTA", "OUT"):
         monkeypatch.setenv("VULNSLICE_" + name, "")
@@ -385,6 +401,34 @@ def test_bad_manifest_is_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["parse", "--manifest", str(missing), "--out", str(tmp_path)]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest, problem",
+    [
+        ("{not json", "is not valid JSON"),
+        ([{"path": "leak.c"}], "must be a JSON object with a 'programs' list"),
+        ({"programs": {"path": "leak.c"}}, "must be a JSON object with a 'programs' list"),
+        ({"corpus_root": 3, "programs": []}, "'corpus_root' must be a string"),
+        ({"programs": ["leak.c"]}, "programs[0]: a program record needs a 'path' string"),
+        ({"programs": [{"path": "leak.c", "class": "bad"}, {"class": "good"}]},
+         "programs[1]: a program record needs a 'path' string"),
+        ({"programs": [{"path": "leak.c", "class": "bad", "vulnerable_lines": 5}]},
+         "programs[0]: 'vulnerable_lines' must be a list of line numbers"),
+        ({"programs": [{"path": "leak.c", "class": "bad", "vulnerable_lines": ["4"]}]},
+         "programs[0]: 'vulnerable_lines' must be a list of line numbers"),
+        ({"programs": [{"path": "leak.c", "class": ["bad"]}]}, "programs[0]: 'class' must be"),
+        ({"programs": [{"path": "patched.c", "diff": 7}]}, "programs[0]: 'diff' must be"),
+    ],
+    ids=["not-json", "list", "programs-object", "root-number", "record-string",
+         "no-path", "lines-number", "lines-strings", "class-list", "diff-number"],
+)
+def test_a_malformed_manifest_is_an_error_that_names_it(tmp_path, corpus, capsys, manifest, problem):
+    path = corpus / "malformed.json"
+    path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+    assert main(["parse", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {path}") and problem in err
 
 
 def test_detect_exit_codes(tmp_path, corpus):
@@ -649,7 +693,7 @@ STAGE_MODULES = {
     "label": (SLICER - {"data"}) | {"labeling"},
     "train": MODEL | {"evaluation"},
     "detect": MODEL,
-    "evaluate": MODEL | {"evaluation"},
+    "evaluate": (MODEL - {"bgru"}) | {"evaluation"},
     "explain": SLICER | {"symbols"},
 }
 
@@ -846,6 +890,67 @@ def test_detect_records_its_threshold_and_explain_takes_it(tmp_path, corpus, cap
     assert run(corpus, out, "explain", "--threshold", "0.5") == 2
     err = capsys.readouterr().err
     assert "threshold 0.55" in err and "re-run the 'detect' stage" in err
+
+
+def old_metrics(config):
+    """metrics.json as the evaluate stage once computed it: a second
+    forward pass over vectors.bin, at the threshold detect applied."""
+    header, _ = artifacts.read_jsonl(config.path("detect.jsonl"))
+    samples = cli._labeled_samples(config)
+    params, _ = load_checkpoint(config.path("checkpoint.bin"))
+    traces = forward_batch(samples, params, params.hp)
+    final = {sample.syvc_id: trace.final for sample, trace in zip(samples, traces)}
+    _, test_side = split_by_program(samples, ratio=0.8, seed=derive_seed(config.seed, "split"))
+    counts = count_confusion(
+        [int(final[s.syvc_id] >= header["threshold"]) for s in test_side],
+        [int(s.label) for s in test_side],
+    )
+    return {
+        "seed": config.seed,
+        "counts": {"TP": counts.tp, "FP": counts.fp, "TN": counts.tn, "FN": counts.fn},
+        "metrics": compute_metrics(counts).as_dict(),
+        "test_samples": len(test_side),
+    }
+
+
+@pytest.mark.parametrize(
+    "manifest, flags",
+    [("tiny", ()), ("tiny", ("--threshold", "0.55")), ("tiny", ("--threshold", "0.000001")),
+     ("mini", ("--epochs", "8"))],
+    ids=["tiny", "tiny-0.55", "tiny-everything-flagged", "mini"],
+)
+def test_evaluate_equals_a_second_forward_pass(tmp_path, corpus, manifest, flags):
+    path = corpus / "manifest.json" if manifest == "tiny" else mini_corpus_manifest()
+    argv = ["--manifest", str(path), "--out", str(tmp_path / "out"), "--seed", "5",
+            "--embed-mode", "hash", "--epochs", "4", *flags]
+    assert main(["pipeline", *argv]) in (0, 1)
+    config = cli.config_from_args(cli.build_arg_parser().parse_args(["evaluate", *argv]))
+    expected = old_metrics(config)
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text()) == expected
+    counts = expected["counts"]
+    assert sum(counts.values()) == expected["test_samples"] > 0
+    if "0.000001" in flags:
+        assert counts["TN"] == counts["FN"] == 0
+    if manifest == "mini":
+        assert counts["TP"] > 0 and counts["TN"] > 0
+
+
+def test_evaluate_takes_detect_findings_and_threshold(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    metrics = (out / "metrics.json").read_bytes()
+    assert run(corpus, out, "evaluate", "--threshold", "0.5") == 0
+    assert (out / "metrics.json").read_bytes() == metrics
+    capsys.readouterr()
+    assert run(corpus, out, "evaluate", "--threshold", "0.55") == 2
+    err = capsys.readouterr().err
+    assert "threshold 0.5, not at --threshold 0.55" in err
+    assert "re-run the 'detect' stage" in err
+    rewrite_detections(out, lambda header, records: records.append({**records[0], "syvc_id": 999}))
+    assert run(corpus, out, "evaluate") == 2
+    assert "flags a SyVC that vectors.bin does not hold" in capsys.readouterr().err
+    (out / "detect.jsonl").unlink()
+    assert run(corpus, out, "evaluate") == 2
+    assert "run the 'detect' stage first" in capsys.readouterr().err
 
 
 def test_explain_without_detect_names_detect(tmp_path, corpus, capsys):
