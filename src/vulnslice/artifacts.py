@@ -141,6 +141,17 @@ def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def read_json(path: str, stage: str) -> dict:
+    """A ``write_json`` artifact; a missing or corrupt one asks to run ``stage``."""
+    with open(require(path, stage), "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise StageError(
+                f"{path} is not valid JSON ({exc}); re-run the '{stage}' stage"
+            ) from None
+
+
 def require(path: str, stage_to_run: str) -> str:
     if not os.path.exists(path):
         raise StageError(

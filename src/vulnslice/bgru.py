@@ -446,20 +446,20 @@ class TrainReport:
 
 
 def _dataset_matrices(
-    dataset: list[SampleVector], hp: Hyperparams
+    dataset: list[tuple[SampleVector, int]], hp: Hyperparams
 ) -> list[tuple[np.ndarray, int]]:
     pairs = []
-    for i, sample in enumerate(dataset):
-        if sample.label not in (0, 1):
+    for i, (sample, label) in enumerate(dataset):
+        if label not in (0, 1):
             raise ModelError(f"dataset sample {i} has no 0/1 label")
-        pairs.append((_sample_matrix(sample, hp), int(sample.label)))
+        pairs.append((_sample_matrix(sample, hp), int(label)))
     return pairs
 
 
 def train(
-    dataset: list[SampleVector], hp: Hyperparams
+    dataset: list[tuple[SampleVector, int]], hp: Hyperparams
 ) -> tuple[BgruParams, TrainReport]:
-    """Seeded minibatch Adamax training over labeled sample vectors."""
+    """Seeded minibatch Adamax training over (sample vector, 0/1 label) pairs."""
     if not dataset:
         raise ModelError("cannot train on an empty dataset")
     seeds = np.random.SeedSequence(hp.seed).spawn(3)

@@ -10,7 +10,8 @@ directory and write their own atomically:
     label     -> labels.jsonl, review.jsonl
     train     -> checkpoint.bin, train_report.json
     detect    -> detect.jsonl (exit code 1 when anything is flagged)
-    evaluate  -> metrics.json (from detect.jsonl and labels.jsonl)
+    evaluate  -> metrics.json (from detect.jsonl, labels.jsonl and
+                 train_report.json)
     explain   -> explain.jsonl (from detect.jsonl and sevc.jsonl)
     pipeline  -> all of the above in order
 
@@ -32,6 +33,10 @@ those activations. Both take detect's threshold; an explicit
 --threshold that differs from it is an error (exit 2) that asks to
 re-run detect with it.
 
+labels.jsonl is the one record of each SeVC's label and review flag,
+and train_report.json of the program split that train draws: evaluate
+scores every labeled SeVC of a program train did not train on.
+
 A stage process imports only the layers its stage runs. ``import
 vulnslice.cli`` loads artifacts and presets alone; each stage function
 declares its layers (``_uses``), whose names it binds when called:
@@ -43,7 +48,7 @@ declares its layers (``_uses``), whose names it binds when called:
     label     the slice layers, labeling
     train     vectorize (with symbols, embeddings), bgru, evaluation
     detect    vectorize (with symbols, embeddings), bgru
-    evaluate  vectorize (with symbols, embeddings), evaluation
+    evaluate  evaluation
     explain   the slice layers, symbols
     pipeline  all of them, before its first stage
 
@@ -83,7 +88,6 @@ if TYPE_CHECKING:
     from .candidates import CharacteristicSet
     from .frontend import ProgramModel
     from .slicing import SeVC
-    from .vectorize import SampleVector
 
 # Every layer name the stages use, as name -> "module:attribute" in this
 # package. Module __getattr__ resolves them on first access, and a
@@ -252,7 +256,6 @@ class ManifestProgram:
 class Manifest:
     root: str
     programs: list[ManifestProgram] = field(default_factory=list)
-    fc_list: str | None = None
 
 
 def _text(record: dict, key: str, where: str) -> str | None:
@@ -277,12 +280,9 @@ def load_manifest(path: str) -> Manifest:
     base = os.path.dirname(os.path.abspath(path))
     corpus_root = _text(raw, "corpus_root", f"manifest {path}") or "."
     root = os.path.normpath(os.path.join(base, corpus_root))
+    if "fc_list" in raw:
+        raise StageError(f"manifest {path} names an 'fc_list'; pass that file with --fc-list")
     manifest = Manifest(root=root)
-    if _text(raw, "fc_list", f"manifest {path}"):
-        fc = os.path.join(root, raw["fc_list"])
-        if not os.path.exists(fc):
-            raise StageError(f"manifest fc_list does not exist: {fc}")
-        manifest.fc_list = fc
     for number, record in enumerate(raw.get("programs", [])):
         where = f"manifest {path}, programs[{number}]"
         if not isinstance(record, dict) or _text(record, "path", where) is None:
@@ -570,60 +570,53 @@ def stage_vectorize(config: RunConfig) -> None:
 def stage_label(config: RunConfig) -> None:
     sevcs = _rehydrate_sevcs(config)
     manifest = load_manifest(config.manifest)
-    truth = _ground_truth(manifest)
-    apply_labels(sevcs, truth)
+    labels = apply_labels(sevcs, _ground_truth(manifest))
     label_records = [
         {
             "syvc_id": sevc.syvc_id,
             "program": sevc.program,
-            "label": sevc.label,
-            "needs_review": sevc.needs_review,
+            "label": label,
+            "needs_review": needs_review,
         }
-        for sevc in sevcs
+        for sevc, (label, needs_review) in zip(sevcs, labels)
     ]
     artifacts.write_jsonl(
         config.path("labels.jsonl"), "labels", config.seed, label_records
     )
+    queue = review_queue(sevcs, labels)
     artifacts.write_jsonl(
-        config.path("review.jsonl"), "review-queue", config.seed,
-        review_queue(sevcs),
+        config.path("review.jsonl"), "review-queue", config.seed, queue
     )
-    positive = sum(1 for r in label_records if r["label"] == 1)
-    review = sum(1 for r in label_records if r["needs_review"])
+    positive = sum(label for label, _ in labels)
+    review = sum(needs_review for _, needs_review in labels)
     print(
-        f"labeled {len(label_records)} SeVCs: {positive} vulnerable, "
-        f"{review} queued for review"
+        f"labeled {len(labels)} SeVCs: {positive} vulnerable, "
+        f"{len(queue)} in review.jsonl, {review} needing review"
     )
 
 
-@_uses("vectorize")
-def _labeled_samples(config: RunConfig) -> list[SampleVector]:
+@_uses("vectorize", "evaluation", "bgru")
+def stage_train(config: RunConfig) -> None:
+    hp = config.hyperparams()
     artifacts.require(config.path("vectors.bin"), "vectorize")
     samples, _ = load_vectors(config.path("vectors.bin"))
-    _, label_records = artifacts.read_jsonl(
-        config.path("labels.jsonl"), "labels", "label"
-    )
-    labels = {r["syvc_id"]: r for r in label_records}
-    for sample in samples:
-        record = labels.get(sample.syvc_id)
-        if record is None:
+    for flag, held, wanted in (("--dim", samples[0].dimension, hp.input_dim),
+                               ("--theta", samples[0].theta, hp.theta)):
+        if held != wanted:
             raise StageError(
-                f"no label for SyVC {sample.syvc_id}; re-run the 'label' stage"
+                f"vectors.bin holds vectors at {flag[2:]} {held}, not at {flag} "
+                f"{wanted}; re-run the 'vectorize' stage with it"
             )
-        sample.label = record["label"]
-        sample.needs_review = bool(record["needs_review"])
-    return samples
-
-
-@_uses("evaluation", "bgru")
-def stage_train(config: RunConfig) -> None:
-    samples = _labeled_samples(config)
+    _, label_records = artifacts.read_jsonl(config.path("labels.jsonl"), "labels", "label")
+    labels = {r["syvc_id"]: r for r in label_records}
+    unlabeled = [s.syvc_id for s in samples if s.syvc_id not in labels]
+    if unlabeled:
+        raise StageError(f"no label for SyVC {unlabeled[0]}; re-run the 'label' stage")
     if config.strict_review:
-        samples = [s for s in samples if not s.needs_review]
-    hp = config.hyperparams()
+        samples = [s for s in samples if not labels[s.syvc_id]["needs_review"]]
     split_seed = derive_seed(config.seed, "split")
     train_side, test_side = split_by_program(samples, ratio=0.8, seed=split_seed)
-    params, report = train_model(train_side, hp)
+    params, report = train_model([(s, labels[s.syvc_id]["label"]) for s in train_side], hp)
     save_checkpoint(config.path("checkpoint.bin"), params, config.seed)
     artifacts.write_json(
         config.path("train_report.json"),
@@ -721,15 +714,16 @@ def _detections(config: RunConfig) -> list[dict]:
 @_uses("evaluation")
 def stage_evaluate(config: RunConfig) -> None:
     flagged = {f["syvc_id"] for f in _detections(config)}
-    samples = _labeled_samples(config)
-    if not flagged <= {s.syvc_id for s in samples}:
-        raise _stale_detections("flags a SyVC that vectors.bin does not hold")
-    split_seed = derive_seed(config.seed, "split")
-    _, test_side = split_by_program(samples, ratio=0.8, seed=split_seed)
+    _, label_records = artifacts.read_jsonl(config.path("labels.jsonl"), "labels", "label")
+    if not flagged <= {r["syvc_id"] for r in label_records}:
+        raise _stale_detections("flags a SyVC that labels.jsonl does not hold")
+    # held out: every program train did not train on
+    train_report = artifacts.read_json(config.path("train_report.json"), "train")
+    trained = set(train_report["train_programs"])
+    test_side = [r for r in label_records if r["program"] not in trained]
     # detect scored every sample: its findings are the positive predictions
-    predictions = [int(s.syvc_id in flagged) for s in test_side]
-    labels = [int(s.label) for s in test_side]
-    counts = count_confusion(predictions, labels)
+    predictions = [int(r["syvc_id"] in flagged) for r in test_side]
+    counts = count_confusion(predictions, [r["label"] for r in test_side])
     report = compute_metrics(counts)
     artifacts.write_json(
         config.path("metrics.json"),

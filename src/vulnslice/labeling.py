@@ -11,6 +11,9 @@ flagged ineligible.
 Annotation mode is the test-suite style: "good" programs label every
 SeVC 0; "bad"/"mixed" programs label a SeVC 1 exactly when it contains
 an annotated vulnerable line.
+
+``apply_labels`` returns each SeVC's (label, needs_review) pair and
+stores nothing on the SeVC: labels.jsonl is the pairs' one record.
 """
 
 from __future__ import annotations
@@ -196,30 +199,22 @@ def label_sevc(sevc: SeVC, truth: GroundTruth) -> tuple[int, bool]:
     return 0, False
 
 
-def apply_labels(sevcs: list[SeVC], truth: GroundTruth) -> list[SeVC]:
-    for sevc in sevcs:
-        label, review = label_sevc(sevc, truth)
-        sevc.label = label
-        sevc.needs_review = review
-    return sevcs
+def apply_labels(sevcs: list[SeVC], truth: GroundTruth) -> list[tuple[int, bool]]:
+    """The (label, needs_review) of each SeVC, in order."""
+    return [label_sevc(sevc, truth) for sevc in sevcs]
 
 
-def review_queue(sevcs: list[SeVC]) -> list[dict]:
-    """Every label-1 SeVC, exported for the manual audit step."""
-    queue = []
-    for sevc in sevcs:
-        if sevc.label != 1:
-            continue
-        queue.append(
-            {
-                "syvc_id": sevc.syvc_id,
-                "kind": sevc.kind,
-                "program": sevc.program,
-                "needs_review": sevc.needs_review,
-                "files": sorted({s.file for s in sevc.statements}),
-                "lines": sorted(
-                    [s.line for s in sevc.statements],
-                ),
-            }
-        )
-    return queue
+def review_queue(sevcs: list[SeVC], labels: list[tuple[int, bool]]) -> list[dict]:
+    """Every label-1 SeVC of ``apply_labels``'s pairs, for the manual audit step."""
+    return [
+        {
+            "syvc_id": sevc.syvc_id,
+            "kind": sevc.kind,
+            "program": sevc.program,
+            "needs_review": needs_review,
+            "files": sorted({s.file for s in sevc.statements}),
+            "lines": sorted(s.line for s in sevc.statements),
+        }
+        for sevc, (label, needs_review) in zip(sevcs, labels)
+        if label == 1
+    ]

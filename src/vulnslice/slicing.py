@@ -79,8 +79,6 @@ class SeVC:
     anchor_statement: int
     statements: list[SevcStatement]
     user_functions: frozenset[str] = frozenset()
-    label: int | None = None
-    needs_review: bool = False
     program: str = ""
 
     @classmethod

@@ -39,8 +39,6 @@ class SampleVector:
     kept_symbols: int
     anchor_lo: int
     anchor_hi: int
-    label: int | None = None
-    needs_review: bool = False
     program: str = ""
     kind: str = ""
 

@@ -558,19 +558,17 @@ def separable_dataset(n=200, d=4, L=10, seed=77):
             x[steps - 2] = motif + rng.standard_normal(d) * 0.05
         values = np.zeros(L * d)
         values[: steps * d] = x[:steps].reshape(-1)
-        samples.append(
-            SampleVector(
-                values=values,
-                theta=L * d,
-                dimension=d,
-                syvc_id=i,
-                kept_symbols=steps,
-                anchor_lo=0,
-                anchor_hi=1,
-                label=label,
-                program=f"p{i % 20}",
-            )
+        sample = SampleVector(
+            values=values,
+            theta=L * d,
+            dimension=d,
+            syvc_id=i,
+            kept_symbols=steps,
+            anchor_lo=0,
+            anchor_hi=1,
+            program=f"p{i % 20}",
         )
+        samples.append((sample, label))
     return samples
 
 
@@ -594,8 +592,8 @@ def test_criterion_7_learning_sanity():
     # loss strictly decreases over the first five epochs
     losses = train_report.epoch_losses[:5]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
-    preds = [predict(s, params, hp)[0] for s in data]
-    labels = [s.label for s in data]
+    preds = [predict(s, params, hp)[0] for s, _ in data]
+    labels = [label for _, label in data]
     tp = sum(1 for p, l in zip(preds, labels) if p == 1 and l == 1)
     fp = sum(1 for p, l in zip(preds, labels) if p == 1 and l == 0)
     fn = sum(1 for p, l in zip(preds, labels) if p == 0 and l == 1)

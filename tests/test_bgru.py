@@ -326,7 +326,8 @@ def test_adamax_two_steps_match_independent_arithmetic():
 
 
 def synthetic_dataset(n=60, d=4, L=8, seed=0):
-    """Separable toy set: class 1 carries a fixed motif at the end."""
+    """Separable toy set of (sample, label) pairs: class 1 carries a fixed
+    motif at the end."""
     rng = np.random.default_rng(seed)
     motif = rng.standard_normal(d) * 2.0
     samples = []
@@ -338,19 +339,17 @@ def synthetic_dataset(n=60, d=4, L=8, seed=0):
             x[steps - 2] = motif
         values = np.zeros(L * d)
         values[: steps * d] = x[:steps].reshape(-1)
-        samples.append(
-            SampleVector(
-                values=values,
-                theta=L * d,
-                dimension=d,
-                syvc_id=i,
-                kept_symbols=steps,
-                anchor_lo=0,
-                anchor_hi=1,
-                label=label,
-                program=f"prog{i % 10}",
-            )
+        sample = SampleVector(
+            values=values,
+            theta=L * d,
+            dimension=d,
+            syvc_id=i,
+            kept_symbols=steps,
+            anchor_lo=0,
+            anchor_hi=1,
+            program=f"prog{i % 10}",
         )
+        samples.append((sample, label))
     return samples
 
 
@@ -362,7 +361,7 @@ def test_training_learns_separable_set():
     data = synthetic_dataset()
     params, report = train(data, hp)
     assert report.epoch_losses[0] > report.epoch_losses[-1]
-    correct = sum(predict(s, params, hp)[0] == s.label for s in data)
+    correct = sum(predict(s, params, hp)[0] == label for s, label in data)
     assert correct >= int(0.95 * len(data))
 
 
@@ -381,11 +380,18 @@ def test_empty_dataset_rejected():
         train([], small_hp())
 
 
+def test_a_pair_without_a_0_1_label_is_rejected():
+    hp = small_hp(input_dim=4, seq_len=8)
+    (sample, _), *rest = synthetic_dataset(n=4)
+    with pytest.raises(ModelError, match="dataset sample 0 has no 0/1 label"):
+        train([(sample, None), *rest], hp)
+
+
 def test_threshold_zero_predicts_all_positive():
     hp = small_hp(input_dim=4, seq_len=8)
     params = init_params(hp)
     data = synthetic_dataset(n=10)
-    for sample in data:
+    for sample, _ in data:
         label, prob = predict(sample, params, hp, threshold=1e-12)
         assert label == 1 and prob > 0
 

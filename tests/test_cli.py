@@ -419,9 +419,11 @@ def test_bad_manifest_is_error(tmp_path, capsys):
          "programs[0]: 'vulnerable_lines' must be a list of line numbers"),
         ({"programs": [{"path": "leak.c", "class": ["bad"]}]}, "programs[0]: 'class' must be"),
         ({"programs": [{"path": "patched.c", "diff": 7}]}, "programs[0]: 'diff' must be"),
+        ({"fc_list": "calls.txt", "programs": [{"path": "leak.c", "class": "bad"}]},
+         "names an 'fc_list'; pass that file with --fc-list"),
     ],
     ids=["not-json", "list", "programs-object", "root-number", "record-string",
-         "no-path", "lines-number", "lines-strings", "class-list", "diff-number"],
+         "no-path", "lines-number", "lines-strings", "class-list", "diff-number", "fc-list"],
 )
 def test_a_malformed_manifest_is_an_error_that_names_it(tmp_path, corpus, capsys, manifest, problem):
     path = corpus / "malformed.json"
@@ -693,7 +695,7 @@ STAGE_MODULES = {
     "label": (SLICER - {"data"}) | {"labeling"},
     "train": MODEL | {"evaluation"},
     "detect": MODEL,
-    "evaluate": (MODEL - {"bgru"}) | {"evaluation"},
+    "evaluate": {"evaluation", "numpy"},
     "explain": SLICER | {"symbols"},
 }
 
@@ -894,16 +896,19 @@ def test_detect_records_its_threshold_and_explain_takes_it(tmp_path, corpus, cap
 
 def old_metrics(config):
     """metrics.json as the evaluate stage once computed it: a second
-    forward pass over vectors.bin, at the threshold detect applied."""
+    forward pass over vectors.bin, at the threshold detect applied, on a
+    program split drawn again, with the labels of labels.jsonl."""
     header, _ = artifacts.read_jsonl(config.path("detect.jsonl"))
-    samples = cli._labeled_samples(config)
+    samples, _ = load_vectors(config.path("vectors.bin"))
+    _, label_records = artifacts.read_jsonl(config.path("labels.jsonl"))
+    labels = {r["syvc_id"]: r["label"] for r in label_records}
     params, _ = load_checkpoint(config.path("checkpoint.bin"))
     traces = forward_batch(samples, params, params.hp)
     final = {sample.syvc_id: trace.final for sample, trace in zip(samples, traces)}
     _, test_side = split_by_program(samples, ratio=0.8, seed=derive_seed(config.seed, "split"))
     counts = count_confusion(
         [int(final[s.syvc_id] >= header["threshold"]) for s in test_side],
-        [int(s.label) for s in test_side],
+        [labels[s.syvc_id] for s in test_side],
     )
     return {
         "seed": config.seed,
@@ -947,10 +952,111 @@ def test_evaluate_takes_detect_findings_and_threshold(tmp_path, corpus, capsys):
     assert "re-run the 'detect' stage" in err
     rewrite_detections(out, lambda header, records: records.append({**records[0], "syvc_id": 999}))
     assert run(corpus, out, "evaluate") == 2
-    assert "flags a SyVC that vectors.bin does not hold" in capsys.readouterr().err
+    assert "flags a SyVC that labels.jsonl does not hold" in capsys.readouterr().err
     (out / "detect.jsonl").unlink()
     assert run(corpus, out, "evaluate") == 2
     assert "run the 'detect' stage first" in capsys.readouterr().err
+
+
+MOVED_PROGRAM = (
+    "void moved_copy(char *input)\n"
+    "{\n"
+    "    char room[8];\n"
+    "    strcpy(room, input);\n"
+    "}\n"
+)
+# the only "-" line comes back as a "+": a move inside a vulnerable file,
+# so every SeVC of moved.c (each holds line 4) is label 1 and needs review
+MOVED_DIFF = """--- a/moved.c
++++ b/moved.c
+@@ -3,3 +3,3 @@
+     char room[8];
+-    strcpy(room, input);
+ }
++    strcpy(room, input);
+"""
+
+
+def test_evaluate_holds_out_exactly_the_programs_train_did_not_train_on(tmp_path, capsys):
+    """--strict-review drops moved.c from training, so train splits one
+    program fewer than labels.jsonl holds. evaluate scores every labeled
+    SeVC outside train_report.json's train_programs, moved.c's included.
+    With detect.jsonl cut to the SeVCs of trained programs, it predicts
+    no positive: it scores none of them."""
+    root = tmp_path / "corpus"
+    shutil.copytree(os.path.dirname(mini_corpus_manifest()), root)
+    (root / "moved.c").write_text(MOVED_PROGRAM)
+    (root / "moved.diff").write_text(MOVED_DIFF)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["programs"].append({"path": "moved.c", "diff": "moved.diff"})
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    argv = ["--manifest", str(root / "manifest.json"), "--out", str(out), "--strict-review",
+            "--embed-mode", "hash", "--epochs", "2", "--seed", "101", "--threshold", "0.000001"]
+    capsys.readouterr()
+    assert main(["pipeline", *argv]) == 1
+    labels = read_records(out / "labels.jsonl")
+    moved = [r for r in labels if r["program"] == "moved.c"]
+    assert moved and all(r["label"] == 1 and r["needs_review"] for r in moved)
+    positive = sum(r["label"] for r in labels)
+    queued = len(read_records(out / "review.jsonl"))
+    assert (
+        f"labeled {len(labels)} SeVCs: {positive} vulnerable, {queued} in review.jsonl, "
+        f"{len(moved)} needing review\n"
+    ) in capsys.readouterr().out
+    report = json.loads((out / "train_report.json").read_text())
+    trained = set(report["train_programs"])
+    assert "moved.c" not in trained | set(report["test_programs"])
+    held_out = [r for r in labels if r["program"] not in trained]
+    assert len(held_out) == report["test_samples"] + len(moved)
+
+    def keep_trained(header, records):
+        records[:] = [f for f in records if f["program"] in trained]
+
+    rewrite_detections(out, keep_trained)
+    assert main(["evaluate", *argv]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["test_samples"] == len(held_out)
+    assert metrics["counts"] == {
+        "TP": 0, "FP": 0,
+        "TN": sum(1 - r["label"] for r in held_out), "FN": sum(r["label"] for r in held_out),
+    }
+
+
+def test_evaluate_without_a_train_report_names_train(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    (out / "train_report.json").unlink()
+    capsys.readouterr()
+    assert run(corpus, out, "evaluate") == 2
+    assert "missing artifact train_report.json; run the 'train' stage first" in (
+        capsys.readouterr().err
+    )
+    (out / "train_report.json").write_text("{")
+    assert run(corpus, out, "evaluate") == 2
+    err = capsys.readouterr().err
+    assert "train_report.json is not valid JSON" in err and "re-run the 'train' stage" in err
+
+
+def test_sevc_and_vector_records_hold_no_label(tmp_path, corpus):
+    out = detected(tmp_path, corpus)
+    records = read_records(out / "sevc.jsonl") + [
+        json.loads(line) for line in (out / "vectors.bin.idx").read_text().splitlines()
+    ]
+    assert records and not any({"label", "needs_review"} & set(r) for r in records)
+
+
+@pytest.mark.parametrize("flag, value", [("--theta", "400"), ("--dim", "8")])
+def test_train_at_another_theta_or_dim_than_vectorize_names_vectorize(
+    tmp_path, corpus, capsys, flag, value
+):
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice", "vectorize", "label"):
+        assert run(corpus, out, stage) == 0
+    capsys.readouterr()
+    assert run(corpus, out, "train", flag, value) == 2
+    err = capsys.readouterr().err
+    assert f"not at {flag} {value}; re-run the 'vectorize' stage" in err
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_explain_without_detect_names_detect(tmp_path, corpus, capsys):

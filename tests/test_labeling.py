@@ -195,9 +195,8 @@ def test_apply_labels_and_review_queue():
         make_sevc([("bad.c", 2, "int a;")], syvc_id=1),
         make_sevc([("moved.c", 4, "x = 1;")], syvc_id=2),
     ]
-    apply_labels(sevcs, truth)
-    assert [s.label for s in sevcs] == [1, 0, 1]
-    assert [s.needs_review for s in sevcs] == [False, False, True]
-    queue = review_queue(sevcs)
+    labels = apply_labels(sevcs, truth)
+    assert labels == [(1, False), (0, False), (1, True)]
+    queue = review_queue(sevcs, labels)
     assert [q["syvc_id"] for q in queue] == [0, 2]
     assert queue[1]["needs_review"] is True

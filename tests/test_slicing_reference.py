@@ -288,11 +288,7 @@ def assert_record_round_trips(model: ProgramModel, call_graph, pdgs, syvc) -> No
     """The SeVC read back from its sevc.jsonl line, tokens and user
     functions taken from the parsed program, equals the SeVC written."""
     slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
-    sevc = dataclasses.replace(
-        assemble_sevc(model, slice_, syvc, call_graph),
-        label=syvc.id % 2,
-        needs_review=syvc.id % 3 == 0,
-    )
+    sevc = assemble_sevc(model, slice_, syvc, call_graph)
     record = json.loads(json.dumps(sevc_record(sevc)))
     index = model.statement_index()
     statements = [

@@ -237,10 +237,7 @@ def test_vector_store_roundtrip(tmp_path):
     samples = []
     for i, (text, kind) in enumerate([("a b c", "FC"), ("d e", "AU"), ("f", "PU")]):
         sym = SymbolicSeVC(i, text.split(), 0, 1, kind=kind, program=f"p{i}")
-        vec = encode(sym, table, 16)
-        vec.label = i % 2
-        vec.needs_review = i == 1
-        samples.append(vec)
+        samples.append(encode(sym, table, 16))
     path = str(tmp_path / "vectors.bin")
     save_vectors(path, samples, seed=77)
     loaded, seed = load_vectors(path)
