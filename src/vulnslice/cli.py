@@ -77,7 +77,7 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from . import artifacts
@@ -183,24 +183,84 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 
+_SWITCH_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
+def _switch(value: str) -> bool:
+    try:
+        return _SWITCH_WORDS[value.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"invalid switch value {value!r} (use 1/true/yes/on or 0/false/no/off)"
+        ) from None
+
+
+def _delta(value: str) -> float:
+    delta = float(value)
+    if not delta > 0:  # NaN too: at 0 or below every token would be critical
+        raise argparse.ArgumentTypeError(f"invalid delta {value!r} (must be positive)")
+    return delta
+
+
+def _kinds(value: str) -> tuple[str, ...]:
+    kinds = tuple(k.strip() for k in value.split(",") if k.strip())
+    if not kinds:
+        raise argparse.ArgumentTypeError(f"invalid kind list {value!r} (names no kind)")
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"invalid kind list {value!r} (repeats {', '.join(repeated)})"
+        )
+    return kinds
+
+
+class _SwitchAction(argparse.Action):
+    """A flag that takes no value. argparse converts a string default
+    (from a VULNSLICE_* variable) with the type, as for any other flag."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, type=_switch, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
+
+
 @dataclass
 class RunConfig:
-    manifest: str
-    out: str = "out"
-    seed: int = 0
-    theta: int | None = None
-    dim: int | None = None
-    kinds: tuple[str, ...] = ALL_KINDS
-    preset: str = "desk"
-    threshold: float | None = None
-    strict_review: bool = False
+    """One run's settings. Each field is the flag ``--name-with-dashes``
+    and the variable ``VULNSLICE_NAME``; its metadata holds the flag's
+    other argparse keywords. A field without a default is required."""
+
+    manifest: str = field(metadata={"help": "corpus manifest (json)"})
+    out: str = field(default="out", metadata={"help": "artifact directory"})
+    seed: int = field(default=0, metadata={"type": int})
+    theta: int | None = field(default=None, metadata={
+        "type": int, "help": "total vector length (defaults to preset seq_len * dim)"})
+    dim: int | None = field(
+        default=None, metadata={"type": int, "help": "embedding dimension"})
+    kinds: tuple[str, ...] = field(default=ALL_KINDS, metadata={
+        "type": _kinds, "help": "comma-separated SyVC kinds (FC,AU,PU,AE)"})
+    preset: str = field(default="desk", metadata={"choices": sorted(PRESETS)})
+    threshold: float | None = field(default=None, metadata={
+        "type": float,
+        "help": "flag at this probability or above (default: the checkpoint's); "
+        "evaluate and explain take detect's and refuse a different one"})
+    strict_review: bool = field(default=False, metadata={
+        "action": _SwitchAction, "help": "drop needs-review samples from training"})
     fc_list: str | None = None
-    embed_mode: str = MODE_SKIPGRAM
-    epochs: int | None = None
-    hidden: int | None = None
-    layers: int | None = None
-    deps: str = "ddcd"  # ddcd = data+control backward slices, dd = data only
-    delta: float = 0.6
+    embed_mode: str = field(
+        default=MODE_SKIPGRAM, metadata={"choices": [MODE_SKIPGRAM, MODE_HASH]})
+    epochs: int | None = field(default=None, metadata={"type": int})
+    hidden: int | None = field(default=None, metadata={"type": int})
+    layers: int | None = field(default=None, metadata={"type": int})
+    deps: str = field(default="ddcd", metadata={
+        "choices": ["ddcd", "dd"],
+        "help": "backward-slice dependences: data+control or data only"})
+    delta: float = field(default=0.6, metadata={
+        "type": _delta, "help": "activation jump for critical tokens (explain stage)"})
 
     def hyperparams(self) -> Hyperparams:
         """The run's BGRU settings. A bad --dim, --theta or --hidden is
@@ -351,6 +411,11 @@ def _ground_truth(manifest: Manifest) -> GroundTruth:
         if prog.diff_path is not None:
             with open(prog.diff_path, "r", encoding="utf-8") as handle:
                 report = parse_diff(handle.read())
+            if not report.eligible:
+                raise StageError(
+                    f"program {prog.path}: its diff only adds lines, "
+                    "so it marks no vulnerable line"
+                )
             alias = rel_files[0] if len(report.files) <= 1 else None
             truth.add_diff(report, file_alias=alias)
             for rel in rel_files:
@@ -817,51 +882,6 @@ def _env(name: str, default=None):
     return os.environ.get(ENV_PREFIX + name) or default
 
 
-_SWITCH_WORDS = {
-    **dict.fromkeys(("1", "true", "yes", "on"), True),
-    **dict.fromkeys(("0", "false", "no", "off"), False),
-}
-
-
-def _switch(value: str) -> bool:
-    try:
-        return _SWITCH_WORDS[value.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"invalid switch value {value!r} (use 1/true/yes/on or 0/false/no/off)"
-        ) from None
-
-
-def _delta(value: str) -> float:
-    delta = float(value)
-    if not delta > 0:  # NaN too: at 0 or below every token would be critical
-        raise argparse.ArgumentTypeError(f"invalid delta {value!r} (must be positive)")
-    return delta
-
-
-def _kinds(value: str) -> tuple[str, ...]:
-    kinds = tuple(k.strip() for k in value.split(",") if k.strip())
-    if not kinds:
-        raise argparse.ArgumentTypeError(f"invalid kind list {value!r} (names no kind)")
-    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(
-            f"invalid kind list {value!r} (repeats {', '.join(repeated)})"
-        )
-    return kinds
-
-
-class _SwitchAction(argparse.Action):
-    """A flag that takes no value. argparse converts a string default
-    (from a VULNSLICE_* variable) with the type, as for any other flag."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, type=_switch, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True)
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vulnslice",
@@ -885,60 +905,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ]
     for name in stages:
         p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument(
-            "--manifest",
-            default=_env("MANIFEST"),
-            required=_env("MANIFEST") is None,
-            help="corpus manifest (json)",
-        )
-        p.add_argument("--out", default=_env("OUT", "out"), help="artifact directory")
-        p.add_argument("--seed", type=int, default=_env("SEED", "0"))
-        p.add_argument(
-            "--theta", type=int, default=_env("THETA"),
-            help="total vector length (defaults to preset seq_len * dim)",
-        )
-        p.add_argument("--dim", type=int, default=_env("DIM"), help="embedding dimension")
-        p.add_argument(
-            "--kinds",
-            type=_kinds,
-            default=_env("KINDS", ",".join(ALL_KINDS)),
-            help="comma-separated SyVC kinds (FC,AU,PU,AE)",
-        )
-        p.add_argument(
-            "--preset",
-            choices=sorted(PRESETS),
-            default=_env("PRESET", "desk"),
-        )
-        p.add_argument(
-            "--threshold", type=float, default=_env("THRESHOLD"),
-            help="flag at this probability or above (default: the checkpoint's); "
-            "evaluate and explain take detect's and refuse a different one",
-        )
-        p.add_argument(
-            "--strict-review",
-            action=_SwitchAction,
-            default=_env("STRICT_REVIEW", "0"),
-            help="drop needs-review samples from training",
-        )
-        p.add_argument("--fc-list", default=_env("FC_LIST"))
-        p.add_argument(
-            "--embed-mode",
-            choices=[MODE_SKIPGRAM, MODE_HASH],
-            default=_env("EMBED_MODE", MODE_SKIPGRAM),
-        )
-        p.add_argument("--epochs", type=int, default=_env("EPOCHS"))
-        p.add_argument("--hidden", type=int, default=_env("HIDDEN"))
-        p.add_argument("--layers", type=int, default=_env("LAYERS"))
-        p.add_argument(
-            "--deps",
-            choices=["ddcd", "dd"],
-            default=_env("DEPS", "ddcd"),
-            help="backward-slice dependences: data+control or data only",
-        )
-        p.add_argument(
-            "--delta", type=_delta, default=_env("DELTA", "0.6"),
-            help="activation jump for critical tokens (explain stage)",
-        )
+        for f in fields(RunConfig):
+            default = _env(f.name.upper(), None if f.default is MISSING else f.default)
+            p.add_argument(
+                "--" + f.name.replace("_", "-"),
+                default=default,
+                required=f.default is MISSING and default is None,
+                **f.metadata,
+            )
     return parser
 
 

@@ -157,10 +157,6 @@ class AstNode:
     statement_id: int | None = None
     parent_id: int | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def walk(self):
         yield self
         for child in self.children:

@@ -24,8 +24,10 @@ and the forward and backward slices. The one other walk is the
 postorder DFS that numbers the post-dominator tree, which needs the
 order nodes finish in, not just the set. On the AST side, def/use
 facts and call sites are read from the subtrees under each statement's
-``Statement.roots``, as the parser recorded them; the CFG is wired from
-the function's tree top down.
+``Statement.roots``, as the parser recorded them. The CFG is wired by
+one recursive walk down the function's body (``_CfgBuilder.wire``);
+``while`` and ``for`` share one loop path, a ``for`` being
+``init; while (cond) { body; step }``.
 """
 
 from __future__ import annotations
@@ -168,11 +170,24 @@ def _group(sites: list[CallSite], key: str) -> dict[int, list[CallSite]]:
 # --------------------------------------------------------------------------
 
 
+_JUMPS = ("ReturnStatement", "BreakStatement", "ContinueStatement")
+
+
 class _CfgBuilder:
+    """Wires one function's CFG from its AST, top down.
+
+    ``loops`` holds the enclosing loops, innermost last: each one's
+    continue target and the list its breaks collect in. A block stops
+    after a jump statement, whose own edges already lead out. Code after
+    an ``if``/``else`` whose branches both jump is still wired, with no
+    predecessors, and pruned afterwards.
+    """
+
     def __init__(self, fn: FunctionDecl):
         self.fn = fn
         # a dict keeps the first insertion order and drops repeated edges
         self.edges: dict[tuple[int, int], None] = {}
+        self.loops: list[tuple[int, list[int]]] = []
 
     def edge(self, a: int, b: int) -> None:
         self.edges[a, b] = None
@@ -180,9 +195,7 @@ class _CfgBuilder:
     def build(self) -> Cfg:
         fn = self.fn
         entry = fn.signature.id
-        # loop context: (continue_target, break_collector)
-        exits = self.wire_block(fn.ast, [entry], [])
-        for e in exits:
+        for e in self.wire(fn.ast.children[-1], [entry]):
             self.edge(e, EXIT)
         nodes = [entry] + [s.id for s in fn.body] + [EXIT]
         cfg = Cfg(
@@ -194,141 +207,68 @@ class _CfgBuilder:
         _prune_unreachable(cfg)
         return cfg
 
-    def wire_block(
-        self, block: AstNode, dangling: list[int], loops: list[tuple[int, list[int]]]
-    ) -> list[int]:
-        """Wire a Block/FunctionDef's statements; return open exits."""
-        for child in block.children:
-            dangling, terminated = self.wire_item(child, dangling, loops)
-            if terminated and not dangling:
-                break
-        return dangling
-
-    def connect(self, dangling: list[int], target: int) -> None:
-        for d in dangling:
-            self.edge(d, target)
-
-    def wire_item(
-        self,
-        node: AstNode,
-        dangling: list[int],
-        loops: list[tuple[int, list[int]]],
-    ) -> tuple[list[int], bool]:
-        """Wire one AST item. Returns (new dangling exits, terminated)."""
+    def wire(self, node: AstNode, preds: list[int]) -> list[int]:
+        """Wire one AST item after the open exits ``preds``; return its own."""
         kind = node.kind
-        if kind in ("Block", "FunctionDef"):
-            return self.wire_block(node, dangling, loops), False
-        if kind in (
-            "IdentifierDeclStatement",
-            "ExpressionStatement",
-        ):
-            sid = node.statement_id
-            assert sid is not None
-            self.connect(dangling, sid)
-            return [sid], False
-        if kind == "ReturnStatement":
-            sid = node.statement_id
-            assert sid is not None
-            self.connect(dangling, sid)
-            self.edge(sid, EXIT)
-            return [], True
-        if kind == "BreakStatement":
-            sid = node.statement_id
-            assert sid is not None
-            self.connect(dangling, sid)
-            if not loops:
-                raise GraphError(
-                    f"'break' outside a loop at statement {sid} "
-                    f"({self.fn.file_path}:{self.fn.name})"
-                )
-            loops[-1][1].append(sid)
-            return [], True
-        if kind == "ContinueStatement":
-            sid = node.statement_id
-            assert sid is not None
-            self.connect(dangling, sid)
-            if not loops:
-                raise GraphError(
-                    f"'continue' outside a loop at statement {sid} "
-                    f"({self.fn.file_path}:{self.fn.name})"
-                )
-            self.edge(sid, loops[-1][0])
-            return [], True
+        if kind == "Block":
+            for child in node.children:
+                preds = self.wire(child, preds)
+                if child.kind in _JUMPS:
+                    break
+            return preds
         if kind == "IfStatement":
-            return self.wire_if(node, dangling, loops), False
-        if kind == "WhileStatement":
-            return self.wire_while(node, dangling, loops), False
-        if kind == "ForStatement":
-            return self.wire_for(node, dangling, loops), False
-        # EmptyStatement, stray leaves (braces): pass through
-        return dangling, False
-
-    def wire_if(self, node, dangling, loops) -> list[int]:
-        children = node.children
-        cond = children[0]
-        pred = cond.statement_id
-        assert pred is not None
-        self.connect(dangling, pred)
-        then_exits, _ = self.wire_item(children[1], [pred], loops)
-        else_exits: list[int] = []
-        has_else = len(children) >= 4
-        if has_else:
-            else_exits, _ = self.wire_item(children[3], [pred], loops)
-            out = then_exits + else_exits
+            cond, then, *rest = node.children
+            head = self.wire(cond, preds)
+            # rest is empty, or the else keyword and the else branch
+            return self.wire(then, head) + (self.wire(rest[1], head) if rest else head)
+        if kind in ("WhileStatement", "ForStatement"):
+            return self.wire_loop(node, preds)
+        sid = node.statement_id
+        if sid is None:  # EmptyStatement, braces
+            return preds
+        for p in preds:
+            self.edge(p, sid)
+        if kind not in _JUMPS:
+            return [sid]
+        if kind == "ReturnStatement":
+            self.edge(sid, EXIT)
+        elif not self.loops:
+            word = kind.removesuffix("Statement").lower()
+            raise GraphError(
+                f"{word!r} outside a loop at statement {sid} "
+                f"({self.fn.file_path}:{self.fn.name})"
+            )
+        elif kind == "BreakStatement":
+            self.loops[-1][1].append(sid)
         else:
-            out = then_exits + [pred]
-        return out
+            self.edge(sid, self.loops[-1][0])
+        return []
 
-    def wire_while(self, node, dangling, loops) -> list[int]:
-        cond, body = node.children[0], node.children[1]
-        pred = cond.statement_id
-        assert pred is not None
-        self.connect(dangling, pred)
-        breaks: list[int] = []
-        body_exits, _ = self.wire_item(body, [pred], [*loops, (pred, breaks)])
-        self.connect(body_exits, pred)
-        return [pred] + breaks
-
-    def wire_for(self, node, dangling, loops) -> list[int]:
-        """for(init; cond; step) desugars to init; while(cond){body; step}."""
-        body = node.children[-1]
-        cond = next((c for c in node.children if c.kind == "Condition"), None)
-        if cond is None:
+    def wire_loop(self, node: AstNode, preds: list[int]) -> list[int]:
+        """``while (c) body``; ``for (init; c; step) body`` is wired as
+        ``init; while (c) { body; step }``, and continues go to the step."""
+        *header, body = node.children
+        clauses = [c for c in header if c.statement_id is not None]
+        kinds = [c.kind for c in clauses]
+        if "Condition" not in kinds:
             raise GraphError(
                 f"'for' without a condition is outside the subset "
                 f"({self.fn.file_path}:{self.fn.name})"
             )
-        clause_stmts = [
-            c
-            for c in node.children[:-1]
-            if c.statement_id is not None and c is not cond
-        ]
-        init = next(
-            (c for c in clause_stmts if c.span[0] < cond.span[0]), None
-        )
-        step = next(
-            (c for c in clause_stmts if c.span[0] > cond.span[1]), None
-        )
-        if init is not None:
-            sid = init.statement_id
-            assert sid is not None
-            self.connect(dangling, sid)
-            dangling = [sid]
-        pred = cond.statement_id
-        assert pred is not None
-        step_id = step.statement_id if step is not None else None
+        at = kinds.index("Condition")
+        for init in clauses[:at]:
+            preds = self.wire(init, preds)
+        head = self.wire(clauses[at], preds)
+        step = clauses[at + 1 :]
         breaks: list[int] = []
-        self.connect(dangling, pred)
-        continue_target = step_id if step_id is not None else pred
-        body_exits, _ = self.wire_item(
-            body, [pred], [*loops, (continue_target, breaks)]
-        )
-        if step_id is not None:
-            self.connect(body_exits, step_id)
-            self.edge(step_id, pred)
-        else:
-            self.connect(body_exits, pred)
-        return [pred] + breaks
+        self.loops.append((step[0].statement_id if step else head[0], breaks))
+        exits = self.wire(body, head)
+        self.loops.pop()
+        for clause in step:
+            exits = self.wire(clause, exits)
+        for e in exits:
+            self.edge(e, head[0])
+        return head + breaks
 
 
 def _prune_unreachable(cfg: Cfg) -> None:

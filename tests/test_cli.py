@@ -977,6 +977,38 @@ MOVED_DIFF = """--- a/moved.c
 """
 
 
+ADD_ONLY_DIFF = """--- a/reader.c
++++ b/reader.c
+@@ -4,2 +4,3 @@
+     gets(line);
++    line[15] = 0;
+     puts(line);
+"""
+
+
+def test_label_refuses_a_diff_that_only_adds_lines(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in ("reader.c", "safe_reader.c"):
+        (root / name).write_text(TINY_PROGRAMS[name])
+    (root / "reader.diff").write_text(ADD_ONLY_DIFF)
+    manifest = {"programs": [
+        {"path": "reader.c", "diff": "reader.diff"},
+        {"path": "safe_reader.c", "class": "good"},
+    ]}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        assert run(root, out, stage) == 0
+    capsys.readouterr()
+    assert run(root, out, "label") == 2
+    assert capsys.readouterr().err == (
+        "error: program reader.c: its diff only adds lines, "
+        "so it marks no vulnerable line\n"
+    )
+    assert not (out / "labels.jsonl").exists()
+
+
 def test_evaluate_holds_out_exactly_the_programs_train_did_not_train_on(tmp_path, capsys):
     """--strict-review drops moved.c from training, so train splits one
     program fewer than labels.jsonl holds. evaluate scores every labeled

@@ -191,7 +191,7 @@ def test_roundtrip_leaves_reproduce_tokens():
     assert model.diagnostics == []
     assert len(model.functions) == 2
     for fn in model.functions:
-        leaves = sorted(n.span[0] for n in fn.ast.walk() if n.is_leaf)
+        leaves = sorted(n.span[0] for n in fn.ast.walk() if not n.children)
         assert [fn.tokens[i].text for i in leaves] == [t.text for t in fn.tokens]
 
 

@@ -99,6 +99,75 @@ def test_for_desugars_to_while():
     }
 
 
+def test_continue_in_for_goes_to_the_step():
+    fn, cfg = cfg_of(
+        "void f(int n){for (i = 0; i < n; i++) { if (i) { continue; } body(); }}"
+    )
+    sig, init, pred, step, ipred, cont, body = (st.id for st in fn.all_statements())
+    assert cfg.edges == [
+        (sig, init),
+        (init, pred),
+        (pred, ipred),
+        (ipred, cont),
+        (cont, step),
+        (ipred, body),
+        (body, step),
+        (step, pred),
+        (pred, EXIT),
+    ]
+
+
+def test_for_with_only_a_condition_is_a_while():
+    fn, cfg = cfg_of("void f(int c){for (; c;) { body(); } after();}")
+    sig, pred, body, after = (st.id for st in fn.all_statements())
+    assert cfg.edges == [
+        (sig, pred),
+        (pred, body),
+        (body, pred),
+        (pred, after),
+        (after, EXIT),
+    ]
+
+
+def test_for_with_a_declaration_as_its_init():
+    fn, cfg = cfg_of("void f(int n){for (int i = 0; i < n; i++) { body(i); }}")
+    sig, init, pred, step, body = (st.id for st in fn.all_statements())
+    assert fn.statement(init).kind == "declaration"
+    assert cfg.edges == [
+        (sig, init),
+        (init, pred),
+        (pred, body),
+        (body, step),
+        (step, pred),
+        (pred, EXIT),
+    ]
+
+
+def test_code_after_if_else_that_both_return_is_pruned():
+    fn, cfg = cfg_of("void f(int p){if (p) { return; } else { return; } after();}")
+    sig, pred, one, two, after = (st.id for st in fn.all_statements())
+    assert cfg.nodes == [sig, pred, one, two, EXIT]
+    assert cfg.edges == [(sig, pred), (pred, one), (one, EXIT), (pred, two), (two, EXIT)]
+    assert cfg.diagnostics == [f"unreachable statements pruned from CFG: [{after}]"]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("break;", r"^'break' outside a loop at statement 1 \(<memory>:f\)$"),
+        ("a = 1; continue;", r"^'continue' outside a loop at statement 2 \(<memory>:f\)$"),
+        (
+            "for (i = 0; ; i++) { }",
+            r"^'for' without a condition is outside the subset \(<memory>:f\)$",
+        ),
+    ],
+)
+def test_jumps_outside_a_loop_and_for_without_a_condition_raise(body, message):
+    fn = parse_source(f"void f(int a){{{body}}}").functions[0]
+    with pytest.raises(GraphError, match=message):
+        build_cfg(fn)
+
+
 def test_return_edges_to_exit_and_prunes_dead_code():
     fn, cfg = cfg_of("void f(int p){return; after();}")
     sig, ret, after = (st.id for st in fn.all_statements())
