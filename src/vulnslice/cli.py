@@ -114,6 +114,7 @@ LAZY_NAMES = {
     "interprocedural_slices": "slicing:interprocedural_slices",
     "sevc_record": "slicing:sevc_record",
     "Annotation": "labeling:Annotation",
+    "DiffReport": "labeling:DiffReport",
     "GroundTruth": "labeling:GroundTruth",
     "apply_labels": "labeling:apply_labels",
     "parse_diff": "labeling:parse_diff",
@@ -416,8 +417,19 @@ def _ground_truth(manifest: Manifest) -> GroundTruth:
                     f"program {prog.path}: its diff only adds lines, "
                     "so it marks no vulnerable line"
                 )
-            alias = rel_files[0] if len(report.files) <= 1 else None
-            truth.add_diff(report, file_alias=alias)
+            names = list(dict.fromkeys(mark.file for mark in report.marks))
+            for name in names:
+                # a one-file diff of a one-file program may name it anything
+                matches = rel_files if len(rel_files) == len(names) == 1 else [
+                    rel for rel in rel_files if rel == name or rel.endswith("/" + name)
+                ]
+                if len(matches) != 1:
+                    raise StageError(
+                        f"program {prog.path}: diff file {name} matches "
+                        f"{len(matches)} of its source files, not 1"
+                    )
+                marks = [mark for mark in report.marks if mark.file == name]
+                truth.add_diff(DiffReport(marks=marks), file_alias=matches[0])
             for rel in rel_files:
                 if rel not in truth.diff_marks:
                     truth.diff_marks.setdefault(rel, [])

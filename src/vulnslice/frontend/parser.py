@@ -3,9 +3,10 @@
 The subset covers function definitions, parameter lists, local
 declarations (pointer and array declarators, initializers), expression
 statements, if/else, while, for, return, break/continue, calls, and
-unary/binary/member expressions. Templates, classes, argument-taking
-macros, and goto are out; preprocessor lines were already blanked by
-the lexer.
+unary/binary/member expressions. As in C, a declaration is a block
+item or a ``for`` init, never the body of an if, else, while or for.
+Templates, classes, argument-taking macros, and goto are out;
+preprocessor lines were already blanked by the lexer.
 
 A function parses into three aligned views:
 
@@ -19,10 +20,11 @@ A function parses into three aligned views:
 The function signature gets its own Statement (kind "other") so that
 dependence graphs have a node where parameters are defined.
 
-Anything outside the subset raises a parse error naming the line;
-top-level recovery skips to the next function boundary and records a
-diagnostic instead of failing the whole file. ``load_program`` skips a
-file that does not lex the same way, with a diagnostic.
+Anything outside the subset, or cut off by the end of the file, raises
+a parse error naming the line; top-level recovery skips to the next
+function boundary and records a diagnostic instead of failing the
+whole file. ``load_program`` skips a file that does not lex the same
+way, with a diagnostic.
 
 Binary expressions are parsed by precedence climbing over one
 ``{operator: level}`` table (``_BINARY_PRECEDENCE``, levels 0-9 from
@@ -36,11 +38,20 @@ outermost nodes it owns (``Statement.roots``) and the function-relative
 index of its first token (``Statement.start``), and every node of those
 subtrees is stamped with its id. Consumers start their walks from the
 roots, so nothing outside this module follows ``parent_id`` links.
+
+Each token pattern the grammar repeats has one method: ``take`` (the
+current token's leaf), ``stars``, ``typedef_name_ahead`` (``size_t n``,
+``FILE *fp``), ``parse_declared_name`` (a name and its array
+suffixes), ``comma_list`` (parameters, declarators, call arguments),
+``parse_condition`` (``if``/``while`` and its parenthesized predicate)
+and ``parse_type_name`` (specifiers and stars). ``parse_statement`` has
+one branch per statement shape.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .lexer import (
@@ -91,6 +102,13 @@ _BINARY_PRECEDENCE = {
 }
 
 _UNARY_OPS = frozenset({"!", "~", "+", "-", "*", "&", "++", "--"})
+
+# Jump keyword -> (AST node kind, statement kind).
+_JUMPS = {
+    "return": ("ReturnStatement", ST_RETURN),
+    "break": ("BreakStatement", ST_OTHER),
+    "continue": ("ContinueStatement", ST_OTHER),
+}
 
 _LEAF_KINDS = {
     KEYWORD: "Keyword",
@@ -276,6 +294,19 @@ class _FileParser:
             raise self.error(f"expected identifier, found {found!r}")
         return self.advance()
 
+    def typedef_name_ahead(self) -> int:
+        """At "NAME *... IDENT", a typedef name and a declarator
+        (``size_t n``, ``FILE *fp``): IDENT's offset from the cursor.
+        Anywhere else, 0."""
+        t = self.peek()
+        if t is None or t.kind != IDENTIFIER:
+            return 0
+        j = 1
+        while self.at("*", j):
+            j += 1
+        nxt = self.peek(j)
+        return j if nxt is not None and nxt.kind == IDENTIFIER else 0
+
     # --- node helpers ---------------------------------------------------
 
     def leaf(self, index: int) -> AstNode:
@@ -283,6 +314,26 @@ class _FileParser:
         self.node_id = node_id + 1
         lo = index - self._fn_start
         return AstNode(node_id, _LEAF_KINDS[self.toks[index].kind], (lo, lo + 1))
+
+    def take(self, text: str | None = None) -> AstNode:
+        """The leaf of the current token, consumed; with ``text``, that
+        token must be ``text``."""
+        return self.leaf(self.advance() if text is None else self.expect(text))
+
+    def stars(self, nodes: list[AstNode]) -> list[AstNode]:
+        """Append the leaf of each ``*`` at the cursor to ``nodes``."""
+        while self.at("*"):
+            nodes.append(self.take())
+        return nodes
+
+    def comma_list(self, children: list[AstNode], item: Callable[[], AstNode]) -> list[AstNode]:
+        """Append ``item()``, and again after each ``,``, to ``children``:
+        parameters, declarators and call arguments."""
+        children.append(item())
+        while self.at(","):
+            children.append(self.take())
+            children.append(item())
+        return children
 
     def node(self, kind: str, children: list[AstNode]) -> AstNode:
         assert children, f"internal node {kind} needs children"
@@ -378,62 +429,54 @@ class _FileParser:
             if t is None:
                 break
             if t.kind == KEYWORD and t.text in TYPE_KEYWORDS:
-                i = self.advance()
-                nodes.append(self.leaf(i))
+                nodes.append(self.take())
                 if t.text in ("struct", "union", "enum"):
                     tag = self.peek()
                     if tag is not None and tag.kind == IDENTIFIER:
-                        j = self.advance()
-                        self.toks[j].role = ROLE_TYPE
-                        nodes.append(self.leaf(j))
+                        tag.role = ROLE_TYPE
+                        nodes.append(self.take())
                         saw_named_type = True
                 continue
-            if t.kind == IDENTIFIER and not saw_named_type:
-                # A lone identifier can be a typedef name when a
-                # declarator follows ("size_t len", "FILE *fp").
-                j = 1
-                while self.at("*", j):
-                    j += 1
-                nxt = self.peek(j)
-                if nxt is not None and nxt.kind == IDENTIFIER:
-                    i = self.advance()
-                    self.toks[i].role = ROLE_TYPE
-                    nodes.append(self.leaf(i))
-                    saw_named_type = True
-                    continue
+            if not saw_named_type and self.typedef_name_ahead():
+                t.role = ROLE_TYPE
+                nodes.append(self.take())
+                saw_named_type = True
+                continue
             break
         if not nodes:
             raise self.error("expected type specifier")
         return nodes
 
+    def parse_type_name(self) -> list[AstNode]:
+        """Specifiers and the stars after them: the type of a function,
+        a parameter, a cast or a ``sizeof``."""
+        return self.stars(self.parse_decl_specifiers())
+
     def parse_function_def(self) -> None:
         self._fn_start = self.pos
         self._statements = []
         self.node_id = 0
-        spec_nodes = self.parse_decl_specifiers()
-        stars: list[AstNode] = []
-        while self.at("*"):
-            stars.append(self.leaf(self.advance()))
+        head = self.parse_type_name()
         name_idx = self.expect_identifier()
         self.toks[name_idx].role = ROLE_FUNCTION
-        name_node = self.leaf(name_idx)
+        head.append(self.leaf(name_idx))
         if not self.at("("):
             raise self.error("expected '(' to start a parameter list")
-        params, param_list_node = self.parse_param_list()
+        params: list[str] = []
+        param_list = [self.take()]
+        if not self.at(")"):
+            self.comma_list(param_list, lambda: self.parse_param(params))
+        param_list.append(self.take(")"))
+        head.append(self.node("ParamList", param_list))
         signature = self.make_statement(ST_OTHER, self._fn_start)
         if not self.at("{"):
             raise self.error("expected '{' (function body)")
-        block = self.parse_block()
-        fn_node = self.node(
-            "FunctionDef",
-            spec_nodes + stars + [name_node, param_list_node, block],
-        )
+        fn_node = self.node("FunctionDef", head + [self.parse_block()])
         # The signature owns every child but the body (no statement is
         # made inside a signature, so none is stamped yet).
-        signature.roots = fn_node.children[:-1]
-        for child in signature.roots:
+        signature.roots = head
+        for child in head:
             self.stamp(child, signature.id)
-
         fn = FunctionDecl(
             index=self.fn_index,
             name=self.toks[name_idx].text,
@@ -448,78 +491,92 @@ class _FileParser:
         self.functions.append(fn)
         self.fn_index += 1
 
-    def parse_param_list(self) -> tuple[list[str], AstNode]:
-        children = [self.leaf(self.expect("("))]
-        params: list[str] = []
-        if not self.at(")"):
-            while True:
-                if self.at("..."):
-                    children.append(self.leaf(self.advance()))
-                else:
-                    children.append(self.parse_param(params))
-                if self.at(","):
-                    children.append(self.leaf(self.advance()))
-                    continue
-                break
-        children.append(self.leaf(self.expect(")")))
-        return params, self.node("ParamList", children)
-
     def parse_param(self, params: list[str]) -> AstNode:
-        children = self.parse_decl_specifiers()
-        while self.at("*"):
-            children.append(self.leaf(self.advance()))
+        if self.at("..."):
+            return self.take()
+        children = self.parse_type_name()
         t = self.peek()
         if t is not None and t.kind == IDENTIFIER:
-            i = self.advance()
-            self.toks[i].role = ROLE_DECLARED
-            params.append(self.toks[i].text)
-            children.append(self.leaf(i))
-            while self.at("["):
-                children.append(self.leaf(self.advance()))
-                if not self.at("]"):
-                    children.append(self.parse_expression())
-                children.append(self.leaf(self.expect("]")))
+            params.append(self.parse_declared_name(children))
         return self.node("Param", children)
+
+    def parse_declared_name(self, children: list[AstNode]) -> str:
+        """A declared identifier and its array suffixes (``buf[16]``),
+        appended to ``children``; returns the identifier."""
+        i = self.expect_identifier()
+        tok = self.toks[i]
+        tok.role = ROLE_DECLARED
+        children.append(self.leaf(i))
+        while self.at("["):
+            children.append(self.take())
+            if not self.at("]"):
+                children.append(self.parse_expression())
+            children.append(self.take("]"))
+        return tok.text
 
     # --- statements -------------------------------------------------------
 
     def parse_block(self) -> AstNode:
-        children = [self.leaf(self.expect("{"))]
+        """``{ ... }``. Only a block item may be a declaration."""
+        children = [self.take("{")]
         self.block_depth += 1
         while not self.at("}"):
             if self.peek() is None:
                 raise self.error("unexpected end of file inside a block")
-            children.append(self.parse_statement())
-        children.append(self.leaf(self.expect("}")))
+            if self.looks_like_declaration():
+                children.append(self.parse_declaration())
+            else:
+                children.append(self.parse_statement())
+        children.append(self.take("}"))
         self.block_depth -= 1
         return self.node("Block", children)
 
     def parse_statement(self) -> AstNode:
+        """A statement that is not a declaration: a block item, or the
+        body of an ``if``, ``else``, ``while`` or ``for``."""
         t = self.peek()
-        assert t is not None
-        if t.text == "{":
+        if t is None:
+            raise self.error("unexpected end of file")
+        text = t.text
+        if text == "{":
             return self.parse_block()
-        if t.text == ";":
-            node = self.node("EmptyStatement", [self.leaf(self.advance())])
-            return node
-        if t.text == "if":
-            return self.parse_if()
-        if t.text == "while":
-            return self.parse_while()
-        if t.text == "for":
+        if text == ";":
+            return self.node("EmptyStatement", [self.take()])
+        if text == "if":
+            children = [self.parse_condition(), self.parse_statement()]
+            if self.at("else"):
+                children.append(self.take())
+                children.append(self.parse_statement())
+            return self.node("IfStatement", children)
+        if text == "while":
+            cond = self.parse_condition()
+            return self.node("WhileStatement", [cond, self.parse_statement()])
+        if text == "for":
             return self.parse_for()
-        if t.text == "return":
-            return self.parse_return()
-        if t.text in ("break", "continue"):
-            kind = "BreakStatement" if t.text == "break" else "ContinueStatement"
-            lo = self.advance()
-            children = [self.leaf(lo), self.leaf(self.expect(";"))]
-            return self.own(self.node(kind, children), ST_OTHER, lo)
-        if t.text in ("do", "switch", "goto", "typedef", "case", "default"):
-            raise self.error(f"{t.text!r} statements are outside the subset")
+        if text in _JUMPS:
+            lo = self.pos
+            children = [self.take()]
+            if text == "return" and not self.at(";"):
+                children.append(self.parse_expression())
+            children.append(self.take(";"))
+            kind, statement_kind = _JUMPS[text]
+            return self.own(self.node(kind, children), statement_kind, lo)
+        if text in ("do", "switch", "goto", "typedef", "case", "default"):
+            raise self.error(f"{text!r} statements are outside the subset")
         if self.looks_like_declaration():
-            return self.parse_declaration()
-        return self.parse_expression_statement()
+            raise self.error("expected a statement, found a declaration")
+        lo = self.pos
+        expr = self.parse_expression()
+        node = self.node("ExpressionStatement", [expr, self.take(";")])
+        kind = ST_CALL if expr.kind == "CallExpression" else ST_EXPRESSION
+        return self.own(node, kind, lo)
+
+    def parse_condition(self) -> AstNode:
+        """``if`` or ``while`` and its parenthesized expression: the
+        Condition node, owned by a control-predicate statement."""
+        lo = self.pos
+        children = [self.take(), self.take("("), self.parse_expression(), self.take(")")]
+        return self.own(self.node("Condition", children), ST_PREDICATE, lo)
 
     def looks_like_declaration(self) -> bool:
         t = self.peek()
@@ -527,128 +584,67 @@ class _FileParser:
             return False
         if t.kind == KEYWORD and t.text in TYPE_KEYWORDS:
             return True
-        if t.kind != IDENTIFIER:
-            return False
-        j = 1
-        while self.at("*", j):
-            j += 1
-        nxt = self.peek(j)
-        if nxt is None or nxt.kind != IDENTIFIER:
-            return False
-        after = self.peek(j + 1)
+        j = self.typedef_name_ahead()
+        after = self.peek(j + 1) if j else None
         return after is not None and after.text in (";", "=", ",", "[")
 
     def parse_declaration(self) -> AstNode:
         lo = self.pos
-        children = self.parse_decl_specifiers()
-        while True:
-            children.append(self.parse_declarator())
-            if self.at(","):
-                children.append(self.leaf(self.advance()))
-                continue
-            break
-        children.append(self.leaf(self.expect(";")))
+        children = self.comma_list(self.parse_decl_specifiers(), self.parse_declarator)
+        children.append(self.take(";"))
         node = self.node("IdentifierDeclStatement", children)
         return self.own(node, ST_DECLARATION, lo)
 
     def parse_declarator(self) -> AstNode:
-        children: list[AstNode] = []
-        while self.at("*"):
-            children.append(self.leaf(self.advance()))
-        name_idx = self.expect_identifier()
-        self.toks[name_idx].role = ROLE_DECLARED
-        children.append(self.leaf(name_idx))
-        while self.at("["):
-            children.append(self.leaf(self.advance()))
-            if not self.at("]"):
-                children.append(self.parse_expression())
-            children.append(self.leaf(self.expect("]")))
+        children = self.stars([])
+        self.parse_declared_name(children)
         if self.at("="):
-            children.append(self.leaf(self.advance()))
+            children.append(self.take())
             children.append(self.parse_initializer())
         return self.node("Declarator", children)
 
     def parse_initializer(self) -> AstNode:
         if self.at("{"):
-            children = [self.leaf(self.advance())]
+            children = [self.take()]
             while not self.at("}"):
                 children.append(self.parse_initializer())
                 if self.at(","):
-                    children.append(self.leaf(self.advance()))
-            children.append(self.leaf(self.expect("}")))
+                    children.append(self.take())
+            children.append(self.take("}"))
             return self.node("InitList", children)
         return self.parse_assignment_expr()
 
-    def parse_if(self) -> AstNode:
-        lo = self.pos
-        kw = self.leaf(self.expect("if"))
-        open_paren = self.leaf(self.expect("("))
-        cond_expr = self.parse_expression()
-        close_paren = self.leaf(self.expect(")"))
-        cond = self.node("Condition", [kw, open_paren, cond_expr, close_paren])
-        children = [self.own(cond, ST_PREDICATE, lo), self.parse_statement()]
-        if self.at("else"):
-            children.append(self.leaf(self.advance()))
-            children.append(self.parse_statement())
-        return self.node("IfStatement", children)
-
-    def parse_while(self) -> AstNode:
-        lo = self.pos
-        kw = self.leaf(self.expect("while"))
-        open_paren = self.leaf(self.expect("("))
-        cond_expr = self.parse_expression()
-        close_paren = self.leaf(self.expect(")"))
-        cond = self.node("Condition", [kw, open_paren, cond_expr, close_paren])
-        self.own(cond, ST_PREDICATE, lo)
-        return self.node("WhileStatement", [cond, self.parse_statement()])
-
     def parse_for(self) -> AstNode:
-        children = [self.leaf(self.expect("for")), self.leaf(self.expect("("))]
+        children = [self.take(), self.take("(")]
         # init
         if self.at(";"):
-            children.append(self.leaf(self.advance()))
+            children.append(self.take())
         elif self.looks_like_declaration():
             children.append(self.parse_declaration())
         else:
             lo = self.pos
             children.append(self.own(self.parse_expression(), ST_EXPRESSION, lo))
-            children.append(self.leaf(self.expect(";")))
+            children.append(self.take(";"))
         # condition: its own control-predicate statement (bare expression)
         if not self.at(";"):
             lo = self.pos
             cond = self.node("Condition", [self.parse_expression()])
             children.append(self.own(cond, ST_PREDICATE, lo))
-        children.append(self.leaf(self.expect(";")))
+        children.append(self.take(";"))
         # step
         if not self.at(")"):
             lo = self.pos
             children.append(self.own(self.parse_expression(), ST_EXPRESSION, lo))
-        children.append(self.leaf(self.expect(")")))
+        children.append(self.take(")"))
         children.append(self.parse_statement())
         return self.node("ForStatement", children)
-
-    def parse_return(self) -> AstNode:
-        lo = self.pos
-        children = [self.leaf(self.expect("return"))]
-        if not self.at(";"):
-            children.append(self.parse_expression())
-        children.append(self.leaf(self.expect(";")))
-        return self.own(self.node("ReturnStatement", children), ST_RETURN, lo)
-
-    def parse_expression_statement(self) -> AstNode:
-        lo = self.pos
-        expr = self.parse_expression()
-        semi = self.leaf(self.expect(";"))
-        node = self.node("ExpressionStatement", [expr, semi])
-        kind = ST_CALL if expr.kind == "CallExpression" else ST_EXPRESSION
-        return self.own(node, kind, lo)
 
     # --- expressions --------------------------------------------------
 
     def parse_expression(self) -> AstNode:
         node = self.parse_assignment_expr()
         while self.at(","):
-            comma = self.leaf(self.advance())
+            comma = self.take()
             rhs = self.parse_assignment_expr()
             node = self.node("BinaryExpr", [node, comma, rhs])
         return node
@@ -657,7 +653,7 @@ class _FileParser:
         lhs = self.parse_conditional()
         t = self.peek()
         if t is not None and t.text in ASSIGN_OPS:
-            op = self.leaf(self.advance())
+            op = self.take()
             rhs = self.parse_assignment_expr()
             return self.node("AssignExpr", [lhs, op, rhs])
         return lhs
@@ -665,9 +661,9 @@ class _FileParser:
     def parse_conditional(self) -> AstNode:
         cond = self.parse_binary(0)
         if self.at("?"):
-            q = self.leaf(self.advance())
+            q = self.take()
             then = self.parse_expression()
-            colon = self.leaf(self.expect(":"))
+            colon = self.take(":")
             other = self.parse_assignment_expr()
             return self.node("CondExpr", [cond, q, then, colon, other])
         return cond
@@ -685,7 +681,7 @@ class _FileParser:
             level = -1 if t is None else _BINARY_PRECEDENCE.get(t.text, -1)
             if level < min_level:
                 return node
-            op = self.leaf(self.advance())
+            op = self.take()
             rhs = self.parse_binary(level + 1)
             node = self.node("BinaryExpr", [node, op, rhs])
 
@@ -694,38 +690,26 @@ class _FileParser:
         if t is None:
             raise self.error("expected expression")
         if t.text in _UNARY_OPS and t.kind == OPERATOR:
-            op = self.leaf(self.advance())
-            operand = self.parse_unary()
-            return self.node("UnaryExpr", [op, operand])
+            op = self.take()
+            return self.node("UnaryExpr", [op, self.parse_unary()])
         if t.text == "sizeof":
-            kw = self.leaf(self.advance())
-            if self.at("("):
-                open_paren = self.leaf(self.advance())
-                inner = self.parse_sizeof_operand()
-                close_paren = self.leaf(self.expect(")"))
-                paren = self.node("ParenExpr", [open_paren, inner, close_paren])
-                return self.node("UnaryExpr", [kw, paren])
-            return self.node("UnaryExpr", [kw, self.parse_unary()])
+            kw = self.take()
+            if not self.at("("):
+                return self.node("UnaryExpr", [kw, self.parse_unary()])
+            open_paren = self.take()
+            t = self.peek()
+            if t is not None and t.kind == KEYWORD and t.text in TYPE_KEYWORDS:
+                nodes = self.parse_type_name()
+                inner = nodes[0] if len(nodes) == 1 else self.node("TypeName", nodes)
+            else:
+                inner = self.parse_expression()
+            paren = self.node("ParenExpr", [open_paren, inner, self.take(")")])
+            return self.node("UnaryExpr", [kw, paren])
         if t.text == "(" and self.is_cast_ahead():
-            open_paren = self.leaf(self.advance())
-            type_nodes = self.parse_decl_specifiers()
-            while self.at("*"):
-                type_nodes.append(self.leaf(self.advance()))
-            close_paren = self.leaf(self.expect(")"))
-            operand = self.parse_unary()
-            return self.node(
-                "CastExpr", [open_paren] + type_nodes + [close_paren, operand]
-            )
+            children = [self.take(), *self.parse_type_name(), self.take(")")]
+            children.append(self.parse_unary())
+            return self.node("CastExpr", children)
         return self.parse_postfix()
-
-    def parse_sizeof_operand(self) -> AstNode:
-        t = self.peek()
-        if t is not None and t.kind == KEYWORD and t.text in TYPE_KEYWORDS:
-            nodes = self.parse_decl_specifiers()
-            while self.at("*"):
-                nodes.append(self.leaf(self.advance()))
-            return nodes[0] if len(nodes) == 1 else self.node("TypeName", nodes)
-        return self.parse_expression()
 
     def is_cast_ahead(self) -> bool:
         # "(" type-keyword ... ")" followed by something castable.
@@ -733,23 +717,19 @@ class _FileParser:
         if t is None or t.kind != KEYWORD or t.text not in TYPE_KEYWORDS:
             return False
         j = 2
-        while True:
+        t = self.peek(j)
+        while t is not None and (
+            t.kind == IDENTIFIER or t.text == "*" or t.kind == KEYWORD and t.text in TYPE_KEYWORDS
+        ):
+            j += 1
             t = self.peek(j)
-            if t is None:
-                return False
-            if t.text == ")":
-                after = self.peek(j + 1)
-                return after is not None and (
-                    after.kind in (IDENTIFIER, CONSTANT, STRING)
-                    or after.text in ("(", "*", "&", "-", "+", "!", "~")
-                )
-            if t.kind == KEYWORD and t.text in TYPE_KEYWORDS or t.text == "*":
-                j += 1
-                continue
-            if t.kind == IDENTIFIER:
-                j += 1
-                continue
+        if t is None or t.text != ")":
             return False
+        after = self.peek(j + 1)
+        return after is not None and (
+            after.kind in (IDENTIFIER, CONSTANT, STRING)
+            or after.text in ("(", "*", "&", "-", "+", "!", "~")
+        )
 
     def parse_postfix(self) -> AstNode:
         node = self.parse_primary()
@@ -761,28 +741,21 @@ class _FileParser:
                 if node.kind == "Identifier":
                     # still the primary's leaf, so its token was the last consumed
                     self.toks[self.pos - 1].role = ROLE_CALLEE
-                callee = self.node("Callee", [node])
-                children = [callee, self.leaf(self.advance())]
+                children = [self.node("Callee", [node]), self.take()]
                 if not self.at(")"):
-                    while True:
-                        children.append(self.parse_assignment_expr())
-                        if self.at(","):
-                            children.append(self.leaf(self.advance()))
-                            continue
-                        break
-                children.append(self.leaf(self.expect(")")))
+                    self.comma_list(children, self.parse_assignment_expr)
+                children.append(self.take(")"))
                 node = self.node("CallExpression", children)
             elif t.text == "[":
-                children = [node, self.leaf(self.advance()), self.parse_expression()]
-                children.append(self.leaf(self.expect("]")))
+                children = [node, self.take(), self.parse_expression(), self.take("]")]
                 node = self.node("IndexExpr", children)
             elif t.text in (".", "->"):
-                op = self.leaf(self.advance())
+                op = self.take()
                 fld = self.expect_identifier()
                 self.toks[fld].role = ROLE_FIELD
                 node = self.node("MemberExpr", [node, op, self.leaf(fld)])
             elif t.text in ("++", "--"):
-                node = self.node("UnaryExpr", [node, self.leaf(self.advance())])
+                node = self.node("UnaryExpr", [node, self.take()])
             else:
                 return node
 
@@ -791,25 +764,18 @@ class _FileParser:
         if t is None:
             raise self.error("expected expression")
         if t.text == "(":
-            open_paren = self.leaf(self.advance())
-            inner = self.parse_expression()
-            close_paren = self.leaf(self.expect(")"))
-            return self.node("ParenExpr", [open_paren, inner, close_paren])
+            children = [self.take(), self.parse_expression(), self.take(")")]
+            return self.node("ParenExpr", children)
         if t.kind in (IDENTIFIER, CONSTANT, STRING):
-            return self.leaf(self.advance())
+            return self.take()
         if t.kind == KEYWORD and t.text == "sizeof":
             return self.parse_unary()
         raise self.error(f"unexpected token {t.text!r} in expression")
 
 
-def parse(
-    tokens: list[Token],
-    file_path: str,
-    first_statement_id: int = 0,
-    first_function_index: int = 0,
-) -> ProgramModel:
+def parse(tokens: list[Token], file_path: str) -> ProgramModel:
     """Parse one file's tokens into a ProgramModel."""
-    parser = _FileParser(tokens, file_path, first_statement_id, first_function_index)
+    parser = _FileParser(tokens, file_path, 0, 0)
     parser.parse_translation_unit()
     return ProgramModel(
         functions=parser.functions,
@@ -831,8 +797,7 @@ def load_program(paths: list[str], name: str = "") -> ProgramModel:
     that does not parse is.
     """
     model = ProgramModel(name=name or (paths[0] if paths else ""))
-    next_stmt = 0
-    next_fn = 0
+    next_stmt = next_fn = 0
     for path in paths:
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
             text = handle.read()
@@ -843,13 +808,11 @@ def load_program(paths: list[str], name: str = "") -> ProgramModel:
             message = f"{path}:{exc.line}: {exc.message} (file skipped)"
             model.diagnostics.append(Diagnostic(path, exc.line, message))
             continue
-        part = parse(tokens, path, next_stmt, next_fn)
-        model.functions.extend(part.functions)
-        model.diagnostics.extend(part.diagnostics)
-        for fn in part.functions:
-            for st in fn.all_statements():
-                next_stmt = max(next_stmt, st.id + 1)
-            next_fn = max(next_fn, fn.index + 1)
+        parser = _FileParser(tokens, path, next_stmt, next_fn)
+        parser.parse_translation_unit()
+        model.functions.extend(parser.functions)
+        model.diagnostics.extend(parser.diagnostics)
+        next_stmt, next_fn = parser.stmt_id, parser.fn_index
     return model
 
 

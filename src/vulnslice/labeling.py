@@ -50,7 +50,6 @@ class DiffMark:
 class DiffReport:
     marks: list[DiffMark] = field(default_factory=list)
     eligible: bool = True
-    files: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -83,22 +82,20 @@ def parse_diff(diff_text: str) -> DiffReport:
     as a move. A diff with no "-" lines at all is ineligible.
     """
     current_file: str | None = None
+    old_file: str | None = None
     old_line = 0
     in_hunk = False
     removed: list[tuple[str, int, str]] = []  # (file, pre-patch line, content)
     added: dict[str, list[str]] = {}
-    files: list[str] = []
     for raw in diff_text.splitlines():
         if raw.startswith("--- "):
+            old_file = raw[4:].split("\t")[0].strip().removeprefix("a/")
             in_hunk = False
             continue
         if raw.startswith("+++ "):
-            name = raw[4:].split("\t")[0].strip()
-            if name.startswith("b/"):
-                name = name[2:]
-            current_file = name
-            if name not in files and name != "/dev/null":
-                files.append(name)
+            name = raw[4:].split("\t")[0].strip().removeprefix("b/")
+            # a deleted file's new name is /dev/null: mark its old one
+            current_file = old_file if name == "/dev/null" else name
             in_hunk = False
             continue
         if raw.startswith("@@"):
@@ -124,14 +121,14 @@ def parse_diff(diff_text: str) -> DiffReport:
         else:
             raise DiffParseError(f"unexpected diff line: {raw!r}")
     if not removed:
-        return DiffReport(marks=[], eligible=False, files=files)
+        return DiffReport(marks=[], eligible=False)
     marks = []
     for file, line, content in removed:
         moved = content != "" and content in added.get(file, [])
         marks.append(
             DiffMark(file=file, line=line, mark=MARK_MOVED if moved else MARK_DELETED)
         )
-    return DiffReport(marks=marks, eligible=True, files=files)
+    return DiffReport(marks=marks, eligible=True)
 
 
 @dataclass
@@ -140,12 +137,9 @@ class GroundTruth:
 
     annotations: dict[str, Annotation] = field(default_factory=dict)
     diff_marks: dict[str, list[DiffMark]] = field(default_factory=dict)
-    vulnerable_files: set[str] = field(default_factory=set)
 
     def add_annotation(self, annotation: Annotation) -> None:
         self.annotations[annotation.file] = annotation
-        if annotation.program_class != CLASS_GOOD and annotation.vulnerable_lines:
-            self.vulnerable_files.add(annotation.file)
 
     def add_diff(self, report: DiffReport, file_alias: str | None = None) -> None:
         for mark in report.marks:
@@ -153,7 +147,6 @@ class GroundTruth:
             self.diff_marks.setdefault(name, []).append(
                 DiffMark(name, mark.line, mark.mark)
             )
-            self.vulnerable_files.add(name)
 
     def knows(self, file: str) -> bool:
         return file in self.annotations or file in self.diff_marks
@@ -174,7 +167,7 @@ def label_sevc(sevc: SeVC, truth: GroundTruth) -> tuple[int, bool]:
     lines = sevc.lines_by_file()
 
     deleted_hit = False
-    moved_hit_in_vulnerable_file = False
+    moved_hit = False
     annotation_hit = False
     for file, line in sorted(lines):
         for mark in truth.diff_marks.get(file, []):
@@ -182,8 +175,8 @@ def label_sevc(sevc: SeVC, truth: GroundTruth) -> tuple[int, bool]:
                 continue
             if mark.mark == MARK_DELETED:
                 deleted_hit = True
-            elif file in truth.vulnerable_files:
-                moved_hit_in_vulnerable_file = True
+            else:
+                moved_hit = True
         note = truth.annotations.get(file)
         if (
             note is not None
@@ -194,7 +187,7 @@ def label_sevc(sevc: SeVC, truth: GroundTruth) -> tuple[int, bool]:
 
     if deleted_hit or annotation_hit:
         return 1, False
-    if moved_hit_in_vulnerable_file:
+    if moved_hit:
         return 1, True
     return 0, False
 

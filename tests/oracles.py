@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from vulnslice.frontend import tokenize
 from vulnslice.graphs import Cfg, DependenceEdge, Pdg, StatementFacts
 
 
@@ -298,6 +299,14 @@ def long_function_source(statements: int) -> str:
             "    }",
         ]
     return "\n".join(lines + ["}"])
+
+
+def token_prefixes(source: str):
+    """``source`` cut after each of its tokens, in order: every way a file
+    can end at a token boundary."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    for t in tokenize(source):
+        yield source[: line_starts[t.line - 1] + t.column - 1 + len(t.text)]
 
 
 def random_pdg(rng: np.random.Generator, max_nodes: int) -> Pdg:

@@ -1009,6 +1009,76 @@ def test_label_refuses_a_diff_that_only_adds_lines(tmp_path, capsys):
     assert not (out / "labels.jsonl").exists()
 
 
+TWO_FILE_DIFF = """--- a/b.c
++++ b/b.c
+@@ -3,2 +3,2 @@
+-    strcpy(buf, s);
++    strncpy(buf, s, 8);
+     puts(buf);
+"""
+
+
+def test_diff_marks_land_on_the_file_the_diff_names(tmp_path, capsys):
+    """prog/ holds a.c and b.c, and the diff removes b.c's line 3: the
+    SeVCs that hold prog/b.c:3 are vulnerable, and no SeVC of a.c is.
+    A diff that deletes b.c marks all of b.c; one of c.c is refused."""
+    root = tmp_path / "corpus"
+    (root / "prog").mkdir(parents=True)
+    (root / "prog" / "a.c").write_text(TINY_PROGRAMS["leak.c"])
+    (root / "prog" / "b.c").write_text(
+        "void copy(char *buf, char *s)\n{\n    strcpy(buf, s);\n    puts(buf);\n}\n"
+    )
+    (root / "prog.diff").write_text(TWO_FILE_DIFF)
+    manifest = {"programs": [
+        {"path": "prog", "diff": "prog.diff"},
+        {"path": "safe_reader.c", "class": "good"},
+    ]}
+    (root / "safe_reader.c").write_text(TINY_PROGRAMS["safe_reader.c"])
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice", "label"):
+        assert run(root, out, stage) == 0
+    labels = {r["syvc_id"]: r["label"] for r in read_records(out / "labels.jsonl")}
+    files = set()
+    for sevc in read_records(out / "sevc.jsonl"):
+        held = {(s["file"], s["line"]) for s in sevc["statements"]}
+        files |= {file for file, _ in held}
+        assert labels[sevc["syvc_id"]] == int(("prog/b.c", 3) in held), held
+    assert {"prog/a.c", "prog/b.c"} <= files and sum(labels.values()) > 0
+    # a diff that deletes b.c marks every line of it
+    deletion = ["--- a/b.c", "+++ /dev/null", "@@ -1,5 +0,0 @@"]
+    deletion += ["-" + line for line in (root / "prog" / "b.c").read_text().splitlines()]
+    (root / "prog.diff").write_text("\n".join(deletion) + "\n")
+    assert run(root, out, "label") == 0
+    labels = {r["syvc_id"]: r["label"] for r in read_records(out / "labels.jsonl")}
+    for sevc in read_records(out / "sevc.jsonl"):
+        held = {s["file"] for s in sevc["statements"]}
+        assert labels[sevc["syvc_id"]] == int("prog/b.c" in held), held
+    (root / "prog.diff").write_text(TWO_FILE_DIFF.replace("b.c", "c.c"))
+    capsys.readouterr()
+    assert run(root, out, "label") == 2
+    assert capsys.readouterr().err == (
+        "error: program prog: diff file c.c matches 0 of its source files, not 1\n"
+    )
+
+
+def test_a_file_cut_off_mid_statement_skips_only_its_function(tmp_path):
+    root = tmp_path / "corpus"
+    write_corpus(root, {"a.c": "void f(int a) { if (a)", "leak.c": TINY_PROGRAMS["leak.c"]})
+    out = tmp_path / "out"
+    assert parse_only(root, out) == 0
+    report = json.loads((out / "parse_report.json").read_text())
+    assert report["functions"] == 1
+    assert report["diagnostics"] == [
+        {
+            "program": "a.c",
+            "file": "a.c",
+            "line": 1,
+            "message": "a.c:1: unexpected end of file (function skipped)",
+        }
+    ]
+
+
 def test_evaluate_holds_out_exactly_the_programs_train_did_not_train_on(tmp_path, capsys):
     """--strict-review drops moved.c from training, so train splits one
     program fewer than labels.jsonl holds. evaluate scores every labeled

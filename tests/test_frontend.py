@@ -17,8 +17,13 @@ from vulnslice.frontend import (
     tokenize,
 )
 
-from oracles import long_function_source, random_jump_source, random_structured_source
-from test_frontend_reference import BUNDLED, structural_dump
+from oracles import (
+    long_function_source,
+    random_jump_source,
+    random_structured_source,
+    token_prefixes,
+)
+from test_frontend_reference import BUNDLED, TEMPLATE_PROGRAMS, structural_dump
 
 
 def kinds_and_texts(source):
@@ -232,6 +237,36 @@ def test_parse_recovery_skips_bad_function():
     without_bad = parse_source(src.replace("void bad_one(){int b; switch (x) {case 1: break;}}", ""))
     assert structural_dump(model)["functions"][1] == structural_dump(without_bad)["functions"][1]
     assert [st.id for st in model.functions[1].all_statements()] == [2, 3]
+
+
+def test_every_token_prefix_parses_or_fails_to_lex():
+    """A file cut off anywhere skips the function it cuts, with a
+    diagnostic; it never aborts the parse."""
+    cut = 0
+    for source in list(BUNDLED.values()) + TEMPLATE_PROGRAMS:
+        for prefix in token_prefixes(source):
+            try:
+                model = parse_source(prefix)
+            except LexError:
+                continue
+            cut += any("unexpected end of file" in d.message for d in model.diagnostics)
+    assert cut > 0
+
+
+@pytest.mark.parametrize(
+    "head, declaration",
+    [("if (a)", "int i = 0;"), ("if (a) ; else", "size_t n;"),
+     ("while (a)", "FILE *fp;"), ("for (; a;)", "char buf[4];")],
+)
+def test_a_declaration_is_only_a_block_item(head, declaration):
+    model = parse_source(f"void f(int a)\n{{ {head} {declaration} }}\nvoid g(void) {{ }}\n")
+    assert [fn.name for fn in model.functions] == ["g"]
+    assert [d.message for d in model.diagnostics] == [
+        "<memory>:2: expected a statement, found a declaration (function skipped)"
+    ]
+    braced = parse_source(f"void f(int a) {{ {head} {{ {declaration} }} }}")
+    assert braced.diagnostics == []
+    assert braced.functions[0].body[-1].kind == "declaration"
 
 
 def test_statement_ids_unique_and_resolve():

@@ -231,14 +231,17 @@ _FLOW = ["a = b;", "f(a);", ";", "return;", "break;", "continue;", "int i = 0;"]
 def random_flow_source(rng: np.random.Generator) -> str:
     """A function over every shape the builder wires, jumps anywhere:
     blocks, ``if`` with and without ``else``, ``while``, and ``for`` with
-    any of its three clauses left out (a declaration init included)."""
+    any of its three clauses left out (a declaration init included).
+    ``int i = 0;`` is drawn only as a block item, where C allows it."""
 
-    def statement(depth: int) -> str:
+    def statement(depth: int, item: bool = False) -> str:
         roll = int(rng.integers(0, 6 if depth < 3 else 1))
         if roll == 0:
-            return _FLOW[int(rng.integers(0, len(_FLOW)))]
+            simple = _FLOW if item else _FLOW[:-1]
+            return simple[int(rng.integers(0, len(simple)))]
         if roll == 1:
-            return "{ " + " ".join(statement(depth + 1) for _ in range(rng.integers(0, 4))) + " }"
+            items = (statement(depth + 1, True) for _ in range(rng.integers(0, 4)))
+            return "{ " + " ".join(items) + " }"
         if roll == 2:
             other = f" else {statement(depth + 1)}" if rng.random() < 0.5 else ""
             return f"if (a) {statement(depth + 1)}{other}"
@@ -249,7 +252,7 @@ def random_flow_source(rng: np.random.Generator) -> str:
         step = "i++" if rng.random() < 0.6 else ""
         return f"for ({init}; {cond}; {step}) {statement(depth + 1)}"
 
-    body = " ".join(statement(0) for _ in range(rng.integers(1, 5)))
+    body = " ".join(statement(0, True) for _ in range(rng.integers(1, 5)))
     return f"void flow(int a, int b, int n, int i)\n{{ {body} }}\n"
 
 
