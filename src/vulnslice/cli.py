@@ -6,7 +6,8 @@ directory and write their own atomically:
     parse     -> ast.jsonl, parse_report.json
     extract   -> syvc.jsonl
     slice     -> sevc.jsonl, slice_report.json
-    vectorize -> embeddings.json, vectors.bin (+ .idx)
+    vectorize -> embeddings.json, vectors.bin (+ .idx),
+                 vectorize_report.json
     label     -> labels.jsonl, review.jsonl
     train     -> checkpoint.bin, train_report.json
     detect    -> detect.jsonl (exit code 1 when anything is flagged)
@@ -28,10 +29,14 @@ be on the command line.
 detect is the one stage that scores samples. It records, for each
 finding, the BGRU's activation output at every kept symbol, and in its
 header the threshold it applied. evaluate counts exactly those
-findings as its positive predictions, and explain explains them from
-those activations. Both take detect's threshold; an explicit
---threshold that differs from it is an error (exit 2) that asks to
-re-run detect with it.
+findings as its positive predictions and needs no activations; explain
+explains the findings from their activations. Both take detect's
+threshold; an explicit --threshold that differs from it is an error
+(exit 2) that asks to re-run detect with it.
+
+vectorize skips a SeVC whose anchor statement cannot fit the symbol
+window and lists it in vectorize_report.json; detect does not score it,
+so evaluate counts it as not flagged.
 
 labels.jsonl is the one record of each SeVC's label and review flag,
 and train_report.json of the program split that train draws: evaluate
@@ -113,13 +118,13 @@ LAZY_NAMES = {
     "assemble_sevc": "slicing:assemble_sevc",
     "interprocedural_slices": "slicing:interprocedural_slices",
     "sevc_record": "slicing:sevc_record",
-    "Annotation": "labeling:Annotation",
-    "DiffReport": "labeling:DiffReport",
-    "GroundTruth": "labeling:GroundTruth",
+    "MARK_DELETED": "labeling:MARK_DELETED",
     "apply_labels": "labeling:apply_labels",
+    "mark_lines": "labeling:mark_lines",
     "parse_diff": "labeling:parse_diff",
     "review_queue": "labeling:review_queue",
     "ActivationTrace": "symbols:ActivationTrace",
+    "EncodingError": "symbols:EncodingError",
     "symbolize": "symbols:symbolize",
     "truncation_window": "symbols:truncation_window",
     "explain_trace": "symbols:explain",
@@ -304,10 +309,15 @@ class RunConfig:
         return os.path.join(self.out, name)
 
 
+# an annotated program's class; a "good" one lists no vulnerable lines
+PROGRAM_CLASSES = ("good", "bad", "mixed")
+
+
 @dataclass
 class ManifestProgram:
     path: str  # relative program id
     source_paths: list[str]  # absolute source files
+    files: list[str]  # the same files, manifest-relative
     program_class: str | None = None
     vulnerable_lines: tuple[int, ...] = ()
     diff_path: str | None = None
@@ -351,6 +361,14 @@ def load_manifest(path: str) -> Manifest:
         lines = record.get("vulnerable_lines", [])
         if not isinstance(lines, list) or not all(type(n) is int for n in lines):
             raise StageError(f"{where}: 'vulnerable_lines' must be a list of line numbers")
+        program_class = _text(record, "class", where)
+        if program_class not in (None, *PROGRAM_CLASSES):
+            raise StageError(
+                f"{where}: 'class' must be one of {', '.join(PROGRAM_CLASSES)}, "
+                f"not {program_class!r}"
+            )
+        if program_class == "good" and lines:
+            raise StageError(f"{where}: a 'good' program cannot list 'vulnerable_lines'")
         rel = record["path"]
         full = os.path.join(root, rel)
         if os.path.isdir(full):
@@ -374,7 +392,8 @@ def load_manifest(path: str) -> Manifest:
             ManifestProgram(
                 path=rel,
                 source_paths=sources,
-                program_class=_text(record, "class", where),
+                files=[os.path.relpath(p, root) for p in sources],
+                program_class=program_class,
                 vulnerable_lines=tuple(lines),
                 diff_path=diff_path,
             )
@@ -390,7 +409,7 @@ def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
     for prog in manifest.programs:
         model = load_program(prog.source_paths, name=prog.path)
         # manifest-relative file names keep artifacts portable
-        rel = {p: os.path.relpath(p, manifest.root) for p in prog.source_paths}
+        rel = dict(zip(prog.source_paths, prog.files))
         for fn in model.functions:
             fn.file_path = rel[fn.file_path]
         model.files = [rel[f] for f in model.files]
@@ -403,49 +422,40 @@ def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
 
 
 @_uses("labeling")
-def _ground_truth(manifest: Manifest) -> GroundTruth:
-    truth = GroundTruth()
+def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
+    """labeling's file -> {pre-patch line: mark} map, over every source file."""
+    truth: dict[str, dict[int, str]] = {}
     for prog in manifest.programs:
-        rel_files = [
-            os.path.relpath(p, manifest.root) for p in prog.source_paths
-        ]
-        if prog.diff_path is not None:
-            with open(prog.diff_path, "r", encoding="utf-8") as handle:
-                report = parse_diff(handle.read())
-            if not report.eligible:
+        if prog.diff_path is None:
+            if prog.program_class is None:
                 raise StageError(
-                    f"program {prog.path}: its diff only adds lines, "
-                    "so it marks no vulnerable line"
+                    f"program {prog.path} needs either a class or a diff"
                 )
-            names = list(dict.fromkeys(mark.file for mark in report.marks))
-            for name in names:
-                # a one-file diff of a one-file program may name it anything
-                matches = rel_files if len(rel_files) == len(names) == 1 else [
-                    rel for rel in rel_files if rel == name or rel.endswith("/" + name)
-                ]
-                if len(matches) != 1:
-                    raise StageError(
-                        f"program {prog.path}: diff file {name} matches "
-                        f"{len(matches)} of its source files, not 1"
-                    )
-                marks = [mark for mark in report.marks if mark.file == name]
-                truth.add_diff(DiffReport(marks=marks), file_alias=matches[0])
-            for rel in rel_files:
-                if rel not in truth.diff_marks:
-                    truth.diff_marks.setdefault(rel, [])
+            for rel in prog.files:
+                truth[rel] = dict.fromkeys(prog.vulnerable_lines, MARK_DELETED)
             continue
-        if prog.program_class is None:
+        with open(prog.diff_path, "r", encoding="utf-8") as handle:
+            marks = parse_diff(handle.read())
+        if not marks:
             raise StageError(
-                f"program {prog.path} needs either a class or a diff"
+                f"program {prog.path}: its diff only adds lines, "
+                "so it marks no vulnerable line"
             )
-        for rel in rel_files:
-            truth.add_annotation(
-                Annotation(
-                    file=rel,
-                    program_class=prog.program_class,
-                    vulnerable_lines=frozenset(prog.vulnerable_lines),
+        owner = {}  # the diff's file name -> the program's source file
+        names = list(dict.fromkeys(mark.file for mark in marks))
+        for name in names:
+            # a one-file diff of a one-file program may name it anything
+            matches = prog.files if len(prog.files) == len(names) == 1 else [
+                rel for rel in prog.files if rel == name or rel.endswith("/" + name)
+            ]
+            if len(matches) != 1:
+                raise StageError(
+                    f"program {prog.path}: diff file {name} matches "
+                    f"{len(matches)} of its source files, not 1"
                 )
-            )
+            owner[name] = matches[0]
+        for rel in prog.files:
+            truth[rel] = mark_lines(mark for mark in marks if owner[mark.file] == rel)
     return truth
 
 
@@ -634,12 +644,25 @@ def stage_vectorize(config: RunConfig) -> None:
         )
     table.save(config.path("embeddings.json"))
     samples = []
+    skipped = []  # vectorize_report.json: SeVCs whose anchor the window cuts
     for sym in symbolic:
-        samples.append(encode(sym, table, theta))
+        try:
+            samples.append(encode(sym, table, theta))
+        except EncodingError as exc:
+            skipped.append(
+                {"program": sym.program, "syvc_id": sym.syvc_id, "message": str(exc)}
+            )
+    artifacts.write_json(
+        config.path("vectorize_report.json"),
+        {"seed": config.seed, "vectors": len(samples), "skipped": skipped},
+    )
+    if not samples:
+        raise StageError("no SeVC could be vectorized; see vectorize_report.json")
     save_vectors(config.path("vectors.bin"), samples, config.seed)
     print(
         f"vectorized {len(samples)} SeVCs (theta={theta}, d={d}, "
         f"mode={config.embed_mode})"
+        + (f", {len(skipped)} skipped" if skipped else "")
     )
 
 
@@ -773,14 +796,17 @@ def _stale_detections(problem: str) -> StageError:
     return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
 
 
-def _detections(config: RunConfig) -> list[dict]:
-    """detect.jsonl's findings; an old file or another --threshold is stale."""
+def _detections(config: RunConfig, activations: bool = False) -> list[dict]:
+    """detect.jsonl's findings, with their ``activations`` if asked; an
+    old file or another --threshold is stale."""
     header, findings = artifacts.read_jsonl(
         config.path("detect.jsonl"), "detections", "detect"
     )
-    threshold = header.get("threshold")
-    if threshold is None or any("activations" not in f for f in findings):
+    if activations and any("activations" not in f for f in findings):
         raise _stale_detections("holds no activations (written by an older detect)")
+    threshold = header.get("threshold")
+    if threshold is None:
+        raise _stale_detections("holds no threshold (written by an older detect)")
     if config.threshold is not None and config.threshold != threshold:
         raise _stale_detections(
             f"flags at threshold {threshold}, not at --threshold {config.threshold}"
@@ -821,7 +847,7 @@ def stage_evaluate(config: RunConfig) -> None:
 
 @_uses("symbols")
 def stage_explain(config: RunConfig) -> None:
-    findings = _detections(config)
+    findings = _detections(config, activations=True)
     sevcs = {s.syvc_id: s for s in _rehydrate_sevcs(config)}
     cset = config.characteristic_set()
     capacity = config.hyperparams().seq_len

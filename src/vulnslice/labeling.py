@@ -1,16 +1,21 @@
 """Ground-truth labels for SeVCs from unified diffs and line annotations.
 
-Diff mode follows the three-step rule: mark the "-" lines of a patch as
-deleted/modified (or moved, when an identical line reappears as a "+"
-somewhere else in the same file's hunks), label a SeVC 1 when it
-contains a marked deleted/modified line, and queue for human review the
-SeVCs whose only marked lines are moves inside a known-vulnerable file.
-Diffs that only add lines carry no vulnerable-line information and are
-flagged ineligible.
+The ground truth is one map, file -> {pre-patch line: mark}, with every
+file of the corpus as a key. Both labeling sources fill it:
 
-Annotation mode is the test-suite style: "good" programs label every
-SeVC 0; "bad"/"mixed" programs label a SeVC 1 exactly when it contains
-an annotated vulnerable line.
+- Diff mode follows the three-step rule. A patch's "-" lines are marked
+  deleted/modified, or moved when an identical line reappears as a "+"
+  somewhere else in the same file's hunks. Each mark is keyed by the
+  file of the "---" header, whose lines the hunk numbers count: a diff
+  that renames a file marks the file it renames. A diff that only adds
+  lines marks nothing.
+- Annotation mode is the test-suite style: a "bad" or "mixed" program's
+  files map its annotated vulnerable lines to the deleted mark, and a
+  "good" program's files map to nothing.
+
+A SeVC is label 1 when it holds a deleted/modified line. It is label 1
+and queued for human review when its only marked lines are moves
+inside a known-vulnerable file. Otherwise it is label 0.
 
 ``apply_labels`` returns each SeVC's (label, needs_review) pair and
 stores nothing on the SeVC: labels.jsonl is the pairs' one record.
@@ -19,16 +24,13 @@ stores nothing on the SeVC: labels.jsonl is the pairs' one record.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .slicing import SeVC
 
 MARK_DELETED = "deleted-or-modified"
 MARK_MOVED = "moved"
-
-CLASS_GOOD = "good"
-CLASS_BAD = "bad"
-CLASS_MIXED = "mixed"
 
 
 class DiffParseError(Exception):
@@ -41,32 +43,9 @@ class LabelingError(Exception):
 
 @dataclass(frozen=True)
 class DiffMark:
-    file: str
+    file: str  # the file of the "---" header
     line: int  # pre-patch line number of the "-" line
     mark: str  # MARK_DELETED | MARK_MOVED
-
-
-@dataclass
-class DiffReport:
-    marks: list[DiffMark] = field(default_factory=list)
-    eligible: bool = True
-
-
-@dataclass(frozen=True)
-class Annotation:
-    file: str
-    program_class: str  # good | bad | mixed
-    vulnerable_lines: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.program_class not in (CLASS_GOOD, CLASS_BAD, CLASS_MIXED):
-            raise LabelingError(
-                f"unknown program class {self.program_class!r} for {self.file}"
-            )
-        if self.program_class == CLASS_GOOD and self.vulnerable_lines:
-            raise LabelingError(
-                f"'good' program {self.file} cannot list vulnerable lines"
-            )
 
 
 _HUNK_RE = re.compile(
@@ -74,35 +53,31 @@ _HUNK_RE = re.compile(
 )
 
 
-def parse_diff(diff_text: str) -> DiffReport:
-    """Mark the "-" lines of a unified diff.
+def parse_diff(diff_text: str) -> list[DiffMark]:
+    """Mark the "-" lines of a unified diff; none when it only adds lines.
 
     A "-" line whose whitespace-normalized content reappears on a "+"
     line elsewhere in the same file's hunks is a move; ambiguity counts
-    as a move. A diff with no "-" lines at all is ineligible.
+    as a move.
     """
-    current_file: str | None = None
-    old_file: str | None = None
+    file: str | None = None
     old_line = 0
     in_hunk = False
     removed: list[tuple[str, int, str]] = []  # (file, pre-patch line, content)
     added: dict[str, list[str]] = {}
     for raw in diff_text.splitlines():
         if raw.startswith("--- "):
-            old_file = raw[4:].split("\t")[0].strip().removeprefix("a/")
+            file = raw[4:].split("\t")[0].strip().removeprefix("a/")
             in_hunk = False
             continue
         if raw.startswith("+++ "):
-            name = raw[4:].split("\t")[0].strip().removeprefix("b/")
-            # a deleted file's new name is /dev/null: mark its old one
-            current_file = old_file if name == "/dev/null" else name
             in_hunk = False
             continue
         if raw.startswith("@@"):
             m = _HUNK_RE.match(raw)
             if m is None:
                 raise DiffParseError(f"malformed hunk header: {raw!r}")
-            if current_file is None:
+            if file is None:
                 raise DiffParseError("hunk before any file header")
             old_line = int(m.group("old"))
             in_hunk = True
@@ -110,89 +85,54 @@ def parse_diff(diff_text: str) -> DiffReport:
         if not in_hunk:
             continue
         if raw.startswith("-"):
-            removed.append((current_file, old_line, raw[1:].strip()))
+            removed.append((file, old_line, raw[1:].strip()))
             old_line += 1
         elif raw.startswith("+"):
-            added.setdefault(current_file, []).append(raw[1:].strip())
+            added.setdefault(file, []).append(raw[1:].strip())
         elif raw.startswith(" ") or raw == "":
             old_line += 1
         elif raw.startswith("\\"):
             continue  # "\ No newline at end of file"
         else:
             raise DiffParseError(f"unexpected diff line: {raw!r}")
-    if not removed:
-        return DiffReport(marks=[], eligible=False)
     marks = []
     for file, line, content in removed:
         moved = content != "" and content in added.get(file, [])
-        marks.append(
-            DiffMark(file=file, line=line, mark=MARK_MOVED if moved else MARK_DELETED)
-        )
-    return DiffReport(marks=marks, eligible=True)
+        marks.append(DiffMark(file, line, MARK_MOVED if moved else MARK_DELETED))
+    return marks
 
 
-@dataclass
-class GroundTruth:
-    """Per-file labeling knowledge assembled from a corpus manifest."""
-
-    annotations: dict[str, Annotation] = field(default_factory=dict)
-    diff_marks: dict[str, list[DiffMark]] = field(default_factory=dict)
-
-    def add_annotation(self, annotation: Annotation) -> None:
-        self.annotations[annotation.file] = annotation
-
-    def add_diff(self, report: DiffReport, file_alias: str | None = None) -> None:
-        for mark in report.marks:
-            name = file_alias if file_alias is not None else mark.file
-            self.diff_marks.setdefault(name, []).append(
-                DiffMark(name, mark.line, mark.mark)
-            )
-
-    def knows(self, file: str) -> bool:
-        return file in self.annotations or file in self.diff_marks
+def mark_lines(marks: Iterable[DiffMark]) -> dict[int, str]:
+    """One file's {pre-patch line: mark}; a line marked both ways is deleted."""
+    lines: dict[int, str] = {}
+    for mark in marks:
+        if lines.get(mark.line) != MARK_DELETED:
+            lines[mark.line] = mark.mark
+    return lines
 
 
-def label_sevc(sevc: SeVC, truth: GroundTruth) -> tuple[int, bool]:
+def label_sevc(sevc: SeVC, truth: dict[str, dict[int, str]]) -> tuple[int, bool]:
     """Label one SeVC; returns (label, needs_review).
 
     Raises LabelingError when the SeVC touches files the ground truth
     does not cover.
     """
-    touched = sorted({s.file for s in sevc.statements})
-    unknown = [f for f in touched if not truth.knows(f)]
+    unknown = sorted({s.file for s in sevc.statements} - truth.keys())
     if unknown:
         raise LabelingError(
             "no ground truth for file(s): " + ", ".join(unknown)
         )
-    lines = sevc.lines_by_file()
-
-    deleted_hit = False
-    moved_hit = False
-    annotation_hit = False
-    for file, line in sorted(lines):
-        for mark in truth.diff_marks.get(file, []):
-            if mark.line != line:
-                continue
-            if mark.mark == MARK_DELETED:
-                deleted_hit = True
-            else:
-                moved_hit = True
-        note = truth.annotations.get(file)
-        if (
-            note is not None
-            and note.program_class != CLASS_GOOD
-            and line in note.vulnerable_lines
-        ):
-            annotation_hit = True
-
-    if deleted_hit or annotation_hit:
+    marks = {truth[file].get(line) for file, line in sevc.lines_by_file()}
+    if MARK_DELETED in marks:
         return 1, False
-    if moved_hit:
+    if MARK_MOVED in marks:
         return 1, True
     return 0, False
 
 
-def apply_labels(sevcs: list[SeVC], truth: GroundTruth) -> list[tuple[int, bool]]:
+def apply_labels(
+    sevcs: list[SeVC], truth: dict[str, dict[int, str]]
+) -> list[tuple[int, bool]]:
     """The (label, needs_review) of each SeVC, in order."""
     return [label_sevc(sevc, truth) for sevc in sevcs]
 

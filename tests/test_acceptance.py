@@ -41,9 +41,9 @@ from vulnslice.graphs import (
     extract_def_use,
 )
 from vulnslice.labeling import (
-    Annotation,
-    GroundTruth,
+    MARK_DELETED,
     label_sevc,
+    mark_lines,
     parse_diff,
 )
 from vulnslice.slicing import (
@@ -821,30 +821,27 @@ def test_criterion_10_diff_labeling_fixtures():
     cases = diff_fixture_cases()
     assert len(cases) == 10
     for case in cases:
-        drep = parse_diff(case["diff"])
-        assert drep.eligible, case["name"]
-        truth = GroundTruth()
-        truth.add_diff(drep, file_alias=case["file"])
+        marks = parse_diff(case["diff"])
+        assert marks, case["name"]
+        truth = {case["file"]: mark_lines(marks)}
         sevc = make_sevc(
             [(case["file"], line, "text;") for line in case["sevc_lines"]]
         )
         got = label_sevc(sevc, truth)
         assert got == case["expect"], (case["name"], got)
 
-    # add-only diff: ineligible, produces no marks
+    # add-only diff: produces no marks
     add_only = parse_diff(
         "--- a/f.c\n+++ b/f.c\n@@ -3,2 +3,3 @@\n keep\n+if (n < 8)\n tail\n"
     )
-    assert not add_only.eligible and add_only.marks == []
+    assert add_only == []
 
     # annotation-mode companions: good -> 0, bad -> line-dependent
-    truth = GroundTruth()
-    truth.add_annotation(Annotation("good.c", "good"))
-    truth.add_annotation(Annotation("bad.c", "bad", frozenset({7})))
+    truth = {"good.c": {}, "bad.c": {7: MARK_DELETED}}
     assert label_sevc(make_sevc([("good.c", 7, "x;")]), truth) == (0, False)
     assert label_sevc(make_sevc([("bad.c", 7, "x;")]), truth) == (1, False)
     assert label_sevc(make_sevc([("bad.c", 8, "x;")]), truth) == (0, False)
     report(
         "ACCEPTANCE 10 PASS: 10 diff fixtures labeled as hand-assigned; "
-        "add-only diff flagged ineligible; moved lines queue for review"
+        "add-only diff marks no line; moved lines queue for review"
     )

@@ -421,9 +421,14 @@ def test_bad_manifest_is_error(tmp_path, capsys):
         ({"programs": [{"path": "patched.c", "diff": 7}]}, "programs[0]: 'diff' must be"),
         ({"fc_list": "calls.txt", "programs": [{"path": "leak.c", "class": "bad"}]},
          "names an 'fc_list'; pass that file with --fc-list"),
+        ({"programs": [{"path": "leak.c", "class": "bad"}, {"path": "guarded.c", "class": "wild"}]},
+         "programs[1]: 'class' must be one of good, bad, mixed, not 'wild'"),
+        ({"programs": [{"path": "guarded.c", "class": "good", "vulnerable_lines": [3]}]},
+         "programs[0]: a 'good' program cannot list 'vulnerable_lines'"),
     ],
     ids=["not-json", "list", "programs-object", "root-number", "record-string",
-         "no-path", "lines-number", "lines-strings", "class-list", "diff-number", "fc-list"],
+         "no-path", "lines-number", "lines-strings", "class-list", "diff-number", "fc-list",
+         "class-wild", "good-with-lines"],
 )
 def test_a_malformed_manifest_is_an_error_that_names_it(tmp_path, corpus, capsys, manifest, problem):
     path = corpus / "malformed.json"
@@ -950,9 +955,16 @@ def test_evaluate_takes_detect_findings_and_threshold(tmp_path, corpus, capsys):
     err = capsys.readouterr().err
     assert "threshold 0.5, not at --threshold 0.55" in err
     assert "re-run the 'detect' stage" in err
+    rewrite_detections(out, lambda header, records: [r.pop("activations") for r in records])
+    (out / "metrics.json").unlink()
+    assert run(corpus, out, "evaluate") == 0  # only explain reads activations
+    assert (out / "metrics.json").read_bytes() == metrics
     rewrite_detections(out, lambda header, records: records.append({**records[0], "syvc_id": 999}))
     assert run(corpus, out, "evaluate") == 2
     assert "flags a SyVC that labels.jsonl does not hold" in capsys.readouterr().err
+    rewrite_detections(out, lambda header, records: header.pop("threshold"))
+    assert run(corpus, out, "evaluate") == 2
+    assert "holds no threshold (written by an older detect)" in capsys.readouterr().err
     (out / "detect.jsonl").unlink()
     assert run(corpus, out, "evaluate") == 2
     assert "run the 'detect' stage first" in capsys.readouterr().err
@@ -1021,7 +1033,8 @@ TWO_FILE_DIFF = """--- a/b.c
 def test_diff_marks_land_on_the_file_the_diff_names(tmp_path, capsys):
     """prog/ holds a.c and b.c, and the diff removes b.c's line 3: the
     SeVCs that hold prog/b.c:3 are vulnerable, and no SeVC of a.c is.
-    A diff that deletes b.c marks all of b.c; one of c.c is refused."""
+    A diff that deletes b.c marks all of b.c, and one that renames b.c
+    marks b.c, whose lines its hunk counts; one of c.c is refused."""
     root = tmp_path / "corpus"
     (root / "prog").mkdir(parents=True)
     (root / "prog" / "a.c").write_text(TINY_PROGRAMS["leak.c"])
@@ -1054,11 +1067,73 @@ def test_diff_marks_land_on_the_file_the_diff_names(tmp_path, capsys):
     for sevc in read_records(out / "sevc.jsonl"):
         held = {s["file"] for s in sevc["statements"]}
         assert labels[sevc["syvc_id"]] == int("prog/b.c" in held), held
+    (root / "prog.diff").write_text("--- a/b.c\n+++ b/c.c\n@@ -4,2 +4,1 @@\n-    puts(buf);\n }\n")
+    assert run(root, out, "label") == 0
+    labels = {r["syvc_id"]: r["label"] for r in read_records(out / "labels.jsonl")}
+    for sevc in read_records(out / "sevc.jsonl"):
+        held = {(s["file"], s["line"]) for s in sevc["statements"]}
+        assert labels[sevc["syvc_id"]] == int(("prog/b.c", 4) in held), held
+    assert sum(labels.values()) > 0
     (root / "prog.diff").write_text(TWO_FILE_DIFF.replace("b.c", "c.c"))
     capsys.readouterr()
     assert run(root, out, "label") == 2
     assert capsys.readouterr().err == (
         "error: program prog: diff file c.c matches 0 of its source files, not 1\n"
+    )
+
+
+def test_vectorize_skips_a_sevc_whose_anchor_cannot_fit(tmp_path, capsys):
+    """a.c's printf of 28 arguments is longer than the desk preset's 50
+    symbols: vectorize skips its SeVC and still encodes the strcpy of
+    b.c (and of its copy c.c, so that train has two programs to split),
+    and evaluate counts the skipped SeVC as not flagged."""
+    args = ", ".join(["n"] * 27)
+    programs = {
+        "a.c": f'void many(int n)\n{{\n    printf("%d", {args});\n}}\n',
+        "b.c": "void copy(char *buf, char *s)\n{\n    strcpy(buf, s);\n}\n",
+    }
+    programs["c.c"] = programs["b.c"]
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    for root, names in ((both, ("a.c", "b.c", "c.c")), (alone, ("b.c",))):
+        root.mkdir()
+        for name in names:
+            (root / name).write_text(programs[name])
+        (root / "manifest.json").write_text(json.dumps({"programs": [
+            {"path": name, "class": "bad", "vulnerable_lines": [3]} for name in names
+        ]}))
+    front = ("parse", "extract", "slice", "vectorize")
+    assert all(run(alone, tmp_path / "out-alone", stage) == 0 for stage in front)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert all(run(both, out, stage) == 0 for stage in front)
+    assert "vectorized 2 SeVCs (theta=800, d=16, mode=hash), 1 skipped" in capsys.readouterr().out
+    sevcs = read_records(out / "sevc.jsonl")
+    printf = [r["syvc_id"] for r in sevcs if r["program"] == "a.c"]
+    report = json.loads((out / "vectorize_report.json").read_text())
+    assert report == {"seed": 5, "vectors": 2, "skipped": [
+        {"program": "a.c", "syvc_id": printf[0],
+         "message": "anchor span [6,65) cannot survive forward-short truncation to 50 "
+                    "symbols (stream has 65); increase the symbol capacity"},
+    ]}
+    samples, _ = load_vectors(str(out / "vectors.bin"))
+    reference, _ = load_vectors(str(tmp_path / "out-alone" / "vectors.bin"))
+    assert [s.program for s in samples] == ["b.c", "c.c"]
+    assert samples[0].values.tobytes() == reference[0].values.tobytes()
+    for stage in ("label", "train"):
+        assert run(both, out, stage) == 0
+    assert run(both, out, "detect", "--threshold", "0.000001") == 1
+    # every program held out: b.c's and c.c's SeVCs are flagged, a.c's
+    # was never scored
+    report = json.loads((out / "train_report.json").read_text())
+    (out / "train_report.json").write_text(json.dumps({**report, "train_programs": []}))
+    assert run(both, out, "evaluate") == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["counts"] == {"TP": 2, "FP": 0, "TN": 0, "FN": 1}
+    # a one-symbol window fits no anchor: nothing is left to vectorize
+    capsys.readouterr()
+    assert run(alone, tmp_path / "out-alone", "vectorize", "--theta", "16") == 2
+    assert capsys.readouterr().err == (
+        "error: no SeVC could be vectorized; see vectorize_report.json\n"
     )
 
 

@@ -590,7 +590,7 @@ def test_ast_dump_escapes_file_and_program_names(tmp_path):
     )
     manifest = tmp_path / "manifest.json"
     manifest.write_text(
-        json.dumps({"programs": [{"path": program, "class": "safe"}]}),
+        json.dumps({"programs": [{"path": program, "class": "good"}]}),
         encoding="utf-8",
     )
     [model] = cli._parse_programs(cli.load_manifest(str(manifest)))

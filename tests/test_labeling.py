@@ -4,12 +4,13 @@ import pytest
 
 from vulnslice.frontend import tokenize
 from vulnslice.labeling import (
-    Annotation,
+    MARK_DELETED,
+    DiffMark,
     DiffParseError,
-    GroundTruth,
     LabelingError,
     apply_labels,
     label_sevc,
+    mark_lines,
     parse_diff,
     review_queue,
 )
@@ -68,24 +69,20 @@ DIFF_ADD_ONLY = """--- a/vuln.c
 
 
 def test_parse_diff_single_deletion():
-    report = parse_diff(DIFF_DELETE)
-    assert report.eligible
-    assert len(report.marks) == 1
-    mark = report.marks[0]
+    marks = parse_diff(DIFF_DELETE)
+    assert len(marks) == 1
+    mark = marks[0]
     assert (mark.file, mark.line, mark.mark) == ("vuln.c", 9, "deleted-or-modified")
 
 
 def test_parse_diff_moved_line():
-    report = parse_diff(DIFF_MOVED)
-    assert report.eligible
-    assert [m.mark for m in report.marks] == ["moved"]
-    assert report.marks[0].line == 4
+    marks = parse_diff(DIFF_MOVED)
+    assert [m.mark for m in marks] == ["moved"]
+    assert marks[0].line == 4
 
 
 def test_parse_diff_add_only_ineligible():
-    report = parse_diff(DIFF_ADD_ONLY)
-    assert not report.eligible
-    assert report.marks == []
+    assert parse_diff(DIFF_ADD_ONLY) == []
 
 
 def test_parse_diff_malformed_hunk_raises():
@@ -105,17 +102,14 @@ def test_parse_diff_tracks_pre_patch_lines_across_hunks():
 -e
  f
 """
-    report = parse_diff(text)
-    assert [(m.line, m.mark) for m in report.marks] == [
+    assert [(m.line, m.mark) for m in parse_diff(text)] == [
         (3, "deleted-or-modified"),
         (11, "deleted-or-modified"),
     ]
 
 
 def truth_with_diff(diff_text, file="vuln.c"):
-    truth = GroundTruth()
-    truth.add_diff(parse_diff(diff_text), file_alias=file)
-    return truth
+    return {file: mark_lines(parse_diff(diff_text))}
 
 
 def test_label_sevc_hits_deleted_line():
@@ -145,29 +139,17 @@ def test_label_sevc_unknown_file_raises():
 
 
 def test_annotation_good_program_is_zero():
-    truth = GroundTruth()
-    truth.add_annotation(Annotation("ok.c", "good"))
+    truth = {"ok.c": {}}
     sevc = make_sevc([("ok.c", 4, "strcpy(a, b);")])
     assert label_sevc(sevc, truth) == (0, False)
 
 
 def test_annotation_bad_program_needs_line_hit():
-    truth = GroundTruth()
-    truth.add_annotation(Annotation("bad.c", "bad", frozenset({7})))
+    truth = {"bad.c": {7: MARK_DELETED}}
     hit = make_sevc([("bad.c", 7, "gets(buf);")])
     miss = make_sevc([("bad.c", 3, "int a;")])
     assert label_sevc(hit, truth) == (1, False)
     assert label_sevc(miss, truth) == (0, False)
-
-
-def test_annotation_good_with_lines_rejected():
-    with pytest.raises(LabelingError):
-        Annotation("x.c", "good", frozenset({3}))
-
-
-def test_annotation_unknown_class_rejected():
-    with pytest.raises(LabelingError):
-        Annotation("x.c", "wild")
 
 
 def test_no_false_zero_on_deleted_lines():
@@ -187,9 +169,7 @@ def test_labels_idempotent():
 
 
 def test_apply_labels_and_review_queue():
-    truth = GroundTruth()
-    truth.add_annotation(Annotation("bad.c", "bad", frozenset({5})))
-    truth.add_diff(parse_diff(DIFF_MOVED), file_alias="moved.c")
+    truth = {"bad.c": {5: MARK_DELETED}, "moved.c": mark_lines(parse_diff(DIFF_MOVED))}
     sevcs = [
         make_sevc([("bad.c", 5, "gets(b);")], syvc_id=0),
         make_sevc([("bad.c", 2, "int a;")], syvc_id=1),
@@ -200,3 +180,24 @@ def test_apply_labels_and_review_queue():
     queue = review_queue(sevcs, labels)
     assert [q["syvc_id"] for q in queue] == [0, 2]
     assert queue[1]["needs_review"] is True
+
+
+def test_parse_diff_keys_marks_by_the_pre_patch_file():
+    # a rename: the hunk counts the lines of b.c, which the patch renames
+    marks = parse_diff("--- a/b.c\n+++ b/c.c\n@@ -3,2 +3,1 @@\n-    puts(s);\n }\n")
+    assert marks == [DiffMark("b.c", 3, MARK_DELETED)]
+    # a deletion: every line of the old file is marked
+    marks = parse_diff("--- a/b.c\n+++ /dev/null\n@@ -1,2 +0,0 @@\n-int a;\n-int b;\n")
+    assert [(m.file, m.line) for m in marks] == [("b.c", 1), ("b.c", 2)]
+
+
+def test_a_line_marked_deleted_and_moved_counts_as_deleted():
+    # two sections of one file: line 3 moves in the first, is deleted in the second
+    diff = (
+        "--- a/f.c\n+++ b/f.c\n@@ -3,2 +3,2 @@\n-x = 1;\n keep\n+x = 1;\n"
+        "--- a/f.c\n+++ b/f.c\n@@ -3,1 +3,0 @@\n-y = 2;\n"
+    )
+    assert [m.mark for m in parse_diff(diff)] == ["moved", "deleted-or-modified"]
+    for marks in (parse_diff(diff), parse_diff(diff)[::-1]):
+        truth = {"f.c": mark_lines(marks)}
+        assert label_sevc(make_sevc([("f.c", 3, "x = 1;")]), truth) == (1, False)
