@@ -246,20 +246,28 @@ class _CfgBuilder:
 
     def wire_loop(self, node: AstNode, preds: list[int]) -> list[int]:
         """``while (c) body``; ``for (init; c; step) body`` is wired as
-        ``init; while (c) { body; step }``, and continues go to the step."""
+        ``init; while (c) { body; step }``, and continues go to the step.
+
+        A ``for`` without a condition loops through a stand-in condition
+        that is always true, which is then contracted away: the body (or
+        the step) loops back to the body's entry, a continue without a
+        step goes there too, and the breaks are the only exits.
+        """
         *header, body = node.children
+        # a for's step, if any, is the clause right before its ")"
+        step = [c for c in header[-2:-1] if c.statement_id is not None]
         clauses = [c for c in header if c.statement_id is not None]
-        kinds = [c.kind for c in clauses]
-        if "Condition" not in kinds:
-            raise GraphError(
-                f"'for' without a condition is outside the subset "
-                f"({self.fn.file_path}:{self.fn.name})"
-            )
-        at = kinds.index("Condition")
-        for init in clauses[:at]:
+        clauses = clauses[: len(clauses) - len(step)]
+        cond = clauses.pop() if clauses and clauses[-1].kind == "Condition" else None
+        for init in clauses:
             preds = self.wire(init, preds)
-        head = self.wire(clauses[at], preds)
-        step = clauses[at + 1 :]
+        if cond is None:
+            # below EXIT, and unique among the loops open around it
+            head = [EXIT - 1 - len(self.loops)]
+            for p in preds:
+                self.edge(p, head[0])
+        else:
+            head = self.wire(cond, preds)
         breaks: list[int] = []
         self.loops.append((step[0].statement_id if step else head[0], breaks))
         exits = self.wire(body, head)
@@ -268,7 +276,19 @@ class _CfgBuilder:
             exits = self.wire(clause, exits)
         for e in exits:
             self.edge(e, head[0])
-        return head + breaks
+        if cond is not None:
+            return head + breaks
+        self.contract(head[0])
+        return breaks
+
+    def contract(self, node: int) -> None:
+        """Replace ``node`` by an edge from each predecessor to each successor."""
+        ins = [a for a, b in self.edges if b == node and a != node]
+        outs = [b for a, b in self.edges if a == node and b != node]
+        self.edges = {e: None for e in self.edges if node not in e}
+        for a in ins:
+            for b in outs:
+                self.edge(a, b)
 
 
 def _prune_unreachable(cfg: Cfg) -> None:

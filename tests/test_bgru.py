@@ -1,11 +1,13 @@
 """BGRU forward/backward math, Adamax arithmetic, training behavior."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from vulnslice import bgru
 from vulnslice.bgru import (
     ActivationTrace,
     AdamaxState,
@@ -242,6 +244,121 @@ def test_batched_traces_match_single_sample_traces():
         single = bgru_forward(x, params, hp)
         assert trace.outputs.shape == (len(x),)
         np.testing.assert_allclose(trace.outputs, single.outputs, rtol=0, atol=1e-12)
+
+
+def in_order_traces(samples, params, hp):
+    """The chunk plan forward_batch replaced, kept as its oracle:
+    consecutive chunks of batch_size in input order, each padded to its
+    longest sample."""
+    traces = []
+    for start in range(0, len(samples), hp.batch_size):
+        batch = bgru._Batch.pad(samples[start : start + hp.batch_size], hp)
+        feat, _ = bgru._forward(batch, params, hp, train_mode=False, rng=None, keep=False)
+        _, probs = bgru._head(feat, params.arrays)
+        traces += [probs[:n, b].copy() for b, n in enumerate(batch.lengths)]
+    return traces
+
+
+def repeating_samples(rng, hp, n):
+    """n inputs of 1 to seq_len steps; about half repeat an earlier one."""
+    samples = []
+    for _ in range(n):
+        if samples and rng.random() < 0.5:
+            samples.append(samples[int(rng.integers(0, len(samples)))].copy())
+        else:
+            steps = int(rng.integers(1, hp.seq_len + 1))
+            samples.append(rng.standard_normal((steps, hp.input_dim)))
+    return samples
+
+
+def check_against_in_order_walk(hp, exact):
+    params = init_params(hp, seed=hp.layers)
+    rng = np.random.default_rng(100 * hp.layers + hp.batch_size)
+    bs = hp.batch_size
+    for n in sorted({1, 2, bs - 1, bs, bs + 1, 3 * bs + 1, 50}):
+        samples = repeating_samples(rng, hp, n)
+        traces = forward_batch(samples, params, hp)
+        assert len(traces) == n
+        for i, (trace, want) in enumerate(zip(traces, in_order_traces(samples, params, hp))):
+            if exact:
+                assert np.array_equal(trace.outputs, want), (n, i)
+            else:
+                np.testing.assert_allclose(trace.outputs, want, rtol=0, atol=1e-12)
+
+
+DESK_SHAPE = dict(input_dim=16, hidden_dim=32, dense_dim=16)
+
+
+@pytest.mark.parametrize("batch_size", [4, 5, 16])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_forward_batch_equals_the_in_order_walk_bit_for_bit(layers, batch_size):
+    check_against_in_order_walk(small_hp(layers=layers, batch_size=batch_size), exact=True)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_forward_batch_is_bit_for_bit_at_the_desk_shapes(layers):
+    hp = small_hp(layers=layers, batch_size=16, seq_len=50, **DESK_SHAPE)
+    check_against_in_order_walk(hp, exact=True)
+
+
+@pytest.mark.parametrize(
+    "layers, batch_size",
+    [
+        (1, 5),  # the head rounds its last width % 4 rows another way
+        (2, 4),  # a GEMM of few rows rounds a row by the row count
+    ],
+)
+def test_forward_batch_agrees_where_the_blas_rounds_by_position(layers, batch_size):
+    hp = small_hp(layers=layers, batch_size=batch_size, seq_len=50, **DESK_SHAPE)
+    check_against_in_order_walk(hp, exact=False)
+
+
+@pytest.mark.parametrize("batch_size", [4, 5, 16])
+def test_forward_batch_scores_each_distinct_input_once(monkeypatch, batch_size):
+    hp = small_hp(batch_size=batch_size)
+    params = init_params(hp)
+    widths = []
+    real = bgru._forward
+
+    def counting(batch, *args, **kwargs):
+        widths.append(batch.x.shape[1])
+        return real(batch, *args, **kwargs)
+
+    monkeypatch.setattr(bgru, "_forward", counting)
+    rng = np.random.default_rng(batch_size)
+    pool = [rng.standard_normal((int(rng.integers(1, 11)), hp.input_dim)) for _ in range(6)]
+    for n in (3, batch_size, 2 * batch_size + 1, 50):
+        samples = [pool[int(rng.integers(0, len(pool)))].copy() for _ in range(n)]
+        widths.clear()
+        traces = forward_batch(samples, params, hp)
+        tail = n % batch_size
+        distinct = len({x.tobytes() for x in samples[: n - tail]})
+        chunks = -(-distinct // batch_size)
+        assert widths == [batch_size] * chunks + [tail] * (tail > 0)
+        # a repeated input's traces are copies, not one shared array
+        outputs = [trace.outputs for trace in traces]
+        assert not any(
+            np.shares_memory(a, b) for a, b in itertools.combinations(outputs, 2)
+        )
+
+
+def test_a_bad_input_is_named_by_its_index_in_samples():
+    hp = small_hp(batch_size=4)
+    params = init_params(hp)
+    rng = np.random.default_rng(6)
+    samples = [rng.standard_normal((3, hp.input_dim)) for _ in range(9)]
+    samples[6] = rng.standard_normal((3, 5))
+    with pytest.raises(
+        ModelError, match=r"^sample 6: shape \(3, 5\) does not match input dimension 4$"
+    ):
+        forward_batch(samples, params, hp)
+    samples[6] = np.zeros((0, hp.input_dim))
+    with pytest.raises(ModelError, match=r"^sample 6 has no timesteps$"):
+        forward_batch(samples, params, hp)
+    # training names a sample by its index in the minibatch
+    batch = [(samples[0], 0), (rng.standard_normal((3, 5)), 1)]
+    with pytest.raises(ModelError, match=r"^sample 1: shape \(3, 5\)"):
+        loss_and_gradients(batch, params, hp)
 
 
 def test_batched_gradients_equal_mean_of_single_samples():

@@ -580,8 +580,9 @@ def stages(manifest, out, *names, extra=()):
         # the strcpy candidate sits after a return, outside the CFG
         ("void f(char *s){ char buf[8]; return; strcpy(buf, s); }", 4,
          "anchor statement 3 not in PDG of function 0"),
+        # a for without a condition or a break never leaves its body
         ("void spin(){ int a; for(;;){ a = a + 1; } }", None,
-         "'for' without a condition is outside the subset (bad.c:spin)"),
+         "CFG nodes [0, 1, 2] of function 0 have no path to exit"),
         ("void stray(){ int a; a = a + 1; break; }", None,
          "'break' outside a loop at statement 3 (bad.c:stray)"),
     ],
@@ -606,6 +607,29 @@ def test_one_bad_candidate_or_function_does_not_abort_slice(
     # the bad program's reachable candidates are still sliced
     assert len(sevcs) == 3 + (syvc_id is not None)
     assert report["sevcs"] == len(sevcs) and report["programs"] == 2
+
+
+def test_a_for_without_a_condition_is_sliced(tmp_path):
+    loop = (
+        "void wait(char *s)\n"
+        "{\n"
+        "    char buf[8];\n"
+        "    for (;;) { if (s[0]) break; }\n"
+        "    strcpy(buf, s);\n"
+        "}\n"
+    )
+    root = tmp_path / "corpus"
+    write_corpus(root, {"loop.c": loop})
+    out = tmp_path / "out"
+    assert stages(root / "manifest.json", out, "parse", "extract", "slice") == 0
+    assert json.loads((out / "slice_report.json").read_text())["skipped"] == []
+    sevcs = {r["kind"]: r for r in read_records(out / "sevc.jsonl")}
+    assert sorted(sevcs) == ["AU", "FC"]
+    # the strcpy post-dominates the loop, so it is not control dependent on it
+    strcpy = sevcs["FC"]["statements"]
+    assert [(s["line"], s["region"]) for s in strcpy] == [
+        (1, "backward"), (3, "backward"), (5, "anchor")
+    ]
 
 
 @pytest.mark.parametrize("deps", ["ddcd", "dd"])

@@ -143,6 +143,62 @@ def test_for_with_a_declaration_as_its_init():
     ]
 
 
+def test_for_without_a_condition_loops_to_the_body_entry_and_exits_by_break():
+    fn, cfg = cfg_of(
+        "void f(int n){for (;;) { if (n) continue; if (n) break; body(); } after();}"
+    )
+    sig, p1, cont, p2, brk, body, after = (st.id for st in fn.all_statements())
+    assert set(cfg.edges) == {
+        (sig, p1),
+        (p1, cont),
+        (cont, p1),
+        (p1, p2),
+        (p2, brk),
+        (p2, body),
+        (body, p1),
+        (brk, after),
+        (after, EXIT),
+    }
+    assert cfg.nodes == [sig, p1, cont, p2, brk, body, after, EXIT]
+
+
+def test_for_with_a_step_but_no_condition_continues_at_the_step():
+    fn, cfg = cfg_of(
+        "void f(int n){for (i = 0; ; i++) { if (i) continue; if (n) break; body(); } after();}"
+    )
+    sig, init, step, p1, cont, p2, brk, body, after = (
+        st.id for st in fn.all_statements()
+    )
+    assert set(cfg.edges) == {
+        (sig, init),
+        (init, p1),
+        (p1, cont),
+        (cont, step),
+        (p1, p2),
+        (p2, brk),
+        (p2, body),
+        (body, step),
+        (step, p1),
+        (brk, after),
+        (after, EXIT),
+    }
+
+
+def test_nested_fors_without_a_condition_exit_by_their_own_breaks():
+    fn, cfg = cfg_of("void f(int n){for (;;) { for (;;) { break; } break; } after();}")
+    sig, inner, outer, after = (st.id for st in fn.all_statements())
+    assert set(cfg.edges) == {(sig, inner), (inner, outer), (outer, after), (after, EXIT)}
+
+
+@pytest.mark.parametrize("loop", ["for (;;) { a = 1; }", "for (i = 0; ; i++) { }"])
+def test_for_without_a_condition_or_break_has_no_path_to_exit(loop):
+    fn = parse_source(f"void f(int a){{{loop} after();}}").functions[0]
+    cfg = build_cfg(fn)
+    assert EXIT not in {b for _, b in cfg.edges}
+    with pytest.raises(GraphError, match="have no path to exit"):
+        build_pdg(fn)
+
+
 def test_code_after_if_else_that_both_return_is_pruned():
     fn, cfg = cfg_of("void f(int p){if (p) { return; } else { return; } after();}")
     sig, pred, one, two, after = (st.id for st in fn.all_statements())
@@ -156,13 +212,10 @@ def test_code_after_if_else_that_both_return_is_pruned():
     [
         ("break;", r"^'break' outside a loop at statement 1 \(<memory>:f\)$"),
         ("a = 1; continue;", r"^'continue' outside a loop at statement 2 \(<memory>:f\)$"),
-        (
-            "for (i = 0; ; i++) { }",
-            r"^'for' without a condition is outside the subset \(<memory>:f\)$",
-        ),
     ],
+    ids=["break", "continue"],
 )
-def test_jumps_outside_a_loop_and_for_without_a_condition_raise(body, message):
+def test_jumps_outside_a_loop_raise(body, message):
     fn = parse_source(f"void f(int a){{{body}}}").functions[0]
     with pytest.raises(GraphError, match=message):
         build_cfg(fn)
