@@ -43,8 +43,9 @@ and train_report.json of the program split that train draws: evaluate
 scores every labeled SeVC of a program train did not train on.
 
 A stage process imports only the layers its stage runs. ``import
-vulnslice.cli`` loads artifacts and presets alone; each stage function
-declares its layers (``_uses``), whose names it binds when called:
+vulnslice.cli`` loads artifacts and presets alone. Stage code reads each
+layer name as an attribute of this module (``_layers.build_pdgs``), and
+the module ``__getattr__`` imports the layer on the first such read:
 
     parse     frontend
     extract   frontend, candidates
@@ -55,7 +56,7 @@ declares its layers (``_uses``), whose names it binds when called:
     detect    vectorize (with symbols, embeddings), bgru
     evaluate  evaluation
     explain   the slice layers, symbols
-    pipeline  all of them, before its first stage
+    pipeline  each of them, in the first stage that reads it
 
 So only vectorize, train, detect and evaluate import numpy (through
 embeddings, vectorize, bgru and evaluation), and train, detect and
@@ -76,7 +77,6 @@ tests/test_cli.py::test_stage_data_leaves_no_cyclic_garbage enforces it.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import importlib
 import json
@@ -95,11 +95,11 @@ if TYPE_CHECKING:
     from .slicing import SeVC
 
 # Every layer name the stages use, as name -> "module:attribute" in this
-# package. Module __getattr__ resolves them on first access, and a
-# function declared with @_uses binds its layers' names before it runs,
-# so getattr(cli, name) and patches by name work as for an eager import.
-# predict and bgru_forward stay here although the stages use
-# forward_batch: perfbench/child.py wraps them by name.
+# package. Module __getattr__ resolves them on first access, and stage
+# code reads them as _layers.<name>, so getattr(cli, name) and patches by
+# name work as for an eager import, and a stage process imports only the
+# layers it reads. predict and bgru_forward stay here although the
+# stages use forward_batch: perfbench/child.py wraps them by name.
 LAZY_NAMES = {
     "load_program": "frontend:load_program",
     "dump_ast": "frontend:dump_ast",
@@ -156,30 +156,8 @@ def __getattr__(name: str):
     return value
 
 
-def _uses(*layers: str):
-    """Declare the layers whose names a function reads.
-
-    Each call binds those names first (one already bound, say wrapped,
-    stays), so the function works whether or not main called it, and a
-    stage process imports only the layers of the functions it runs.
-    """
-    names = [
-        name for name, target in LAZY_NAMES.items()
-        if target.split(":")[0] in layers
-    ]
-
-    def declare(func):
-        @functools.wraps(func)
-        def bound(*args, **kwargs):
-            for name in names:
-                if name not in globals():
-                    __getattr__(name)
-            return func(*args, **kwargs)
-
-        bound.layers = layers
-        return bound
-
-    return declare
+# this module, through whose __getattr__ stage code reads layer names
+_layers = sys.modules[__name__]
 
 
 ENV_PREFIX = "VULNSLICE_"
@@ -211,10 +189,27 @@ def _delta(value: str) -> float:
     return delta
 
 
+def _seed(value: str) -> int:
+    problem = f"invalid seed {value!r} (must be an integer from 0 to 2**64 - 1)"
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(problem) from None
+    if not 0 <= seed < 2**64:  # vectors.bin's header stores it as a uint64
+        raise argparse.ArgumentTypeError(problem)
+    return seed
+
+
 def _kinds(value: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in value.split(",") if k.strip())
     if not kinds:
         raise argparse.ArgumentTypeError(f"invalid kind list {value!r} (names no kind)")
+    unknown = [k for k in kinds if k not in ALL_KINDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"invalid kind list {value!r} (unknown {', '.join(unknown)}; "
+            f"use {', '.join(ALL_KINDS)})"
+        )
     repeated = sorted({k for k in kinds if kinds.count(k) > 1})
     if repeated:
         raise argparse.ArgumentTypeError(
@@ -242,7 +237,7 @@ class RunConfig:
 
     manifest: str = field(metadata={"help": "corpus manifest (json)"})
     out: str = field(default="out", metadata={"help": "artifact directory"})
-    seed: int = field(default=0, metadata={"type": int})
+    seed: int = field(default=0, metadata={"type": _seed})
     theta: int | None = field(default=None, metadata={
         "type": int, "help": "total vector length (defaults to preset seq_len * dim)"})
     dim: int | None = field(
@@ -296,14 +291,13 @@ class RunConfig:
             **{name: value for name, value in overrides.items() if value is not None},
         )
 
-    @_uses("candidates")
     def characteristic_set(self) -> CharacteristicSet:
         calls = (
-            load_fc_calls(self.fc_list)
+            _layers.load_fc_calls(self.fc_list)
             if self.fc_list is not None
-            else default_fc_calls()
+            else _layers.default_fc_calls()
         )
-        return CharacteristicSet(fc_calls=calls, enabled=self.kinds)
+        return _layers.CharacteristicSet(fc_calls=calls, enabled=self.kinds)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -403,11 +397,10 @@ def load_manifest(path: str) -> Manifest:
     return manifest
 
 
-@_uses("frontend")
 def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
     models = []
     for prog in manifest.programs:
-        model = load_program(prog.source_paths, name=prog.path)
+        model = _layers.load_program(prog.source_paths, name=prog.path)
         # manifest-relative file names keep artifacts portable
         rel = dict(zip(prog.source_paths, prog.files))
         for fn in model.functions:
@@ -421,7 +414,6 @@ def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
     return models
 
 
-@_uses("labeling")
 def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
     """labeling's file -> {pre-patch line: mark} map, over every source file."""
     truth: dict[str, dict[int, str]] = {}
@@ -432,10 +424,10 @@ def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
                     f"program {prog.path} needs either a class or a diff"
                 )
             for rel in prog.files:
-                truth[rel] = dict.fromkeys(prog.vulnerable_lines, MARK_DELETED)
+                truth[rel] = dict.fromkeys(prog.vulnerable_lines, _layers.MARK_DELETED)
             continue
         with open(prog.diff_path, "r", encoding="utf-8") as handle:
-            marks = parse_diff(handle.read())
+            marks = _layers.parse_diff(handle.read())
         if not marks:
             raise StageError(
                 f"program {prog.path}: its diff only adds lines, "
@@ -455,7 +447,9 @@ def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
                 )
             owner[name] = matches[0]
         for rel in prog.files:
-            truth[rel] = mark_lines(mark for mark in marks if owner[mark.file] == rel)
+            truth[rel] = _layers.mark_lines(
+                mark for mark in marks if owner[mark.file] == rel
+            )
     return truth
 
 
@@ -464,7 +458,6 @@ def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
 # --------------------------------------------------------------------------
 
 
-@_uses("frontend")
 def stage_parse(config: RunConfig) -> None:
     manifest = load_manifest(config.manifest)
     models = _parse_programs(manifest)
@@ -472,7 +465,7 @@ def stage_parse(config: RunConfig) -> None:
     diagnostics = []
     functions = statements = 0
     for model in models:
-        ast_lines.extend(dump_ast(model))
+        ast_lines.extend(_layers.dump_ast(model))
         for diag in model.diagnostics:
             diagnostics.append(
                 {"program": model.name, "file": diag.file, "line": diag.line,
@@ -499,15 +492,14 @@ def stage_parse(config: RunConfig) -> None:
     )
 
 
-@_uses("candidates")
 def stage_extract(config: RunConfig) -> None:
     artifacts.require(config.path("parse_report.json"), "parse")
     manifest = load_manifest(config.manifest)
     cset = config.characteristic_set()
     records = []
     for model in _parse_programs(manifest):
-        for syvc in extract_syvcs(model, cset):
-            record = syvc_record(syvc)
+        for syvc in _layers.extract_syvcs(model, cset):
+            record = _layers.syvc_record(syvc)
             # ids are per-program at extraction; renumber corpus-wide so
             # downstream artifacts can join on them
             record["id"] = len(records)
@@ -523,7 +515,6 @@ def stage_extract(config: RunConfig) -> None:
     print(f"extracted {len(records)} SyVCs ({summary})")
 
 
-@_uses("candidates", "graphs", "slicing")
 def stage_slice(config: RunConfig) -> None:
     _, syvc_records = artifacts.read_jsonl(
         config.path("syvc.jsonl"), "syvc", "extract"
@@ -549,8 +540,8 @@ def stage_slice(config: RunConfig) -> None:
                 "re-run the 'extract' stage"
             )
         try:
-            pdgs = build_pdgs(model)
-        except GraphError as exc:
+            pdgs = _layers.build_pdgs(model)
+        except _layers.GraphError as exc:
             # without one function's PDG its callers' slices would stop
             # short, so the whole program is skipped
             skip(program_name, None, exc)
@@ -565,17 +556,17 @@ def stage_slice(config: RunConfig) -> None:
                 {"program": program_name, "function": fn.name, "message": message}
                 for message in pdgs[fn.index].diagnostics
             )
-        call_graph = build_call_graph(model)
+        call_graph = _layers.build_call_graph(model)
         for record in by_program[program_name]:
-            syvc = SyVC.from_record(record)
+            syvc = _layers.SyVC.from_record(record)
             try:
-                slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
-                sevc = assemble_sevc(model, slice_, syvc, call_graph)
-            except SliceConsistencyError as exc:
+                slice_ = _layers.interprocedural_slices(model, call_graph, pdgs, syvc)
+                sevc = _layers.assemble_sevc(model, slice_, syvc, call_graph)
+            except _layers.SliceConsistencyError as exc:
                 skip(program_name, syvc.id, exc)
                 continue
             diagnostics.extend(slice_.diagnostics)
-            sevc_records.append(sevc_record(sevc))
+            sevc_records.append(_layers.sevc_record(sevc))
     artifacts.write_jsonl(
         config.path("sevc.jsonl"), "sevc", config.seed, sevc_records
     )
@@ -596,7 +587,6 @@ def stage_slice(config: RunConfig) -> None:
     )
 
 
-@_uses("slicing")
 def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
     """Rebuild SeVC objects (with tokens) from sevc.jsonl + reparse."""
     _, records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
@@ -618,28 +608,27 @@ def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
                 raise StageError(
                     "sevc.jsonl out of sync with sources; re-run 'slice'"
                 )
-            statements.append(SevcStatement.from_record(s, list(st.tokens)))
+            statements.append(_layers.SevcStatement.from_record(s, list(st.tokens)))
         sevcs.append(
-            SeVC.from_record(record, statements, model.user_function_names())
+            _layers.SeVC.from_record(record, statements, model.user_function_names())
         )
     return sevcs
 
 
-@_uses("symbols", "embeddings", "vectorize")
 def stage_vectorize(config: RunConfig) -> None:
     hp = config.hyperparams()  # a bad flag fails before the corpus is parsed
     sevcs = _rehydrate_sevcs(config)
     if not sevcs:
         raise StageError("no SeVCs to vectorize; check the 'slice' stage output")
     cset = config.characteristic_set()
-    symbolic = [symbolize(sevc, cset) for sevc in sevcs]
+    symbolic = [_layers.symbolize(sevc, cset) for sevc in sevcs]
     d = hp.input_dim
     theta = hp.theta
     embed_seed = derive_seed(config.seed, "embeddings")
     if config.embed_mode == MODE_HASH:
-        table = hash_table(d, embed_seed)
+        table = _layers.hash_table(d, embed_seed)
     else:
-        table = train_embeddings(
+        table = _layers.train_embeddings(
             [sym.symbols for sym in symbolic], dimension=d, seed=embed_seed
         )
     table.save(config.path("embeddings.json"))
@@ -647,8 +636,8 @@ def stage_vectorize(config: RunConfig) -> None:
     skipped = []  # vectorize_report.json: SeVCs whose anchor the window cuts
     for sym in symbolic:
         try:
-            samples.append(encode(sym, table, theta))
-        except EncodingError as exc:
+            samples.append(_layers.encode(sym, table, theta))
+        except _layers.EncodingError as exc:
             skipped.append(
                 {"program": sym.program, "syvc_id": sym.syvc_id, "message": str(exc)}
             )
@@ -658,7 +647,7 @@ def stage_vectorize(config: RunConfig) -> None:
     )
     if not samples:
         raise StageError("no SeVC could be vectorized; see vectorize_report.json")
-    save_vectors(config.path("vectors.bin"), samples, config.seed)
+    _layers.save_vectors(config.path("vectors.bin"), samples, config.seed)
     print(
         f"vectorized {len(samples)} SeVCs (theta={theta}, d={d}, "
         f"mode={config.embed_mode})"
@@ -666,11 +655,10 @@ def stage_vectorize(config: RunConfig) -> None:
     )
 
 
-@_uses("labeling")
 def stage_label(config: RunConfig) -> None:
     sevcs = _rehydrate_sevcs(config)
     manifest = load_manifest(config.manifest)
-    labels = apply_labels(sevcs, _ground_truth(manifest))
+    labels = _layers.apply_labels(sevcs, _ground_truth(manifest))
     label_records = [
         {
             "syvc_id": sevc.syvc_id,
@@ -683,7 +671,7 @@ def stage_label(config: RunConfig) -> None:
     artifacts.write_jsonl(
         config.path("labels.jsonl"), "labels", config.seed, label_records
     )
-    queue = review_queue(sevcs, labels)
+    queue = _layers.review_queue(sevcs, labels)
     artifacts.write_jsonl(
         config.path("review.jsonl"), "review-queue", config.seed, queue
     )
@@ -695,11 +683,10 @@ def stage_label(config: RunConfig) -> None:
     )
 
 
-@_uses("vectorize", "evaluation", "bgru")
 def stage_train(config: RunConfig) -> None:
     hp = config.hyperparams()
     artifacts.require(config.path("vectors.bin"), "vectorize")
-    samples, _ = load_vectors(config.path("vectors.bin"))
+    samples, _ = _layers.load_vectors(config.path("vectors.bin"))
     for flag, held, wanted in (("--dim", samples[0].dimension, hp.input_dim),
                                ("--theta", samples[0].theta, hp.theta)):
         if held != wanted:
@@ -715,9 +702,10 @@ def stage_train(config: RunConfig) -> None:
     if config.strict_review:
         samples = [s for s in samples if not labels[s.syvc_id]["needs_review"]]
     split_seed = derive_seed(config.seed, "split")
-    train_side, test_side = split_by_program(samples, ratio=0.8, seed=split_seed)
-    params, report = train_model([(s, labels[s.syvc_id]["label"]) for s in train_side], hp)
-    save_checkpoint(config.path("checkpoint.bin"), params, config.seed)
+    train_side, test_side = _layers.split_by_program(samples, ratio=0.8, seed=split_seed)
+    dataset = [(s, labels[s.syvc_id]["label"]) for s in train_side]
+    params, report = _layers.train_model(dataset, hp)
+    _layers.save_checkpoint(config.path("checkpoint.bin"), params, config.seed)
     artifacts.write_json(
         config.path("train_report.json"),
         {
@@ -737,10 +725,9 @@ def stage_train(config: RunConfig) -> None:
     )
 
 
-@_uses("vectorize", "bgru")
 def stage_detect(config: RunConfig) -> int:
     artifacts.require(config.path("vectors.bin"), "vectorize")
-    samples, _ = load_vectors(config.path("vectors.bin"))
+    samples, _ = _layers.load_vectors(config.path("vectors.bin"))
     _, sevc_records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
     by_id = {r["syvc_id"]: r for r in sevc_records}
     stale = [s.syvc_id for s in samples if s.syvc_id not in by_id]
@@ -751,12 +738,12 @@ def stage_detect(config: RunConfig) -> int:
         )
     artifacts.require(config.path("checkpoint.bin"), "train")
     hp = config.hyperparams()
-    params, _ = load_checkpoint(
+    params, _ = _layers.load_checkpoint(
         config.path("checkpoint.bin"), expect_theta=hp.theta, expect_dim=hp.input_dim
     )
     threshold = params.hp.threshold if config.threshold is None else config.threshold
     findings = []
-    for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
+    for sample, trace in zip(samples, _layers.forward_batch(samples, params, params.hp)):
         prob = trace.final
         if prob < threshold:
             continue
@@ -814,7 +801,6 @@ def _detections(config: RunConfig, activations: bool = False) -> list[dict]:
     return findings
 
 
-@_uses("evaluation")
 def stage_evaluate(config: RunConfig) -> None:
     flagged = {f["syvc_id"] for f in _detections(config)}
     _, label_records = artifacts.read_jsonl(config.path("labels.jsonl"), "labels", "label")
@@ -826,8 +812,8 @@ def stage_evaluate(config: RunConfig) -> None:
     test_side = [r for r in label_records if r["program"] not in trained]
     # detect scored every sample: its findings are the positive predictions
     predictions = [int(r["syvc_id"] in flagged) for r in test_side]
-    counts = count_confusion(predictions, [r["label"] for r in test_side])
-    report = compute_metrics(counts)
+    counts = _layers.count_confusion(predictions, [r["label"] for r in test_side])
+    report = _layers.compute_metrics(counts)
     artifacts.write_json(
         config.path("metrics.json"),
         {
@@ -842,10 +828,9 @@ def stage_evaluate(config: RunConfig) -> None:
             "test_samples": len(test_side),
         },
     )
-    print(format_metrics_table(report, counts))
+    print(_layers.format_metrics_table(report, counts))
 
 
-@_uses("symbols")
 def stage_explain(config: RunConfig) -> None:
     findings = _detections(config, activations=True)
     sevcs = {s.syvc_id: s for s in _rehydrate_sevcs(config)}
@@ -858,17 +843,17 @@ def stage_explain(config: RunConfig) -> None:
             raise _stale_detections(
                 f"flags SyVC {finding['syvc_id']}, which sevc.jsonl does not hold"
             )
-        sym = symbolize(sevc, cset)
-        lo, hi = truncation_window(
+        sym = _layers.symbolize(sevc, cset)
+        lo, hi = _layers.truncation_window(
             len(sym.symbols), sym.anchor_lo, sym.anchor_hi, capacity
         )
-        trace = ActivationTrace(finding["activations"])
+        trace = _layers.ActivationTrace(finding["activations"])
         if len(trace.outputs) != hi - lo:
             raise _stale_detections(
                 f"holds {len(trace.outputs)} activations for SyVC "
                 f"{finding['syvc_id']}, whose kept symbol window has {hi - lo}"
             )
-        critical = explain_trace(trace, sym.symbols[lo:hi], delta=config.delta)
+        critical = _layers.explain_trace(trace, sym.symbols[lo:hi], delta=config.delta)
         records.append(
             {
                 "syvc_id": finding["syvc_id"],
@@ -895,8 +880,6 @@ def stage_explain(config: RunConfig) -> None:
     )
 
 
-# every layer, bound before the first stage as one eager import would
-@_uses(*dict.fromkeys(target.split(":")[0] for target in LAZY_NAMES.values()))
 def stage_pipeline(config: RunConfig) -> int:
     stage_parse(config)
     stage_extract(config)

@@ -570,7 +570,12 @@ def compute_control_deps(cfg: Cfg) -> list[DependenceEdge]:
 def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None) -> Pdg:
     cfg = cfg if cfg is not None else build_cfg(fn)
     facts = extract_def_use(fn)
-    edges = compute_data_deps(cfg, facts) + compute_control_deps(cfg)
+    data = compute_data_deps(cfg, facts)
+    try:
+        control = compute_control_deps(cfg)
+    except GraphError as exc:  # name the function, as the CFG builder's errors do
+        raise GraphError(f"{exc} ({fn.file_path}:{fn.name})") from None
+    edges = data + control
     members = set(cfg.nodes)
     lines = {st.id: st.line_first for st in fn.all_statements() if st.id in members}
     return Pdg(

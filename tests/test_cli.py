@@ -269,10 +269,14 @@ def test_bad_env_value_is_a_usage_error(monkeypatch, capsys, name, value):
         (["--kinds", "FC, AU,FC"], None),
         (["--kinds", ""], None),
         (["--kinds", ","], None),
+        (["--kinds", "FC,XX"], None),
+        (["--kinds", "fc"], None),
         ([], "AU,AU"),
         ([], " , "),
+        ([], "PU,BO"),
     ],
-    ids=["repeated", "repeated-apart", "empty", "comma", "env-repeated", "env-empty-list"],
+    ids=["repeated", "repeated-apart", "empty", "comma", "unknown", "lower-case",
+         "env-repeated", "env-empty-list", "env-unknown"],
 )
 def test_repeated_or_empty_kinds_are_a_usage_error(monkeypatch, capsys, argv, env):
     monkeypatch.delenv("VULNSLICE_KINDS", raising=False)
@@ -282,6 +286,30 @@ def test_repeated_or_empty_kinds_are_a_usage_error(monkeypatch, capsys, argv, en
         main(["extract", "--manifest", "m.json", *argv])
     assert exc.value.code == 2
     assert "--kinds: invalid kind list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["--seed", "-1"], None), ([], "-1"), (["--seed", str(2**64)], None)],
+    ids=["flag", "env", "2**64"],
+)
+def test_seed_out_of_range_is_a_usage_error(monkeypatch, capsys, argv, env):
+    monkeypatch.delenv("VULNSLICE_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("VULNSLICE_SEED", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--manifest", "m.json", *argv])
+    assert exc.value.code == 2
+    assert "--seed: invalid seed" in capsys.readouterr().err
+
+
+def test_the_largest_seed_reaches_the_vector_store_header(tmp_path, corpus):
+    largest = 2**64 - 1
+    out = tmp_path / "out"
+    names = ("parse", "extract", "slice", "vectorize")
+    assert stages(corpus / "manifest.json", out, *names,
+                  extra=("--seed", str(largest), "--embed-mode", "hash")) == 0
+    assert load_vectors(str(out / "vectors.bin"))[1] == largest
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])
@@ -582,7 +610,7 @@ def stages(manifest, out, *names, extra=()):
          "anchor statement 3 not in PDG of function 0"),
         # a for without a condition or a break never leaves its body
         ("void spin(){ int a; for(;;){ a = a + 1; } }", None,
-         "CFG nodes [0, 1, 2] of function 0 have no path to exit"),
+         "CFG nodes [0, 1, 2] of function 0 have no path to exit (bad.c:spin)"),
         ("void stray(){ int a; a = a + 1; break; }", None,
          "'break' outside a loop at statement 3 (bad.c:stray)"),
     ],
@@ -732,8 +760,8 @@ STAGE_MODULES = {
 def test_each_stage_process_loads_only_its_layers(tmp_path, capsys):
     """Each stage alone in a fresh process, as the benchmark runs them: it
     loads exactly its layers and writes what the in-process pipeline does.
-    In one process, names bound by an earlier stage could hide a stage
-    that does not declare a layer it uses."""
+    In one process, the layers an earlier stage imported would hide what a
+    later stage loads."""
     in_process, by_stage = tmp_path / "pipeline", tmp_path / "stages"
     # a threshold near 0 flags every SeVC, so explain has work
     flags = ["--manifest", mini_corpus_manifest(), "--seed", "5", "--embed-mode", "hash",
@@ -776,11 +804,12 @@ def _globals_read(code) -> set[str]:
 
 
 def test_every_global_a_cli_function_reads_is_bound():
-    """A name a cli function reads is bound at import, or is a lazy name of
-    a layer the function declares with @_uses, so the function works when
-    called without main (as old_explain_records calls _rehydrate_sevcs)."""
-    layer_of = {name: target.split(":")[0] for name, target in cli.LAZY_NAMES.items()}
-    at_import = set(vars(cli)) - set(layer_of)
+    """A cli function reads a layer name as an attribute of cli (through
+    its __getattr__), never as a bare global, which would be a NameError
+    in a fresh stage process; every other global it reads is bound at
+    import, so the function works when called without main (as
+    old_explain_records calls _rehydrate_sevcs)."""
+    at_import = set(vars(cli)) - set(cli.LAZY_NAMES)
     owners = [cli] + [
         v for v in vars(cli).values() if isinstance(v, type) and v.__module__ == cli.__name__
     ]
@@ -791,13 +820,10 @@ def test_every_global_a_cli_function_reads_is_bound():
     assert {f.__name__ for f in functions} >= {"stage_slice", "characteristic_set", "main"}
     for function in functions:
         read = _globals_read(inspect.unwrap(function).__code__)
-        unbound = read - at_import - set(layer_of) - set(dir(builtins))
+        bare = read & set(cli.LAZY_NAMES)
+        assert not bare, (function.__name__, bare)
+        unbound = read - at_import - set(dir(builtins))
         assert not unbound, (function.__name__, unbound)
-        undeclared = {
-            name for name in read & set(layer_of)
-            if layer_of[name] not in getattr(function, "layers", ())
-        }
-        assert not undeclared, (function.__name__, undeclared)
 
 
 def test_lazy_names_are_the_layer_attributes():
