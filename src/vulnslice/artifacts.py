@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import IO
 
@@ -36,12 +36,15 @@ def atomic_open(path: str, mode: str) -> Iterator[IO]:
 
     `mode` is "w" (UTF-8 text) or "wb". If the body or the rename fails,
     the temp file is removed and any previous `path` is left as it was.
+    The file gets the permissions a plain ``open`` would give it
+    (0o666 less the umask), not the temp file's owner-only 0o600.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
     encoding = None if "b" in mode else "utf-8"
     try:
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, mode, encoding=encoding) as handle:
             yield handle
         os.replace(tmp, path)
@@ -49,6 +52,13 @@ def atomic_open(path: str, mode: str) -> Iterator[IO]:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    # the umask can only be read by setting it, so set it straight back
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -62,79 +72,112 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 
 def write_jsonl(
-    path: str, artifact: str, seed: int, records: list[dict], **header_fields
+    path: str, artifact: str, seed: int, records: Sequence[dict], **header_fields
 ) -> None:
     """``write_jsonl_lines`` of the records, each JSON-encoded with sorted
-    keys."""
+    keys as it is written."""
     # the same bytes as json.dumps(..., sort_keys=True), which would build
     # a new encoder for every record
     encode = json.JSONEncoder(sort_keys=True).encode
-    write_jsonl_lines(
-        path, artifact, seed, [encode(record) for record in records],
-        **header_fields,
-    )
+    _write_lines(path, artifact, seed, len(records), map(encode, records), header_fields)
 
 
 def write_jsonl_lines(
-    path: str, artifact: str, seed: int, lines: list[str], **header_fields
+    path: str, artifact: str, seed: int, lines: Sequence[str], **header_fields
 ) -> None:
     """One header line (artifact, version, seed, ``header_fields`` and the
-    record count), then the given record lines, already JSON-encoded."""
+    record count), then the given record lines, already JSON-encoded.
+    The lines are written one by one, never joined into one string."""
+    _write_lines(path, artifact, seed, len(lines), lines, header_fields)
+
+
+def _write_lines(
+    path: str, artifact: str, seed: int, count: int, lines: Iterable[str],
+    header_fields: dict,
+) -> None:
     header = {
         "artifact": artifact, "version": 1, "seed": seed, **header_fields,
-        "record_count": len(lines),
+        "record_count": count,
     }
-    text = "\n".join([json.dumps(header, sort_keys=True), *lines])
-    atomic_write_text(path, text + "\n")
+    with atomic_open(path, "w") as handle:
+        handle.write(json.dumps(header, sort_keys=True))
+        handle.write("\n")
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
 
 
-def read_jsonl(
+def iter_jsonl(
     path: str, expect_artifact: str | None = None, stage: str | None = None
-) -> tuple[dict, list[dict]]:
-    """The header and the records of a ``write_jsonl`` artifact.
+) -> tuple[dict, Iterator[dict]]:
+    """The header of a ``write_jsonl`` artifact, and an iterator that
+    reads its records one line at a time.
 
     ``stage`` is the stage that writes it: a missing, empty or corrupt
-    artifact raises a ``StageError`` that asks to run it. So does one
-    whose record count is not its header's, as a copy cut short at a
-    line boundary leaves it.
+    artifact raises a ``StageError`` that asks to run it. A wrong
+    artifact name raises here; a corrupt record raises when the iterator
+    reaches it, and a record count that is not the header's (as a copy
+    cut short at a line boundary leaves it) when the iterator ends.
     """
     if stage is not None:
         require(path, stage)
     elif not os.path.exists(path):
         raise StageError(f"missing artifact {path}")
     rerun = f"; re-run the '{stage}' stage" if stage is not None else ""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    values = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StageError(
-                f"{path} line {number} is not valid JSON ({exc.msg}){rerun}"
-            ) from None
-        if not isinstance(value, dict):
-            raise StageError(f"{path} line {number} is not a JSON object{rerun}")
-        values.append(value)
-    if not values:
+    values = _json_objects(path, rerun)
+    header = next(values, None)
+    if header is None:
         raise StageError(f"artifact {path} is empty{rerun}")
-    header = values[0]
     if expect_artifact is not None and header.get("artifact") != expect_artifact:
+        values.close()
         raise StageError(
             f"{path} holds artifact {header.get('artifact')!r}, "
             f"expected {expect_artifact!r}{rerun}"
         )
-    records = values[1:]
+    return header, _counted(values, header, path, rerun)
+
+
+def _json_objects(path: str, rerun: str) -> Iterator[dict]:
+    """The JSON object on each non-blank line of ``path``, in order."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StageError(
+                    f"{path} line {number} is not valid JSON ({exc.msg}){rerun}"
+                ) from None
+            if not isinstance(value, dict):
+                raise StageError(f"{path} line {number} is not a JSON object{rerun}")
+            yield value
+
+
+def _counted(
+    records: Iterator[dict], header: dict, path: str, rerun: str
+) -> Iterator[dict]:
+    """The records, then a check of their count against the header's."""
+    count = 0
+    for record in records:
+        count += 1
+        yield record
     if "record_count" not in header:
         raise StageError(f"{path} has no record count in its header{rerun}")
-    if header["record_count"] != len(records):
+    if header["record_count"] != count:
         raise StageError(
-            f"{path} holds {len(records)} records, its header counts "
+            f"{path} holds {count} records, its header counts "
             f"{header['record_count']}{rerun}"
         )
-    return header, records
+
+
+def read_jsonl(
+    path: str, expect_artifact: str | None = None, stage: str | None = None
+) -> tuple[dict, list[dict]]:
+    """The header and the records of a ``write_jsonl`` artifact, with the
+    errors of ``iter_jsonl``."""
+    header, records = iter_jsonl(path, expect_artifact, stage)
+    return header, list(records)
 
 
 def write_json(path: str, payload: dict) -> None:

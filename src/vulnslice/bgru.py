@@ -65,16 +65,18 @@ the row count. There forward_batch agrees with the in-order walk to
 about 1e-15; tests/test_bgru.py keeps that walk as its oracle.
 
 detect, the one CLI stage that scores samples, runs forward_batch over
-the whole vectors.bin list and records each finding's trace: evaluate
-counts detect's findings, and explain reads their traces.
-ActivationTrace, CriticalToken and explain live in the numpy-free
-symbols module (re-exported here).
+the whole vectors.bin list, whose values stay float32 until _Batch.pad
+copies a sample's kept rows into its float64 buffer, and records each
+finding's trace: evaluate counts detect's findings, and explain reads
+their traces. ActivationTrace, CriticalToken and explain live in the
+numpy-free symbols module (re-exported here).
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -86,8 +88,10 @@ from .vectorize import SampleVector
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # clip to [-60, 60] with ufuncs: np.clip costs more than the math here
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
+    # clamp below at -60 with a ufunc (np.clip costs more than the math
+    # here) so exp cannot overflow; above 60 the result rounds to exactly
+    # 1.0 with a clamp or without one
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -60.0)))
 
 
 def _param_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
@@ -152,13 +156,17 @@ def init_params(hp: Hyperparams, seed: int | None = None) -> BgruParams:
 def _check_inputs(matrices: list[np.ndarray], hp: Hyperparams) -> None:
     """Refuse any matrix that is not (steps >= 1, input_dim), by its index."""
     for i, x in enumerate(matrices):
-        if x.ndim != 2 or x.shape[1] != hp.input_dim:
-            raise ModelError(
-                f"sample {i}: shape {x.shape} does not match input "
-                f"dimension {hp.input_dim}"
-            )
-        if x.shape[0] < 1:
-            raise ModelError(f"sample {i} has no timesteps")
+        _check_input(i, x, hp)
+
+
+def _check_input(i: int, x: np.ndarray, hp: Hyperparams) -> None:
+    if x.ndim != 2 or x.shape[1] != hp.input_dim:
+        raise ModelError(
+            f"sample {i}: shape {x.shape} does not match input "
+            f"dimension {hp.input_dim}"
+        )
+    if x.shape[0] < 1:
+        raise ModelError(f"sample {i} has no timesteps")
 
 
 @dataclass
@@ -172,7 +180,8 @@ class _Batch:
 
     @classmethod
     def pad(cls, matrices: list[np.ndarray], hp: Hyperparams) -> "_Batch":
-        """Pad matrices that _check_inputs accepted."""
+        """Pad matrices that _check_inputs accepted; each one's rows are
+        converted to float64 as they are copied in."""
         lengths = np.array([x.shape[0] for x in matrices])
         steps = int(lengths.max())
         buf = np.zeros((steps, len(matrices), hp.input_dim))
@@ -307,6 +316,8 @@ def _head(feat: np.ndarray, p: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample_matrix(sample: np.ndarray | SampleVector, hp: Hyperparams) -> np.ndarray:
+    """A SampleVector's kept rows, as a view in its own dtype (float32 as
+    loaded from the store); any other input as float64."""
     if isinstance(sample, SampleVector):
         if sample.dimension != hp.input_dim:
             raise ModelError(
@@ -319,7 +330,7 @@ def _sample_matrix(sample: np.ndarray | SampleVector, hp: Hyperparams) -> np.nda
 
 
 def forward_batch(
-    samples: list[np.ndarray | SampleVector],
+    samples: Iterable[np.ndarray | SampleVector],
     params: BgruParams,
     hp: Hyperparams,
 ) -> list[ActivationTrace]:
@@ -328,13 +339,19 @@ def forward_batch(
     The batched inference entry point: it keeps no BPTT caches.
     SampleVector inputs are trimmed to their non-padding timesteps, so
     each trace's final entry is the last meaningful position. Every
-    input is checked first, and a bad one is named by its index in
-    samples.
+    input is checked before any is scored, and a bad one is named by
+    its index in samples.
+
+    samples is read once, in order, and of each distinct input only its
+    trimmed rows are kept: an iterator that reads its samples one at a
+    time (as vectorize.iter_vectors does) is never held whole.
 
     The chunk plan scores each distinct input once. The last
     len(samples) % batch_size samples are one narrow chunk, as in a walk
     over consecutive chunks in input order. Of the others, each
-    distinct input (its step count and exact float64 bytes) is scored
+    distinct input (its step count and exact bytes: float32 for a
+    SampleVector from the store, float64 otherwise; float32 to float64
+    is exact, so equal bytes are equal values either way) is scored
     once: the distinct inputs, sorted by step count, are cut into
     chunks of batch_size rows, the last one filled to full width by
     repeating its final row. Each sample gets its own copy of its
@@ -342,29 +359,48 @@ def forward_batch(
     its chunk's width (see the module docstring), the traces are those
     of the in-order walk bit for bit.
     """
-    matrices = [_sample_matrix(s, hp) for s in samples]
-    _check_inputs(matrices, hp)
-    width = hp.batch_size
-    full = len(matrices) - len(matrices) % width
+    inputs: list[np.ndarray] = []  # each distinct input, by first appearance
+    seen_at: list[int] = []  # the sample index of each input's first appearance
     first: dict[tuple[int, bytes], int] = {}
-    owner = [
-        first.setdefault((len(x), x.tobytes()), i)
-        for i, x in enumerate(matrices[:full])
-    ]
-    order = sorted(first.values(), key=lambda i: len(matrices[i]))
+    owner: list[int] = []  # each sample's input
+    for i, sample in enumerate(samples):
+        x = _sample_matrix(sample, hp)
+        _check_input(i, x, hp)
+        data = x.tobytes()
+        j = first.setdefault((len(x), data), len(inputs))
+        if j == len(inputs):
+            # the key's bytes hold the rows: a view of the sample would
+            # keep its whole padded vector alive
+            inputs.append(np.frombuffer(data, dtype=x.dtype).reshape(x.shape))
+            seen_at.append(i)
+        owner.append(j)
+    width = hp.batch_size
+    full = len(owner) - len(owner) % width
+    # the distinct inputs of the full chunks, by step count
+    order = sorted(
+        (j for j in range(len(inputs)) if seen_at[j] < full),
+        key=lambda j: len(inputs[j]),
+    )
     order += order[-1:] * (-len(order) % width)
     chunks = [order[k : k + width] for k in range(0, len(order), width)]
-    tail = list(range(full, len(matrices)))
-    if tail:
-        chunks.append(tail)
     outputs: dict[int, np.ndarray] = {}
     for chunk in chunks:
-        batch = _Batch.pad([matrices[i] for i in chunk], hp)
-        feat, _ = _forward(batch, params, hp, train_mode=False, rng=None, keep=False)
-        _, probs = _head(feat, params.arrays)
-        for b, i in enumerate(chunk):
-            outputs[i] = probs[: batch.lengths[b], b]
-    return [ActivationTrace(outputs=outputs[i].copy()) for i in owner + tail]
+        for j, trace in zip(chunk, _score([inputs[j] for j in chunk], params, hp)):
+            outputs[j] = trace
+    traces = [outputs[j] for j in owner[:full]]
+    if full < len(owner):
+        traces += _score([inputs[j] for j in owner[full:]], params, hp)
+    return [ActivationTrace(outputs=trace.copy()) for trace in traces]
+
+
+def _score(
+    matrices: list[np.ndarray], params: BgruParams, hp: Hyperparams
+) -> list[np.ndarray]:
+    """Each matrix's head probabilities at its own steps, as one chunk."""
+    batch = _Batch.pad(matrices, hp)
+    feat, _ = _forward(batch, params, hp, train_mode=False, rng=None, keep=False)
+    _, probs = _head(feat, params.arrays)
+    return [probs[: batch.lengths[b], b] for b in range(len(matrices))]
 
 
 def bgru_forward(
@@ -499,7 +535,9 @@ def _dataset_matrices(
     for i, (sample, label) in enumerate(dataset):
         if label not in (0, 1):
             raise ModelError(f"dataset sample {i} has no 0/1 label")
-        pairs.append((_sample_matrix(sample, hp), int(label)))
+        # converted once here, not once per step that draws the sample
+        matrix = np.asarray(_sample_matrix(sample, hp), dtype=np.float64)
+        pairs.append((matrix, int(label)))
     return pairs
 
 

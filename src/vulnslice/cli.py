@@ -38,6 +38,21 @@ vectorize skips a SeVC whose anchor statement cannot fit the symbol
 window and lists it in vectorize_report.json; detect does not score it,
 so evaluate counts it as not flagged.
 
+The corpus stages stream, so their peak memory is that of one program,
+not of the corpus. parse, extract and slice parse one program at a time
+and drop it before the next. vectorize, label and explain read
+sevc.jsonl one program's records at a time (artifacts.iter_jsonl),
+reparse that program and drop it before the next; a program whose
+records are not contiguous is a stale sevc.jsonl. vectorize keeps only
+the symbol streams, and writes each vector as it is encoded. explain
+builds only the flagged SeVCs. detect keeps only each SeVC's files,
+lines and functions, and reads vectors.bin one record at a time
+(vectorize.iter_vectors) into bgru.forward_batch, which keeps only the
+trimmed rows of each distinct input. Vectors stay float32 from the
+store until forward_batch copies a chunk's rows into its float64
+buffer; float32 to float64 is exact, so the traces are those of a
+float64 copy bit for bit.
+
 labels.jsonl is the one record of each SeVC's label and review flag,
 and train_report.json of the program split that train draws: evaluate
 scores every labeled SeVC of a program train did not train on.
@@ -79,9 +94,11 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import itertools
 import json
 import os
 import sys
+from collections.abc import Callable, Container, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
@@ -137,6 +154,7 @@ LAZY_NAMES = {
     "encode": "vectorize:encode",
     "save_vectors": "vectorize:save_vectors",
     "load_vectors": "vectorize:load_vectors",
+    "iter_vectors": "vectorize:iter_vectors",
     "train_embeddings": "embeddings:train_embeddings",
     "hash_table": "embeddings:hash_table",
     "compute_metrics": "evaluation:compute_metrics",
@@ -397,21 +415,42 @@ def load_manifest(path: str) -> Manifest:
     return manifest
 
 
-def _parse_programs(manifest: Manifest) -> list[ProgramModel]:
-    models = []
-    for prog in manifest.programs:
-        model = _layers.load_program(prog.source_paths, name=prog.path)
-        # manifest-relative file names keep artifacts portable
-        rel = dict(zip(prog.source_paths, prog.files))
-        for fn in model.functions:
-            fn.file_path = rel[fn.file_path]
-        model.files = [rel[f] for f in model.files]
-        for diag in model.diagnostics:
-            # messages start with the file name, as "file:line: ..."
-            diag.message = rel[diag.file] + diag.message[len(diag.file):]
-            diag.file = rel[diag.file]
-        models.append(model)
-    return models
+def _parse_program(prog: ManifestProgram) -> ProgramModel:
+    model = _layers.load_program(prog.source_paths, name=prog.path)
+    # manifest-relative file names keep artifacts portable
+    rel = dict(zip(prog.source_paths, prog.files))
+    for fn in model.functions:
+        fn.file_path = rel[fn.file_path]
+    model.files = [rel[f] for f in model.files]
+    for diag in model.diagnostics:
+        # messages start with the file name, as "file:line: ..."
+        diag.message = rel[diag.file] + diag.message[len(diag.file):]
+        diag.file = rel[diag.file]
+    return model
+
+
+def _parse_programs(manifest: Manifest) -> Iterator[ProgramModel]:
+    """Each manifest program parsed, one at a time, in manifest order."""
+    return map(_parse_program, manifest.programs)
+
+
+def _program_named(
+    manifest: Manifest, artifact: str, stage: str
+) -> Callable[[str], ManifestProgram]:
+    """A lookup of manifest programs by name that refuses a name the
+    manifest does not hold: ``artifact`` is stale, and ``stage`` rewrites it."""
+    programs = {prog.path: prog for prog in manifest.programs}
+
+    def lookup(name: str) -> ManifestProgram:
+        prog = programs.get(name)
+        if prog is None:
+            raise StageError(
+                f"{artifact} references unknown program {name!r}; "
+                f"re-run the '{stage}' stage"
+            )
+        return prog
+
+    return lookup
 
 
 def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
@@ -460,11 +499,10 @@ def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
 
 def stage_parse(config: RunConfig) -> None:
     manifest = load_manifest(config.manifest)
-    models = _parse_programs(manifest)
     ast_lines = []
     diagnostics = []
     functions = statements = 0
-    for model in models:
+    for model in _parse_programs(manifest):  # each model is dropped once dumped
         ast_lines.extend(_layers.dump_ast(model))
         for diag in model.diagnostics:
             diagnostics.append(
@@ -480,14 +518,14 @@ def stage_parse(config: RunConfig) -> None:
         config.path("parse_report.json"),
         {
             "seed": config.seed,
-            "programs": len(models),
+            "programs": len(manifest.programs),
             "functions": functions,
             "statements": statements,
             "diagnostics": diagnostics,
         },
     )
     print(
-        f"parsed {len(models)} programs: {functions} functions, "
+        f"parsed {len(manifest.programs)} programs: {functions} functions, "
         f"{statements} statements, {len(diagnostics)} diagnostics"
     )
 
@@ -519,8 +557,7 @@ def stage_slice(config: RunConfig) -> None:
     _, syvc_records = artifacts.read_jsonl(
         config.path("syvc.jsonl"), "syvc", "extract"
     )
-    manifest = load_manifest(config.manifest)
-    models = {m.name: m for m in _parse_programs(manifest)}
+    program_named = _program_named(load_manifest(config.manifest), "syvc.jsonl", "extract")
     by_program: dict[str, list[dict]] = {}
     for record in syvc_records:
         by_program.setdefault(record["program"], []).append(record)
@@ -532,13 +569,8 @@ def stage_slice(config: RunConfig) -> None:
     def skip(program: str, syvc_id: int | None, exc: Exception) -> None:
         skipped.append({"program": program, "syvc_id": syvc_id, "message": str(exc)})
 
-    for program_name in sorted(by_program):
-        model = models.get(program_name)
-        if model is None:
-            raise StageError(
-                f"syvc.jsonl references unknown program {program_name!r}; "
-                "re-run the 'extract' stage"
-            )
+    for program_name in sorted(by_program):  # one parsed program at a time
+        model = _parse_program(program_named(program_name))
         try:
             pdgs = _layers.build_pdgs(model)
         except _layers.GraphError as exc:
@@ -587,41 +619,53 @@ def stage_slice(config: RunConfig) -> None:
     )
 
 
-def _rehydrate_sevcs(config: RunConfig) -> list[SeVC]:
-    """Rebuild SeVC objects (with tokens) from sevc.jsonl + reparse."""
-    _, records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
-    manifest = load_manifest(config.manifest)
-    models = {m.name: m for m in _parse_programs(manifest)}
-    sevcs = []
-    for record in records:
-        model = models.get(record["program"])
-        if model is None:
+def _rehydrate_sevcs(
+    config: RunConfig, wanted: Container[int] | None = None
+) -> Iterator[list[SeVC]]:
+    """Rebuild SeVC objects (with tokens) from sevc.jsonl and a reparse,
+    one program at a time: for each program's records, in file order,
+    parse the program and yield its SeVCs. ``wanted`` limits the SeVCs
+    built to those syvc ids; every program is parsed all the same."""
+    program_named = _program_named(load_manifest(config.manifest), "sevc.jsonl", "slice")
+    _, records = artifacts.iter_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
+    done = set()
+    for name, group in itertools.groupby(records, key=lambda record: record["program"]):
+        if name in done:
             raise StageError(
-                f"sevc.jsonl references unknown program "
-                f"{record['program']!r}; re-run the 'slice' stage"
+                f"sevc.jsonl holds the records of program {name!r} apart from "
+                "each other; re-run the 'slice' stage"
             )
+        done.add(name)
+        model = _parse_program(program_named(name))
         index = model.statement_index()
-        statements = []
-        for s in record["statements"]:
-            st = index.get(s["statement_id"])
-            if st is None:
-                raise StageError(
-                    "sevc.jsonl out of sync with sources; re-run 'slice'"
-                )
-            statements.append(_layers.SevcStatement.from_record(s, list(st.tokens)))
-        sevcs.append(
-            _layers.SeVC.from_record(record, statements, model.user_function_names())
-        )
-    return sevcs
+        user_functions = model.user_function_names()
+        sevcs = []
+        for record in group:
+            if wanted is not None and record["syvc_id"] not in wanted:
+                continue
+            statements = []
+            for s in record["statements"]:
+                st = index.get(s["statement_id"])
+                if st is None:
+                    raise StageError(
+                        "sevc.jsonl out of sync with sources; re-run 'slice'"
+                    )
+                statements.append(_layers.SevcStatement.from_record(s, list(st.tokens)))
+            sevcs.append(_layers.SeVC.from_record(record, statements, user_functions))
+        yield sevcs
 
 
 def stage_vectorize(config: RunConfig) -> None:
     hp = config.hyperparams()  # a bad flag fails before the corpus is parsed
-    sevcs = _rehydrate_sevcs(config)
-    if not sevcs:
-        raise StageError("no SeVCs to vectorize; check the 'slice' stage output")
     cset = config.characteristic_set()
-    symbolic = [_layers.symbolize(sevc, cset) for sevc in sevcs]
+    # only the symbol streams outlive each program's parse
+    symbolic = [
+        _layers.symbolize(sevc, cset)
+        for sevcs in _rehydrate_sevcs(config)
+        for sevc in sevcs
+    ]
+    if not symbolic:
+        raise StageError("no SeVCs to vectorize; check the 'slice' stage output")
     d = hp.input_dim
     theta = hp.theta
     embed_seed = derive_seed(config.seed, "embeddings")
@@ -632,53 +676,65 @@ def stage_vectorize(config: RunConfig) -> None:
             [sym.symbols for sym in symbolic], dimension=d, seed=embed_seed
         )
     table.save(config.path("embeddings.json"))
-    samples = []
+    fits = []
     skipped = []  # vectorize_report.json: SeVCs whose anchor the window cuts
     for sym in symbolic:
         try:
-            samples.append(_layers.encode(sym, table, theta))
+            # the window encode will cut: a SeVC it cannot encode is skipped
+            _layers.truncation_window(
+                len(sym.symbols), sym.anchor_lo, sym.anchor_hi, hp.seq_len
+            )
         except _layers.EncodingError as exc:
             skipped.append(
                 {"program": sym.program, "syvc_id": sym.syvc_id, "message": str(exc)}
             )
+            continue
+        fits.append(sym)
     artifacts.write_json(
         config.path("vectorize_report.json"),
-        {"seed": config.seed, "vectors": len(samples), "skipped": skipped},
+        {"seed": config.seed, "vectors": len(fits), "skipped": skipped},
     )
-    if not samples:
+    if not fits:
         raise StageError("no SeVC could be vectorized; see vectorize_report.json")
-    _layers.save_vectors(config.path("vectors.bin"), samples, config.seed)
+    # each vector is written as it is encoded: the store is never in memory
+    _layers.save_vectors(
+        config.path("vectors.bin"),
+        (_layers.encode(sym, table, theta) for sym in fits),
+        config.seed,
+    )
     print(
-        f"vectorized {len(samples)} SeVCs (theta={theta}, d={d}, "
+        f"vectorized {len(fits)} SeVCs (theta={theta}, d={d}, "
         f"mode={config.embed_mode})"
         + (f", {len(skipped)} skipped" if skipped else "")
     )
 
 
 def stage_label(config: RunConfig) -> None:
-    sevcs = _rehydrate_sevcs(config)
-    manifest = load_manifest(config.manifest)
-    labels = _layers.apply_labels(sevcs, _ground_truth(manifest))
-    label_records = [
-        {
-            "syvc_id": sevc.syvc_id,
-            "program": sevc.program,
-            "label": label,
-            "needs_review": needs_review,
-        }
-        for sevc, (label, needs_review) in zip(sevcs, labels)
-    ]
+    truth = _ground_truth(load_manifest(config.manifest))
+    label_records = []
+    queue = []
+    for sevcs in _rehydrate_sevcs(config):  # each program's SeVCs as they stream
+        labels = _layers.apply_labels(sevcs, truth)
+        label_records.extend(
+            {
+                "syvc_id": sevc.syvc_id,
+                "program": sevc.program,
+                "label": label,
+                "needs_review": needs_review,
+            }
+            for sevc, (label, needs_review) in zip(sevcs, labels)
+        )
+        queue.extend(_layers.review_queue(sevcs, labels))
     artifacts.write_jsonl(
         config.path("labels.jsonl"), "labels", config.seed, label_records
     )
-    queue = _layers.review_queue(sevcs, labels)
     artifacts.write_jsonl(
         config.path("review.jsonl"), "review-queue", config.seed, queue
     )
-    positive = sum(label for label, _ in labels)
-    review = sum(needs_review for _, needs_review in labels)
+    positive = sum(r["label"] for r in label_records)
+    review = sum(r["needs_review"] for r in label_records)
     print(
-        f"labeled {len(labels)} SeVCs: {positive} vulnerable, "
+        f"labeled {len(label_records)} SeVCs: {positive} vulnerable, "
         f"{len(queue)} in review.jsonl, {review} needing review"
     )
 
@@ -727,14 +783,16 @@ def stage_train(config: RunConfig) -> None:
 
 def stage_detect(config: RunConfig) -> int:
     artifacts.require(config.path("vectors.bin"), "vectorize")
-    samples, _ = _layers.load_vectors(config.path("vectors.bin"))
-    _, sevc_records = artifacts.read_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
-    by_id = {r["syvc_id"]: r for r in sevc_records}
-    stale = [s.syvc_id for s in samples if s.syvc_id not in by_id]
-    if stale:
-        raise StageError(
-            f"vectors.bin holds {len(stale)} SyVCs that sevc.jsonl does not "
-            f"(first {stale[0]}); re-run the 'vectorize' stage"
+    stored, _ = _layers.iter_vectors(config.path("vectors.bin"))
+    _, sevc_records = artifacts.iter_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
+    # each SeVC's files, lines and functions: all a finding needs of it
+    where = {}
+    for record in sevc_records:
+        statements = record["statements"]
+        where[record["syvc_id"]] = (
+            sorted({s["file"] for s in statements}),
+            [s["line"] for s in statements],
+            sorted({s["function"] for s in statements}),
         )
     artifacts.require(config.path("checkpoint.bin"), "train")
     hp = config.hyperparams()
@@ -742,20 +800,31 @@ def stage_detect(config: RunConfig) -> int:
         config.path("checkpoint.bin"), expect_theta=hp.theta, expect_dim=hp.input_dim
     )
     threshold = params.hp.threshold if config.threshold is None else config.threshold
+    samples = []  # each sample's (syvc_id, kind, program), in store order
+
+    def values():  # forward_batch reads each sample's values once, then drops them
+        for sample in stored:
+            samples.append((sample.syvc_id, sample.kind, sample.program))
+            yield sample
+
+    traces = _layers.forward_batch(values(), params, params.hp)
+    stale = [syvc_id for syvc_id, _, _ in samples if syvc_id not in where]
+    if stale:
+        raise StageError(
+            f"vectors.bin holds {len(stale)} SyVCs that sevc.jsonl does not "
+            f"(first {stale[0]}); re-run the 'vectorize' stage"
+        )
     findings = []
-    for sample, trace in zip(samples, _layers.forward_batch(samples, params, params.hp)):
+    for (syvc_id, kind, program), trace in zip(samples, traces):
         prob = trace.final
         if prob < threshold:
             continue
-        statements = by_id[sample.syvc_id]["statements"]
-        files = sorted({s["file"] for s in statements})
-        lines = [s["line"] for s in statements]
-        functions = sorted({s["function"] for s in statements})
+        files, lines, functions = where[syvc_id]
         findings.append(
             {
-                "syvc_id": sample.syvc_id,
-                "kind": sample.kind,
-                "program": sample.program,
+                "syvc_id": syvc_id,
+                "kind": kind,
+                "program": program,
                 "probability": round(prob, 6),
                 "files": files,
                 "functions": functions,
@@ -833,7 +902,9 @@ def stage_evaluate(config: RunConfig) -> None:
 
 def stage_explain(config: RunConfig) -> None:
     findings = _detections(config, activations=True)
-    sevcs = {s.syvc_id: s for s in _rehydrate_sevcs(config)}
+    # only the flagged SeVCs are built
+    flagged = {finding["syvc_id"] for finding in findings}
+    sevcs = {s.syvc_id: s for group in _rehydrate_sevcs(config, flagged) for s in group}
     cset = config.characteristic_set()
     capacity = config.hyperparams().seq_len
     records = []

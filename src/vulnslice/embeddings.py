@@ -176,8 +176,8 @@ def train_embeddings(
                 for pair in targets:
                     context_vecs.take(pair, 0, rows)
                     np.dot(rows, cv, out=scores)
+                    # no upper clamp: above 60 the sigmoid is exactly 1.0
                     np.maximum(scores, -60.0, out=scores)
-                    np.minimum(scores, 60.0, out=scores)
                     np.negative(scores, out=scores)
                     np.exp(scores, out=scores)
                     np.add(scores, 1.0, out=scores)

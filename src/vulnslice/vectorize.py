@@ -10,8 +10,11 @@ encoding fails rather than silently cutting the anchor.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,7 +33,10 @@ from .symbols import (  # noqa: F401  re-exported
 
 @dataclass
 class SampleVector:
-    """Fixed-length numeric encoding of one SeVC."""
+    """Fixed-length numeric encoding of one SeVC.
+
+    ``values`` is float64 as ``encode`` makes it, and float32 as the
+    store holds it (see ``save_vectors``)."""
 
     values: np.ndarray
     theta: int
@@ -81,6 +87,9 @@ def encode(sym: SymbolicSeVC, table: EmbeddingTable, theta: int) -> SampleVector
 
 _MAGIC = b"SVEC"
 _VERSION = 1
+# after the magic: version, theta, dimension, record count, seed
+_HEADER = "<IIIQQ"
+_COUNT_OFFSET = len(_MAGIC) + struct.calcsize("<III")
 # the per-sample fields of the .idx sidecar, one json line per row; the
 # rest (values, theta, dimension) live in the binary store and its header
 _INDEX_FIELDS = tuple(
@@ -90,31 +99,36 @@ _INDEX_FIELDS = tuple(
 )
 
 
-def save_vectors(path: str, samples: list[SampleVector], seed: int) -> None:
-    """Binary store: fixed header, float32 records, json sidecar index."""
-    if not samples:
+def save_vectors(path: str, samples: Iterable[SampleVector], seed: int) -> None:
+    """Write the binary store and its json sidecar index.
+
+    The store is a fixed header, then one float32 record per sample;
+    the sidecar holds each sample's other fields, one json line per row.
+    Each sample is written as the iterable yields it, so only one is in
+    memory at a time, and the header's count is filled in at the end.
+    An empty iterable writes nothing and raises ``EncodingError``.
+    """
+    samples = iter(samples)
+    first = next(samples, None)
+    if first is None:
         raise EncodingError("refusing to write an empty vector store")
-    theta = samples[0].theta
-    d = samples[0].dimension
-    for s in samples:
-        if s.theta != theta or s.dimension != d:
-            raise EncodingError("mixed theta/dimension in one vector store")
-    # streamed record by record: the store is never held in memory twice
-    with atomic_open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<IIIQQ", _VERSION, theta, d, len(samples), seed))
-        for s in samples:
-            handle.write(s.values.astype("<f4").tobytes())
-    index = [
-        {"row": i, **{name: getattr(s, name) for name in _INDEX_FIELDS}}
-        for i, s in enumerate(samples)
-    ]
+    theta, d = first.theta, first.dimension
     # the same bytes as json.dumps(..., sort_keys=True), with one encoder
     encode = json.JSONEncoder(sort_keys=True).encode
-    with atomic_open(path + ".idx", "w") as handle:
-        for record in index:
-            handle.write(encode(record))
-            handle.write("\n")
+    count = 0
+    with atomic_open(path, "wb") as store, atomic_open(path + ".idx", "w") as index:
+        store.write(_MAGIC)
+        store.write(struct.pack(_HEADER, _VERSION, theta, d, 0, seed))
+        for s in itertools.chain([first], samples):
+            if s.theta != theta or s.dimension != d:
+                raise EncodingError("mixed theta/dimension in one vector store")
+            store.write(s.values.astype("<f4").tobytes())
+            row = {name: getattr(s, name) for name in _INDEX_FIELDS}
+            index.write(encode({"row": count, **row}))
+            index.write("\n")
+            count += 1
+        store.seek(_COUNT_OFFSET)
+        store.write(struct.pack("<Q", count))
 
 
 def _corrupt(path: str, problem: str) -> EncodingError:
@@ -122,22 +136,35 @@ def _corrupt(path: str, problem: str) -> EncodingError:
 
 
 def load_vectors(path: str) -> tuple[list[SampleVector], int]:
-    """Load a vector store; returns (samples, seed)."""
+    """Load a vector store; returns (samples, seed), with the errors of
+    ``iter_vectors``. Each sample's values are float32, as stored."""
+    samples, seed = iter_vectors(path)
+    return list(samples), seed
+
+
+def iter_vectors(path: str) -> tuple[Iterator[SampleVector], int]:
+    """A vector store's samples, read one record at a time, and its seed.
+
+    The header, the file size and the index's row count are checked
+    here; an index line that does not parse raises when the iterator
+    reaches it. Each sample's values are a read-only float32 array of
+    its own, so a caller that drops each sample holds one at a time.
+    """
     with open(path, "rb") as handle:
-        magic = handle.read(4)
+        magic = handle.read(len(_MAGIC))
         if magic != _MAGIC:
             raise _corrupt(path, f"not a vector store (bad magic {magic!r})")
-        header = handle.read(28)
-        if len(header) != 28:
+        header = handle.read(struct.calcsize(_HEADER))
+        if len(header) != struct.calcsize(_HEADER):
             raise _corrupt(path, "truncated vector store header")
-        version, theta, d, count, seed = struct.unpack("<IIIQQ", header)
+        version, theta, d, count, seed = struct.unpack(_HEADER, header)
         if version != _VERSION:
             raise _corrupt(path, f"unsupported vector store version {version}")
-        raw = np.frombuffer(handle.read(count * theta * 4), dtype="<f4")
-        if raw.size != count * theta:
-            raise _corrupt(path, "truncated vector store")
-        if handle.read(1):
-            raise _corrupt(path, "bytes after the last record")
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+    if size < count * theta * 4:
+        raise _corrupt(path, "truncated vector store")
+    if size > count * theta * 4:
+        raise _corrupt(path, "bytes after the last record")
     try:
         with open(path + ".idx", "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -147,18 +174,20 @@ def load_vectors(path: str) -> tuple[list[SampleVector], int]:
         raise _corrupt(path, "index sidecar .idx is not text") from None
     if len(lines) != count:
         raise _corrupt(path, "index rows do not match header count")
-    matrix = raw.reshape(count, theta).astype(np.float64)
-    samples: list[SampleVector] = []
-    for row, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-            in_order = rec["row"] == row
-            index_fields = {name: rec[name] for name in _INDEX_FIELDS}
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise _corrupt(path, f"bad index line {row + 1} ({exc!r})") from None
-        if not in_order:
-            raise _corrupt(path, f"index line {row + 1} is for row {rec['row']!r}")
-        samples.append(
-            SampleVector(values=matrix[row], theta=theta, dimension=d, **index_fields)
-        )
-    return samples, seed
+    return _samples(path, theta, d, lines), seed
+
+
+def _samples(path: str, theta: int, d: int, lines: list[str]) -> Iterator[SampleVector]:
+    with open(path, "rb") as handle:
+        handle.seek(len(_MAGIC) + struct.calcsize(_HEADER))
+        for row, line in enumerate(lines):
+            try:
+                rec = json.loads(line)
+                in_order = rec["row"] == row
+                index_fields = {name: rec[name] for name in _INDEX_FIELDS}
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise _corrupt(path, f"bad index line {row + 1} ({exc!r})") from None
+            if not in_order:
+                raise _corrupt(path, f"index line {row + 1} is for row {rec['row']!r}")
+            values = np.frombuffer(handle.read(theta * 4), dtype="<f4")
+            yield SampleVector(values=values, theta=theta, dimension=d, **index_fields)

@@ -1,6 +1,8 @@
 """Artifact files: JSONL bytes, and the errors a bad one raises."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -69,3 +71,20 @@ def test_read_jsonl_errors_name_the_file_line_and_stage(tmp_path, text, message)
 def test_read_jsonl_of_a_missing_artifact_asks_to_run_its_stage(tmp_path):
     with pytest.raises(artifacts.StageError, match="missing artifact demo.jsonl; run the 'make-demo' stage first"):
         artifacts.read_jsonl(str(tmp_path / "demo.jsonl"), "demo", "make-demo")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    """Not the owner-only 0o600 of the temp file they are written through."""
+    previous = os.umask(umask)
+    try:
+        artifacts.write_json(str(tmp_path / "a.json"), {})
+        artifacts.atomic_write_bytes(str(tmp_path / "b.bin"), b"")
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("a.json", "b.bin", "plain")}
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+    assert os.umask(previous) == previous  # the umask is left as it was

@@ -342,6 +342,51 @@ def test_forward_batch_scores_each_distinct_input_once(monkeypatch, batch_size):
         )
 
 
+def test_forward_batch_reads_an_iterator_of_float32_samples_once():
+    """Vectors loaded from the store are float32 SampleVectors, which an
+    iterator may yield one at a time: their traces are those of the same
+    values as float64 matrices in a list, bit for bit."""
+    hp = small_hp(batch_size=4)
+    params = init_params(hp)
+    rng = np.random.default_rng(17)
+    matrices = [x.astype(np.float32) for x in repeating_samples(rng, hp, 11)]
+    stored = []
+    for i, x in enumerate(matrices):
+        values = np.zeros(hp.theta, dtype=np.float32)
+        values[: x.size] = x.ravel()
+        stored.append(SampleVector(values, hp.theta, hp.input_dim, syvc_id=i,
+                                   kept_symbols=len(x), anchor_lo=0, anchor_hi=1))
+    read = []
+
+    def once():
+        for sample in stored:
+            read.append(sample.syvc_id)
+            yield sample
+
+    got = forward_batch(once(), params, hp)
+    want = forward_batch([x.astype(np.float64) for x in matrices], params, hp)
+    assert read == list(range(11))
+    for a, b in zip(got, want, strict=True):
+        assert a.outputs.tobytes() == b.outputs.tobytes()
+
+
+def old_sigmoid(x):
+    """bgru._sigmoid as it was, clamped to [-60, 60]."""
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
+
+
+def test_sigmoid_without_its_upper_clamp_gives_the_same_bits():
+    """Above 60, 1 / (1 + exp(-x)) rounds to exactly 1.0, so the upper
+    clamp changed no result: not on 2e6 values around and far past the
+    clamp, nor at the edges."""
+    rng = np.random.default_rng(60)
+    edges = [np.inf, -np.inf, np.nan, 60.0, -60.0, 745.0, -745.0, 1e308, -1e308,
+             np.nextafter(60.0, 0.0), np.nextafter(60.0, np.inf), 36.8, 37.0, 0.0, -0.0]
+    x = np.concatenate([rng.uniform(-100.0, 100.0, 10**6),
+                        rng.standard_normal(10**6) * 1e3, edges])
+    assert bgru._sigmoid(x).tobytes() == old_sigmoid(x).tobytes()
+
+
 def test_a_bad_input_is_named_by_its_index_in_samples():
     hp = small_hp(batch_size=4)
     params = init_params(hp)

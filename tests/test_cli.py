@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -342,12 +343,13 @@ def test_vectorize_rejects_a_bad_flag_before_parsing(tmp_path, corpus, monkeypat
     for stage in ("parse", "extract", "slice"):
         assert run(corpus, out, stage) == 0
     parsed = []
-    real = cli._parse_programs
-    monkeypatch.setattr(cli, "_parse_programs", lambda m: parsed.append(m) or real(m))
+    real = cli._parse_program
+    monkeypatch.setattr(cli, "_parse_program", lambda p: parsed.append(p.path) or real(p))
     assert run(corpus, out, "vectorize", "--theta", "0") == 2
     assert parsed == []
     assert run(corpus, out, "vectorize") == 0
-    assert len(parsed) == 1
+    # each program that holds a SeVC, once, in sevc.jsonl's order
+    assert parsed == sorted({r["program"] for r in read_records(out / "sevc.jsonl")})
 
 
 @pytest.mark.parametrize(
@@ -845,14 +847,14 @@ def test_names_patched_before_main_are_the_ones_the_stage_calls(
     for name in cli.LAZY_NAMES:
         monkeypatch.delattr(cli, name)
     calls = []
-    for name in ("load_vectors", "load_checkpoint"):
+    for name in ("iter_vectors", "load_checkpoint"):
         def recording(*args, _name=name, _real=getattr(cli, name), **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, recording)
     assert run(corpus, out, "detect") in (0, 1)
-    assert calls == ["load_vectors", "load_checkpoint"]
+    assert calls == ["iter_vectors", "load_checkpoint"]
 
 
 def old_explain_records(config):
@@ -864,7 +866,7 @@ def old_explain_records(config):
         config.path("checkpoint.bin"), expect_theta=hp.theta, expect_dim=hp.input_dim
     )
     threshold = params.hp.threshold if config.threshold is None else config.threshold
-    sevcs = {s.syvc_id: s for s in cli._rehydrate_sevcs(config)}
+    sevcs = {s.syvc_id: s for group in cli._rehydrate_sevcs(config) for s in group}
     cset = config.characteristic_set()
     records = []
     for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
@@ -1462,3 +1464,102 @@ def test_stage_data_leaves_no_cyclic_garbage(tmp_path, corpus):
     for stage in [*cli.STAGE_FUNCS, "detect", "pipeline"]:
         cyclic_garbage(stage, "small")  # warm-up
         assert cyclic_garbage(stage, "small") == cyclic_garbage(stage, "mini"), stage
+
+
+def test_vectorize_and_detect_memory_grows_by_under_2_kb_per_sevc(tmp_path, corpus):
+    """vectorize and detect hold one program's parse at a time and never
+    the whole vector store: their tracemalloc peak grows by under 2 KB
+    per extra SeVC at the desk preset's theta of 800, where one float64
+    vector alone takes 6.4 KB and one float32 vector 3.2 KB.
+
+    vectorize is measured from the 2-program corpus to the mini corpus,
+    and both stages from the mini corpus to the same 40 programs listed
+    twice (234 SeVCs of the same lengths). detect is not measured from
+    the 2-program corpus: the forward pass holds one chunk's buffers,
+    about 2.5 MB at the mini corpus's longest SeVCs and less at the
+    2-program corpus's shorter ones, a one-time cost that would swamp
+    111 extra SeVCs. The second copy's SeVCs repeat the first copy's
+    inputs, which forward_batch keeps once; a distinct input costs
+    detect its trimmed float32 rows besides (1.4 KB at the mini corpus's
+    mean of 23 symbols)."""
+    mini = os.path.dirname(mini_corpus_manifest())
+    with open(mini_corpus_manifest(), encoding="utf-8") as handle:
+        programs = json.load(handle)["programs"]
+    twice = tmp_path / "twice"
+    for copy in ("a", "b"):
+        shutil.copytree(mini, twice / copy)
+    (twice / "manifest.json").write_text(json.dumps({"programs": [
+        {**p, "path": f"{copy}/{p['path']}"} for copy in ("a", "b") for p in programs
+    ]}))
+    small = corpus / "small.json"
+    small.write_text(json.dumps({"corpus_root": ".", "programs": [
+        {"path": "leak.c", "class": "bad", "vulnerable_lines": [4]},
+        {"path": "guarded.c", "class": "good"},
+    ]}))
+    manifests = {"small": str(small), "mini": mini_corpus_manifest(),
+                 "twice": str(twice / "manifest.json")}
+    flags = ["--seed", "5", "--embed-mode", "hash", "--epochs", "1"]
+
+    def argv(stage, name):
+        return [stage, "--manifest", manifests[name], "--out", str(tmp_path / name), *flags]
+
+    def peak(stage, name):
+        tracemalloc.start()
+        try:
+            assert main(argv(stage, name)) in (0, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sevcs = {}
+    for name in manifests:
+        assert main(argv("pipeline", name)) in (0, 1)
+        sevcs[name] = len(read_records(tmp_path / name / "sevc.jsonl"))
+    assert sevcs["twice"] == 2 * sevcs["mini"] == 234
+    for stage, pairs in (("vectorize", [("small", "mini"), ("mini", "twice")]),
+                         ("detect", [("mini", "twice")])):
+        peak(stage, "small")  # warm-up: imports and lazy names
+        for fewer, more in pairs:
+            growth = (peak(stage, more) - peak(stage, fewer)) / (sevcs[more] - sevcs[fewer])
+            assert growth < 2048, (stage, fewer, more, growth)
+
+
+def test_vectorize_of_an_empty_store_writes_only_its_report(tmp_path, corpus, capsys):
+    """When the window fits no SeVC's anchor, vectorize exits 2, leaves no
+    vectors.bin (not even one that counts 0 records) and no temp file,
+    and still lists every skip."""
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        assert run(corpus, out, stage) == 0
+    capsys.readouterr()
+    assert run(corpus, out, "vectorize", "--theta", "16") == 2
+    assert capsys.readouterr().err == (
+        "error: no SeVC could be vectorized; see vectorize_report.json\n"
+    )
+    sevcs = read_records(out / "sevc.jsonl")
+    assert not (out / "vectors.bin").exists() and not (out / "vectors.bin.idx").exists()
+    assert not [name for name in os.listdir(out) if name.startswith(".tmp-artifact-")]
+    report = json.loads((out / "vectorize_report.json").read_text())
+    assert report["vectors"] == 0
+    assert [s["syvc_id"] for s in report["skipped"]] == [r["syvc_id"] for r in sevcs]
+
+
+def test_a_program_whose_sevc_records_are_apart_names_slice(tmp_path, corpus, capsys):
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        assert run(corpus, out, stage) == 0
+    header, records = artifacts.read_jsonl(str(out / "sevc.jsonl"))
+    programs = [r["program"] for r in records]
+    first = programs[0]
+    assert programs.count(first) > 1
+    # the first program's first record moved to the end
+    artifacts.write_jsonl(
+        str(out / "sevc.jsonl"), header["artifact"], header["seed"],
+        records[1:] + records[:1],
+    )
+    capsys.readouterr()
+    assert run(corpus, out, "label") == 2
+    assert capsys.readouterr().err == (
+        f"error: sevc.jsonl holds the records of program {first!r} apart from "
+        "each other; re-run the 'slice' stage\n"
+    )

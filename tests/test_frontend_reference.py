@@ -552,7 +552,7 @@ def test_ast_dump_of_bundled_files_matches_reference():
 
 def test_ast_dump_of_mini_corpus_matches_reference():
     manifest = cli.load_manifest(mini_corpus_manifest())
-    models = cli._parse_programs(manifest)
+    models = list(cli._parse_programs(manifest))
     assert len(models) == 40
     for model in models:
         assert dump_ast(model) == reference_ast_lines(model), model.name
