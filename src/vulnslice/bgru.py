@@ -75,6 +75,8 @@ numpy-free symbols module (re-exported here).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
@@ -612,28 +614,34 @@ def save_checkpoint(path: str, params: BgruParams, root_seed: int) -> None:
 
 
 class _Reader:
-    """Bounds-checked cursor over a checkpoint's bytes."""
+    """Bounds-checked reads from an open checkpoint file: a count past
+    the bytes left is refused before anything is read or allocated."""
 
-    def __init__(self, path: str, data: bytes):
+    def __init__(self, path: str, handle):
         self.path = path
-        self.data = data
-        self.offset = 0
+        self.handle = handle
+        self.left = os.fstat(handle.fileno()).st_size
 
     def fail(self, problem: str) -> ModelError:
         return ModelError(
             f"{self.path}: {problem}; re-run the 'train' stage to rewrite it"
         )
 
-    def take(self, count: int, what: str) -> bytes:
-        end = self.offset + count
-        if end > len(self.data):
+    def _claim(self, size: int, what: str) -> None:
+        if size > self.left:
             raise self.fail(f"checkpoint truncated inside {what}")
-        chunk = self.data[self.offset : end]
-        self.offset = end
-        return chunk
+        self.left -= size
+
+    def take(self, count: int, what: str) -> bytes:
+        self._claim(count, what)
+        return self.handle.read(count)
 
     def uint(self, fmt: str, what: str) -> int:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+
+    def floats(self, count: int, what: str) -> np.ndarray:
+        self._claim(8 * count, what)
+        return np.fromfile(self.handle, dtype="<f8", count=count)
 
 
 def load_checkpoint(
@@ -645,42 +653,39 @@ def load_checkpoint(
     truncated, oversized or otherwise corrupt file.
     """
     with open(path, "rb") as handle:
-        reader = _Reader(path, handle.read())
-    if reader.take(len(_CKPT_MAGIC), "the magic number") != _CKPT_MAGIC:
-        raise reader.fail("not a checkpoint file")
-    header_len = reader.uint("<I", "the header length")
-    try:
-        header = json.loads(reader.take(header_len, "the header").decode("utf-8"))
-        version, seed = header["version"], header["seed"]
-        keys = header["keys"]
-        hp = Hyperparams(**header["hyperparams"])
-    except (ValueError, KeyError, TypeError, ModelError) as exc:
-        raise reader.fail(f"unreadable checkpoint header ({exc})") from None
-    if version != _CKPT_VERSION:
-        raise reader.fail(f"unsupported checkpoint version {version!r}")
-    if expect_theta is not None and hp.theta != expect_theta:
-        raise ModelError(
-            f"{path}: checkpoint theta {hp.theta} != expected {expect_theta}"
-        )
-    if expect_dim is not None and hp.input_dim != expect_dim:
-        raise ModelError(
-            f"{path}: checkpoint input dimension {hp.input_dim} != "
-            f"expected {expect_dim}"
-        )
-    shapes = _param_shapes(hp)
-    if keys != list(shapes):
-        raise reader.fail("parameter blocks do not match the hyperparameters")
-    arrays: dict[str, np.ndarray] = {}
-    for key, expected in shapes.items():
-        rank = reader.uint("<B", f"block {key}")
-        shape = tuple(reader.uint("<I", f"block {key}") for _ in range(rank))
-        if shape != expected:
-            raise reader.fail(f"block {key} has shape {shape}, expected {expected}")
-        count = int(np.prod(shape))
-        data = reader.take(8 * count, f"block {key}")
-        arrays[key] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-    if reader.offset != len(reader.data):
-        raise reader.fail(
-            f"{len(reader.data) - reader.offset} trailing bytes after the last block"
-        )
+        reader = _Reader(path, handle)
+        if reader.take(len(_CKPT_MAGIC), "the magic number") != _CKPT_MAGIC:
+            raise reader.fail("not a checkpoint file")
+        header_len = reader.uint("<I", "the header length")
+        try:
+            header = json.loads(reader.take(header_len, "the header").decode("utf-8"))
+            version, seed = header["version"], header["seed"]
+            keys = header["keys"]
+            hp = Hyperparams(**header["hyperparams"])
+        except (ValueError, KeyError, TypeError, ModelError) as exc:
+            raise reader.fail(f"unreadable checkpoint header ({exc})") from None
+        if version != _CKPT_VERSION:
+            raise reader.fail(f"unsupported checkpoint version {version!r}")
+        if expect_theta is not None and hp.theta != expect_theta:
+            raise ModelError(
+                f"{path}: checkpoint theta {hp.theta} != expected {expect_theta}"
+            )
+        if expect_dim is not None and hp.input_dim != expect_dim:
+            raise ModelError(
+                f"{path}: checkpoint input dimension {hp.input_dim} != "
+                f"expected {expect_dim}"
+            )
+        shapes = _param_shapes(hp)
+        if keys != list(shapes):
+            raise reader.fail("parameter blocks do not match the hyperparameters")
+        arrays: dict[str, np.ndarray] = {}
+        for key, expected in shapes.items():
+            rank = reader.uint("<B", f"block {key}")
+            shape = tuple(reader.uint("<I", f"block {key}") for _ in range(rank))
+            if shape != expected:
+                raise reader.fail(f"block {key} has shape {shape}, expected {expected}")
+            block = reader.floats(math.prod(shape), f"block {key}")
+            arrays[key] = block.reshape(shape).astype(np.float64, copy=False)
+        if reader.left:
+            raise reader.fail(f"{reader.left} trailing bytes after the last block")
     return BgruParams(arrays, hp), seed

@@ -42,16 +42,17 @@ The corpus stages stream, so their peak memory is that of one program,
 not of the corpus. parse, extract and slice parse one program at a time
 and drop it before the next. vectorize, label and explain read
 sevc.jsonl one program's records at a time (artifacts.iter_jsonl),
-reparse that program and drop it before the next; a program whose
-records are not contiguous is a stale sevc.jsonl. vectorize keeps only
-the symbol streams, and writes each vector as it is encoded. explain
-builds only the flagged SeVCs. detect keeps only each SeVC's files,
-lines and functions, and reads vectors.bin one record at a time
-(vectorize.iter_vectors) into bgru.forward_batch, which keeps only the
-trimmed rows of each distinct input. Vectors stay float32 from the
-store until forward_batch copies a chunk's rows into its float64
-buffer; float32 to float64 is exact, so the traces are those of a
-float64 copy bit for bit.
+parse that program again and drop both before the next; records of one
+program apart, or a statement the parse lacks, mean a stale sevc.jsonl.
+A SeVC holds no tokens: vectorize and explain symbolize it from its
+program's parse, and keep only the symbol streams. vectorize writes
+each vector as it is encoded; explain builds only the flagged SeVCs.
+detect keeps only each SeVC's files, lines and functions, and reads
+vectors.bin one record at a time (vectorize.iter_vectors) into
+bgru.forward_batch, which keeps only the trimmed rows of each distinct
+input. Vectors stay float32 from the store until forward_batch copies a
+chunk's rows into its float64 buffer; float32 to float64 is exact, so
+the traces are those of a float64 copy bit for bit.
 
 labels.jsonl is the one record of each SeVC's label and review flag,
 and train_report.json of the program split that train draws: evaluate
@@ -130,7 +131,6 @@ LAZY_NAMES = {
     "build_call_graph": "graphs:build_call_graph",
     "build_pdgs": "graphs:build_pdgs",
     "SeVC": "slicing:SeVC",
-    "SevcStatement": "slicing:SevcStatement",
     "SliceConsistencyError": "slicing:SliceConsistencyError",
     "assemble_sevc": "slicing:assemble_sevc",
     "interprocedural_slices": "slicing:interprocedural_slices",
@@ -366,6 +366,7 @@ def load_manifest(path: str) -> Manifest:
     if "fc_list" in raw:
         raise StageError(f"manifest {path} names an 'fc_list'; pass that file with --fc-list")
     manifest = Manifest(root=root)
+    owners: dict[str, int] = {}  # manifest-relative source file -> its record
     for number, record in enumerate(raw.get("programs", [])):
         where = f"manifest {path}, programs[{number}]"
         if not isinstance(record, dict) or _text(record, "path", where) is None:
@@ -395,6 +396,14 @@ def load_manifest(path: str) -> Manifest:
             raise StageError(f"manifest program does not exist: {full}")
         if not sources:
             raise StageError(f"manifest program has no C sources: {full}")
+        files = [os.path.relpath(p, root) for p in sources]
+        for rel_file in files:
+            first = owners.setdefault(rel_file, number)
+            if first != number:  # it would be labeled, and sliced, twice
+                raise StageError(
+                    f"manifest {path}: programs[{first}] and programs[{number}] "
+                    f"both hold the source file {rel_file}"
+                )
         diff_path = None
         if _text(record, "diff", where):
             diff_path = os.path.join(root, record["diff"])
@@ -404,7 +413,7 @@ def load_manifest(path: str) -> Manifest:
             ManifestProgram(
                 path=rel,
                 source_paths=sources,
-                files=[os.path.relpath(p, root) for p in sources],
+                files=files,
                 program_class=program_class,
                 vulnerable_lines=tuple(lines),
                 diff_path=diff_path,
@@ -619,13 +628,13 @@ def stage_slice(config: RunConfig) -> None:
     )
 
 
-def _rehydrate_sevcs(
+def _sevcs_by_program(
     config: RunConfig, wanted: Container[int] | None = None
-) -> Iterator[list[SeVC]]:
-    """Rebuild SeVC objects (with tokens) from sevc.jsonl and a reparse,
-    one program at a time: for each program's records, in file order,
-    parse the program and yield its SeVCs. ``wanted`` limits the SeVCs
-    built to those syvc ids; every program is parsed all the same."""
+) -> Iterator[tuple[ProgramModel, list[SeVC]]]:
+    """sevc.jsonl's SeVCs, one program at a time: for each program's
+    records, in file order, parse the program and yield it with its
+    SeVCs. ``wanted`` limits the SeVCs built to those syvc ids; every
+    program is parsed all the same."""
     program_named = _program_named(load_manifest(config.manifest), "sevc.jsonl", "slice")
     _, records = artifacts.iter_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
     done = set()
@@ -638,21 +647,19 @@ def _rehydrate_sevcs(
         done.add(name)
         model = _parse_program(program_named(name))
         index = model.statement_index()
-        user_functions = model.user_function_names()
         sevcs = []
         for record in group:
             if wanted is not None and record["syvc_id"] not in wanted:
                 continue
-            statements = []
-            for s in record["statements"]:
-                st = index.get(s["statement_id"])
-                if st is None:
-                    raise StageError(
-                        "sevc.jsonl out of sync with sources; re-run 'slice'"
-                    )
-                statements.append(_layers.SevcStatement.from_record(s, list(st.tokens)))
-            sevcs.append(_layers.SeVC.from_record(record, statements, user_functions))
-        yield sevcs
+            sevc = _layers.SeVC.from_record(record)
+            missing = [s.statement_id for s in sevc.statements if s.statement_id not in index]
+            if missing:
+                raise StageError(
+                    f"sevc.jsonl out of sync with sources: SyVC {sevc.syvc_id} holds "
+                    f"statement {missing[0]}, which program {name!r} does not; re-run 'slice'"
+                )
+            sevcs.append(sevc)
+        yield model, sevcs
 
 
 def stage_vectorize(config: RunConfig) -> None:
@@ -660,8 +667,8 @@ def stage_vectorize(config: RunConfig) -> None:
     cset = config.characteristic_set()
     # only the symbol streams outlive each program's parse
     symbolic = [
-        _layers.symbolize(sevc, cset)
-        for sevcs in _rehydrate_sevcs(config)
+        _layers.symbolize(sevc, model, cset)
+        for model, sevcs in _sevcs_by_program(config)
         for sevc in sevcs
     ]
     if not symbolic:
@@ -713,7 +720,7 @@ def stage_label(config: RunConfig) -> None:
     truth = _ground_truth(load_manifest(config.manifest))
     label_records = []
     queue = []
-    for sevcs in _rehydrate_sevcs(config):  # each program's SeVCs as they stream
+    for _, sevcs in _sevcs_by_program(config):  # each program's SeVCs as they stream
         labels = _layers.apply_labels(sevcs, truth)
         label_records.extend(
             {
@@ -902,19 +909,22 @@ def stage_evaluate(config: RunConfig) -> None:
 
 def stage_explain(config: RunConfig) -> None:
     findings = _detections(config, activations=True)
-    # only the flagged SeVCs are built
-    flagged = {finding["syvc_id"] for finding in findings}
-    sevcs = {s.syvc_id: s for group in _rehydrate_sevcs(config, flagged) for s in group}
     cset = config.characteristic_set()
+    # only the flagged SeVCs are built, and symbolized while their program is parsed
+    flagged = {finding["syvc_id"] for finding in findings}
+    symbolic = {
+        sevc.syvc_id: _layers.symbolize(sevc, model, cset)
+        for model, sevcs in _sevcs_by_program(config, flagged)
+        for sevc in sevcs
+    }
     capacity = config.hyperparams().seq_len
     records = []
     for finding in findings:
-        sevc = sevcs.get(finding["syvc_id"])
-        if sevc is None:
+        sym = symbolic.get(finding["syvc_id"])
+        if sym is None:
             raise _stale_detections(
                 f"flags SyVC {finding['syvc_id']}, which sevc.jsonl does not hold"
             )
-        sym = _layers.symbolize(sevc, cset)
         lo, hi = _layers.truncation_window(
             len(sym.symbols), sym.anchor_lo, sym.anchor_hi, capacity
         )

@@ -221,15 +221,12 @@ class ProgramModel:
 
     def statement_index(self) -> dict[int, Statement]:
         """Statement id -> statement, built on the first call and kept:
-        extract, slice and every SyVC's SeVC share it."""
+        extract, slice and symbolize share it over every SyVC's SeVC."""
         if self._statement_index is None:
             self._statement_index = {
                 st.id: st for fn in self.functions for st in fn.all_statements()
             }
         return self._statement_index
-
-    def user_function_names(self) -> frozenset[str]:
-        return frozenset(fn.name for fn in self.functions)
 
 
 class _FileParser:

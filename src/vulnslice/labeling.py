@@ -122,7 +122,7 @@ def label_sevc(sevc: SeVC, truth: dict[str, dict[int, str]]) -> tuple[int, bool]
         raise LabelingError(
             "no ground truth for file(s): " + ", ".join(unknown)
         )
-    marks = {truth[file].get(line) for file, line in sevc.lines_by_file()}
+    marks = {truth[s.file].get(s.line) for s in sevc.statements}
     if MARK_DELETED in marks:
         return 1, False
     if MARK_MOVED in marks:

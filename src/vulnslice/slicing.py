@@ -24,6 +24,9 @@ predecessors backward.
 The assembled SeVC lists statements in source order within a function
 and orders functions caller-before-callee, depth-first along call
 sites, mirroring the order in which the program would reach them.
+
+A SeVC holds its sevc.jsonl record and no tokens: ``symbols.symbolize``
+reads them, and the user functions, from the parsed program.
 """
 
 from __future__ import annotations
@@ -62,46 +65,27 @@ class SevcStatement:
     line: int
     text: str
     region: str
-    tokens: list = field(default_factory=list)
-
-    @classmethod
-    def from_record(cls, record: dict, tokens: list) -> SevcStatement:
-        """The statement of one ``sevc_record`` entry, with its tokens."""
-        return cls(**{name: record[name] for name in _STATEMENT_FIELDS}, tokens=tokens)
 
 
 @dataclass
 class SeVC:
-    """Ordered statements semantically tied to one SyVC."""
+    """Ordered statements semantically tied to one SyVC: its sevc.jsonl record."""
 
     syvc_id: int
     kind: str
     anchor_statement: int
     statements: list[SevcStatement]
-    user_functions: frozenset[str] = frozenset()
     program: str = ""
 
     @classmethod
-    def from_record(
-        cls,
-        record: dict,
-        statements: list[SevcStatement],
-        user_functions: frozenset[str],
-    ) -> SeVC:
-        """The SeVC of a ``sevc_record``, with what the program supplies."""
-        values = {name: record[name] for name in _SEVC_FIELDS}
-        return cls(**values, statements=statements, user_functions=user_functions)
-
-    def lines_by_file(self) -> set[tuple[str, int]]:
-        return {(s.file, s.line) for s in self.statements}
+    def from_record(cls, record: dict) -> SeVC:
+        """The SeVC of a ``sevc_record``."""
+        statements = [SevcStatement(**s) for s in record["statements"]]
+        return cls(**{**record, "statements": statements})
 
 
-# sevc.jsonl holds every field but those the parsed program supplies:
-# each statement's tokens and the program's user functions
-_STATEMENT_FIELDS = tuple(f.name for f in fields(SevcStatement) if f.name != "tokens")
-_SEVC_FIELDS = tuple(
-    f.name for f in fields(SeVC) if f.name not in ("statements", "user_functions")
-)
+_STATEMENT_FIELDS = tuple(f.name for f in fields(SevcStatement))
+_SEVC_FIELDS = tuple(f.name for f in fields(SeVC) if f.name != "statements")
 
 
 def _ordered(pdg: Pdg, nodes: set[int]) -> list[int]:
@@ -330,7 +314,6 @@ def assemble_sevc(
                     line=st.line_first,
                     text=st.text(),
                     region=region,
-                    tokens=list(st.tokens),
                 )
             )
     return SeVC(
@@ -338,14 +321,13 @@ def assemble_sevc(
         kind=syvc.kind,
         anchor_statement=slice_.anchor_statement,
         statements=statements,
-        user_functions=program.user_function_names(),
         program=program.name,
     )
 
 
 def sevc_record(sevc: SeVC) -> dict:
-    """The sevc.jsonl record for one SeVC: every field but those the
-    parsed program supplies (statement tokens and user functions)."""
+    """The sevc.jsonl record for one SeVC: its fields, with each
+    statement's as a dict."""
     record = {name: getattr(sevc, name) for name in _SEVC_FIELDS}
     record["statements"] = [
         {name: getattr(s, name) for name in _STATEMENT_FIELDS}

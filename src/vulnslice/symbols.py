@@ -45,6 +45,7 @@ from .presets import ModelError
 
 if TYPE_CHECKING:
     from .candidates import CharacteristicSet
+    from .frontend import ProgramModel
     from .slicing import SeVC
 
 STRING_SYMBOL = '"STR"'
@@ -76,12 +77,15 @@ class SymbolicSeVC:
     program: str = ""
 
 
-def symbolize(sevc: SeVC, cset: CharacteristicSet) -> SymbolicSeVC:
-    """Rename one SeVC into its symbolic representation.
-
+def symbolize(sevc: SeVC, program: ProgramModel, cset: CharacteristicSet) -> SymbolicSeVC:
+    """Rename one SeVC into its symbolic representation, with each
+    statement's tokens from ``program.statement_index()`` and the user
+    functions from ``program.functions``, of the parse it was sliced from.
     The same variable maps to the same symbol everywhere in the SeVC;
     distinct SeVCs may well produce identical streams.
     """
+    index = program.statement_index()
+    user_functions = {fn.name for fn in program.functions}
     var_names: dict[str, str] = {}
     fn_names: dict[str, str] = {}
     symbols: list[str] = []
@@ -89,8 +93,8 @@ def symbolize(sevc: SeVC, cset: CharacteristicSet) -> SymbolicSeVC:
     for st in sevc.statements:
         if st.statement_id == sevc.anchor_statement:
             anchor_lo = len(symbols)
-        for tok in st.tokens:
-            symbols.append(_symbol_for(tok, sevc, cset, var_names, fn_names))
+        for tok in index[st.statement_id].tokens:
+            symbols.append(_symbol_for(tok, user_functions, cset, var_names, fn_names))
         if st.statement_id == sevc.anchor_statement:
             anchor_hi = len(symbols)
     if anchor_lo is None or anchor_hi is None:
@@ -107,7 +111,7 @@ def symbolize(sevc: SeVC, cset: CharacteristicSet) -> SymbolicSeVC:
     )
 
 
-def _symbol_for(tok, sevc: SeVC, cset: CharacteristicSet, var_names, fn_names) -> str:
+def _symbol_for(tok, user_functions, cset: CharacteristicSet, var_names, fn_names) -> str:
     if tok.kind == STRING:
         return STRING_SYMBOL
     if tok.kind != IDENTIFIER:
@@ -117,7 +121,7 @@ def _symbol_for(tok, sevc: SeVC, cset: CharacteristicSet, var_names, fn_names) -
     if tok.role in (ROLE_TYPE, ROLE_FIELD):
         return tok.text
     if tok.role in (ROLE_CALLEE, ROLE_FUNCTION):
-        if tok.text in sevc.user_functions:
+        if tok.text in user_functions:
             if tok.text not in fn_names:
                 fn_names[tok.text] = f"F{len(fn_names) + 1}"
             return fn_names[tok.text]

@@ -22,8 +22,6 @@ import numpy as np
 from .artifacts import atomic_open
 from .embeddings import EmbeddingTable
 from .symbols import (  # noqa: F401  re-exported
-    BUILTIN_NAMES,
-    STRING_SYMBOL,
     EncodingError,
     SymbolicSeVC,
     symbolize,

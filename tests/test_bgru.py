@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -605,22 +606,65 @@ def saved_checkpoint(tmp_path):
     return path, path.read_bytes()
 
 
+def claiming_hidden_dim(data, hidden_dim):
+    """The checkpoint with its header and its first block's shape
+    claiming ``hidden_dim``, and its blocks' bytes as they were."""
+    header_end = 8 + int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8:header_end])
+    header["hyperparams"]["hidden_dim"] = hidden_dim
+    blob = json.dumps(header, sort_keys=True).encode()
+    # the first block is l0.W, rank 3, shape (2, 3 * hidden_dim, input_dim)
+    second_dim = header_end + 1 + 4
+    return (data[:4] + len(blob).to_bytes(4, "little") + blob + data[header_end:second_dim]
+            + (3 * hidden_dim).to_bytes(4, "little") + data[second_dim + 4:])
+
+
+def peak_of(function):
+    """The tracemalloc peak of calling ``function``, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            result = function()
+        except Exception as exc:
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, problem",
     [
-        lambda data: data[:-100],  # cut inside the parameter blocks
-        lambda data: data[:6],  # cut inside the header length
-        lambda data: data[:40],  # cut inside the header
-        lambda data: data + b"junk",  # trailing bytes
-        lambda data: data[:4] + (10**6).to_bytes(4, "little") + data[8:],  # oversized header
+        (lambda data: data[:-100], "truncated inside block dense.W"),
+        (lambda data: data[:6], "truncated inside the header length"),
+        (lambda data: data[:40], "truncated inside the header"),
+        (lambda data: data + b"junk", "4 trailing bytes after the last block"),
+        # the header claims more bytes than the file holds
+        (lambda data: data[:4] + (10**6).to_bytes(4, "little") + data[8:],
+         "truncated inside the header"),
+        # blocks of 192 MB claimed: refused before any is allocated
+        (lambda data: claiming_hidden_dim(data, 10**6), "truncated inside block l0.W"),
     ],
-    ids=["truncated", "cut-length", "cut-header", "trailing", "oversized"],
+    ids=["truncated", "cut-length", "cut-header", "trailing", "oversized", "huge-block"],
 )
-def test_corrupt_checkpoint_raises_model_error(tmp_path, corrupt):
+def test_corrupt_checkpoint_raises_model_error(tmp_path, corrupt, problem):
     path, data = saved_checkpoint(tmp_path)
     path.write_bytes(corrupt(data))
-    with pytest.raises(ModelError, match="re-run the 'train' stage"):
-        load_checkpoint(str(path))
+    peak, error = peak_of(lambda: load_checkpoint(str(path)))
+    assert isinstance(error, ModelError)
+    assert problem in str(error) and "re-run the 'train' stage" in str(error)
+    assert peak < 2**20
+
+
+def test_loading_a_checkpoint_holds_one_copy_of_its_parameters(tmp_path):
+    """Each block is read straight into its array: no copy of the file's
+    bytes, or of a block's, is held besides."""
+    hp = dataclasses.replace(PRESETS["desk"], hidden_dim=256, dense_dim=64)
+    path = tmp_path / "model.bin"
+    save_checkpoint(str(path), init_params(hp), root_seed=99)
+    peak, (params, _) = peak_of(lambda: load_checkpoint(str(path)))
+    assert params.hp == hp
+    assert peak < 1.25 * path.stat().st_size
 
 
 def test_checkpoint_block_shape_mismatch_raises_model_error(tmp_path):

@@ -433,6 +433,12 @@ def test_bad_manifest_is_error(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+BAD_LEAK = {"path": "leak.c", "class": "bad", "vulnerable_lines": [4]}
+GOOD_LEAK = {"path": "leak.c", "class": "good"}
+GOOD_ROOT = {"path": ".", "class": "good"}  # a directory program of every file
+SHARED_LEAK = "programs[0] and programs[1] both hold the source file leak.c"
+
+
 @pytest.mark.parametrize(
     "manifest, problem",
     [
@@ -455,10 +461,17 @@ def test_bad_manifest_is_error(tmp_path, capsys):
          "programs[1]: 'class' must be one of good, bad, mixed, not 'wild'"),
         ({"programs": [{"path": "guarded.c", "class": "good", "vulnerable_lines": [3]}]},
          "programs[0]: a 'good' program cannot list 'vulnerable_lines'"),
+        # labels are keyed by source file: a file under two records would take
+        # the marks of whichever came last, and be sliced twice
+        ({"programs": [BAD_LEAK, GOOD_LEAK]}, SHARED_LEAK),
+        ({"programs": [GOOD_LEAK, BAD_LEAK]}, SHARED_LEAK),
+        ({"programs": [BAD_LEAK, GOOD_ROOT]}, SHARED_LEAK),
+        ({"programs": [GOOD_ROOT, BAD_LEAK]}, SHARED_LEAK),
     ],
     ids=["not-json", "list", "programs-object", "root-number", "record-string",
          "no-path", "lines-number", "lines-strings", "class-list", "diff-number", "fc-list",
-         "class-wild", "good-with-lines"],
+         "class-wild", "good-with-lines", "file-bad-then-good", "file-good-then-bad",
+         "file-then-directory", "directory-then-file"],
 )
 def test_a_malformed_manifest_is_an_error_that_names_it(tmp_path, corpus, capsys, manifest, problem):
     path = corpus / "malformed.json"
@@ -699,15 +712,52 @@ def test_slice_of_an_unknown_program_names_extract(tmp_path, capsys):
     assert "unknown program 'reader.c'" in err and "re-run the 'extract' stage" in err
 
 
-def test_vectorize_of_stale_statement_ids_names_slice(tmp_path, capsys):
+@pytest.mark.parametrize("stage", ["vectorize", "label", "explain"])
+def test_vectorize_of_stale_statement_ids_names_slice(tmp_path, capsys, stage):
     root = tmp_path / "corpus"
-    write_corpus(root, {"leak.c": TINY_PROGRAMS["leak.c"]})
+    # train splits by program, so it needs two
+    write_corpus(root, {name: TINY_PROGRAMS[name] for name in ("leak.c", "guarded.c")})
     out = tmp_path / "out"
-    assert stages(root / "manifest.json", out, "parse", "extract", "slice") == 0
+    # a threshold near 0 flags every SeVC, so explain builds the stale one
+    flags = ["--embed-mode", "hash", "--epochs", "1", "--threshold", "0.000001"]
+    before = ("parse", "extract", "slice")
+    if stage == "explain":
+        before += ("vectorize", "label", "train", "detect")
+    assert stages(root / "manifest.json", out, *before, extra=flags) == int(stage == "explain")
     (root / "leak.c").write_text("void leak(char *input)\n{\n}\n")
     capsys.readouterr()
-    assert stages(root / "manifest.json", out, "vectorize", extra=["--embed-mode", "hash"]) == 2
-    assert "re-run 'slice'" in capsys.readouterr().err
+    assert stages(root / "manifest.json", out, stage, extra=flags) == 2
+    assert capsys.readouterr().err == (
+        "error: sevc.jsonl out of sync with sources: SyVC 0 holds statement 1, "
+        "which program 'leak.c' does not; re-run 'slice'\n"
+    )
+
+
+def test_a_sevc_across_files_and_functions_is_one_symbol_stream(tmp_path):
+    """symbolize reads each statement's tokens from the program's parse,
+    whichever file holds it, and names user functions of every file."""
+    root = tmp_path / "corpus"
+    (root / "prog").mkdir(parents=True)
+    (root / "prog" / "a.c").write_text(
+        "void handle(char *input){ char dst[16]; sink_copy(dst, input); }\n"
+    )
+    (root / "prog" / "b.c").write_text(
+        "void sink_copy(char *dst, char *src){ strcpy(dst, src); }\n"
+    )
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps({"programs": [{"path": "prog", "class": "good"}]}))
+    out = tmp_path / "out"
+    assert stages(manifest, out, "parse", "extract", "slice") == 0
+    config = parse_config("--manifest", str(manifest), "--out", str(out))
+    [(model, sevcs)] = cli._sevcs_by_program(config)
+    [fc] = [sevc for sevc in sevcs if sevc.kind == "FC"]
+    assert [(s.file, s.function) for s in fc.statements] == (
+        [("prog/a.c", "handle")] * 3 + [("prog/b.c", "sink_copy")] * 2
+    )
+    assert " ".join(symbolize(fc, model, config.characteristic_set()).symbols) == (
+        "void F1 ( char * V1 ) char V2 [ 16 ] ; F2 ( V2 , V1 ) ; "
+        "void F2 ( char * V2 , char * V3 ) strcpy ( V2 , V3 ) ;"
+    )
 
 
 def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):
@@ -810,7 +860,7 @@ def test_every_global_a_cli_function_reads_is_bound():
     its __getattr__), never as a bare global, which would be a NameError
     in a fresh stage process; every other global it reads is bound at
     import, so the function works when called without main (as
-    old_explain_records calls _rehydrate_sevcs)."""
+    old_explain_records calls _sevcs_by_program)."""
     at_import = set(vars(cli)) - set(cli.LAZY_NAMES)
     owners = [cli] + [
         v for v in vars(cli).values() if isinstance(v, type) and v.__module__ == cli.__name__
@@ -866,13 +916,17 @@ def old_explain_records(config):
         config.path("checkpoint.bin"), expect_theta=hp.theta, expect_dim=hp.input_dim
     )
     threshold = params.hp.threshold if config.threshold is None else config.threshold
-    sevcs = {s.syvc_id: s for group in cli._rehydrate_sevcs(config) for s in group}
     cset = config.characteristic_set()
+    symbolic = {
+        sevc.syvc_id: symbolize(sevc, model, cset)
+        for model, sevcs in cli._sevcs_by_program(config)
+        for sevc in sevcs
+    }
     records = []
     for sample, trace in zip(samples, forward_batch(samples, params, params.hp)):
         if trace.final < threshold:
             continue
-        sym = symbolize(sevcs[sample.syvc_id], cset)
+        sym = symbolic[sample.syvc_id]
         lo, hi = truncation_window(
             len(sym.symbols), sym.anchor_lo, sym.anchor_hi, sample.capacity
         )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from vulnslice.frontend import tokenize
 from vulnslice.labeling import (
     MARK_DELETED,
     DiffMark,
@@ -28,7 +27,6 @@ def make_sevc(rows, anchor=0, syvc_id=0):
                 line=line,
                 text=text,
                 region="anchor" if i == anchor else "forward",
-                tokens=tokenize(text),
             )
         )
     return SeVC(

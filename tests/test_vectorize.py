@@ -3,6 +3,7 @@
 import json
 import os
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from vulnslice.vectorize import (
 
 
 def sevc_from(source, pick=None, name="prog"):
+    """The first SeVC of a parsed source (of the picked SyVCs), with the
+    program it was sliced from and the characteristic set."""
     model = parse_source(source)
     model.name = name
     cset = CharacteristicSet()
@@ -35,60 +38,53 @@ def sevc_from(source, pick=None, name="prog"):
     pdgs = build_pdgs(model)
     call_graph = build_call_graph(model)
     slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
-    return assemble_sevc(model, slice_, syvc, call_graph), cset
+    return assemble_sevc(model, slice_, syvc, call_graph), model, cset
 
 
-def build_sevc(statements, anchor_id, user_functions=frozenset()):
-    """SeVC straight from tokenized statements (no slicing involved)."""
+def build_sevc(statements, anchor_id, user_functions=()):
+    """SeVC straight from tokenized statements (no slicing involved), and
+    a stand-in for the parsed program that symbolize reads: each
+    statement's tokens by id, and the user functions."""
     from vulnslice.frontend import tokenize
     from vulnslice.slicing import SeVC, SevcStatement
 
-    rows = []
-    for i, (text, region) in enumerate(statements):
-        rows.append(
-            SevcStatement(
-                file="mem.c",
-                function="f",
-                statement_id=i,
-                line=i + 1,
-                text=text,
-                region=region,
-                tokens=tokenize(text),
-            )
+    rows = [
+        SevcStatement(
+            file="mem.c", function="f", statement_id=i, line=i + 1, text=text, region=region
         )
-    return SeVC(
-        syvc_id=0,
-        kind="AE",
-        anchor_statement=anchor_id,
-        statements=rows,
-        user_functions=user_functions,
+        for i, (text, region) in enumerate(statements)
+    ]
+    index = {i: SimpleNamespace(tokens=tokenize(text)) for i, (text, _) in enumerate(statements)}
+    program = SimpleNamespace(
+        statement_index=lambda: index,
+        functions=[SimpleNamespace(name=name) for name in user_functions],
     )
+    sevc = SeVC(syvc_id=0, kind="AE", anchor_statement=anchor_id, statements=rows)
+    return sevc, program
 
 
 def test_symbolize_variables_and_user_functions():
-    sevc = build_sevc(
-        [("int x = foo ( y ) ;", "anchor")], 0, user_functions=frozenset({"foo"})
-    )
+    sevc, program = build_sevc([("int x = foo ( y ) ;", "anchor")], 0, user_functions=["foo"])
     # mark foo as a callee the way the parser would
-    for tok in sevc.statements[0].tokens:
+    for tok in program.statement_index()[0].tokens:
         if tok.text == "foo":
             tok.role = "callee"
-    sym = symbolize(sevc, CharacteristicSet())
+    sym = symbolize(sevc, program, CharacteristicSet())
     assert sym.symbols == ["int", "V1", "=", "F1", "(", "V2", ")", ";"]
 
 
 def test_symbolize_keeps_library_calls_and_constants():
-    sevc = build_sevc(
+    sevc, program = build_sevc(
         [
             ("data = dataBuffer - 8 ;", "backward"),
             ("memset ( data , 'A' , 100 - 1 ) ;", "anchor"),
         ],
         1,
     )
-    for tok in sevc.statements[1].tokens:
+    for tok in program.statement_index()[1].tokens:
         if tok.text == "memset":
             tok.role = "callee"
-    sym = symbolize(sevc, CharacteristicSet())
+    sym = symbolize(sevc, program, CharacteristicSet())
     assert sym.symbols == [
         "V1", "=", "V2", "-", "8", ";",
         "memset", "(", "V1", ",", "'A'", ",", "100", "-", "1", ")", ";",
@@ -99,14 +95,14 @@ def test_symbolize_keeps_library_calls_and_constants():
 def test_symbolize_alpha_renaming_invariance():
     src_a = "void f(char *alpha){char buf[4]; strcpy(buf, alpha);}"
     src_b = "void f(char *omega){char tmp[4]; strcpy(tmp, omega);}"
-    sevc_a, cset = sevc_from(src_a, pick=lambda s: s.kind == "AU")
-    sevc_b, _ = sevc_from(src_b, pick=lambda s: s.kind == "AU")
-    assert symbolize(sevc_a, cset).symbols == symbolize(sevc_b, cset).symbols
+    sevc_a, model_a, cset = sevc_from(src_a, pick=lambda s: s.kind == "AU")
+    sevc_b, model_b, _ = sevc_from(src_b, pick=lambda s: s.kind == "AU")
+    assert symbolize(sevc_a, model_a, cset).symbols == symbolize(sevc_b, model_b, cset).symbols
 
 
 def test_symbolize_collapses_string_literals():
-    sevc = build_sevc([('printf ( "%s deep" , msg ) ;', "anchor")], 0)
-    sym = symbolize(sevc, CharacteristicSet())
+    sevc, program = build_sevc([('printf ( "%s deep" , msg ) ;', "anchor")], 0)
+    sym = symbolize(sevc, program, CharacteristicSet())
     assert '"STR"' in sym.symbols
     assert all("deep" not in s for s in sym.symbols)
 
@@ -115,7 +111,7 @@ def test_symbolize_identical_streams_from_different_sevcs():
     a = build_sevc([("x = y + 1 ;", "anchor")], 0)
     b = build_sevc([("p = q + 1 ;", "anchor")], 0)
     cset = CharacteristicSet()
-    assert symbolize(a, cset).symbols == symbolize(b, cset).symbols
+    assert symbolize(*a, cset).symbols == symbolize(*b, cset).symbols
 
 
 # --------------------------------------------------------------------------
@@ -219,11 +215,11 @@ def test_encoding_laws_randomized():
 def test_alpha_invariant_vectors():
     src_a = "void f(char *alpha){char buf[4]; strcpy(buf, alpha);}"
     src_b = "void f(char *omega){char tmp[4]; strcpy(tmp, omega);}"
-    sevc_a, cset = sevc_from(src_a, pick=lambda s: s.kind == "AU")
-    sevc_b, _ = sevc_from(src_b, pick=lambda s: s.kind == "AU")
+    sevc_a, model_a, cset = sevc_from(src_a, pick=lambda s: s.kind == "AU")
+    sevc_b, model_b, _ = sevc_from(src_b, pick=lambda s: s.kind == "AU")
     table = hash_table(4, seed=3)
-    va = encode(symbolize(sevc_a, cset), table, 64)
-    vb = encode(symbolize(sevc_b, cset), table, 64)
+    va = encode(symbolize(sevc_a, model_a, cset), table, 64)
+    vb = encode(symbolize(sevc_b, model_b, cset), table, 64)
     assert np.array_equal(va.values, vb.values)
 
 
