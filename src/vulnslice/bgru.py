@@ -656,9 +656,9 @@ def load_checkpoint(
         reader = _Reader(path, handle)
         if reader.take(len(_CKPT_MAGIC), "the magic number") != _CKPT_MAGIC:
             raise reader.fail("not a checkpoint file")
-        header_len = reader.uint("<I", "the header length")
+        blob = reader.take(reader.uint("<I", "the header length"), "the header")
         try:
-            header = json.loads(reader.take(header_len, "the header").decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"))
             version, seed = header["version"], header["seed"]
             keys = header["keys"]
             hp = Hyperparams(**header["hyperparams"])

@@ -23,7 +23,7 @@ Each statement's nodes come from the parser: extraction walks its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 from .frontend import (
@@ -148,7 +148,7 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
     Deterministic order: (function, statement, span, kind). An element
     matching several enabled kinds yields one SyVC per kind.
     """
-    found: list[tuple] = []
+    found: list[SyVC] = []
     for fn in program.functions:
         for st in fn.all_statements():
             for node in (n for root in st.roots for n in root.walk()):
@@ -161,32 +161,24 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
                     span = (lo - st.start, hi - st.start)
                     text = " ".join(t.text for t in st.tokens[span[0] : span[1]])
                     found.append(
-                        (
-                            fn.index,
-                            st.id,
-                            span,
-                            kind,
-                            st.line_first,
-                            fn.file_path,
-                            fn.name,
-                            text,
+                        SyVC(
+                            id=-1,  # numbered once sorted
+                            kind=kind,
+                            statement_id=st.id,
+                            function_index=fn.index,
+                            file=fn.file_path,
+                            function=fn.name,
+                            line=st.line_first,
+                            span=span,
+                            anchor_text=text,
                         )
                     )
-    found.sort(key=lambda rec: (rec[0], rec[1], rec[2], ALL_KINDS.index(rec[3])))
-    return [
-        SyVC(
-            id=i,
-            kind=kind,
-            statement_id=sid,
-            function_index=fidx,
-            file=file,
-            function=fname,
-            line=line,
-            span=span,
-            anchor_text=text,
+    found.sort(
+        key=lambda s: (
+            s.function_index, s.statement_id, s.span, ALL_KINDS.index(s.kind)
         )
-        for i, (fidx, sid, span, kind, line, file, fname, text) in enumerate(found)
-    ]
+    )
+    return [replace(syvc, id=i) for i, syvc in enumerate(found)]
 
 
 def syvc_record(syvc: SyVC) -> dict:

@@ -43,7 +43,8 @@ not of the corpus. parse, extract and slice parse one program at a time
 and drop it before the next. vectorize, label and explain read
 sevc.jsonl one program's records at a time (artifacts.iter_jsonl),
 parse that program again and drop both before the next; records of one
-program apart, or a statement the parse lacks, mean a stale sevc.jsonl.
+program apart, or a statement the parse lacks or reads otherwise, mean
+a stale sevc.jsonl.
 A SeVC holds no tokens: vectorize and explain symbolize it from its
 program's parse, and keep only the symbol streams. vectorize writes
 each vector as it is encoded; explain builds only the flagged SeVCs.
@@ -425,17 +426,8 @@ def load_manifest(path: str) -> Manifest:
 
 
 def _parse_program(prog: ManifestProgram) -> ProgramModel:
-    model = _layers.load_program(prog.source_paths, name=prog.path)
     # manifest-relative file names keep artifacts portable
-    rel = dict(zip(prog.source_paths, prog.files))
-    for fn in model.functions:
-        fn.file_path = rel[fn.file_path]
-    model.files = [rel[f] for f in model.files]
-    for diag in model.diagnostics:
-        # messages start with the file name, as "file:line: ..."
-        diag.message = rel[diag.file] + diag.message[len(diag.file):]
-        diag.file = rel[diag.file]
-    return model
+    return _layers.load_program(prog.source_paths, name=prog.path, names=prog.files)
 
 
 def _parse_programs(manifest: Manifest) -> Iterator[ProgramModel]:
@@ -652,12 +644,19 @@ def _sevcs_by_program(
             if wanted is not None and record["syvc_id"] not in wanted:
                 continue
             sevc = _layers.SeVC.from_record(record)
-            missing = [s.statement_id for s in sevc.statements if s.statement_id not in index]
-            if missing:
-                raise StageError(
-                    f"sevc.jsonl out of sync with sources: SyVC {sevc.syvc_id} holds "
-                    f"statement {missing[0]}, which program {name!r} does not; re-run 'slice'"
-                )
+            for s in sevc.statements:
+                st = index.get(s.statement_id)
+                # an edit can keep every id, so the text is compared too
+                if st is None or st.text() != s.text:
+                    held, reads = (
+                        ("", "does not") if st is None
+                        else (f" as {s.text!r}", f"now reads as {st.text()!r}")
+                    )
+                    raise StageError(
+                        f"sevc.jsonl out of sync with sources: SyVC {sevc.syvc_id} holds "
+                        f"statement {s.statement_id}{held}, which program {name!r} "
+                        f"{reads}; re-run 'slice'"
+                    )
             sevcs.append(sevc)
         yield model, sevcs
 

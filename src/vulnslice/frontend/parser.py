@@ -786,26 +786,32 @@ def parse_source(source: str, file_path: str = "<memory>") -> ProgramModel:
     return parse(tokenize(source), file_path)
 
 
-def load_program(paths: list[str], name: str = "") -> ProgramModel:
+def load_program(
+    paths: list[str], name: str = "", names: list[str] | None = None
+) -> ProgramModel:
     """Parse several source files into one merged ProgramModel.
 
     Statement ids and function indices stay unique across files. A file
     that does not lex is skipped with a diagnostic, the way a function
     that does not parse is.
+
+    ``names``, one per path, is what the model calls each file: in
+    ``files``, ``FunctionDecl.file_path`` and every diagnostic, message
+    included. Without it each file is called by its path.
     """
     model = ProgramModel(name=name or (paths[0] if paths else ""))
     next_stmt = next_fn = 0
-    for path in paths:
+    for path, file_name in zip(paths, paths if names is None else names):
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
             text = handle.read()
-        model.files.append(path)
+        model.files.append(file_name)
         try:
             tokens = tokenize(text)
         except LexError as exc:
-            message = f"{path}:{exc.line}: {exc.message} (file skipped)"
-            model.diagnostics.append(Diagnostic(path, exc.line, message))
+            message = f"{file_name}:{exc.line}: {exc.message} (file skipped)"
+            model.diagnostics.append(Diagnostic(file_name, exc.line, message))
             continue
-        parser = _FileParser(tokens, path, next_stmt, next_fn)
+        parser = _FileParser(tokens, file_name, next_stmt, next_fn)
         parser.parse_translation_unit()
         model.functions.extend(parser.functions)
         model.diagnostics.extend(parser.diagnostics)

@@ -9,11 +9,15 @@ tree (Ferrante-style). The PDG is their union over the CFG node set.
 Def/use extraction is token-based, no alias analysis:
 
 - strong definitions (generate and kill): declarator names, parameter
-  names, bare-identifier assignment targets, ``++``/``--`` targets;
+  names, bare-identifier assignment and ``++``/``--`` targets;
 - weak definitions (generate only): writes through ``*p``, ``p[i]``,
   ``p.f``/``p->f`` (the base identifier), and ``&v`` call arguments;
 - uses: every other variable mention, including the base of a weak
-  write and the old value of compound assignments.
+  write and the old value of compound assignments and ``++``/``--``.
+
+Assignment targets and ``++``/``--`` operands share one write rule
+(``_write``): a bare name, parenthesized or not, is a strong def;
+any other lvalue is a weak def of its base, whose mentions are uses.
 
 Uninitialized declarators count as definitions so declaration-anchored
 slices connect to later uses of the variable.
@@ -352,31 +356,32 @@ def _base_identifier(node: AstNode, fn: FunctionDecl) -> str | None:
         return None
 
 
-def _is_bare_identifier(node: AstNode, fn: FunctionDecl) -> bool:
-    if node.kind == "ParenExpr":
-        return _is_bare_identifier(node.children[1], fn)
-    if node.kind != "Identifier":
-        return False
-    return fn.tokens[node.span[0]].role in (ROLE_PLAIN, ROLE_DECLARED)
+def _write(target: AstNode, fn: FunctionDecl, facts: StatementFacts) -> str | None:
+    """Record a write to ``target``: a strong def of a bare variable name,
+    which is returned, or else a weak def of the lvalue's base plus the
+    uses inside it."""
+    bare = target
+    while bare.kind == "ParenExpr":
+        bare = bare.children[1]
+    if bare.kind == "Identifier":
+        tok = fn.tokens[bare.span[0]]
+        if tok.role in (ROLE_PLAIN, ROLE_DECLARED):
+            facts.strong_defs.add(tok.text)
+            return tok.text
+    base = _base_identifier(target, fn)
+    if base is not None:
+        facts.weak_defs.add(base)
+    _collect(target, fn, facts)
+    return None
 
 
 def _collect(node: AstNode, fn: FunctionDecl, facts: StatementFacts) -> None:
     kind = node.kind
     if kind == "AssignExpr":
-        lhs, op = node.children[0], node.children[1]
-        rhs = node.children[2]
-        op_text = fn.tokens[op.span[0]].text
-        if _is_bare_identifier(lhs, fn):
-            name = _base_identifier(lhs, fn)
-            assert name is not None
-            facts.strong_defs.add(name)
-            if op_text != "=":
-                facts.uses.add(name)
-        else:
-            base = _base_identifier(lhs, fn)
-            if base is not None:
-                facts.weak_defs.add(base)
-            _collect(lhs, fn, facts)
+        lhs, op, rhs = node.children
+        name = _write(lhs, fn, facts)
+        if name is not None and fn.tokens[op.span[0]].text != "=":
+            facts.uses.add(name)  # a compound assignment reads the old value
         _collect(rhs, fn, facts)
         return
     if kind == "UnaryExpr":
@@ -387,16 +392,9 @@ def _collect(node: AstNode, fn: FunctionDecl, facts: StatementFacts) -> None:
             (c for c in node.children if c.kind != "Operator"), None
         )
         if operand is not None and any(t in ("++", "--") for t in op_texts):
-            if _is_bare_identifier(operand, fn):
-                name = _base_identifier(operand, fn)
-                assert name is not None
-                facts.strong_defs.add(name)
+            name = _write(operand, fn, facts)
+            if name is not None:
                 facts.uses.add(name)
-                return
-            base = _base_identifier(operand, fn)
-            if base is not None:
-                facts.weak_defs.add(base)
-            _collect(operand, fn, facts)
             return
         for child in node.children:
             _collect(child, fn, facts)

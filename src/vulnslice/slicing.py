@@ -21,9 +21,10 @@ intra- or interprocedural, is ``graphs.reachable`` over one of a PDG's
 two kept adjacency maps: data successors forward, data and control
 predecessors backward.
 
-The assembled SeVC lists statements in source order within a function
-and orders functions caller-before-callee, depth-first along call
-sites, mirroring the order in which the program would reach them.
+Slices and SeVCs list a function's statements in statement-id order,
+which the parser makes source order (``FunctionDecl.statement``). The
+assembled SeVC orders functions caller-before-callee, depth-first along
+call sites, mirroring the order in which the program would reach them.
 
 A SeVC holds its sevc.jsonl record and no tokens: ``symbols.symbolize``
 reads them, and the user functions, from the parsed program.
@@ -88,17 +89,13 @@ _STATEMENT_FIELDS = tuple(f.name for f in fields(SevcStatement))
 _SEVC_FIELDS = tuple(f.name for f in fields(SeVC) if f.name != "statements")
 
 
-def _ordered(pdg: Pdg, nodes: set[int]) -> list[int]:
-    return sorted(nodes, key=lambda n: (pdg.lines.get(n, 0), n))
-
-
 def _slice(pdg: Pdg, anchor_statement: int, adj: dict[int, list[int]]) -> list[int]:
     if anchor_statement not in adj:  # the map has a key for every PDG node
         raise SliceConsistencyError(
             f"anchor statement {anchor_statement} not in PDG of function "
             f"{pdg.function_index}"
         )
-    return _ordered(pdg, reachable(adj, [anchor_statement]))
+    return sorted(reachable(adj, [anchor_statement]))
 
 
 def forward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
@@ -111,12 +108,10 @@ def backward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
     return _slice(pdg, anchor_statement, pdg.all_predecessors)
 
 
-def _append_fresh(
-    order: list[int], members: set[int], pdg: Pdg, nodes: set[int]
-) -> None:
-    """Append the nodes not yet in ``members`` to ``order``, in source order."""
+def _append_fresh(order: list[int], members: set[int], nodes: set[int]) -> None:
+    """Append the nodes not yet in ``members`` to ``order``, in id order."""
     fresh = nodes - members
-    order.extend(_ordered(pdg, fresh))
+    order.extend(sorted(fresh))
     members |= fresh
 
 
@@ -177,7 +172,7 @@ def interprocedural_slices(
             visited_fwd.add(callee_idx)
             sub = reachable(callee_pdg.data_successors, starts)
             sub.add(callee_pdg.entry)  # the callee signature joins the slice
-            _append_fresh(forward, forward_set, callee_pdg, sub)
+            _append_fresh(forward, forward_set, sub)
             queue.append((callee_idx, sub))
 
     # --- backward: callee returns and caller chains ---------------------
@@ -204,7 +199,7 @@ def interprocedural_slices(
                 continue
             visited_ret.add(callee_idx)
             sub = reachable(callee_pdg.all_predecessors, starts)
-            _append_fresh(backward, backward_set, callee_pdg, sub)
+            _append_fresh(backward, backward_set, sub)
             bqueue.append((callee_idx, sub, False))
         # (b) ascend to callers when this function's parameters matter
         entry = pdgs[func].entry
@@ -218,7 +213,7 @@ def interprocedural_slices(
                 if site.statement_id not in caller_pdg.all_predecessors:
                     continue
                 sub = reachable(caller_pdg.all_predecessors, [site.statement_id])
-                _append_fresh(backward, backward_set, caller_pdg, sub)
+                _append_fresh(backward, backward_set, sub)
                 bqueue.append((caller, sub, True))
 
     return ProgramSlice(
@@ -238,26 +233,24 @@ def assemble_sevc(
 ) -> SeVC:
     """Order the slice into a SeVC and tag statement regions.
 
-    Statements keep their source order inside each function; functions
-    are ordered caller-before-callee, depth-first along call sites. A
-    non-anchor statement present on both sides is tagged backward.
+    Statements inside each function are in statement-id order, which the
+    parser makes source order; functions are ordered caller-before-callee,
+    depth-first along call sites. A non-anchor statement present on both
+    sides is tagged backward.
     """
     stmt_index = program.statement_index()
     member_ids = set(slice_.backward_nodes) | set(slice_.forward_nodes)
     member_ids.discard(-1)
 
     functions_of: dict[int, list[int]] = {}
-    for sid in member_ids:
+    for sid in sorted(member_ids):
         st = stmt_index.get(sid)
         if st is None:
             raise SliceConsistencyError(f"slice statement {sid} has no source")
         functions_of.setdefault(st.function_index, []).append(sid)
-    for sids in functions_of.values():
-        sids.sort(key=lambda s: (stmt_index[s].line_first, s))
 
     # caller -> callee relation restricted to sliced call sites
     callees: dict[int, list[tuple[int, int]]] = {}
-    incoming: dict[int, int] = {f: 0 for f in functions_of}
     for site in call_graph.edges:
         if (
             site.statement_id in member_ids
@@ -268,15 +261,13 @@ def assemble_sevc(
             callees.setdefault(site.caller_index, []).append(
                 (site.statement_id, site.callee_index)
             )
-    for caller, pairs in callees.items():
+    for pairs in callees.values():
         pairs.sort()
-        for _, callee in pairs:
-            if callee in incoming:
-                incoming[callee] += 1
-
-    roots = sorted(f for f, count in incoming.items() if count == 0)
+    # the sliced functions that no sliced call site calls
+    called = {callee for pairs in callees.values() for _, callee in pairs}
+    roots = sorted(functions_of.keys() - called)
     anchor_func = stmt_index[slice_.anchor_statement].function_index
-    if anchor_func in incoming and incoming[anchor_func] == 0:
+    if anchor_func in roots:
         # make the anchor's own chain lead when several roots exist
         roots = [anchor_func] + [f for f in roots if f != anchor_func]
 

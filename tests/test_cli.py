@@ -3,6 +3,7 @@
 import builtins
 import dis
 import gc
+import hashlib
 import importlib
 import inspect
 import json
@@ -712,8 +713,9 @@ def test_slice_of_an_unknown_program_names_extract(tmp_path, capsys):
     assert "unknown program 'reader.c'" in err and "re-run the 'extract' stage" in err
 
 
-@pytest.mark.parametrize("stage", ["vectorize", "label", "explain"])
-def test_vectorize_of_stale_statement_ids_names_slice(tmp_path, capsys, stage):
+def stage_after_leak_edit(tmp_path, capsys, stage, edited):
+    """Run the stages before ``stage``, rewrite leak.c as ``edited``,
+    and run ``stage``: its exit code and stderr."""
     root = tmp_path / "corpus"
     # train splits by program, so it needs two
     write_corpus(root, {name: TINY_PROGRAMS[name] for name in ("leak.c", "guarded.c")})
@@ -724,12 +726,30 @@ def test_vectorize_of_stale_statement_ids_names_slice(tmp_path, capsys, stage):
     if stage == "explain":
         before += ("vectorize", "label", "train", "detect")
     assert stages(root / "manifest.json", out, *before, extra=flags) == int(stage == "explain")
-    (root / "leak.c").write_text("void leak(char *input)\n{\n}\n")
+    (root / "leak.c").write_text(edited)
     capsys.readouterr()
-    assert stages(root / "manifest.json", out, stage, extra=flags) == 2
-    assert capsys.readouterr().err == (
+    return stages(root / "manifest.json", out, stage, extra=flags), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["vectorize", "label", "explain"])
+def test_vectorize_of_stale_statement_ids_names_slice(tmp_path, capsys, stage):
+    edited = "void leak(char *input)\n{\n}\n"
+    assert stage_after_leak_edit(tmp_path, capsys, stage, edited) == (
+        2,
         "error: sevc.jsonl out of sync with sources: SyVC 0 holds statement 1, "
-        "which program 'leak.c' does not; re-run 'slice'\n"
+        "which program 'leak.c' does not; re-run 'slice'\n",
+    )
+
+
+@pytest.mark.parametrize("stage", ["vectorize", "label", "explain"])
+def test_a_stale_statement_text_names_slice(tmp_path, capsys, stage):
+    """An edit that keeps every statement id is caught by the text."""
+    edited = TINY_PROGRAMS["leak.c"].replace("strcpy(room, input);", "gets(room);")
+    assert stage_after_leak_edit(tmp_path, capsys, stage, edited) == (
+        2,
+        "error: sevc.jsonl out of sync with sources: SyVC 0 holds statement 2 as "
+        "'strcpy ( room , input ) ;', which program 'leak.c' now reads as "
+        "'gets ( room ) ;'; re-run 'slice'\n",
     )
 
 
@@ -758,6 +778,29 @@ def test_a_sevc_across_files_and_functions_is_one_symbol_stream(tmp_path):
         "void F1 ( char * V1 ) char V2 [ 16 ] ; F2 ( V2 , V1 ) ; "
         "void F2 ( char * V2 , char * V3 ) strcpy ( V2 , V3 ) ;"
     )
+
+
+# The front half's artifacts on the mini corpus at --seed 101, by SHA-256.
+# A change to any of these formats updates its digest and says so in CHANGES.md.
+FRONT_HALF_SHA256 = {
+    "ast.jsonl": "dd4e1ab8f6587d17d3d649a5d9342de6d2c6805d92f03ca6c167149562d98109",
+    "parse_report.json": "4a40cca75e34d4bc622ea1b75aed06221025383cc50b31d1d7b2c0c50532eb6a",
+    "syvc.jsonl": "501cc4ee6ce9fb1cad9e75c06749a9c602780acb5b60d9f75cd693dd205f1dfc",
+    "sevc.jsonl": "d912e89ab6f867ca3507bf99e1d62632b523cfe9a0f359643a23eefca828938b",
+    "slice_report.json": "7c3b99d024c6dd8edfe684a7d60734b456ee8f406bcdfc3fbe10f6ddd208260b",
+}
+
+
+def test_the_front_half_keeps_its_bytes(tmp_path):
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        argv = [stage, "--manifest", mini_corpus_manifest(), "--out", str(out), "--seed", "101"]
+        assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in FRONT_HALF_SHA256
+    }
+    assert digests == FRONT_HALF_SHA256
 
 
 def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):

@@ -333,6 +333,21 @@ def _ownership_programs():
     )
 
 
+def test_statement_ids_run_in_source_order():
+    """slicing orders statements by id alone: a function's ids run
+    consecutively from its signature's, and its statements' first tokens,
+    (line_first, start), ascend strictly with them."""
+    for model in _ownership_programs():
+        for fn in model.functions:
+            statements = fn.all_statements()
+            first = fn.signature.id
+            assert [st.id for st in statements] == list(
+                range(first, first + len(statements))
+            ), (model.name, fn.name)
+            places = [(st.line_first, st.start) for st in statements]
+            assert all(a < b for a, b in zip(places, places[1:])), (model.name, fn.name)
+
+
 def test_statement_roots_and_start_are_the_nodes_it_owns():
     """A statement's roots are its nodes whose parent is not its own, in
     walk order, and cover exactly its tokens; its start is its nodes'
