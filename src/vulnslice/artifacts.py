@@ -13,9 +13,9 @@ import hashlib
 import json
 import os
 import tempfile
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from typing import IO
+from typing import IO, Any
 
 
 class StageError(Exception):
@@ -108,16 +108,19 @@ def _write_lines(
 
 
 def iter_jsonl(
-    path: str, expect_artifact: str | None = None, stage: str | None = None
-) -> tuple[dict, Iterator[dict]]:
+    path: str, expect_artifact: str | None = None, stage: str | None = None,
+    decode: Callable[[dict], Any] | None = None,
+) -> tuple[dict, Iterator[Any]]:
     """The header of a ``write_jsonl`` artifact, and an iterator that
-    reads its records one line at a time.
+    reads its records one line at a time, each passed through ``decode``
+    if one is given.
 
     ``stage`` is the stage that writes it: a missing, empty or corrupt
     artifact raises a ``StageError`` that asks to run it. A wrong
-    artifact name raises here; a corrupt record raises when the iterator
-    reaches it, and a record count that is not the header's (as a copy
-    cut short at a line boundary leaves it) when the iterator ends.
+    artifact name raises here; a corrupt record, or one whose ``decode``
+    raises ``KeyError``, ``TypeError`` or ``ValueError``, raises when the
+    iterator reaches it, and a record count that is not the header's (as
+    a copy cut short at a line boundary leaves it) when the iterator ends.
     """
     if stage is not None:
         require(path, stage)
@@ -125,7 +128,7 @@ def iter_jsonl(
         raise StageError(f"missing artifact {path}")
     rerun = f"; re-run the '{stage}' stage" if stage is not None else ""
     values = _json_objects(path, rerun)
-    header = next(values, None)
+    _, header = next(values, (0, None))
     if header is None:
         raise StageError(f"artifact {path} is empty{rerun}")
     if expect_artifact is not None and header.get("artifact") != expect_artifact:
@@ -134,11 +137,12 @@ def iter_jsonl(
             f"{path} holds artifact {header.get('artifact')!r}, "
             f"expected {expect_artifact!r}{rerun}"
         )
-    return header, _counted(values, header, path, rerun)
+    return header, _counted(values, header, path, rerun, decode)
 
 
-def _json_objects(path: str, rerun: str) -> Iterator[dict]:
-    """The JSON object on each non-blank line of ``path``, in order."""
+def _json_objects(path: str, rerun: str) -> Iterator[tuple[int, dict]]:
+    """The line number and JSON object of each non-blank line of ``path``,
+    in order."""
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
@@ -151,16 +155,22 @@ def _json_objects(path: str, rerun: str) -> Iterator[dict]:
                 ) from None
             if not isinstance(value, dict):
                 raise StageError(f"{path} line {number} is not a JSON object{rerun}")
-            yield value
+            yield number, value
 
 
 def _counted(
-    records: Iterator[dict], header: dict, path: str, rerun: str
-) -> Iterator[dict]:
-    """The records, then a check of their count against the header's."""
+    records: Iterator[tuple[int, dict]], header: dict, path: str, rerun: str,
+    decode: Callable[[dict], Any] | None,
+) -> Iterator[Any]:
+    """The decoded records, then a check of their count against the header's."""
     count = 0
-    for record in records:
+    for number, record in records:
         count += 1
+        if decode is not None:
+            try:
+                record = decode(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StageError(f"{path} line {number} is malformed ({exc!r}){rerun}") from None
         yield record
     if "record_count" not in header:
         raise StageError(f"{path} has no record count in its header{rerun}")
@@ -172,11 +182,12 @@ def _counted(
 
 
 def read_jsonl(
-    path: str, expect_artifact: str | None = None, stage: str | None = None
-) -> tuple[dict, list[dict]]:
+    path: str, expect_artifact: str | None = None, stage: str | None = None,
+    decode: Callable[[dict], Any] | None = None,
+) -> tuple[dict, list[Any]]:
     """The header and the records of a ``write_jsonl`` artifact, with the
     errors of ``iter_jsonl``."""
-    header, records = iter_jsonl(path, expect_artifact, stage)
+    header, records = iter_jsonl(path, expect_artifact, stage, decode)
     return header, list(records)
 
 

@@ -155,13 +155,8 @@ def init_params(hp: Hyperparams, seed: int | None = None) -> BgruParams:
 # --------------------------------------------------------------------------
 
 
-def _check_inputs(matrices: list[np.ndarray], hp: Hyperparams) -> None:
-    """Refuse any matrix that is not (steps >= 1, input_dim), by its index."""
-    for i, x in enumerate(matrices):
-        _check_input(i, x, hp)
-
-
 def _check_input(i: int, x: np.ndarray, hp: Hyperparams) -> None:
+    """Refuse a matrix that is not (steps >= 1, input_dim), by its index."""
     if x.ndim != 2 or x.shape[1] != hp.input_dim:
         raise ModelError(
             f"sample {i}: shape {x.shape} does not match input "
@@ -182,7 +177,7 @@ class _Batch:
 
     @classmethod
     def pad(cls, matrices: list[np.ndarray], hp: Hyperparams) -> "_Batch":
-        """Pad matrices that _check_inputs accepted; each one's rows are
+        """Pad matrices that _check_input accepted; each one's rows are
         converted to float64 as they are copied in."""
         lengths = np.array([x.shape[0] for x in matrices])
         steps = int(lengths.max())
@@ -326,8 +321,7 @@ def _sample_matrix(sample: np.ndarray | SampleVector, hp: Hyperparams) -> np.nda
                 f"sample dimension {sample.dimension} != model input "
                 f"{hp.input_dim}"
             )
-        steps = max(1, min(sample.kept_symbols, sample.capacity))
-        return sample.matrix()[:steps]
+        return sample.matrix()[: sample.kept_symbols]
     return np.asarray(sample, dtype=np.float64)
 
 
@@ -433,7 +427,8 @@ def loss_and_gradients(
             raise ModelError(f"sample {idx}: label must be 0 or 1, got {label!r}")
     p = params.arrays
     matrices = [np.asarray(x, dtype=np.float64) for x, _ in batch]
-    _check_inputs(matrices, hp)
+    for i, x in enumerate(matrices):
+        _check_input(i, x, hp)
     padded = _Batch.pad(matrices, hp)
     labels = np.array([label for _, label in batch], dtype=np.float64)
     feat, caches = _forward(padded, params, hp, train_mode, rng, keep=True)

@@ -109,7 +109,7 @@ from .artifacts import StageError, derive_seed
 from .presets import ALL_KINDS, MODE_HASH, MODE_SKIPGRAM, PRESETS, Hyperparams
 
 if TYPE_CHECKING:
-    from .candidates import CharacteristicSet
+    from .candidates import CharacteristicSet, SyVC
     from .frontend import ProgramModel
     from .slicing import SeVC
 
@@ -338,7 +338,6 @@ class ManifestProgram:
 
 @dataclass
 class Manifest:
-    root: str
     programs: list[ManifestProgram] = field(default_factory=list)
 
 
@@ -366,7 +365,7 @@ def load_manifest(path: str) -> Manifest:
     root = os.path.normpath(os.path.join(base, corpus_root))
     if "fc_list" in raw:
         raise StageError(f"manifest {path} names an 'fc_list'; pass that file with --fc-list")
-    manifest = Manifest(root=root)
+    manifest = Manifest()
     owners: dict[str, int] = {}  # manifest-relative source file -> its record
     for number, record in enumerate(raw.get("programs", [])):
         where = f"manifest {path}, programs[{number}]"
@@ -555,13 +554,14 @@ def stage_extract(config: RunConfig) -> None:
 
 
 def stage_slice(config: RunConfig) -> None:
-    _, syvc_records = artifacts.read_jsonl(
-        config.path("syvc.jsonl"), "syvc", "extract"
+    _, syvcs = artifacts.read_jsonl(
+        config.path("syvc.jsonl"), "syvc", "extract",
+        lambda record: (record["program"], _layers.SyVC.from_record(record)),
     )
     program_named = _program_named(load_manifest(config.manifest), "syvc.jsonl", "extract")
-    by_program: dict[str, list[dict]] = {}
-    for record in syvc_records:
-        by_program.setdefault(record["program"], []).append(record)
+    by_program: dict[str, list[SyVC]] = {}
+    for program, syvc in syvcs:
+        by_program.setdefault(program, []).append(syvc)
     sevc_records = []
     diagnostics = []
     skipped = []  # slice_report.json: what could not be sliced, and why
@@ -590,8 +590,7 @@ def stage_slice(config: RunConfig) -> None:
                 for message in pdgs[fn.index].diagnostics
             )
         call_graph = _layers.build_call_graph(model)
-        for record in by_program[program_name]:
-            syvc = _layers.SyVC.from_record(record)
+        for syvc in by_program[program_name]:
             try:
                 slice_ = _layers.interprocedural_slices(model, call_graph, pdgs, syvc)
                 sevc = _layers.assemble_sevc(model, slice_, syvc, call_graph)
@@ -628,9 +627,11 @@ def _sevcs_by_program(
     SeVCs. ``wanted`` limits the SeVCs built to those syvc ids; every
     program is parsed all the same."""
     program_named = _program_named(load_manifest(config.manifest), "sevc.jsonl", "slice")
-    _, records = artifacts.iter_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
+    _, all_sevcs = artifacts.iter_jsonl(
+        config.path("sevc.jsonl"), "sevc", "slice", _layers.SeVC.from_record
+    )
     done = set()
-    for name, group in itertools.groupby(records, key=lambda record: record["program"]):
+    for name, group in itertools.groupby(all_sevcs, key=lambda sevc: sevc.program):
         if name in done:
             raise StageError(
                 f"sevc.jsonl holds the records of program {name!r} apart from "
@@ -640,10 +641,9 @@ def _sevcs_by_program(
         model = _parse_program(program_named(name))
         index = model.statement_index()
         sevcs = []
-        for record in group:
-            if wanted is not None and record["syvc_id"] not in wanted:
+        for sevc in group:
+            if wanted is not None and sevc.syvc_id not in wanted:
                 continue
-            sevc = _layers.SeVC.from_record(record)
             for s in sevc.statements:
                 st = index.get(s.statement_id)
                 # an edit can keep every id, so the text is compared too
@@ -655,7 +655,7 @@ def _sevcs_by_program(
                     raise StageError(
                         f"sevc.jsonl out of sync with sources: SyVC {sevc.syvc_id} holds "
                         f"statement {s.statement_id}{held}, which program {name!r} "
-                        f"{reads}; re-run 'slice'"
+                        f"{reads}; re-run the 'slice' stage"
                     )
             sevcs.append(sevc)
         yield model, sevcs
@@ -787,19 +787,24 @@ def stage_train(config: RunConfig) -> None:
     )
 
 
+def _finding_place(record: dict) -> tuple[int, tuple[list, list, list]]:
+    """A sevc.jsonl record's SyVC id, with the SeVC's files, lines and
+    functions: all a finding needs of it."""
+    statements = record["statements"]
+    return record["syvc_id"], (
+        sorted({s["file"] for s in statements}),
+        [s["line"] for s in statements],
+        sorted({s["function"] for s in statements}),
+    )
+
+
 def stage_detect(config: RunConfig) -> int:
     artifacts.require(config.path("vectors.bin"), "vectorize")
     stored, _ = _layers.iter_vectors(config.path("vectors.bin"))
-    _, sevc_records = artifacts.iter_jsonl(config.path("sevc.jsonl"), "sevc", "slice")
-    # each SeVC's files, lines and functions: all a finding needs of it
-    where = {}
-    for record in sevc_records:
-        statements = record["statements"]
-        where[record["syvc_id"]] = (
-            sorted({s["file"] for s in statements}),
-            [s["line"] for s in statements],
-            sorted({s["function"] for s in statements}),
-        )
+    _, places = artifacts.iter_jsonl(
+        config.path("sevc.jsonl"), "sevc", "slice", _finding_place
+    )
+    where = dict(places)
     artifacts.require(config.path("checkpoint.bin"), "train")
     hp = config.hyperparams()
     params, _ = _layers.load_checkpoint(

@@ -127,19 +127,12 @@ def format_metrics_table(report: MetricsReport, counts: ConfusionCounts) -> str:
     def cell(value: float | None) -> str:
         return "n/a" if value is None else f"{100.0 * value:6.2f}%"
 
-    rows = [
-        ("FPR", report.fpr),
-        ("FNR", report.fnr),
-        ("A", report.accuracy),
-        ("P", report.precision),
-        ("F1", report.f1),
-    ]
     lines = [
         f"samples: {counts.total}  TP={counts.tp} FP={counts.fp} "
         f"TN={counts.tn} FN={counts.fn}",
         "metric   value",
         "-------  -------",
     ]
-    for name, value in rows:
+    for name, value in report.as_dict().items():
         lines.append(f"{name:<7}  {cell(value)}")
     return "\n".join(lines)

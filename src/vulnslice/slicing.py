@@ -135,7 +135,6 @@ def interprocedural_slices(
 
     forward = forward_slice(pdg, syvc.statement_id)
     backward = backward_slice(pdg, syvc.statement_id)
-    forward_set = set(forward)
     backward_set = set(backward)
 
     def note_unresolved(stmts: set[int]) -> None:
@@ -172,7 +171,8 @@ def interprocedural_slices(
             visited_fwd.add(callee_idx)
             sub = reachable(callee_pdg.data_successors, starts)
             sub.add(callee_pdg.entry)  # the callee signature joins the slice
-            _append_fresh(forward, forward_set, sub)
+            # each callee is entered once, never the home function: all fresh
+            forward.extend(sorted(sub))
             queue.append((callee_idx, sub))
 
     # --- backward: callee returns and caller chains ---------------------
@@ -203,7 +203,7 @@ def interprocedural_slices(
             bqueue.append((callee_idx, sub, False))
         # (b) ascend to callers when this function's parameters matter
         entry = pdgs[func].entry
-        if allow_up and (entry in added or entry in backward_set):
+        if allow_up and entry in backward_set:
             for site in call_graph.sites_by_callee.get(func, []):
                 caller = site.caller_index
                 if caller in visited_up:
@@ -240,7 +240,6 @@ def assemble_sevc(
     """
     stmt_index = program.statement_index()
     member_ids = set(slice_.backward_nodes) | set(slice_.forward_nodes)
-    member_ids.discard(-1)
 
     functions_of: dict[int, list[int]] = {}
     for sid in sorted(member_ids):

@@ -41,8 +41,6 @@ class SampleVector:
     dimension: int
     syvc_id: int
     kept_symbols: int
-    anchor_lo: int
-    anchor_hi: int
     program: str = ""
     kind: str = ""
 
@@ -72,8 +70,6 @@ def encode(sym: SymbolicSeVC, table: EmbeddingTable, theta: int) -> SampleVector
         dimension=d,
         syvc_id=sym.syvc_id,
         kept_symbols=len(kept),
-        anchor_lo=sym.anchor_lo - lo,
-        anchor_hi=sym.anchor_hi - lo,
         program=sym.program,
         kind=sym.kind,
     )
@@ -144,8 +140,9 @@ def iter_vectors(path: str) -> tuple[Iterator[SampleVector], int]:
     """A vector store's samples, read one record at a time, and its seed.
 
     The header, the file size and the index's row count are checked
-    here; an index line that does not parse raises when the iterator
-    reaches it. Each sample's values are a read-only float32 array of
+    here; an index line that does not parse, or whose ``kept_symbols``
+    is not 1 to the store's capacity, raises when the iterator reaches
+    it. Each sample's values are a read-only float32 array of
     its own, so a caller that drops each sample holds one at a time.
     """
     with open(path, "rb") as handle:
@@ -158,6 +155,10 @@ def iter_vectors(path: str) -> tuple[Iterator[SampleVector], int]:
         version, theta, d, count, seed = struct.unpack(_HEADER, header)
         if version != _VERSION:
             raise _corrupt(path, f"unsupported vector store version {version}")
+        if d == 0 or theta % d != 0:
+            raise _corrupt(path, f"theta {theta} is not a multiple of dimension {d}")
+        if count == 0:
+            raise _corrupt(path, "empty vector store")
         size = os.fstat(handle.fileno()).st_size - handle.tell()
     if size < count * theta * 4:
         raise _corrupt(path, "truncated vector store")
@@ -176,6 +177,7 @@ def iter_vectors(path: str) -> tuple[Iterator[SampleVector], int]:
 
 
 def _samples(path: str, theta: int, d: int, lines: list[str]) -> Iterator[SampleVector]:
+    capacity = theta // d
     with open(path, "rb") as handle:
         handle.seek(len(_MAGIC) + struct.calcsize(_HEADER))
         for row, line in enumerate(lines):
@@ -187,5 +189,8 @@ def _samples(path: str, theta: int, d: int, lines: list[str]) -> Iterator[Sample
                 raise _corrupt(path, f"bad index line {row + 1} ({exc!r})") from None
             if not in_order:
                 raise _corrupt(path, f"index line {row + 1} is for row {rec['row']!r}")
+            kept = index_fields["kept_symbols"]
+            if not (type(kept) is int and 1 <= kept <= capacity):
+                raise _corrupt(path, f"index line {row + 1} keeps {kept!r} of {capacity} symbols")
             values = np.frombuffer(handle.read(theta * 4), dtype="<f4")
             yield SampleVector(values=values, theta=theta, dimension=d, **index_fields)

@@ -614,8 +614,6 @@ def separable_dataset(n=200, d=4, L=10, seed=77):
             dimension=d,
             syvc_id=i,
             kept_symbols=steps,
-            anchor_lo=0,
-            anchor_hi=1,
             program=f"p{i % 20}",
         )
         samples.append((sample, label))

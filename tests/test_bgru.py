@@ -356,7 +356,7 @@ def test_forward_batch_reads_an_iterator_of_float32_samples_once():
         values = np.zeros(hp.theta, dtype=np.float32)
         values[: x.size] = x.ravel()
         stored.append(SampleVector(values, hp.theta, hp.input_dim, syvc_id=i,
-                                   kept_symbols=len(x), anchor_lo=0, anchor_hi=1))
+                                   kept_symbols=len(x)))
     read = []
 
     def once():
@@ -508,8 +508,6 @@ def synthetic_dataset(n=60, d=4, L=8, seed=0):
             dimension=d,
             syvc_id=i,
             kept_symbols=steps,
-            anchor_lo=0,
-            anchor_hi=1,
             program=f"prog{i % 10}",
         )
         samples.append((sample, label))

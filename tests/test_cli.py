@@ -27,6 +27,7 @@ from vulnslice.frontend import ProgramModel
 from vulnslice.vectorize import load_vectors, symbolize, truncation_window
 
 from test_embeddings import reference_train_embeddings
+from test_vectorize import edit_index, empty_store, set_field
 
 TINY_PROGRAMS = {
     "leak.c": (
@@ -737,7 +738,7 @@ def test_vectorize_of_stale_statement_ids_names_slice(tmp_path, capsys, stage):
     assert stage_after_leak_edit(tmp_path, capsys, stage, edited) == (
         2,
         "error: sevc.jsonl out of sync with sources: SyVC 0 holds statement 1, "
-        "which program 'leak.c' does not; re-run 'slice'\n",
+        "which program 'leak.c' does not; re-run the 'slice' stage\n",
     )
 
 
@@ -749,8 +750,61 @@ def test_a_stale_statement_text_names_slice(tmp_path, capsys, stage):
         2,
         "error: sevc.jsonl out of sync with sources: SyVC 0 holds statement 2 as "
         "'strcpy ( room , input ) ;', which program 'leak.c' now reads as "
-        "'gets ( room ) ;'; re-run 'slice'\n",
+        "'gets ( room ) ;'; re-run the 'slice' stage\n",
     )
+
+
+def drop_from_first_record(path, key):
+    """Drop ``key`` from the first record of a jsonl artifact, or from its
+    first statement for a statement's key."""
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    del (record["statements"][0] if key == "line" else record)[key]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "artifact, key, stage",
+    [
+        ("syvc.jsonl", "span", "slice"),
+        ("sevc.jsonl", "kind", "vectorize"),
+        ("sevc.jsonl", "kind", "label"),
+        ("sevc.jsonl", "kind", "explain"),
+        ("sevc.jsonl", "line", "detect"),
+    ],
+)
+def test_a_malformed_record_names_the_stage_that_writes_it(
+    tmp_path, corpus, capsys, artifact, key, stage
+):
+    out = detected(tmp_path, corpus, "--threshold", "0.000001")
+    drop_from_first_record(out / artifact, key)
+    capsys.readouterr()
+    assert run(corpus, out, stage, "--threshold", "0.000001") == 2
+    err = capsys.readouterr().err
+    writer = "extract" if artifact == "syvc.jsonl" else "slice"
+    assert err.startswith(f"error: {out / artifact} line 2 is malformed ("), err
+    assert err.endswith(f"; re-run the '{writer}' stage\n"), err
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        empty_store,
+        lambda p: edit_index(p, lambda ls: [set_field(ls[0], "kept_symbols", 0)] + ls[1:]),
+        lambda p: edit_index(p, lambda ls: [set_field(ls[0], "kept_symbols", 10**6)] + ls[1:]),
+    ],
+    ids=["empty", "keeps-none", "keeps-too-many"],
+)
+@pytest.mark.parametrize("stage", ["train", "detect"])
+def test_a_corrupt_vector_store_names_vectorize(tmp_path, corpus, capsys, corrupt, stage):
+    out = detected(tmp_path, corpus)
+    corrupt(str(out / "vectors.bin"))
+    capsys.readouterr()
+    assert run(corpus, out, stage) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("; re-run the 'vectorize' stage\n"), err
 
 
 def test_a_sevc_across_files_and_functions_is_one_symbol_stream(tmp_path):

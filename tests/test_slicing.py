@@ -1,11 +1,15 @@
 """Slice reachability, interprocedural stitching, SeVC assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vulnslice.candidates import CharacteristicSet, extract_syvcs
-from vulnslice.frontend import parse_source
-from vulnslice.graphs import build_call_graph, build_pdgs
+from vulnslice.cli import load_manifest
+from vulnslice.data import mini_corpus_manifest
+from vulnslice.frontend import load_program, parse_source
+from vulnslice.graphs import EXIT, GraphError, build_call_graph, build_pdgs
 from vulnslice.slicing import (
     SliceConsistencyError,
     assemble_sevc,
@@ -14,7 +18,13 @@ from vulnslice.slicing import (
     interprocedural_slices,
 )
 
-from oracles import oracle_backward_slice, oracle_forward_slice, random_pdg
+from oracles import (
+    oracle_backward_slice,
+    oracle_forward_slice,
+    random_pdg,
+    random_structured_source,
+)
+from test_frontend_reference import BUNDLED
 
 RUNNING_EXAMPLE = """void printLine(char *line)
 {
@@ -296,3 +306,42 @@ def test_slice_monotone_under_added_edges():
         )
         assert base_f <= set(forward_slice(grown, anchor))
         assert base_b <= set(backward_slice(grown, anchor))
+
+
+def _corpus_programs():
+    """The mini corpus, the bundled sources and seeded random programs."""
+    for prog in load_manifest(mini_corpus_manifest()).programs:
+        yield load_program(prog.source_paths, name=prog.path)
+    for name, source in BUNDLED.items():
+        yield parse_source(source, name)
+    rng = np.random.default_rng(2424)
+    for _ in range(60):
+        yield parse_source(random_structured_source(rng, max_nodes=10))
+
+
+def test_no_slice_holds_the_exit_node():
+    """assemble_sevc keeps every member of a slice: the synthetic EXIT node
+    has no def/use facts and no outgoing edge, so no walk reaches it,
+    under data-and-control or data-only PDGs."""
+    sliced = 0
+    for model in _corpus_programs():
+        try:
+            ddcd = build_pdgs(model)
+        except GraphError:
+            continue
+        call_graph = build_call_graph(model)
+        dd = {
+            idx: replace(p, edges=[e for e in p.edges if e.kind == "data"])
+            for idx, p in ddcd.items()
+        }
+        for pdgs in (ddcd, dd):
+            assert all(EXIT in pdg.all_predecessors for pdg in pdgs.values())
+            for syvc in extract_syvcs(model, CharacteristicSet()):
+                try:
+                    slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
+                except SliceConsistencyError:
+                    continue
+                assert EXIT not in slice_.forward_nodes, (model.name, syvc)
+                assert EXIT not in slice_.backward_nodes, (model.name, syvc)
+                sliced += 1
+    assert sliced == 2 * (117 + 165 + 154)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -301,6 +302,25 @@ def strip_field(line, name):
     return json.dumps(record)
 
 
+def set_field(line, name, value):
+    return json.dumps({**json.loads(line), name: value})
+
+
+def zero_dimension(path):
+    with open(path, "r+b") as fh:
+        fh.seek(12)  # magic, version, theta, then the dimension
+        fh.write(struct.pack("<I", 0))
+
+
+def empty_store(path):
+    """The header alone, counting 0 records, and an empty index."""
+    truncate(path, 32)  # magic, then version, theta, dimension, count, seed
+    with open(path, "r+b") as fh:
+        fh.seek(16)
+        fh.write(struct.pack("<Q", 0))
+    open(path + ".idx", "w").close()
+
+
 @pytest.mark.parametrize(
     "corrupt, problem",
     [
@@ -314,10 +334,16 @@ def strip_field(line, name):
         (lambda p: append_bytes(p, b"\x00"), "bytes after the last record"),
         (lambda p: truncate(p, 40), "truncated vector store"),
         (lambda p: truncate(p, 6), "truncated vector store header"),
+        (empty_store, "empty vector store"),
+        (zero_dimension, "theta 16 is not a multiple of dimension 0"),
+        (lambda p: edit_index(p, lambda ls: [set_field(ls[0], "kept_symbols", 0)] + ls[1:]),
+         "index line 1 keeps 0 of 4 symbols"),
+        (lambda p: edit_index(p, lambda ls: ls[:2] + [set_field(ls[2], "kept_symbols", 10**6)]),
+         "index line 3 keeps 1000000 of 4 symbols"),
     ],
     ids=["missing-idx", "idx-not-json", "idx-lacks-field", "idx-lacks-row",
          "rows-out-of-order", "rows-short", "idx-not-text", "trailing-bytes", "short-records",
-         "short-header"],
+         "short-header", "empty", "zero-dimension", "keeps-none", "keeps-too-many"],
 )
 def test_vector_store_rejects_corrupt_store_naming_vectorize(tmp_path, corrupt, problem):
     table = hash_table(4, seed=5)
