@@ -195,15 +195,20 @@ def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def read_json(path: str, stage: str) -> dict:
-    """A ``write_json`` artifact; a missing or corrupt one asks to run ``stage``."""
+def read_json(path: str, stage: str, keys: Sequence[str] = ()) -> dict:
+    """A ``write_json`` artifact; a missing or corrupt one, or one without
+    each of ``keys``, asks to run ``stage``."""
     with open(require(path, stage), "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            payload = json.load(handle)
         except ValueError as exc:
             raise StageError(
                 f"{path} is not valid JSON ({exc}); re-run the '{stage}' stage"
             ) from None
+    for key in keys:
+        if not isinstance(payload, dict) or key not in payload:
+            raise StageError(f"{path} has no {key!r} key; re-run the '{stage}' stage")
+    return payload
 
 
 def require(path: str, stage_to_run: str) -> str:

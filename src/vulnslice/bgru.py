@@ -32,6 +32,19 @@ reaches a valid output, and the gradient it receives is exactly zero.
 The reversal is an involution per column, so the same index map takes
 direction 1 back to the original time order.
 
+Training reads the top layer only at each sample's last valid step,
+which direction 1 reaches at its first scan step. So in
+loss_and_gradients the top layer runs both directions at step 0 and
+direction 0 alone from step 1 on, forward and in BPTT; the steps it
+skips would feed nothing the loss reads and get an exact zero
+gradient. Before the weight-gradient GEMMs, direction 1's gate rows of
+the skipped steps are set to zero, so the GEMMs keep their shapes and
+give the bits of the full scan: numpy's stacked matmul makes one BLAS
+call per direction, and a one-direction slice is the same call. Lower
+layers, whose every step the layer above reads, and inference
+(forward_batch), which reads every step, run both directions at every
+step.
+
 Gate fusion (Appleyard et al., arXiv 1604.01946). Each layer's GRU
 weights are stored as the engine multiplies by them: the direction is
 the leading axis and each gate an (out, in) block of rows, so
@@ -204,13 +217,18 @@ class _LayerCache:
     xs: np.ndarray  # (2, T, B, in)
     gates: np.ndarray  # (2, T, B, 3H)
     hs: np.ndarray  # (2, T+1, B, H); hs[:, t] is h_{t-1}
+    both: int  # leading scan steps run by both directions; direction 0 ran the rest
     mask: np.ndarray | None  # dropout mask on the layer's output
 
 
 def _layer_forward(
-    batch: _Batch, x: np.ndarray, weights, keep: bool
+    batch: _Batch, x: np.ndarray, weights, keep: bool, both: int
 ) -> tuple[np.ndarray, _LayerCache | None]:
-    """Both directions of one layer over x (T, B, in) -> ((T, B, 2H), cache)."""
+    """One layer over x (T, B, in) -> (hidden states (2, T+1, B, H), cache).
+
+    Both directions run the first ``both`` scan steps and direction 0
+    alone the rest; direction 1's later states stay zero.
+    """
     W, Uzr, Uh, bias = weights
     steps, width = x.shape[0], x.shape[1]
     h = Uh.shape[-1]
@@ -222,18 +240,18 @@ def _layer_forward(
     gates = gates.reshape(2, steps, width, 3 * h)
     hs = np.zeros((2, steps + 1, width, h))
     for t in range(steps):
-        g = gates[:, t]
-        h_prev = hs[:, t]
+        n = 2 if t < both else 1
+        g = gates[:n, t]
+        h_prev = hs[:n, t]
         zr = g[..., : 2 * h]
-        zr += h_prev @ UzrT
+        zr += h_prev @ UzrT[:n]
         zr[...] = _sigmoid(zr)
         z, r, c = g[..., :h], g[..., h : 2 * h], g[..., 2 * h :]
-        c += (r * h_prev) @ UhT
+        c += (r * h_prev) @ UhT[:n]
         np.tanh(c, out=c)
-        hs[:, t + 1] = (1.0 - z) * h_prev + z * c
-    out = np.concatenate([hs[0, 1:], batch.flip(hs[1, 1:])], axis=-1)
-    cache = _LayerCache(xs, gates, hs, None) if keep else None
-    return out, cache
+        hs[:n, t + 1] = (1.0 - z) * h_prev + z * c
+    cache = _LayerCache(xs, gates, hs, both, None) if keep else None
+    return hs, cache
 
 
 def _layer_backward(
@@ -245,30 +263,35 @@ def _layer_backward(
 ) -> np.ndarray:
     """BPTT for both directions of one layer.
 
-    d_out is (2, T, B, H), each direction in its own scan order; it is
-    used up: once step t has read its slot, the slot keeps r_t * h_{t-1}
-    for gUh. Writes the layer's weight gradients into grads and returns
-    d xs, shape (2, T, B, in), also in scan order.
+    d_out is (2, T, B, H), each direction in its own scan order, and
+    zero wherever the forward did not run; it is used up: once step t
+    has read its slot, the slot keeps r_t * h_{t-1} for gUh. Writes the
+    layer's weight gradients into grads and returns d xs, shape
+    (2, T, B, in), also in scan order.
     """
     W, Uzr, Uh, _ = weights
-    gates, hs = cache.gates, cache.hs
+    gates, hs, both = cache.gates, cache.hs, cache.both
     steps, width, h = hs.shape[1] - 1, hs.shape[2], hs.shape[3]
     carry = np.zeros((2, width, h))
     for t in range(steps - 1, -1, -1):
-        g = gates[:, t]
+        n = 2 if t < both else 1
+        g = gates[:n, t]
         z, r, c = g[..., :h], g[..., h : 2 * h], g[..., 2 * h :]
-        h_prev = hs[:, t]
-        dh = d_out[:, t] + carry
-        np.multiply(r, h_prev, out=d_out[:, t])
+        h_prev = hs[:n, t]
+        dh = d_out[:n, t] + carry[:n]
+        np.multiply(r, h_prev, out=d_out[:n, t])
         da_z = dh * (c - h_prev) * z * (1.0 - z)
         da_h = dh * z * (1.0 - c * c)
-        d_rh = da_h @ Uh
+        d_rh = da_h @ Uh[:n]
         da_r = d_rh * h_prev * r * (1.0 - r)
-        carry = dh * (1.0 - z) + d_rh * r
+        carry[:n] = dh * (1.0 - z) + d_rh * r
         g[..., :h] = da_z
         g[..., h : 2 * h] = da_r
         g[..., 2 * h :] = da_h
-        carry += g[..., : 2 * h] @ Uzr
+        carry[:n] += g[..., : 2 * h] @ Uzr[:n]
+    # where direction 1 did not run, its rows still hold x W + b; its
+    # gradient there is zero, and the GEMMs below keep their shapes
+    gates[1, both:] = 0.0
     rows = steps * width
     da = gates.reshape(2, rows, 3 * h)
     daT = da.transpose(0, 2, 1)
@@ -286,14 +309,28 @@ def _forward(
     train_mode: bool,
     rng: np.random.Generator | None,
     keep: bool,
+    last_only: bool = False,
 ) -> tuple[np.ndarray, list]:
-    """Top-layer features (T, B, 2H) and, with keep, per-layer caches."""
+    """Top-layer features and, with keep, per-layer caches.
+
+    The features are (T, B, 2H), or with last_only each sample's
+    features at its last step, (B, 2H). Direction 1 reaches that step
+    first, so with last_only the top layer runs it one step.
+    """
     p = params.arrays
     current = batch.x
+    steps = current.shape[0]
     caches = []
     for layer in range(hp.layers):
         weights = tuple(p[f"l{layer}.{name}"] for name in ("W", "U", "Uh", "b"))
-        current, cache = _layer_forward(batch, current, weights, keep)
+        ends_only = last_only and layer == hp.layers - 1
+        both = 1 if ends_only else steps
+        hs, cache = _layer_forward(batch, current, weights, keep, both)
+        if ends_only:
+            ends = hs[0, batch.lengths, batch.cols[0]]
+            current = np.concatenate([ends, hs[1, 1]], axis=-1)
+        else:
+            current = np.concatenate([hs[0, 1:], batch.flip(hs[1, 1:])], axis=-1)
         if layer < hp.layers - 1 and train_mode and hp.dropout > 0.0:
             if rng is None:
                 raise ModelError("training mode needs an RNG for dropout")
@@ -418,7 +455,11 @@ def loss_and_gradients(
     """Mean binary cross-entropy and gradients over a batch.
 
     Batch entries are (timesteps x input_dim matrix, 0/1 label). The
-    loss reads the activation at each sample's final timestep.
+    loss reads the activation at each sample's final timestep, so only
+    the top-layer features there are built: direction 0's state at that
+    step and direction 1's after its first scan step, the one step the
+    top layer runs that direction (see the module docstring). The top
+    layer's gradient is zero but at those two steps.
     """
     if not batch:
         raise ModelError("empty batch")
@@ -431,9 +472,9 @@ def loss_and_gradients(
         _check_input(i, x, hp)
     padded = _Batch.pad(matrices, hp)
     labels = np.array([label for _, label in batch], dtype=np.float64)
-    feat, caches = _forward(padded, params, hp, train_mode, rng, keep=True)
-    last = (padded.lengths - 1, np.arange(len(batch)))
-    feat_last = feat[last]  # (B, 2H)
+    feat_last, caches = _forward(
+        padded, params, hp, train_mode, rng, keep=True, last_only=True
+    )  # (B, 2H)
     u, prob = _head(feat_last, p)
     eps = 1e-12
     losses = -(
@@ -453,21 +494,24 @@ def loss_and_gradients(
     da_dense = np.outer(d_head_pre, p["head.w"]) * (1.0 - u * u)
     grads["dense.W"] = da_dense.T @ feat_last
     grads["dense.b"] = da_dense.sum(axis=0)
-    # the features are dead once their last steps are read: their buffer
-    # becomes the gradient, which is zero but at those steps
-    d_current = feat
-    d_current[...] = 0.0
-    d_current[last] = da_dense @ p["dense.W"]
+    d_feat = da_dense @ p["dense.W"]
 
+    # the top layer's gradient, in scan order, is zero but at the two
+    # steps the features were read from
     h = hp.hidden_dim
+    steps, width = padded.x.shape[:2]
+    d_out = np.zeros((2, steps, width, h))
+    d_out[0, padded.lengths - 1, padded.cols[0]] = d_feat[:, :h]
+    d_out[1, 0] = d_feat[:, h:]
     for layer in range(hp.layers - 1, -1, -1):
         weights, cache = caches[layer]
-        if cache.mask is not None:
-            d_current = d_current * cache.mask
-        d_out = np.stack([d_current[..., :h], padded.flip(d_current[..., h:])])
         d_xs = _layer_backward(cache, d_out, weights, f"l{layer}", grads)
         if layer > 0:
             d_current = d_xs[0] + padded.flip(d_xs[1])
+            mask = caches[layer - 1][1].mask
+            if mask is not None:
+                d_current = d_current * mask
+            d_out = np.stack([d_current[..., :h], padded.flip(d_current[..., h:])])
     return total, {key: grads[key] for key in p}
 
 

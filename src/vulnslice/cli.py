@@ -102,7 +102,7 @@ import os
 import sys
 from collections.abc import Callable, Container, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import artifacts
 from .artifacts import StageError, derive_seed
@@ -563,7 +563,7 @@ def stage_slice(config: RunConfig) -> None:
     for program, syvc in syvcs:
         by_program.setdefault(program, []).append(syvc)
     sevc_records = []
-    diagnostics = []
+    diagnostics = set()  # slice_report.json: (program, message) of unresolved calls
     skipped = []  # slice_report.json: what could not be sliced, and why
     graph_diagnostics = []  # slice_report.json: e.g. dead code the CFG pruned
 
@@ -597,7 +597,7 @@ def stage_slice(config: RunConfig) -> None:
             except _layers.SliceConsistencyError as exc:
                 skip(program_name, syvc.id, exc)
                 continue
-            diagnostics.extend(slice_.diagnostics)
+            diagnostics.update((program_name, message) for message in slice_.diagnostics)
             sevc_records.append(_layers.sevc_record(sevc))
     artifacts.write_jsonl(
         config.path("sevc.jsonl"), "sevc", config.seed, sevc_records
@@ -610,11 +610,15 @@ def stage_slice(config: RunConfig) -> None:
             "sevcs": len(sevc_records),
             "skipped": skipped,
             "graph_diagnostics": graph_diagnostics,
+            "slice_diagnostics": [
+                {"program": program, "message": message}
+                for program, message in sorted(diagnostics)
+            ],
         },
     )
     print(
         f"sliced {len(sevc_records)} SeVCs "
-        f"({len(set(diagnostics))} distinct slice diagnostics, "
+        f"({len({message for _, message in diagnostics})} distinct slice diagnostics, "
         f"{len(skipped)} skipped)"
     )
 
@@ -745,6 +749,29 @@ def stage_label(config: RunConfig) -> None:
     )
 
 
+class _Label(NamedTuple):
+    """A labels.jsonl record."""
+
+    syvc_id: int
+    program: str
+    label: int
+    needs_review: bool
+
+    @classmethod
+    def from_record(cls, record: dict) -> "_Label":
+        if record["label"] not in (0, 1):
+            raise ValueError(f"label {record['label']!r} is not 0 or 1")
+        return cls(*(record[name] for name in cls._fields))
+
+
+def _labels(config: RunConfig) -> list[_Label]:
+    """Every labels.jsonl record; a malformed one asks to re-run label."""
+    _, labels = artifacts.read_jsonl(
+        config.path("labels.jsonl"), "labels", "label", _Label.from_record
+    )
+    return labels
+
+
 def stage_train(config: RunConfig) -> None:
     hp = config.hyperparams()
     artifacts.require(config.path("vectors.bin"), "vectorize")
@@ -756,16 +783,15 @@ def stage_train(config: RunConfig) -> None:
                 f"vectors.bin holds vectors at {flag[2:]} {held}, not at {flag} "
                 f"{wanted}; re-run the 'vectorize' stage with it"
             )
-    _, label_records = artifacts.read_jsonl(config.path("labels.jsonl"), "labels", "label")
-    labels = {r["syvc_id"]: r for r in label_records}
+    labels = {r.syvc_id: r for r in _labels(config)}
     unlabeled = [s.syvc_id for s in samples if s.syvc_id not in labels]
     if unlabeled:
         raise StageError(f"no label for SyVC {unlabeled[0]}; re-run the 'label' stage")
     if config.strict_review:
-        samples = [s for s in samples if not labels[s.syvc_id]["needs_review"]]
+        samples = [s for s in samples if not labels[s.syvc_id].needs_review]
     split_seed = derive_seed(config.seed, "split")
     train_side, test_side = _layers.split_by_program(samples, ratio=0.8, seed=split_seed)
-    dataset = [(s, labels[s.syvc_id]["label"]) for s in train_side]
+    dataset = [(s, labels[s.syvc_id].label) for s in train_side]
     params, report = _layers.train_model(dataset, hp)
     _layers.save_checkpoint(config.path("checkpoint.bin"), params, config.seed)
     artifacts.write_json(
@@ -863,13 +889,30 @@ def _stale_detections(problem: str) -> StageError:
     return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
 
 
-def _detections(config: RunConfig, activations: bool = False) -> list[dict]:
+class _Finding(NamedTuple):
+    """What evaluate and explain read of a detect.jsonl record."""
+
+    syvc_id: int
+    program: str
+    probability: float
+    activations: list[float] | None  # None when an older detect wrote it
+
+    @classmethod
+    def from_record(cls, record: dict) -> "_Finding":
+        return cls(
+            record["syvc_id"], record["program"], record["probability"],
+            record.get("activations"),
+        )
+
+
+def _detections(config: RunConfig, activations: bool = False) -> list[_Finding]:
     """detect.jsonl's findings, with their ``activations`` if asked; an
-    old file or another --threshold is stale."""
+    old file or another --threshold is stale, and a malformed record
+    asks to re-run detect."""
     header, findings = artifacts.read_jsonl(
-        config.path("detect.jsonl"), "detections", "detect"
+        config.path("detect.jsonl"), "detections", "detect", _Finding.from_record
     )
-    if activations and any("activations" not in f for f in findings):
+    if activations and any(f.activations is None for f in findings):
         raise _stale_detections("holds no activations (written by an older detect)")
     threshold = header.get("threshold")
     if threshold is None:
@@ -882,17 +925,19 @@ def _detections(config: RunConfig, activations: bool = False) -> list[dict]:
 
 
 def stage_evaluate(config: RunConfig) -> None:
-    flagged = {f["syvc_id"] for f in _detections(config)}
-    _, label_records = artifacts.read_jsonl(config.path("labels.jsonl"), "labels", "label")
-    if not flagged <= {r["syvc_id"] for r in label_records}:
+    flagged = {f.syvc_id for f in _detections(config)}
+    label_records = _labels(config)
+    if not flagged <= {r.syvc_id for r in label_records}:
         raise _stale_detections("flags a SyVC that labels.jsonl does not hold")
     # held out: every program train did not train on
-    train_report = artifacts.read_json(config.path("train_report.json"), "train")
+    train_report = artifacts.read_json(
+        config.path("train_report.json"), "train", keys=("train_programs",)
+    )
     trained = set(train_report["train_programs"])
-    test_side = [r for r in label_records if r["program"] not in trained]
+    test_side = [r for r in label_records if r.program not in trained]
     # detect scored every sample: its findings are the positive predictions
-    predictions = [int(r["syvc_id"] in flagged) for r in test_side]
-    counts = _layers.count_confusion(predictions, [r["label"] for r in test_side])
+    predictions = [int(r.syvc_id in flagged) for r in test_side]
+    counts = _layers.count_confusion(predictions, [r.label for r in test_side])
     report = _layers.compute_metrics(counts)
     artifacts.write_json(
         config.path("metrics.json"),
@@ -915,7 +960,7 @@ def stage_explain(config: RunConfig) -> None:
     findings = _detections(config, activations=True)
     cset = config.characteristic_set()
     # only the flagged SeVCs are built, and symbolized while their program is parsed
-    flagged = {finding["syvc_id"] for finding in findings}
+    flagged = {finding.syvc_id for finding in findings}
     symbolic = {
         sevc.syvc_id: _layers.symbolize(sevc, model, cset)
         for model, sevcs in _sevcs_by_program(config, flagged)
@@ -924,26 +969,26 @@ def stage_explain(config: RunConfig) -> None:
     capacity = config.hyperparams().seq_len
     records = []
     for finding in findings:
-        sym = symbolic.get(finding["syvc_id"])
+        sym = symbolic.get(finding.syvc_id)
         if sym is None:
             raise _stale_detections(
-                f"flags SyVC {finding['syvc_id']}, which sevc.jsonl does not hold"
+                f"flags SyVC {finding.syvc_id}, which sevc.jsonl does not hold"
             )
         lo, hi = _layers.truncation_window(
             len(sym.symbols), sym.anchor_lo, sym.anchor_hi, capacity
         )
-        trace = _layers.ActivationTrace(finding["activations"])
+        trace = _layers.ActivationTrace(finding.activations)
         if len(trace.outputs) != hi - lo:
             raise _stale_detections(
                 f"holds {len(trace.outputs)} activations for SyVC "
-                f"{finding['syvc_id']}, whose kept symbol window has {hi - lo}"
+                f"{finding.syvc_id}, whose kept symbol window has {hi - lo}"
             )
         critical = _layers.explain_trace(trace, sym.symbols[lo:hi], delta=config.delta)
         records.append(
             {
-                "syvc_id": finding["syvc_id"],
-                "program": finding["program"],
-                "probability": finding["probability"],
+                "syvc_id": finding.syvc_id,
+                "program": finding.program,
+                "probability": finding.probability,
                 "critical_tokens": [
                     {
                         "position": c.position,

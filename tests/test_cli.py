@@ -26,6 +26,7 @@ from vulnslice.evaluation import compute_metrics, count_confusion, split_by_prog
 from vulnslice.frontend import ProgramModel
 from vulnslice.vectorize import load_vectors, symbolize, truncation_window
 
+from test_bgru_reference import reference_train
 from test_embeddings import reference_train_embeddings
 from test_vectorize import edit_index, empty_store, set_field
 
@@ -549,6 +550,20 @@ def test_skipgram_vectorize_matches_reference_trainer(tmp_path, corpus, monkeypa
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("layers", ["1", "2"])
+def test_train_matches_the_reference_engine(tmp_path, monkeypatch, layers):
+    out_a = tmp_path / "a"
+    flags = ["--embed-mode", "hash", "--epochs", "3", "--layers", layers]
+    assert stages(mini_corpus_manifest(), out_a, "parse", "extract", "slice",
+                  "vectorize", "label", "train", extra=flags) == 0
+    out_b = tmp_path / "b"
+    shutil.copytree(out_a, out_b)
+    monkeypatch.setattr(cli, "train_model", reference_train)
+    assert stages(mini_corpus_manifest(), out_b, "train", extra=flags) == 0
+    for name in ("checkpoint.bin", "train_report.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
 def write_corpus(root, programs):
     root.mkdir(parents=True)
     for name, text in programs.items():
@@ -702,6 +717,18 @@ def test_slice_report_lists_dead_code_the_cfg_pruned(tmp_path, deps):
     ]
 
 
+def test_slice_report_lists_the_slice_diagnostics_slice_counts(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert stages(mini_corpus_manifest(), out, "parse", "extract", "slice") == 0
+    assert "(32 distinct slice diagnostics, 0 skipped)" in capsys.readouterr().out
+    records = json.loads((out / "slice_report.json").read_text())["slice_diagnostics"]
+    pairs = [(r["program"], r["message"]) for r in records]
+    assert pairs == sorted(set(pairs))
+    assert len({message for _, message in pairs}) == 32
+    malloc = "call to unresolved function 'malloc' at statement 3 skipped"
+    assert {"program": "allocarith_bad_0.c", "message": malloc} in records
+
+
 def test_slice_of_an_unknown_program_names_extract(tmp_path, capsys):
     root = tmp_path / "corpus"
     write_corpus(root, {"leak.c": TINY_PROGRAMS["leak.c"], "reader.c": TINY_PROGRAMS["reader.c"]})
@@ -754,14 +781,26 @@ def test_a_stale_statement_text_names_slice(tmp_path, capsys, stage):
     )
 
 
-def drop_from_first_record(path, key):
-    """Drop ``key`` from the first record of a jsonl artifact, or from its
-    first statement for a statement's key."""
+def drop_from_record(path, key, index=0):
+    """Drop ``key`` from record ``index`` of a jsonl artifact, or from its
+    first statement for a statement's key; the record's line number."""
     lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
+    record = json.loads(lines[index + 1])
     del (record["statements"][0] if key == "line" else record)[key]
-    lines[1] = json.dumps(record)
+    lines[index + 1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
+    return index + 2
+
+
+def first_held_out_label(out):
+    """The index in labels.jsonl of the first record that train holds out."""
+    held_out = json.loads((out / "train_report.json").read_text())["test_programs"]
+    records = read_records(out / "labels.jsonl")
+    return next(i for i, r in enumerate(records) if r["program"] in held_out)
+
+
+WRITERS = {"syvc.jsonl": "extract", "sevc.jsonl": "slice", "labels.jsonl": "label",
+           "detect.jsonl": "detect"}
 
 
 @pytest.mark.parametrize(
@@ -772,20 +811,53 @@ def drop_from_first_record(path, key):
         ("sevc.jsonl", "kind", "label"),
         ("sevc.jsonl", "kind", "explain"),
         ("sevc.jsonl", "line", "detect"),
+        ("labels.jsonl", "label", "evaluate"),
+        ("labels.jsonl", "label", "train"),
+        ("labels.jsonl", "needs_review", "train"),
+        ("detect.jsonl", "syvc_id", "evaluate"),
+        ("detect.jsonl", "syvc_id", "explain"),
+        ("detect.jsonl", "probability", "explain"),
     ],
 )
 def test_a_malformed_record_names_the_stage_that_writes_it(
     tmp_path, corpus, capsys, artifact, key, stage
 ):
     out = detected(tmp_path, corpus, "--threshold", "0.000001")
-    drop_from_first_record(out / artifact, key)
+    # train reads every label, those of the programs it holds out too
+    index = first_held_out_label(out) if stage == "train" else 0
+    line = drop_from_record(out / artifact, key, index)
     capsys.readouterr()
     assert run(corpus, out, stage, "--threshold", "0.000001") == 2
     err = capsys.readouterr().err
-    writer = "extract" if artifact == "syvc.jsonl" else "slice"
-    assert err.startswith(f"error: {out / artifact} line 2 is malformed ("), err
-    assert err.endswith(f"; re-run the '{writer}' stage\n"), err
+    assert err.startswith(f"error: {out / artifact} line {line} is malformed ("), err
+    assert err.endswith(f"; re-run the '{WRITERS[artifact]}' stage\n"), err
     assert repr(key) in err
+
+
+def test_a_label_that_is_not_0_or_1_names_label(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    lines = (out / "labels.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "label": 2})
+    (out / "labels.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(corpus, out, "evaluate") == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / 'labels.jsonl'} line 2 is malformed "
+        "(ValueError('label 2 is not 0 or 1')); re-run the 'label' stage\n"
+    )
+
+
+def test_a_train_report_without_its_programs_names_train(tmp_path, corpus, capsys):
+    out = detected(tmp_path, corpus)
+    report = json.loads((out / "train_report.json").read_text())
+    del report["train_programs"]
+    (out / "train_report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run(corpus, out, "evaluate") == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / 'train_report.json'} has no 'train_programs' key; "
+        "re-run the 'train' stage\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -841,7 +913,7 @@ FRONT_HALF_SHA256 = {
     "parse_report.json": "4a40cca75e34d4bc622ea1b75aed06221025383cc50b31d1d7b2c0c50532eb6a",
     "syvc.jsonl": "501cc4ee6ce9fb1cad9e75c06749a9c602780acb5b60d9f75cd693dd205f1dfc",
     "sevc.jsonl": "d912e89ab6f867ca3507bf99e1d62632b523cfe9a0f359643a23eefca828938b",
-    "slice_report.json": "7c3b99d024c6dd8edfe684a7d60734b456ee8f406bcdfc3fbe10f6ddd208260b",
+    "slice_report.json": "e8babce301cb30619a5ca25540425397453770826cf262aa5c737af9f06fb2a4",
 }
 
 
