@@ -9,7 +9,6 @@ with unchanged inputs and seed must reproduce identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -24,6 +23,8 @@ class StageError(Exception):
 
 def derive_seed(root_seed: int, tag: str) -> int:
     """Stable sub-seed for one pipeline stage."""
+    import hashlib  # here: parse, extract and slice never load OpenSSL
+
     digest = hashlib.blake2b(
         tag.encode("utf-8"), key=str(root_seed).encode("ascii"), digest_size=8
     ).digest()

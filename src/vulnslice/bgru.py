@@ -37,13 +37,24 @@ which direction 1 reaches at its first scan step. So in
 loss_and_gradients the top layer runs both directions at step 0 and
 direction 0 alone from step 1 on, forward and in BPTT; the steps it
 skips would feed nothing the loss reads and get an exact zero
-gradient. Before the weight-gradient GEMMs, direction 1's gate rows of
-the skipped steps are set to zero, so the GEMMs keep their shapes and
-give the bits of the full scan: numpy's stacked matmul makes one BLAS
-call per direction, and a one-direction slice is the same call. Lower
-layers, whose every step the layer above reads, and inference
-(forward_batch), which reads every step, run both directions at every
-step.
+gradient. Lower layers, whose every step the layer above reads, and
+inference (forward_batch), which reads every step, run both directions
+at every step.
+
+Which rows each GEMM runs over. A GEMM can round an output row another
+way when it is given another count of rows (see inference below), so
+the GEMMs that make one output row per input row keep all T*B rows of
+both directions, which gives the bits of the full two-direction scan:
+the input projection x W + b, although in training the top layer's
+direction 1 reads only step 0's B rows, and the input gradient da @ W,
+with direction 1's skipped rows set to zero first. Layer 0 computes no
+input gradient, since nothing reads it. The weight-gradient GEMMs and
+the bias sums add up over the rows, so each direction adds only the
+rows it ran: all T*B for direction 0, and for direction 1 its first B
+rows in the top layer while training, all T*B otherwise; its rows
+after those hold exact zeros. numpy's stacked matmul makes one BLAS
+call per direction, so a direction's GEMM gives the same bits alone as
+stacked.
 
 Gate fusion (Appleyard et al., arXiv 1604.01946). Each layer's GRU
 weights are stored as the engine multiplies by them: the direction is
@@ -57,7 +68,8 @@ the gate activations z|r|c written in place step by step, then, during
 BPTT, the gate pre-activation gradients. Hidden states carry a leading
 zero row, so h_{t-1} is a view. The BPTT loop only carries dh back
 through time; the weight gradients, in the stored layout, are
-accumulated afterwards as GEMMs and sums over the T*B rows.
+accumulated afterwards as GEMMs and sums over the rows each direction
+ran.
 
 Inference goes through forward_batch, which keeps no BPTT caches and
 works in chunks of batch_size. It scores each distinct input once, in
@@ -260,14 +272,15 @@ def _layer_backward(
     weights,
     prefix: str,
     grads: dict[str, np.ndarray],
-) -> np.ndarray:
+    d_input: bool,
+) -> np.ndarray | None:
     """BPTT for both directions of one layer.
 
     d_out is (2, T, B, H), each direction in its own scan order, and
     zero wherever the forward did not run; it is used up: once step t
     has read its slot, the slot keeps r_t * h_{t-1} for gUh. Writes the
-    layer's weight gradients into grads and returns d xs, shape
-    (2, T, B, in), also in scan order.
+    layer's weight gradients into grads and, with d_input, returns
+    d xs, shape (2, T, B, in), also in scan order.
     """
     W, Uzr, Uh, _ = weights
     gates, hs, both = cache.gates, cache.hs, cache.both
@@ -289,17 +302,28 @@ def _layer_backward(
         g[..., h : 2 * h] = da_r
         g[..., 2 * h :] = da_h
         carry[:n] += g[..., : 2 * h] @ Uzr[:n]
-    # where direction 1 did not run, its rows still hold x W + b; its
-    # gradient there is zero, and the GEMMs below keep their shapes
-    gates[1, both:] = 0.0
     rows = steps * width
-    da = gates.reshape(2, rows, 3 * h)
-    daT = da.transpose(0, 2, 1)
-    grads[prefix + ".W"] = daT @ cache.xs.reshape(2, rows, -1)
-    grads[prefix + ".U"] = daT[:, : 2 * h] @ hs[:, :steps].reshape(2, rows, h)
-    grads[prefix + ".Uh"] = daT[:, 2 * h :] @ d_out.reshape(2, rows, h)
-    grads[prefix + ".b"] = da.sum(axis=1)
-    return (da @ W).reshape(2, steps, width, -1)
+    # a direction's weight gradients sum over the rows it ran; its rows
+    # are in scan order, so direction 1 ran its first both * B, and the
+    # rows after them would add exact zeros
+    parts = []
+    for d, k in ((0, rows), (1, both * width)):
+        da = gates[d].reshape(rows, 3 * h)[:k]
+        daT = da.T
+        parts.append((
+            daT @ cache.xs[d].reshape(rows, -1)[:k],
+            daT[: 2 * h] @ hs[d, :steps].reshape(rows, h)[:k],
+            daT[2 * h :] @ d_out[d].reshape(rows, h)[:k],
+            da.sum(axis=0),
+        ))
+    for name, pair in zip(("W", "U", "Uh", "b"), zip(*parts)):
+        grads[f"{prefix}.{name}"] = np.stack(pair)
+    if not d_input:
+        return None
+    # where direction 1 did not run, its rows still hold x W + b; its
+    # gradient there is zero, and the GEMM keeps its shape
+    gates[1, both:] = 0.0
+    return (gates.reshape(2, rows, 3 * h) @ W).reshape(2, steps, width, -1)
 
 
 def _forward(
@@ -505,8 +529,8 @@ def loss_and_gradients(
     d_out[1, 0] = d_feat[:, h:]
     for layer in range(hp.layers - 1, -1, -1):
         weights, cache = caches[layer]
-        d_xs = _layer_backward(cache, d_out, weights, f"l{layer}", grads)
-        if layer > 0:
+        d_xs = _layer_backward(cache, d_out, weights, f"l{layer}", grads, layer > 0)
+        if d_xs is not None:
             d_current = d_xs[0] + padded.flip(d_xs[1])
             mask = caches[layer - 1][1].mask
             if mask is not None:

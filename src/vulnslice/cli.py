@@ -66,19 +66,21 @@ the module ``__getattr__`` imports the layer on the first such read:
 
     parse     frontend
     extract   frontend, candidates
-    slice     frontend, candidates, graphs, slicing
-    vectorize the slice layers, symbols, embeddings, vectorize
-    label     the slice layers, labeling
-    train     vectorize (with symbols, embeddings), bgru, evaluation
-    detect    vectorize (with symbols, embeddings), bgru
+    slice     frontend, candidates, graphs, slicing (with symbols)
+    vectorize frontend, candidates, symbols, embeddings, vectorize
+    label     frontend, symbols, labeling
+    train     vectorize (with symbols), bgru, evaluation
+    detect    vectorize (with symbols), bgru
     evaluate  evaluation
-    explain   the slice layers, symbols
+    explain   frontend, candidates, symbols
     pipeline  each of them, in the first stage that reads it
 
 So only vectorize, train, detect and evaluate import numpy (through
 embeddings, vectorize, bgru and evaluation), and train, detect and
 evaluate, which parse nothing, load no frontend: symbols takes the
-token kinds and roles from the small lexicon module.
+token kinds and roles from the small lexicon module. The stages that
+read sevc.jsonl decode it into symbols.SeVC, so they load neither the
+PDG builder nor the slicer.
 
 main runs a stage, or the pipeline, with automatic cyclic garbage
 collection off, and restores the caller's setting when it returns. A
@@ -111,7 +113,7 @@ from .presets import ALL_KINDS, MODE_HASH, MODE_SKIPGRAM, PRESETS, Hyperparams
 if TYPE_CHECKING:
     from .candidates import CharacteristicSet, SyVC
     from .frontend import ProgramModel
-    from .slicing import SeVC
+    from .symbols import SeVC
 
 # Every layer name the stages use, as name -> "module:attribute" in this
 # package. Module __getattr__ resolves them on first access, and stage
@@ -131,7 +133,7 @@ LAZY_NAMES = {
     "GraphError": "graphs:GraphError",
     "build_call_graph": "graphs:build_call_graph",
     "build_pdgs": "graphs:build_pdgs",
-    "SeVC": "slicing:SeVC",
+    "SeVC": "symbols:SeVC",
     "SliceConsistencyError": "slicing:SliceConsistencyError",
     "assemble_sevc": "slicing:assemble_sevc",
     "interprocedural_slices": "slicing:interprocedural_slices",
@@ -618,7 +620,7 @@ def stage_slice(config: RunConfig) -> None:
     )
     print(
         f"sliced {len(sevc_records)} SeVCs "
-        f"({len({message for _, message in diagnostics})} distinct slice diagnostics, "
+        f"({len(diagnostics)} distinct slice diagnostics, "
         f"{len(skipped)} skipped)"
     )
 

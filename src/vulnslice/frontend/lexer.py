@@ -13,6 +13,14 @@ blank, so the regex engine skips all other text. Tokenizing is one
 whitespace before it; a running line number and line-start offset give
 each token's position, and a character no token matches raises
 LexError on its line.
+
+The token pattern tries its alternatives most frequent first:
+identifiers (keywords among them), punctuators, numbers, operators,
+strings, characters. Each kind starts with characters no other kind
+starts with, except '.', which starts a number (".5") as well as an
+operator ("." and "..."). So the order decides nothing but how soon
+the engine finds the match, as long as number stays before operator:
+".5" is one number, not "." then "5".
 """
 
 from __future__ import annotations
@@ -144,13 +152,15 @@ def scrub(text: str) -> str:
     return _SCRUB_RE.sub(_blank, "\n" + text)[1:]
 
 
-# One token, after any whitespace before it.
+# One token, after any whitespace before it, in the order of the module
+# docstring. The named groups are the only capturing groups and none
+# nests in another, so a match's lastindex is the number of its group.
 _TOKEN_RE = re.compile(
     r"""
     \s*
     (?:
-      (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<char>'(?:[^'\\\n]|\\.)+')
+      (?P<ident>[A-Za-z_]\w*)
+    | (?P<punct>[()\[\]{};,])
     | (?P<number>
           0[xX][0-9a-fA-F]+[uUlL]*
         | \d+\.\d*(?:[eE][+-]?\d+)?[fFlL]?
@@ -158,27 +168,33 @@ _TOKEN_RE = re.compile(
         | \d+(?:[eE][+-]?\d+)[fFlL]?
         | \d+[uUlL]*
       )
-    | (?P<ident>[A-Za-z_]\w*)
     | (?P<op>
           <<=|>>=|\.\.\.
         | ->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
         | \+=|-=|\*=|/=|%=|&=|\|=|\^=
         | [-+*/%=<>!~&|^?:.]
       )
-    | (?P<punct>[()\[\]{};,])
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<char>'(?:[^'\\\n]|\\.)+')
     )
     """,
     re.VERBOSE,
 )
 _WS_RE = re.compile(r"\s*")
-# token kind per master-regex group ("ident" is split by KEYWORDS)
-_GROUP_KINDS = {
-    "string": STRING,
-    "char": CONSTANT,
+_IDENT = _TOKEN_RE.groupindex["ident"]  # KEYWORDS splits this group's kind
+_KIND_OF_GROUP = {
+    "ident": IDENTIFIER,
+    "punct": PUNCTUATOR,
     "number": CONSTANT,
     "op": OPERATOR,
-    "punct": PUNCTUATOR,
+    "string": STRING,
+    "char": CONSTANT,
 }
+# token kind per master-regex group number
+_GROUP_KINDS = (None, *(
+    _KIND_OF_GROUP[name]
+    for name in sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)
+))
 
 
 def tokenize(source: str) -> list[Token]:
@@ -197,7 +213,7 @@ def tokenize(source: str) -> list[Token]:
     for m in _TOKEN_RE.finditer(text):
         if m.start() != pos:
             break
-        group = m.lastgroup
+        group = m.lastindex
         start = m.start(group)
         if start != pos:
             newlines = count("\n", pos, start)
@@ -206,8 +222,8 @@ def tokenize(source: str) -> list[Token]:
                 line_start = text.rindex("\n", pos, start) + 1
         pos = m.end()
         lexeme = m[group]
-        if group == "ident":
-            kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
+        if group == _IDENT and lexeme in KEYWORDS:
+            kind = KEYWORD
         else:
             kind = _GROUP_KINDS[group]
         append(Token(kind, lexeme, line, start - line_start + 1))

@@ -27,7 +27,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .slicing import SeVC
+from .symbols import SeVC
 
 MARK_DELETED = "deleted-or-modified"
 MARK_MOVED = "moved"

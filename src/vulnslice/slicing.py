@@ -27,7 +27,9 @@ assembled SeVC orders functions caller-before-callee, depth-first along
 call sites, mirroring the order in which the program would reach them.
 
 A SeVC holds its sevc.jsonl record and no tokens: ``symbols.symbolize``
-reads them, and the user functions, from the parsed program.
+reads them, and the user functions, from the parsed program. ``SeVC``
+and ``SevcStatement`` are defined in ``symbols`` and importable from
+here.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field, fields
 from .frontend import ProgramModel, ST_RETURN
 from .graphs import CallGraph, CallSite, Pdg, reachable
 from .candidates import SyVC
+from .symbols import SeVC, SevcStatement
 
 REGION_BACKWARD = "backward"
 REGION_ANCHOR = "anchor"
@@ -56,33 +59,6 @@ class ProgramSlice:
     forward_nodes: list[int]
     backward_nodes: list[int]
     diagnostics: list[str] = field(default_factory=list)
-
-
-@dataclass
-class SevcStatement:
-    file: str
-    function: str
-    statement_id: int
-    line: int
-    text: str
-    region: str
-
-
-@dataclass
-class SeVC:
-    """Ordered statements semantically tied to one SyVC: its sevc.jsonl record."""
-
-    syvc_id: int
-    kind: str
-    anchor_statement: int
-    statements: list[SevcStatement]
-    program: str = ""
-
-    @classmethod
-    def from_record(cls, record: dict) -> SeVC:
-        """The SeVC of a ``sevc_record``."""
-        statements = [SevcStatement(**s) for s in record["statements"]]
-        return cls(**{**record, "statements": statements})
 
 
 _STATEMENT_FIELDS = tuple(f.name for f in fields(SevcStatement))

@@ -25,6 +25,12 @@ symbol: where it jumps by at least delta, the symbol is critical.
 ``vectorize`` (encoding) and ``bgru`` (the model) re-export these
 names; they live here so that the ``explain`` stage, which works from
 ``detect``'s recorded activations, runs without numpy.
+
+``SeVC`` and ``SevcStatement`` are the sevc.jsonl record, which
+``slicing`` assembles and re-exports. They live here, beside
+``symbolize``, which consumes them, so that the stages that decode
+sevc.jsonl (vectorize, label, explain) load neither the PDG builder
+nor the slicer.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .presets import ModelError
 if TYPE_CHECKING:
     from .candidates import CharacteristicSet
     from .frontend import ProgramModel
-    from .slicing import SeVC
 
 STRING_SYMBOL = '"STR"'
 
@@ -58,6 +63,33 @@ BUILTIN_NAMES = frozenset(
 
 class EncodingError(Exception):
     pass
+
+
+@dataclass
+class SevcStatement:
+    file: str
+    function: str
+    statement_id: int
+    line: int
+    text: str
+    region: str
+
+
+@dataclass
+class SeVC:
+    """Ordered statements semantically tied to one SyVC: its sevc.jsonl record."""
+
+    syvc_id: int
+    kind: str
+    anchor_statement: int
+    statements: list[SevcStatement]
+    program: str = ""
+
+    @classmethod
+    def from_record(cls, record: dict) -> SeVC:
+        """The SeVC of a ``slicing.sevc_record``."""
+        statements = [SevcStatement(**s) for s in record["statements"]]
+        return cls(**{**record, "statements": statements})
 
 
 @dataclass

@@ -16,17 +16,20 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .artifacts import atomic_open
-from .embeddings import EmbeddingTable
 from .symbols import (  # noqa: F401  re-exported
     EncodingError,
     SymbolicSeVC,
     symbolize,
     truncation_window,
 )
+
+if TYPE_CHECKING:  # train and detect read vectors and never load embeddings
+    from .embeddings import EmbeddingTable
 
 
 @dataclass

@@ -720,7 +720,7 @@ def test_slice_report_lists_dead_code_the_cfg_pruned(tmp_path, deps):
 def test_slice_report_lists_the_slice_diagnostics_slice_counts(tmp_path, capsys):
     out = tmp_path / "out"
     assert stages(mini_corpus_manifest(), out, "parse", "extract", "slice") == 0
-    assert "(32 distinct slice diagnostics, 0 skipped)" in capsys.readouterr().out
+    assert "(75 distinct slice diagnostics, 0 skipped)" in capsys.readouterr().out
     records = json.loads((out / "slice_report.json").read_text())["slice_diagnostics"]
     pairs = [(r["program"], r["message"]) for r in records]
     assert pairs == sorted(set(pairs))
@@ -962,19 +962,21 @@ with open(sys.argv[1], "w") as handle:
 # The modules a stage process loads beyond vulnslice.cli, artifacts and
 # presets: the layers its stage uses and what they import.
 FRONTEND = {"lexicon", "frontend", "frontend.lexer", "frontend.parser"}
-SLICER = FRONTEND | {"candidates", "data", "graphs", "slicing"}
-MODEL = {"lexicon", "symbols", "embeddings", "vectorize", "bgru", "numpy"}
+SLICER = FRONTEND | {"candidates", "data", "graphs", "slicing", "symbols"}
+# what symbolizes the SeVCs of sevc.jsonl: no PDG builder, no slicer
+SYMBOLIZER = FRONTEND | {"candidates", "data", "symbols"}
+MODEL = {"lexicon", "symbols", "vectorize", "bgru", "numpy"}
 STAGE_MODULES = {
     None: set(),  # import vulnslice.cli alone
     "parse": FRONTEND,
     "extract": FRONTEND | {"candidates", "data"},
     "slice": SLICER - {"data"},
-    "vectorize": SLICER | {"symbols", "embeddings", "vectorize", "numpy"},
-    "label": (SLICER - {"data"}) | {"labeling"},
+    "vectorize": SYMBOLIZER | {"embeddings", "vectorize", "numpy"},
+    "label": FRONTEND | {"symbols", "labeling"},
     "train": MODEL | {"evaluation"},
     "detect": MODEL,
     "evaluate": {"evaluation", "numpy"},
-    "explain": SLICER | {"symbols"},
+    "explain": SYMBOLIZER,
 }
 
 

@@ -10,10 +10,21 @@ built from the mini-corpus templates, and random mutants of both must
 give the same tokens, statements and AST from both, or fail with the
 same exception type on the same line.
 
+The single-pattern tokenizer used to try string, char and number
+before identifier; it is kept too (``previous_tokenize``), and the
+tokenizer that tries identifiers first must lex every source above, and
+the lexemes where the order of the alternatives could matter, as it
+did.
+
 ``dump_ast`` used to return one dict per AST node, to which the parse
 stage added the program name before JSON-encoding it. That builder is
 kept too: every line ``dump_ast`` now formats itself must be the
 encoding of its record.
+
+The same mutants go on through the slice stage's layers: candidates,
+PDGs, the call graph and interprocedural slices. Nothing may raise but
+what the stages quarantine, and every SyVC sliced must have, in its
+own function, the oracles' forward and backward slices.
 """
 
 import importlib.util
@@ -27,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulnslice import cli
+from vulnslice.candidates import CharacteristicSet, extract_syvcs
 from vulnslice.data import data_path, mini_corpus_manifest
 from vulnslice.frontend import parser as frontend_parser
 from vulnslice.frontend import dump_ast, parse_source, tokenize
@@ -40,10 +52,19 @@ from vulnslice.frontend.lexer import (
     STRING,
     LexError,
     Token,
+    scrub,
 )
 from vulnslice.frontend.parser import AstNode, ProgramModel
+from vulnslice.graphs import GraphError, build_call_graph, build_pdgs
+from vulnslice.slicing import (
+    SliceConsistencyError,
+    assemble_sevc,
+    backward_slice,
+    forward_slice,
+    interprocedural_slices,
+)
 
-from oracles import random_structured_source
+from oracles import oracle_backward_slice, oracle_forward_slice, random_structured_source
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -224,6 +245,75 @@ def reference_tokenize(source: str) -> list[Token]:
 
 _REFERENCE_PUNCT_TEXTS = frozenset("( ) [ ] { } ; ,".split())
 
+
+# The tokenizer as it was before its alternatives were reordered
+# identifier-first: string, char and number were tried before ident.
+
+_PREVIOUS_TOKEN_RE = re.compile(
+    r"""
+    \s*
+    (?:
+      (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<char>'(?:[^'\\\n]|\\.)+')
+    | (?P<number>
+          0[xX][0-9a-fA-F]+[uUlL]*
+        | \d+\.\d*(?:[eE][+-]?\d+)?[fFlL]?
+        | \.\d+(?:[eE][+-]?\d+)?[fFlL]?
+        | \d+(?:[eE][+-]?\d+)[fFlL]?
+        | \d+[uUlL]*
+      )
+    | (?P<ident>[A-Za-z_]\w*)
+    | (?P<op>
+          <<=|>>=|\.\.\.
+        | ->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
+        | \+=|-=|\*=|/=|%=|&=|\|=|\^=
+        | [-+*/%=<>!~&|^?:.]
+      )
+    | (?P<punct>[()\[\]{};,])
+    )
+    """,
+    re.VERBOSE,
+)
+_PREVIOUS_WS_RE = re.compile(r"\s*")
+_PREVIOUS_GROUP_KINDS = {
+    "string": STRING,
+    "char": CONSTANT,
+    "number": CONSTANT,
+    "op": OPERATOR,
+    "punct": PUNCTUATOR,
+}
+
+
+def previous_tokenize(source: str) -> list[Token]:
+    text = scrub(source)
+    tokens: list[Token] = []
+    append = tokens.append
+    count = text.count
+    line = 1
+    line_start = pos = 0
+    for m in _PREVIOUS_TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        group = m.lastgroup
+        start = m.start(group)
+        if start != pos:
+            newlines = count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, start) + 1
+        pos = m.end()
+        lexeme = m[group]
+        if group == "ident":
+            kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
+        else:
+            kind = _PREVIOUS_GROUP_KINDS[group]
+        append(Token(kind, lexeme, line, start - line_start + 1))
+    bad = _PREVIOUS_WS_RE.match(text, pos).end()
+    if bad < len(text):
+        line += count("\n", pos, bad)
+        raise LexError(f"unexpected character {text[bad]!r}", line)
+    return tokens
+
 # --- reference parser ------------------------------------------------------
 
 _BINARY_LEVELS = [
@@ -366,15 +456,16 @@ def outcome(parse, source: str):
 
 def assert_same_as_reference(source: str) -> None:
     assert outcome(parse_source, source) == outcome(reference_parse_source, source)
+    tokens = lexed(tokenize, source)
+    assert tokens == lexed(reference_tokenize, source)
+    assert tokens == lexed(previous_tokenize, source)
+
+
+def lexed(lex, source: str):
     try:
-        reference = [_token(t) for t in reference_tokenize(source)]
+        return [_token(t) for t in lex(source)]
     except LexError as exc:
-        reference = ("LexError", exc.line, str(exc))
-    try:
-        tokens = [_token(t) for t in tokenize(source)]
-    except LexError as exc:
-        tokens = ("LexError", exc.line, str(exc))
-    assert tokens == reference
+        return "LexError", exc.line, str(exc)
 
 
 def _bundled_sources() -> dict[str, str]:
@@ -476,6 +567,28 @@ def test_lexer_errors_match_reference():
         assert_same_as_reference(source)
 
 
+# where the alternatives' order could matter: '.' starts a number and an
+# operator, and a letter starts an identifier next to a number or literal
+LEXER_BOUNDARIES = {
+    ".5": [(CONSTANT, ".5")],
+    "a.b": [(IDENTIFIER, "a"), (OPERATOR, "."), (IDENTIFIER, "b")],
+    "...": [(OPERATOR, "...")],
+    "1e5f": [(CONSTANT, "1e5f")],
+    "0x1Fu": [(CONSTANT, "0x1Fu")],
+    'L"x"': [(IDENTIFIER, "L"), (STRING, '"x"')],
+    "'\\n'": [(CONSTANT, "'\\n'")],
+    "x->y": [(IDENTIFIER, "x"), (OPERATOR, "->"), (IDENTIFIER, "y")],
+    "_a1": [(IDENTIFIER, "_a1")],
+}
+
+
+def test_lexer_boundaries_match_the_previous_order():
+    for text, expected in LEXER_BOUNDARIES.items():
+        assert [(t.kind, t.text) for t in tokenize(text)] == expected, text
+        for source in (text, f"f({text});", f"x={text}+.5e-3;\n  {text}{text}"):
+            assert_same_as_reference(source)
+
+
 _INSERTS = [
     "int", "char", "*", "&", "(", ")", "{", "}", "[", "]", ";", ",", "=",
     "==", "+", "-", "<<", "&&", "||", "?", ":", ".", "->", "++", "...",
@@ -483,6 +596,7 @@ _INSERTS = [
     "x", "0x1F", "1.5e3", '"s"', "'c'", "'", '"', "/*", "*/", "//",
     "#define X ", "\\", "\n", "\t", "\r", " ", "é", "\x7f", "@",
 ]
+CSET = CharacteristicSet()
 _PIECES = re.compile(r"\w+|\s+|.", re.DOTALL)
 
 
@@ -510,6 +624,57 @@ def mutants(draw):
 @given(mutants())
 def test_mutants_match_reference(source):
     assert_same_as_reference(source)
+
+
+def check_slices(source: str) -> int:
+    """Run the slice stage's layers over a source as stage_slice calls
+    them, and return how many SyVCs were sliced. Nothing may raise but
+    what the stages quarantine (a file that does not lex, a program
+    without PDGs, a SyVC that cannot be sliced), and each SyVC sliced
+    has, in its own function, exactly the oracles' slices."""
+    try:
+        model = parse_source(source)
+    except LexError:  # load_program skips the file
+        return 0
+    syvcs = extract_syvcs(model, CSET)
+    try:
+        pdgs = build_pdgs(model)
+    except GraphError:  # stage_slice skips the program
+        return 0
+    call_graph = build_call_graph(model)
+    index = model.statement_index()
+    sliced = 0
+    for syvc in syvcs:
+        try:
+            slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
+            assemble_sevc(model, slice_, syvc, call_graph)
+        except SliceConsistencyError:  # stage_slice skips the SyVC
+            continue
+        pdg, anchor = pdgs[syvc.function_index], syvc.statement_id
+        for intra, nodes, oracle in (
+            (forward_slice, slice_.forward_nodes, oracle_forward_slice),
+            (backward_slice, slice_.backward_nodes, oracle_backward_slice),
+        ):
+            expected = oracle(pdg, anchor)
+            assert set(intra(pdg, anchor)) == expected
+            # the interprocedural slice starts with the function's own,
+            # and adds no other statement of that function
+            assert nodes[: len(expected)] == sorted(expected)
+            home = {n for n in nodes if index[n].function_index == syvc.function_index}
+            assert home == expected
+        sliced += 1
+    return sliced
+
+
+def test_unmutated_sources_slice_as_the_oracles_do():
+    sliced = [check_slices(source) for source in sorted(BUNDLED.values()) + TEMPLATE_PROGRAMS]
+    assert sum(sliced) == 360 and sliced.count(0) == 1  # handcrafted/plain.c has no SyVC
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(mutants())
+def test_mutants_slice_as_the_oracles_do(source):
+    check_slices(source)
 
 
 # --------------------------------------------------------------------------
