@@ -23,7 +23,7 @@ class StageError(Exception):
 
 def derive_seed(root_seed: int, tag: str) -> int:
     """Stable sub-seed for one pipeline stage."""
-    import hashlib  # here: parse, extract and slice never load OpenSSL
+    import hashlib  # here: only vectorize and train draw a seed and load OpenSSL
 
     digest = hashlib.blake2b(
         tag.encode("utf-8"), key=str(root_seed).encode("ascii"), digest_size=8

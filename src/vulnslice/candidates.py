@@ -5,12 +5,15 @@ inside a statement) that matches one of four syntax characteristics:
 
 - FC  library/API function call: a Callee node whose name is on the
       configured call list.
-- AU  array usage: an identifier declared in a declaration statement
-      whose token text contains both ``[`` and ``]``.
-- PU  pointer usage: an identifier declared in a declaration statement
-      whose token text contains ``*``.
-- AE  arithmetic expression: an expression statement containing ``=``
-      with at least one identifier strictly right of the first ``=``.
+- AU  array usage: an Identifier node declared in a declaration
+      statement whose token text contains both ``[`` and ``]``.
+- PU  pointer usage: an Identifier node declared in a declaration
+      statement whose token text contains ``*``.
+- AE  arithmetic expression: an ExpressionStatement node containing
+      ``=`` with at least one identifier strictly right of the first ``=``.
+
+Each characteristic tests one node kind (``NODE_KINDS``), so extraction
+tests a node only against the enabled kinds its node kind can match.
 
 AU/PU deliberately test the whole declaration's token text, so every
 name in ``char *p, q;`` is a PU candidate. Compound assignments
@@ -36,6 +39,15 @@ from .frontend import (
     ProgramModel,
 )
 from .presets import ALL_KINDS, KIND_AE, KIND_AU, KIND_FC, KIND_PU
+
+
+# the one AST node kind each characteristic tests
+NODE_KINDS = {
+    KIND_FC: "Callee",
+    KIND_AU: "Identifier",
+    KIND_PU: "Identifier",
+    KIND_AE: "ExpressionStatement",
+}
 
 
 class CharacteristicConfigError(Exception):
@@ -113,14 +125,12 @@ def match_characteristic(
     """Does one AST node of ``fn`` match the given characteristic?"""
     if kind not in ALL_KINDS:
         raise CharacteristicConfigError(f"unknown SyVC kind {kind!r}")
+    if node.kind != NODE_KINDS[kind]:
+        return False
     if kind == KIND_FC:
-        if node.kind != "Callee":
-            return False
         lo, hi = node.span
         return hi - lo == 1 and fn.tokens[lo].text in cset.fc_calls
     if kind in (KIND_AU, KIND_PU):
-        if node.kind != "Identifier":
-            return False
         tok = fn.tokens[node.span[0]]
         if tok.role != ROLE_DECLARED:
             return False
@@ -132,8 +142,6 @@ def match_characteristic(
             return "[" in texts and "]" in texts
         return "*" in texts
     # AE
-    if node.kind != "ExpressionStatement":
-        return False
     lo, hi = node.span
     for i in range(lo, hi):
         tok = fn.tokens[i]
@@ -148,11 +156,15 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
     Deterministic order: (function, statement, span, kind). An element
     matching several enabled kinds yields one SyVC per kind.
     """
+    # the enabled kinds each node kind can match, in enabled order
+    kinds_of: dict[str, list[str]] = {}
+    for kind in cset.enabled:
+        kinds_of.setdefault(NODE_KINDS[kind], []).append(kind)
     found: list[SyVC] = []
     for fn in program.functions:
         for st in fn.all_statements():
             for node in (n for root in st.roots for n in root.walk()):
-                for kind in cset.enabled:
+                for kind in kinds_of.get(node.kind, ()):
                     if not match_characteristic(node, kind, cset, fn):
                         continue
                     # AE reports the expression itself, without the ';'

@@ -21,10 +21,11 @@ each function in pre-order, through artifacts.write_jsonl_lines; the
 other JSONL artifacts are records that artifacts.write_jsonl encodes.
 
 One root seed drives every stochastic stage and is recorded in every
-artifact header. Flags can also be set through VULNSLICE_* environment
-variables (e.g. VULNSLICE_SEED=7 mirrors --seed 7). An empty variable
-counts as unset, and a bad value is a usage error (exit 2), as it would
-be on the command line.
+artifact header. One argument parser reads the stage, a positional, and
+the flags every stage shares, one per RunConfig field. Flags can also
+be set through VULNSLICE_* environment variables (e.g. VULNSLICE_SEED=7
+mirrors --seed 7). An empty variable counts as unset, and a bad value is
+a usage error (exit 2), as it would be on the command line.
 
 detect is the one stage that scores samples. It records, for each
 finding, the BGRU's activation output at every kept symbol, and in its
@@ -80,7 +81,8 @@ embeddings, vectorize, bgru and evaluation), and train, detect and
 evaluate, which parse nothing, load no frontend: symbols takes the
 token kinds and roles from the small lexicon module. The stages that
 read sevc.jsonl decode it into symbols.SeVC, so they load neither the
-PDG builder nor the slicer.
+PDG builder nor the slicer. Only vectorize and train, which derive
+seeds, load hashlib (and with it OpenSSL).
 
 main runs a stage, or the pipeline, with automatic cyclic garbage
 collection off, and restores the caller's setting when it returns. A
@@ -285,8 +287,9 @@ class RunConfig:
         "type": _delta, "help": "activation jump for critical tokens (explain stage)"})
 
     def hyperparams(self) -> Hyperparams:
-        """The run's BGRU settings. A bad --dim, --theta or --hidden is
-        a ``StageError`` that names it."""
+        """The run's BGRU settings, with the preset's seed: only train
+        draws from one, and it derives its own. A bad --dim, --theta or
+        --hidden is a ``StageError`` that names it."""
         base = PRESETS[self.preset]
         dim = self.dim if self.dim is not None else base.input_dim
         if dim < 1:
@@ -308,7 +311,6 @@ class RunConfig:
             base,
             input_dim=dim,
             seq_len=theta // dim,
-            seed=derive_seed(self.seed, "train"),
             **{name: value for name, value in overrides.items() if value is not None},
         )
 
@@ -653,10 +655,10 @@ def _sevcs_by_program(
             for s in sevc.statements:
                 st = index.get(s.statement_id)
                 # an edit can keep every id, so the text is compared too
-                if st is None or st.text() != s.text:
+                if st is None or st.text != s.text:
                     held, reads = (
                         ("", "does not") if st is None
-                        else (f" as {s.text!r}", f"now reads as {st.text()!r}")
+                        else (f" as {s.text!r}", f"now reads as {st.text!r}")
                     )
                     raise StageError(
                         f"sevc.jsonl out of sync with sources: SyVC {sevc.syvc_id} holds "
@@ -775,7 +777,7 @@ def _labels(config: RunConfig) -> list[_Label]:
 
 
 def stage_train(config: RunConfig) -> None:
-    hp = config.hyperparams()
+    hp = replace(config.hyperparams(), seed=derive_seed(config.seed, "train"))
     artifacts.require(config.path("vectors.bin"), "vectorize")
     samples, _ = _layers.load_vectors(config.path("vectors.bin"))
     for flag, held, wanted in (("--dim", samples[0].dimension, hp.input_dim),
@@ -1043,29 +1045,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "detection for a C subset."
         ),
     )
-    sub = parser.add_subparsers(dest="stage", required=True)
-    stages = [
-        "parse",
-        "extract",
-        "slice",
-        "vectorize",
-        "label",
-        "train",
-        "detect",
-        "evaluate",
-        "explain",
-        "pipeline",
-    ]
-    for name in stages:
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        for f in fields(RunConfig):
-            default = _env(f.name.upper(), None if f.default is MISSING else f.default)
-            p.add_argument(
-                "--" + f.name.replace("_", "-"),
-                default=default,
-                required=f.default is MISSING and default is None,
-                **f.metadata,
-            )
+    parser.add_argument("stage", help="the stage to run", choices=[
+        "parse", "extract", "slice", "vectorize", "label",
+        "train", "detect", "evaluate", "explain", "pipeline",
+    ])
+    for f in fields(RunConfig):
+        default = _env(f.name.upper(), None if f.default is MISSING else f.default)
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            default=default,
+            required=f.default is MISSING and default is None,
+            **f.metadata,
+        )
     return parser
 
 

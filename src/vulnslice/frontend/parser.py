@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .lexer import (
     CONSTANT,
@@ -153,7 +154,9 @@ class Statement:
     start: int
     roots: list[AstNode] = field(default_factory=list, compare=False, repr=False)
 
+    @cached_property
     def text(self) -> str:
+        """The tokens' texts, space-joined: once, on first read."""
         return " ".join(t.text for t in self.tokens)
 
 

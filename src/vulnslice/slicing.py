@@ -278,7 +278,7 @@ def assemble_sevc(
                     function=fn.name,
                     statement_id=sid,
                     line=st.line_first,
-                    text=st.text(),
+                    text=st.text,
                     region=region,
                 )
             )

@@ -253,8 +253,32 @@ def test_env_variable_overrides(tmp_path, corpus, monkeypatch, capsys):
     assert records and all(r["kind"] == "AU" for r in records)
 
 
-def parse_config(*argv):
-    return cli.config_from_args(cli.build_arg_parser().parse_args(["parse", *argv]))
+STAGE_NAMES = ("parse", "extract", "slice", "vectorize", "label",
+               "train", "detect", "evaluate", "explain", "pipeline")
+
+
+def parse_config(*argv, stage="parse"):
+    return cli.config_from_args(cli.build_arg_parser().parse_args([stage, *argv]))
+
+
+def test_help_names_every_stage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(STAGE_NAMES) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [(["scan", "--manifest", "m.json"], "argument stage: invalid choice: 'scan'"),
+     (["--manifest", "m.json"], "the following arguments are required: stage")],
+    ids=["unknown", "missing"],
+)
+def test_an_unknown_or_missing_stage_is_a_usage_error(capsys, argv, problem):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert problem in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, value", [("THETA", "abc"), ("DELTA", "x"), ("SEED", "7.5")])
@@ -425,9 +449,11 @@ def test_each_flag_reaches_its_config_field(monkeypatch, field):
             monkeypatch.delenv(name)
     given, expected = FLAG_VALUES[field.name]
     flag = ["--" + field.name.replace("_", "-")] + ([given] if given else [])
-    default = getattr(parse_config("--manifest", "m.json"), field.name)
-    assert getattr(parse_config("--manifest", "m.json", *flag), field.name) == expected
-    assert expected != default
+    for stage in STAGE_NAMES:  # every stage takes every flag
+        default = getattr(parse_config("--manifest", "m.json", stage=stage), field.name)
+        config = parse_config("--manifest", "m.json", *flag, stage=stage)
+        assert getattr(config, field.name) == expected, stage
+        assert expected != default, stage
 
 
 def test_bad_manifest_is_error(tmp_path, capsys):
@@ -954,13 +980,16 @@ import sys
 from vulnslice import cli
 
 code = cli.main(sys.argv[2:]) if sys.argv[2:] else None
-loaded = sorted(m for m in sys.modules if m.startswith("vulnslice.") or m == "numpy")
+loaded = sorted(
+    m for m in sys.modules if m.startswith("vulnslice.") or m in ("numpy", "hashlib")
+)
 with open(sys.argv[1], "w") as handle:
     json.dump({"code": code, "modules": loaded}, handle)
 """
 
 # The modules a stage process loads beyond vulnslice.cli, artifacts and
-# presets: the layers its stage uses and what they import.
+# presets: the layers its stage uses and what they import. hashlib, which
+# loads OpenSSL, comes only with the stages that derive a seed.
 FRONTEND = {"lexicon", "frontend", "frontend.lexer", "frontend.parser"}
 SLICER = FRONTEND | {"candidates", "data", "graphs", "slicing", "symbols"}
 # what symbolizes the SeVCs of sevc.jsonl: no PDG builder, no slicer
@@ -971,9 +1000,9 @@ STAGE_MODULES = {
     "parse": FRONTEND,
     "extract": FRONTEND | {"candidates", "data"},
     "slice": SLICER - {"data"},
-    "vectorize": SYMBOLIZER | {"embeddings", "vectorize", "numpy"},
+    "vectorize": SYMBOLIZER | {"embeddings", "vectorize", "numpy", "hashlib"},
     "label": FRONTEND | {"symbols", "labeling"},
-    "train": MODEL | {"evaluation"},
+    "train": MODEL | {"evaluation", "hashlib"},
     "detect": MODEL,
     "evaluate": {"evaluation", "numpy"},
     "explain": SYMBOLIZER,
@@ -1008,7 +1037,7 @@ def test_each_stage_process_loads_only_its_layers(tmp_path, capsys):
         report = json.loads(probe.read_text())
         assert report["code"] == (None if stage is None else int(stage == "detect")), stage
         expected = {"vulnslice.artifacts", "vulnslice.cli", "vulnslice.presets"}
-        expected |= {m if m == "numpy" else f"vulnslice.{m}" for m in extra}
+        expected |= {m if m in ("numpy", "hashlib") else f"vulnslice.{m}" for m in extra}
         assert set(report["modules"]) == expected, stage
     assert stdout == pipeline_stdout
     names = sorted(os.listdir(in_process))
