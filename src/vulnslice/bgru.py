@@ -71,23 +71,23 @@ through time; the weight gradients, in the stored layout, are
 accumulated afterwards as GEMMs and sums over the rows each direction
 ran.
 
-Inference goes through forward_batch, which keeps no BPTT caches and
-works in chunks of batch_size. It scores each distinct input once, in
-chunks grouped by length. That gives the traces of an in-order walk
-over consecutive chunks bit for bit wherever the bits of a trace
-depend only on its input and on the width of its chunk: not on the
-other samples in the chunk, the sample's column, or how far the chunk
-is padded. Measured with numpy 2.4.6 and OpenBLAS 0.3.31, this holds
-at the desk preset's shapes with the presets' width of 16. There each
-row of a GEMM of two or more rows is computed on its own, while a
-one-row product takes numpy's matrix-vector path, so a sample's trace
-alone agrees with its trace in a batch to about 1e-15, not bit for
-bit. It does not hold everywhere: the head's u @ head.w, a
+Inference goes through forward_batch, which keeps no BPTT caches. It
+scores each distinct input once, in chunks of batch_size grouped by
+length, and its contract is one sentence: a trace is that of its input
+scored in a chunk of batch_size copies of itself. So bgru_forward(x),
+which is forward_batch([x]), gives x's trace inside any corpus, at the
+cost of a full chunk: batch_size rows for one sample. The contract
+holds bit for bit wherever the bits of a trace depend only on its input
+and the chunk's width: not on the other samples in the chunk, the
+sample's column, or how far the chunk is padded. Measured with numpy
+2.4.6 and OpenBLAS 0.3.31, this holds at the desk preset's shapes with
+the presets' width of 16, where each row of a GEMM is computed on its
+own. It does not hold everywhere: the head's u @ head.w, a
 matrix-vector product per timestep, rounds the last width % 4 rows of
 a wide enough head another way, and GEMMs with few rows, or large
-enough to be split across threads (the paper preset), round a row by
-the row count. There forward_batch agrees with the in-order walk to
-about 1e-15; tests/test_bgru.py keeps that walk as its oracle.
+enough to be split across threads (the paper preset, not measured),
+round a row by the row count. There a trace agrees with its contract to
+about 1e-16; tests/test_bgru.py keeps the chunk of copies as its oracle.
 
 detect, the one CLI stage that scores samples, runs forward_batch over
 the whole vectors.bin list, whose values stay float32 until _Batch.pad
@@ -403,21 +403,16 @@ def forward_batch(
     trimmed rows are kept: an iterator that reads its samples one at a
     time (as vectorize.iter_vectors does) is never held whole.
 
-    The chunk plan scores each distinct input once. The last
-    len(samples) % batch_size samples are one narrow chunk, as in a walk
-    over consecutive chunks in input order. Of the others, each
-    distinct input (its step count and exact bytes: float32 for a
+    Each distinct input (its step count and exact bytes: float32 for a
     SampleVector from the store, float64 otherwise; float32 to float64
     is exact, so equal bytes are equal values either way) is scored
-    once: the distinct inputs, sorted by step count, are cut into
-    chunks of batch_size rows, the last one filled to full width by
-    repeating its final row. Each sample gets its own copy of its
-    input's trace. Where a trace's bits depend only on its input and
-    its chunk's width (see the module docstring), the traces are those
-    of the in-order walk bit for bit.
+    once: the distinct inputs, sorted by step count, are cut into chunks
+    of batch_size rows, the last one filled to full width by repeating
+    its final row. Each sample gets its own copy of its input's trace,
+    which is, where the module docstring says so, that of its input
+    scored in a chunk of batch_size copies of itself.
     """
     inputs: list[np.ndarray] = []  # each distinct input, by first appearance
-    seen_at: list[int] = []  # the sample index of each input's first appearance
     first: dict[tuple[int, bytes], int] = {}
     owner: list[int] = []  # each sample's input
     for i, sample in enumerate(samples):
@@ -429,25 +424,16 @@ def forward_batch(
             # the key's bytes hold the rows: a view of the sample would
             # keep its whole padded vector alive
             inputs.append(np.frombuffer(data, dtype=x.dtype).reshape(x.shape))
-            seen_at.append(i)
         owner.append(j)
     width = hp.batch_size
-    full = len(owner) - len(owner) % width
-    # the distinct inputs of the full chunks, by step count
-    order = sorted(
-        (j for j in range(len(inputs)) if seen_at[j] < full),
-        key=lambda j: len(inputs[j]),
-    )
+    order = sorted(range(len(inputs)), key=lambda j: len(inputs[j]))
     order += order[-1:] * (-len(order) % width)
-    chunks = [order[k : k + width] for k in range(0, len(order), width)]
     outputs: dict[int, np.ndarray] = {}
-    for chunk in chunks:
+    for k in range(0, len(order), width):
+        chunk = order[k : k + width]
         for j, trace in zip(chunk, _score([inputs[j] for j in chunk], params, hp)):
             outputs[j] = trace
-    traces = [outputs[j] for j in owner[:full]]
-    if full < len(owner):
-        traces += _score([inputs[j] for j in owner[full:]], params, hp)
-    return [ActivationTrace(outputs=trace.copy()) for trace in traces]
+    return [ActivationTrace(outputs=outputs[j].copy()) for j in owner]
 
 
 def _score(
@@ -465,7 +451,11 @@ def bgru_forward(
     params: BgruParams,
     hp: Hyperparams,
 ) -> ActivationTrace:
-    """Activation trace for one sample (matrix or SampleVector)."""
+    """Activation trace for one sample (matrix or SampleVector).
+
+    It is the sample's trace inside any corpus: forward_batch scores a
+    chunk of hp.batch_size copies of it, so one sample costs a full chunk.
+    """
     return forward_batch([sample], params, hp)[0]
 
 
@@ -641,7 +631,10 @@ def predict(
     hp: Hyperparams,
     threshold: float | None = None,
 ) -> tuple[int, float]:
-    """(label, probability) for one sample; label 1 iff prob >= threshold."""
+    """(label, probability) for one sample; label 1 iff prob >= threshold.
+
+    Scored by bgru_forward, as a full chunk of copies of the sample.
+    """
     cut = hp.threshold if threshold is None else threshold
     trace = bgru_forward(sample, params, hp)
     prob = trace.final

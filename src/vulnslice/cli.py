@@ -29,7 +29,10 @@ a usage error (exit 2), as it would be on the command line.
 
 detect is the one stage that scores samples. It records, for each
 finding, the BGRU's activation output at every kept symbol, and in its
-header the threshold it applied. evaluate counts exactly those
+header the threshold it applied. A finding's activations are those of
+its sample scored alone (bgru.bgru_forward), bit for bit at the desk
+preset's shapes (see the bgru module docstring): they do not depend on
+the other samples in vectors.bin. evaluate counts exactly those
 findings as its positive predictions and needs no activations; explain
 explains the findings from their activations. Both take detect's
 threshold; an explicit --threshold that differs from it is an error

@@ -116,7 +116,6 @@ class Pdg:
     edges: list[DependenceEdge]
     entry: int
     exit: int = EXIT
-    lines: dict[int, int] = field(default_factory=dict)
     # the CFG's diagnostics, e.g. statements pruned as unreachable
     diagnostics: list[str] = field(default_factory=list)
 
@@ -574,14 +573,11 @@ def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None) -> Pdg:
     except GraphError as exc:  # name the function, as the CFG builder's errors do
         raise GraphError(f"{exc} ({fn.file_path}:{fn.name})") from None
     edges = data + control
-    members = set(cfg.nodes)
-    lines = {st.id: st.line_first for st in fn.all_statements() if st.id in members}
     return Pdg(
         function_index=fn.index,
         nodes=list(cfg.nodes),
         edges=edges,
         entry=cfg.entry,
-        lines=lines,
         diagnostics=list(cfg.diagnostics),
     )
 

@@ -333,5 +333,4 @@ def random_pdg(rng: np.random.Generator, max_nodes: int) -> Pdg:
         nodes=nodes + [-1],
         edges=edges,
         entry=nodes[0],
-        lines={node: node for node in nodes},
     )

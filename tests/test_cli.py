@@ -546,6 +546,24 @@ def test_detect_and_explain_agree(tmp_path, corpus):
     assert explained == detected
 
 
+def test_a_finding_trace_is_its_sample_scored_alone(tmp_path):
+    """A sample's trace depends only on its input: each finding's
+    activations are those of its vectors.bin sample scored alone, bit for
+    bit, wherever it sits in the store."""
+    out = tmp_path / "out"
+    # a threshold near 0 flags every SeVC, so every trace is checked
+    flags = ["--embed-mode", "hash", "--epochs", "1", "--threshold", "0.000001"]
+    assert stages(mini_corpus_manifest(), out, "parse", "extract", "slice", "vectorize",
+                  "label", "train", "detect", extra=flags) == 1
+    samples, _ = load_vectors(str(out / "vectors.bin"))
+    params, _ = load_checkpoint(str(out / "checkpoint.bin"))
+    findings = {r["syvc_id"]: r["activations"] for r in read_records(out / "detect.jsonl")}
+    assert len(findings) == len(samples) > params.hp.batch_size
+    for sample in samples:
+        alone = bgru.bgru_forward(sample, params, params.hp)
+        assert findings[sample.syvc_id] == alone.outputs.tolist(), sample.syvc_id
+
+
 def test_hash_lookup_cache_keeps_vectors_bytes(tmp_path, corpus, monkeypatch):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -302,7 +302,6 @@ def test_slice_monotone_under_added_edges():
             nodes=pdg.nodes,
             edges=pdg.edges + [DependenceEdge(a, b, kind, "w" if kind == "data" else None)],
             entry=pdg.entry,
-            lines=pdg.lines,
         )
         assert base_f <= set(forward_slice(grown, anchor))
         assert base_b <= set(backward_slice(grown, anchor))

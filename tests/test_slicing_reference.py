@@ -5,7 +5,8 @@ Slicing used to walk each PDG with its own copy of a stack loop
 ``_backward_from``), rebuilt both adjacency maps and every call-site
 grouping on each call, and found a function's callers with a linear scan
 (``CallGraph.calls_to``). Those functions are kept here, unchanged apart
-from the adjacency maps and ``calls_to`` becoming local functions, as the
+from the adjacency maps and ``calls_to`` becoming local functions and
+each statement's line coming from the program, not the PDG, as the
 reference. Every SyVC of the mini corpus, of the bundled C files, of the
 mini-corpus templates and of seeded random programs must give the same
 forward and backward node order and the same diagnostics from both,
@@ -68,11 +69,13 @@ def _calls_to(call_graph: CallGraph, function_index: int) -> list[CallSite]:
     return [e for e in call_graph.edges if e.callee_index == function_index]
 
 
-def _ordered(pdg: Pdg, nodes: set[int]) -> list[int]:
-    return sorted(nodes, key=lambda n: (pdg.lines.get(n, 0), n))
+def _ordered(lines: dict[int, int], nodes: set[int]) -> list[int]:
+    return sorted(nodes, key=lambda n: (lines.get(n, 0), n))
 
 
-def reference_forward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
+def reference_forward_slice(
+    pdg: Pdg, anchor_statement: int, lines: dict[int, int]
+) -> list[int]:
     if anchor_statement not in set(pdg.nodes):
         raise SliceConsistencyError(
             f"anchor statement {anchor_statement} not in PDG of function "
@@ -86,10 +89,12 @@ def reference_forward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return _ordered(pdg, seen)
+    return _ordered(lines, seen)
 
 
-def reference_backward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
+def reference_backward_slice(
+    pdg: Pdg, anchor_statement: int, lines: dict[int, int]
+) -> list[int]:
     if anchor_statement not in set(pdg.nodes):
         raise SliceConsistencyError(
             f"anchor statement {anchor_statement} not in PDG of function "
@@ -103,7 +108,7 @@ def reference_backward_slice(pdg: Pdg, anchor_statement: int) -> list[int]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return _ordered(pdg, seen)
+    return _ordered(lines, seen)
 
 
 def _forward_from(pdg: Pdg, starts: set[int]) -> set[int]:
@@ -149,6 +154,8 @@ def reference_interprocedural_slices(
     home = syvc.function_index
     pdg = pdgs[home]
     diagnostics: list[str] = []
+    # each statement's first line, which orders the nodes of a slice
+    lines = {sid: st.line_first for sid, st in program.statement_index().items()}
 
     sites_by_function: dict[int, list[CallSite]] = {}
     for site in call_graph.edges:
@@ -157,8 +164,8 @@ def reference_interprocedural_slices(
     for site in call_graph.unresolved:
         unresolved_by_stmt.setdefault(site.statement_id, []).append(site)
 
-    fs_nodes = reference_forward_slice(pdg, syvc.statement_id)
-    bs_nodes = reference_backward_slice(pdg, syvc.statement_id)
+    fs_nodes = reference_forward_slice(pdg, syvc.statement_id, lines)
+    bs_nodes = reference_backward_slice(pdg, syvc.statement_id, lines)
     forward: list[int] = list(fs_nodes)
     backward: list[int] = list(bs_nodes)
     forward_set = set(forward)
@@ -201,7 +208,7 @@ def reference_interprocedural_slices(
             sub = _forward_from(callee_pdg, starts)
             sub.add(callee_pdg.entry)
             fresh = sub - forward_set
-            for n in sorted(fresh, key=lambda x: (callee_pdg.lines.get(x, 0), x)):
+            for n in sorted(fresh, key=lambda x: (lines.get(x, 0), x)):
                 forward.append(n)
             forward_set |= fresh
             queue.append((callee_idx, sub))
@@ -233,7 +240,7 @@ def reference_interprocedural_slices(
             visited_ret.add(callee_idx)
             sub = _backward_from(callee_pdg, starts)
             fresh = sub - backward_set
-            for n in sorted(fresh, key=lambda x: (callee_pdg.lines.get(x, 0), x)):
+            for n in sorted(fresh, key=lambda x: (lines.get(x, 0), x)):
                 backward.append(n)
             backward_set |= fresh
             bqueue.append((callee_idx, sub, False))
@@ -247,11 +254,9 @@ def reference_interprocedural_slices(
                 caller_pdg = pdgs[caller]
                 if site.statement_id not in set(caller_pdg.nodes):
                     continue
-                sub = set(reference_backward_slice(caller_pdg, site.statement_id))
+                sub = set(reference_backward_slice(caller_pdg, site.statement_id, lines))
                 fresh = sub - backward_set
-                for n in sorted(
-                    fresh, key=lambda x: (caller_pdg.lines.get(x, 0), x)
-                ):
+                for n in sorted(fresh, key=lambda x: (lines.get(x, 0), x)):
                     backward.append(n)
                 backward_set |= fresh
                 bqueue.append((caller, sub, True))
