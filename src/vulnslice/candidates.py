@@ -26,7 +26,7 @@ Each statement's nodes come from the parser: extraction walks its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .frontend import (
@@ -111,9 +111,12 @@ class SyVC:
     @classmethod
     def from_record(cls, record: dict) -> SyVC:
         """The candidate of a ``syvc_record``; other keys are ignored."""
-        values = {f.name: record[f.name] for f in fields(cls)}
+        values = {name: record[name] for name in _SYVC_FIELDS}
         values["span"] = tuple(values["span"])
         return cls(**values)
+
+
+_SYVC_FIELDS = tuple(f.name for f in fields(SyVC))
 
 
 def match_characteristic(
@@ -160,7 +163,10 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
     kinds_of: dict[str, list[str]] = {}
     for kind in cset.enabled:
         kinds_of.setdefault(NODE_KINDS[kind], []).append(kind)
-    found: list[SyVC] = []
+    rank = {kind: i for i, kind in enumerate(ALL_KINDS)}
+    # each match's sort key (function, statement, span, kind rank), then
+    # what its SyVC needs besides: so each SyVC is made once, with its id
+    found = []
     for fn in program.functions:
         for st in fn.all_statements():
             for node in (n for root in st.roots for n in root.walk()):
@@ -171,30 +177,26 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
                     span_node = node.children[0] if kind == KIND_AE else node
                     lo, hi = span_node.span
                     span = (lo - st.start, hi - st.start)
-                    text = " ".join(t.text for t in st.tokens[span[0] : span[1]])
-                    found.append(
-                        SyVC(
-                            id=-1,  # numbered once sorted
-                            kind=kind,
-                            statement_id=st.id,
-                            function_index=fn.index,
-                            file=fn.file_path,
-                            function=fn.name,
-                            line=st.line_first,
-                            span=span,
-                            anchor_text=text,
-                        )
-                    )
-    found.sort(
-        key=lambda s: (
-            s.function_index, s.statement_id, s.span, ALL_KINDS.index(s.kind)
+                    found.append((fn.index, st.id, span, rank[kind], kind, fn, st))
+    found.sort(key=lambda match: match[:4])
+    return [
+        SyVC(
+            id=i,
+            kind=kind,
+            statement_id=st.id,
+            function_index=fn.index,
+            file=fn.file_path,
+            function=fn.name,
+            line=st.line_first,
+            span=span,
+            anchor_text=" ".join(t.text for t in st.tokens[span[0] : span[1]]),
         )
-    )
-    return [replace(syvc, id=i) for i, syvc in enumerate(found)]
+        for i, (_, _, span, _, kind, fn, st) in enumerate(found)
+    ]
 
 
 def syvc_record(syvc: SyVC) -> dict:
     """The syvc.jsonl record for one candidate: every field, span as a list."""
-    record = {f.name: getattr(syvc, f.name) for f in fields(syvc)}
+    record = {name: getattr(syvc, name) for name in _SYVC_FIELDS}
     record["span"] = list(syvc.span)
     return record

@@ -106,6 +106,7 @@ import importlib
 import itertools
 import json
 import os
+import stat
 import sys
 from collections.abc import Callable, Container, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -391,19 +392,27 @@ def load_manifest(path: str) -> Manifest:
             raise StageError(f"{where}: a 'good' program cannot list 'vulnerable_lines'")
         rel = record["path"]
         full = os.path.join(root, rel)
-        if os.path.isdir(full):
-            sources = sorted(
-                os.path.join(full, f)
-                for f in os.listdir(full)
-                if f.endswith((".c", ".cpp", ".h"))
+        try:
+            is_dir = stat.S_ISDIR(os.stat(full).st_mode)
+        except (OSError, ValueError):
+            raise StageError(f"manifest program does not exist: {full}") from None
+        # named from the corpus root: relpath (two abspath calls) only for
+        # a path that leaves the root, since within it the two agree
+        name = os.path.normpath(rel)
+        if os.path.isabs(name) or name == os.pardir or name.startswith(os.pardir + os.sep):
+            name = os.path.relpath(full, root)
+        if is_dir:  # its regular files with a C suffix
+            names = sorted(
+                entry.name
+                for entry in os.scandir(full)
+                if entry.name.endswith((".c", ".cpp", ".h")) and entry.is_file()
             )
-        elif os.path.exists(full):
-            sources = [full]
+            if not names:
+                raise StageError(f"manifest program has no C sources: {full}")
+            sources = [os.path.join(full, n) for n in names]
+            files = [os.path.normpath(os.path.join(name, n)) for n in names]
         else:
-            raise StageError(f"manifest program does not exist: {full}")
-        if not sources:
-            raise StageError(f"manifest program has no C sources: {full}")
-        files = [os.path.relpath(p, root) for p in sources]
+            sources, files = [full], [name]
         for rel_file in files:
             first = owners.setdefault(rel_file, number)
             if first != number:  # it would be labeled, and sliced, twice

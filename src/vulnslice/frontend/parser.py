@@ -23,8 +23,8 @@ dependence graphs have a node where parameters are defined.
 Anything outside the subset, or cut off by the end of the file, raises
 a parse error naming the line; top-level recovery skips to the next
 function boundary and records a diagnostic instead of failing the
-whole file. ``load_program`` skips a file that does not lex the same
-way, with a diagnostic.
+whole file. ``load_program`` skips a file that cannot be read or does
+not lex the same way, with a diagnostic.
 
 Binary expressions are parsed by precedence climbing over one
 ``{operator: level}`` table (``_BINARY_PRECEDENCE``, levels 0-9 from
@@ -38,6 +38,15 @@ outermost nodes it owns (``Statement.roots``) and the function-relative
 index of its first token (``Statement.start``), and every node of those
 subtrees is stamped with its id. Consumers start their walks from the
 roots, so nothing outside this module follows ``parent_id`` links.
+
+Tokens are read through a lookahead table: the token list, and each
+token's text, each with one ``None`` past the end. Every lookahead stops
+at the first ``None``, so ``peek``, ``at`` and ``expect`` need no bounds
+test, and the paths run for every token, operand or statement (the
+expression chain, ``parse_binary``'s operator test, ``parse_postfix``'s
+loop, block items, statement dispatch, declarations and their comma and
+star lists) read the table directly. ``take`` consumes a token and makes
+its leaf in one call.
 
 Each token pattern the grammar repeats has one method: ``take`` (the
 current token's leaf), ``stars``, ``typedef_name_ahead`` (``size_t n``,
@@ -242,6 +251,10 @@ class _FileParser:
     ):
         self.toks = tokens
         self.n_toks = len(tokens)
+        # the lookahead table (see the module docstring)
+        self.ahead: list[Token | None] = [*tokens, None]
+        self.texts: list[str | None] = [t.text for t in tokens]
+        self.texts.append(None)
         self.file = file_path
         self.pos = 0
         self.stmt_id = first_statement_id
@@ -258,12 +271,10 @@ class _FileParser:
     # --- token helpers -------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token | None:
-        i = self.pos + offset
-        return self.toks[i] if i < self.n_toks else None
+        return self.ahead[self.pos + offset]
 
-    def at(self, text: str, offset: int = 0) -> bool:
-        i = self.pos + offset
-        return i < self.n_toks and self.toks[i].text == text
+    def at(self, text: str) -> bool:
+        return self.texts[self.pos] == text
 
     def error(self, message: str) -> ParseError:
         t = self.peek()
@@ -280,12 +291,14 @@ class _FileParser:
 
     def expect(self, text: str) -> int:
         i = self.pos
-        if i < self.n_toks and self.toks[i].text == text:
+        if self.texts[i] == text:
             self.pos = i + 1
             return i
-        t = self.peek()
-        found = t.text if t else "end of file"
-        raise self.error(f"expected {text!r}, found {found!r}")
+        raise self.expected(text)
+
+    def expected(self, text: str) -> ParseError:
+        found = self.texts[self.pos]
+        return self.error(f"expected {text!r}, found {found or 'end of file'!r}")
 
     def expect_identifier(self) -> int:
         t = self.peek()
@@ -298,14 +311,16 @@ class _FileParser:
         """At "NAME *... IDENT", a typedef name and a declarator
         (``size_t n``, ``FILE *fp``): IDENT's offset from the cursor.
         Anywhere else, 0."""
-        t = self.peek()
+        i = self.pos
+        t = self.ahead[i]
         if t is None or t.kind != IDENTIFIER:
             return 0
-        j = 1
-        while self.at("*", j):
+        texts = self.texts
+        j = i + 1
+        while texts[j] == "*":
             j += 1
-        nxt = self.peek(j)
-        return j if nxt is not None and nxt.kind == IDENTIFIER else 0
+        nxt = self.ahead[j]
+        return j - i if nxt is not None and nxt.kind == IDENTIFIER else 0
 
     # --- node helpers ---------------------------------------------------
 
@@ -317,12 +332,24 @@ class _FileParser:
 
     def take(self, text: str | None = None) -> AstNode:
         """The leaf of the current token, consumed; with ``text``, that
-        token must be ``text``."""
-        return self.leaf(self.advance() if text is None else self.expect(text))
+        token must be ``text``. ``advance``, ``expect`` and ``leaf`` in
+        one call."""
+        i = self.pos
+        t = self.ahead[i]
+        if text is not None and self.texts[i] != text:
+            raise self.expected(text)
+        if t is None:
+            raise self.error("unexpected end of file")
+        self.pos = i + 1
+        node_id = self.node_id
+        self.node_id = node_id + 1
+        lo = i - self._fn_start
+        return AstNode(node_id, _LEAF_KINDS[t.kind], (lo, lo + 1))
 
     def stars(self, nodes: list[AstNode]) -> list[AstNode]:
         """Append the leaf of each ``*`` at the cursor to ``nodes``."""
-        while self.at("*"):
+        texts = self.texts
+        while texts[self.pos] == "*":
             nodes.append(self.take())
         return nodes
 
@@ -330,7 +357,8 @@ class _FileParser:
         """Append ``item()``, and again after each ``,``, to ``children``:
         parameters, declarators and call arguments."""
         children.append(item())
-        while self.at(","):
+        texts = self.texts
+        while texts[self.pos] == ",":
             children.append(self.take())
             children.append(item())
         return children
@@ -341,10 +369,9 @@ class _FileParser:
         self.node_id = node_id + 1
         lo = hi = children[0].span[0]
         for child in children:
-            assert child.span[0] == hi, (
-                f"non-contiguous children for {kind}: gap at token {hi}"
-            )
-            hi = child.span[1]
+            start, end = child.span
+            assert start == hi, f"non-contiguous children for {kind}: gap at token {hi}"
+            hi = end
             child.parent_id = node_id
         return AstNode(node_id, kind, (lo, hi), children)
 
@@ -424,8 +451,9 @@ class _FileParser:
         """Type keywords/qualifiers plus at most one typedef-ish name."""
         nodes: list[AstNode] = []
         saw_named_type = False
+        ahead = self.ahead
         while True:
-            t = self.peek()
+            t = ahead[self.pos]
             if t is None:
                 break
             if t.kind == KEYWORD and t.text in TYPE_KEYWORDS:
@@ -484,7 +512,7 @@ class _FileParser:
             parameters=params,
             tokens=self.toks[self._fn_start : self.pos],
             signature=signature,
-            body=[s for s in self._statements if s.id != signature.id],
+            body=self._statements[1:],  # the signature is made first
             ast=fn_node,
             line=self.toks[name_idx].line,
         )
@@ -520,8 +548,9 @@ class _FileParser:
         """``{ ... }``. Only a block item may be a declaration."""
         children = [self.take("{")]
         self.block_depth += 1
-        while not self.at("}"):
-            if self.peek() is None:
+        texts = self.texts
+        while texts[self.pos] != "}":
+            if texts[self.pos] is None:
                 raise self.error("unexpected end of file inside a block")
             if self.looks_like_declaration():
                 children.append(self.parse_declaration())
@@ -534,10 +563,9 @@ class _FileParser:
     def parse_statement(self) -> AstNode:
         """A statement that is not a declaration: a block item, or the
         body of an ``if``, ``else``, ``while`` or ``for``."""
-        t = self.peek()
-        if t is None:
+        text = self.texts[self.pos]
+        if text is None:
             raise self.error("unexpected end of file")
-        text = t.text
         if text == "{":
             return self.parse_block()
         if text == ";":
@@ -579,14 +607,13 @@ class _FileParser:
         return self.own(self.node("Condition", children), ST_PREDICATE, lo)
 
     def looks_like_declaration(self) -> bool:
-        t = self.peek()
+        t = self.ahead[self.pos]
         if t is None:
             return False
         if t.kind == KEYWORD and t.text in TYPE_KEYWORDS:
             return True
         j = self.typedef_name_ahead()
-        after = self.peek(j + 1) if j else None
-        return after is not None and after.text in (";", "=", ",", "[")
+        return j > 0 and self.texts[self.pos + j + 1] in (";", "=", ",", "[")
 
     def parse_declaration(self) -> AstNode:
         lo = self.pos
@@ -643,7 +670,7 @@ class _FileParser:
 
     def parse_expression(self) -> AstNode:
         node = self.parse_assignment_expr()
-        while self.at(","):
+        while self.texts[self.pos] == ",":
             comma = self.take()
             rhs = self.parse_assignment_expr()
             node = self.node("BinaryExpr", [node, comma, rhs])
@@ -651,8 +678,7 @@ class _FileParser:
 
     def parse_assignment_expr(self) -> AstNode:
         lhs = self.parse_conditional()
-        t = self.peek()
-        if t is not None and t.text in ASSIGN_OPS:
+        if self.texts[self.pos] in ASSIGN_OPS:
             op = self.take()
             rhs = self.parse_assignment_expr()
             return self.node("AssignExpr", [lhs, op, rhs])
@@ -660,7 +686,7 @@ class _FileParser:
 
     def parse_conditional(self) -> AstNode:
         cond = self.parse_binary(0)
-        if self.at("?"):
+        if self.texts[self.pos] == "?":
             q = self.take()
             then = self.parse_expression()
             colon = self.take(":")
@@ -676,9 +702,9 @@ class _FileParser:
         level.
         """
         node = self.parse_unary()
+        texts = self.texts
         while True:
-            t = self.peek()
-            level = -1 if t is None else _BINARY_PRECEDENCE.get(t.text, -1)
+            level = _BINARY_PRECEDENCE.get(texts[self.pos], -1)
             if level < min_level:
                 return node
             op = self.take()
@@ -686,7 +712,7 @@ class _FileParser:
             node = self.node("BinaryExpr", [node, op, rhs])
 
     def parse_unary(self) -> AstNode:
-        t = self.peek()
+        t = self.ahead[self.pos]
         if t is None:
             raise self.error("expected expression")
         if t.text in _UNARY_OPS and t.kind == OPERATOR:
@@ -733,11 +759,10 @@ class _FileParser:
 
     def parse_postfix(self) -> AstNode:
         node = self.parse_primary()
+        texts = self.texts
         while True:
-            t = self.peek()
-            if t is None:
-                return node
-            if t.text == "(":
+            text = texts[self.pos]
+            if text == "(":
                 if node.kind == "Identifier":
                     # still the primary's leaf, so its token was the last consumed
                     self.toks[self.pos - 1].role = ROLE_CALLEE
@@ -746,21 +771,21 @@ class _FileParser:
                     self.comma_list(children, self.parse_assignment_expr)
                 children.append(self.take(")"))
                 node = self.node("CallExpression", children)
-            elif t.text == "[":
+            elif text == "[":
                 children = [node, self.take(), self.parse_expression(), self.take("]")]
                 node = self.node("IndexExpr", children)
-            elif t.text in (".", "->"):
+            elif text in (".", "->"):
                 op = self.take()
                 fld = self.expect_identifier()
                 self.toks[fld].role = ROLE_FIELD
                 node = self.node("MemberExpr", [node, op, self.leaf(fld)])
-            elif t.text in ("++", "--"):
+            elif text in ("++", "--"):
                 node = self.node("UnaryExpr", [node, self.take()])
             else:
                 return node
 
     def parse_primary(self) -> AstNode:
-        t = self.peek()
+        t = self.ahead[self.pos]
         if t is None:
             raise self.error("expected expression")
         if t.text == "(":
@@ -795,8 +820,8 @@ def load_program(
     """Parse several source files into one merged ProgramModel.
 
     Statement ids and function indices stay unique across files. A file
-    that does not lex is skipped with a diagnostic, the way a function
-    that does not parse is.
+    that cannot be read (``OSError``) or does not lex is skipped with a
+    diagnostic, the way a function that does not parse is.
 
     ``names``, one per path, is what the model calls each file: in
     ``files``, ``FunctionDecl.file_path`` and every diagnostic, message
@@ -805,9 +830,14 @@ def load_program(
     model = ProgramModel(name=name or (paths[0] if paths else ""))
     next_stmt = next_fn = 0
     for path, file_name in zip(paths, paths if names is None else names):
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            text = handle.read()
         model.files.append(file_name)
+        try:
+            with open(path, "r", encoding="utf-8", errors="replace") as handle:
+                text = handle.read()
+        except OSError as exc:  # line 0: the file has none to point at
+            message = f"{file_name}: cannot read: {exc.strerror or exc} (file skipped)"
+            model.diagnostics.append(Diagnostic(file_name, 0, message))
+            continue
         try:
             tokens = tokenize(text)
         except LexError as exc:

@@ -224,20 +224,19 @@ def assemble_sevc(
             raise SliceConsistencyError(f"slice statement {sid} has no source")
         functions_of.setdefault(st.function_index, []).append(sid)
 
-    # caller -> callee relation restricted to sliced call sites
-    callees: dict[int, list[tuple[int, int]]] = {}
-    for site in call_graph.edges:
-        if (
-            site.statement_id in member_ids
-            and site.caller_index in functions_of
+    # caller -> callee relation restricted to sliced call sites: only the
+    # sliced functions' sites are read, not every call edge of the program
+    sites_by_caller = call_graph.sites_by_caller
+    callees = {
+        caller: sorted(
+            (site.statement_id, site.callee_index)
+            for site in sites_by_caller[caller]
+            if site.statement_id in member_ids
             and site.callee_index in functions_of
-            and site.callee_index != site.caller_index
-        ):
-            callees.setdefault(site.caller_index, []).append(
-                (site.statement_id, site.callee_index)
-            )
-    for pairs in callees.values():
-        pairs.sort()
+            and site.callee_index != caller
+        )
+        for caller in functions_of.keys() & sites_by_caller.keys()
+    }
     # the sliced functions that no sliced call site calls
     called = {callee for pairs in callees.values() for _, callee in pairs}
     roots = sorted(functions_of.keys() - called)

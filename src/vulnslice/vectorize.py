@@ -65,8 +65,9 @@ def encode(sym: SymbolicSeVC, table: EmbeddingTable, theta: int) -> SampleVector
     lo, hi = truncation_window(n, sym.anchor_lo, sym.anchor_hi, capacity)
     kept = sym.symbols[lo:hi]
     values = np.zeros(theta, dtype=np.float64)
-    for i, symbol in enumerate(kept):
-        values[i * d : (i + 1) * d] = table.lookup(symbol)
+    if kept:  # the kept rows, filled in one copy
+        rows = [table.lookup(symbol) for symbol in kept]
+        np.concatenate(rows, out=values[: len(rows) * d])
     return SampleVector(
         values=values,
         theta=theta,

@@ -2,16 +2,20 @@
 
 ``extract_syvcs`` used to test every enabled kind on every AST node of a
 statement, and ``match_characteristic`` checked each kind's node kind
-itself. Extraction now tests a node only against the enabled kinds its
-node kind can match (``candidates.NODE_KINDS``). Both old functions are
-kept here, unchanged, as the reference: every bundled C file, the
-mini-corpus templates and random mutants of both must give the same
-SyVC list from both, for each kind set below.
+itself, and it numbered the sorted SyVCs with ``dataclasses.replace``.
+Extraction now tests a node only against the enabled kinds its node kind
+can match (``candidates.NODE_KINDS``), sorts the matches, and makes each
+SyVC once with its id. Both old functions are kept here, unchanged, as
+the reference: every bundled C file, the mini-corpus templates and
+random mutants of both must give the same SyVC list from both, ids
+included, for each kind set below. Each SyVC's ``syvc_record`` must
+read back as itself through ``SyVC.from_record``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 from hypothesis import given, settings
 
@@ -21,6 +25,7 @@ from vulnslice.candidates import (
     SyVC,
     default_fc_calls,
     extract_syvcs,
+    syvc_record,
 )
 from vulnslice.frontend import (
     IDENTIFIER,
@@ -140,6 +145,11 @@ def assert_extracts_as_reference(source: str) -> dict[tuple[str, ...], int]:
         cset = CharacteristicSet(fc_calls=FC_CALLS, enabled=kinds)
         syvcs = extract_syvcs(model, cset)
         assert syvcs == reference_extract_syvcs(model, cset), kinds
+        assert [s.id for s in syvcs] == list(range(len(syvcs)))
+        for syvc in syvcs:
+            record = json.loads(json.dumps(syvc_record(syvc)))
+            assert list(record) == [f.name for f in fields(SyVC)]
+            assert SyVC.from_record(record) == syvc
         found[kinds] = len(syvcs)
     return found
 

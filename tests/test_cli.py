@@ -24,6 +24,7 @@ from vulnslice.data import mini_corpus_manifest
 from vulnslice.embeddings import EmbeddingTable, hash_vector
 from vulnslice.evaluation import compute_metrics, count_confusion, split_by_program
 from vulnslice.frontend import ProgramModel
+from vulnslice.frontend import parser as frontend_parser
 from vulnslice.vectorize import load_vectors, symbolize, truncation_window
 
 from test_bgru_reference import reference_train
@@ -667,6 +668,93 @@ def test_parse_report_is_the_same_wherever_the_corpus_lies(tmp_path):
     ]
     assert report["diagnostics"][1]["message"].startswith("mixed.c:1: 'switch'")
     assert str(tmp_path).encode() not in reports[0]
+
+
+def test_a_directory_named_like_a_source_is_not_a_source(tmp_path):
+    """A directory program lists its regular files only: a directory
+    ``inner.c/`` in it is neither read nor named."""
+    root = tmp_path / "corpus"
+    (root / "prog" / "inner.c").mkdir(parents=True)
+    (root / "prog" / "inner.c" / "deeper.c").write_text(TINY_PROGRAMS["reader.c"])
+    (root / "prog" / "leak.c").write_text(TINY_PROGRAMS["leak.c"])
+    (root / "prog" / "guarded.c").write_text(TINY_PROGRAMS["guarded.c"])
+    (root / "manifest.json").write_text(
+        json.dumps({"programs": [{"path": "prog", "class": "good"}]})
+    )
+    [prog] = cli.load_manifest(str(root / "manifest.json")).programs
+    assert prog.files == [os.path.join("prog", "guarded.c"), os.path.join("prog", "leak.c")]
+    out = tmp_path / "out"
+    assert parse_only(root, out) == 0
+    report = json.loads((out / "parse_report.json").read_text())
+    assert report["functions"] == 2 and report["diagnostics"] == []
+
+
+def test_a_source_that_cannot_be_read_is_skipped_with_a_diagnostic(tmp_path, monkeypatch):
+    """A read error (here a refused permission, which a root user cannot
+    get from chmod) skips the file, not the corpus."""
+    root = tmp_path / "corpus"
+    write_corpus(root, {"leak.c": TINY_PROGRAMS["leak.c"], "locked.c": TINY_PROGRAMS["reader.c"]})
+    real_open = builtins.open
+
+    def refusing_open(path, *args, **kwargs):
+        if os.path.basename(path) == "locked.c":
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(frontend_parser, "open", refusing_open, raising=False)
+    out = tmp_path / "out"
+    assert parse_only(root, out) == 0
+    report = json.loads((out / "parse_report.json").read_text())
+    assert report["diagnostics"] == [
+        {
+            "program": "locked.c",
+            "file": "locked.c",
+            "line": 0,
+            "message": "locked.c: cannot read: Permission denied (file skipped)",
+        }
+    ]
+    assert report["functions"] == 1
+
+
+def test_manifest_file_names_are_the_relpaths_from_the_corpus_root(tmp_path):
+    """Each source file's name is ``os.path.relpath`` of its path from
+    the corpus root, for every way a record can name a program."""
+    corpus = tmp_path / "corpus"
+    for rel in ("top.c", "nested/deep/n.c", "dir/a.c", "dir/b.h", "dir/notes.txt",
+                "slash/s.c", "back.c", "../outside/x.c", "../outdir/y.c", "../abs/z.c"):
+        path = corpus / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(TINY_PROGRAMS["leak.c"])
+    (tmp_path / "meta").mkdir()
+    manifest = tmp_path / "meta" / "manifest.json"
+    paths = [
+        "top.c",  # a file program
+        "nested/deep/n.c",  # nested
+        "./nested/../dir",  # a directory program, by a path to normalize
+        "slash/",  # a trailing slash
+        "../outside/x.c",  # outside the corpus root
+        "../outdir",  # a directory outside it
+        "../corpus/back.c",  # out of the root and back into it
+        str(tmp_path / "abs" / "z.c"),  # absolute
+    ]
+    manifest.write_text(json.dumps({
+        "corpus_root": "../corpus",
+        "programs": [{"path": p, "class": "good"} for p in paths],
+    }))
+    programs = cli.load_manifest(str(manifest)).programs
+    root = str(corpus)
+    for prog in programs:
+        assert prog.files == [os.path.relpath(p, root) for p in prog.source_paths], prog.path
+    assert [prog.files for prog in programs] == [
+        ["top.c"],
+        [os.path.join("nested", "deep", "n.c")],
+        [os.path.join("dir", "a.c"), os.path.join("dir", "b.h")],
+        [os.path.join("slash", "s.c")],
+        [os.path.join("..", "outside", "x.c")],
+        [os.path.join("..", "outdir", "y.c")],
+        ["back.c"],
+        [os.path.join("..", "abs", "z.c")],
+    ]
 
 
 def stages(manifest, out, *names, extra=()):

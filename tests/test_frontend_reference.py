@@ -346,6 +346,8 @@ class ReferenceParser(frontend_parser._FileParser):
 
     Leaves span file token indices and nodes get no parent when they are
     made; each finished function is rebased and linked by tree walks.
+    ``take`` makes its leaf through ``leaf``, as it did before the live
+    parser folded the two into one call.
     """
 
     def leaf(self, index: int) -> AstNode:
@@ -361,6 +363,9 @@ class ReferenceParser(frontend_parser._FileParser):
         node = AstNode(self.node_id, kind, (index, index + 1))
         self.node_id += 1
         return node
+
+    def take(self, text: str | None = None) -> AstNode:
+        return self.leaf(self.advance() if text is None else self.expect(text))
 
     def node(self, kind: str, children: list[AstNode]) -> AstNode:
         assert children, f"internal node {kind} needs children"

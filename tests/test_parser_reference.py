@@ -949,6 +949,42 @@ def test_edge_cases_match_reference():
     assert assert_sources_match(NEW_RULE_CASES) == (len(NEW_RULE_CASES),) * 2
 
 
+# sources that end where a lookahead reads past the last token: the
+# parser reads its lookahead table, which ends in one None, without a
+# bounds test
+END_OF_FILE_CASES = [
+    "size_t * * *",
+    "void f(void) { size_t * * *",
+    "void f(void) { size_t * * * p",
+    "void f(void) { FILE",
+    "void f(void) { a = (int",
+    "void f(void) { a = (int *",
+    "void f(void) { a = (unsigned long)",
+    "void f(void) { a = sizeof(int",
+    "void f(void) { f(",
+    "void f(void) { f(a,",
+    "void f(void) { f(a)",
+    "void f(void) { int a, *b =",
+    "void f(void) { char buf[",
+    "void f(void) { char buf[16]",
+    "void f(void) { int d[] = {1,",
+    "void f(void) { a = b ? c :",
+    "void f(void) { a = b +",
+    "void f(void) { a = s.",
+    "void f(void) { a = p->x++",
+    "void f(void) { return a",
+    "void f(size_t",
+    "void f(char *",
+]
+
+
+def test_end_of_file_lookahead_matches_reference():
+    assert assert_sources_match(END_OF_FILE_CASES) == (len(END_OF_FILE_CASES), 0)
+    for source in END_OF_FILE_CASES:  # each is a skipped function, not a crash
+        model = frontend_parser.parse_source(source)
+        assert model.functions == [] and len(model.diagnostics) == 1, source
+
+
 def test_every_token_prefix_matches_reference():
     """Every way the bundled files and the templates can end at a token
     boundary; the reference raised AssertionError on 41 of them."""

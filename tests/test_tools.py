@@ -60,3 +60,37 @@ def test_stage_rss_reports_each_stage_process(tmp_path):
         # detect, and the pipeline that ends in it, exit 1 on findings
         assert int(code) == (1 if stage in ("detect", "pipeline") else 0), row
     assert (tmp_path / "out" / "explain.jsonl").exists()
+
+
+def test_stage_profile_times_each_stage_and_its_layer_calls(tmp_path):
+    """tools/stage_profile.py runs the stages warm in one process and
+    prints each stage's wall time, its layer calls and artifact I/O."""
+    tool = os.path.join(REPO_ROOT, "tools", "stage_profile.py")
+    manifest = os.path.join(data_path("mini_corpus"), "manifest.json")
+    result = subprocess.run(
+        [sys.executable, tool, manifest, str(tmp_path / "out"), "1",
+         "parse,extract,slice,vectorize", "--embed-mode", "hash"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header == "best of 1 warm rounds, in ms"
+    stages = {}
+    for row in rows:
+        if not row.startswith(" "):
+            stage, wall_ms = row.split()
+            stages[stage] = layers = {}
+            assert float(wall_ms) > 0
+        elif row.split()[0] == "(stage":
+            layers["(stage code)"] = float(row.split()[-1])
+        else:
+            label, calls, self_ms = row.split()
+            layers[label] = (int(calls), float(self_ms))
+    assert list(stages) == ["parse", "extract", "slice", "vectorize"]
+    for layers in stages.values():  # every stage parses the corpus once
+        assert layers["frontend.load_program"][0] == 40
+    assert stages["parse"]["artifacts.write_jsonl_lines"][0] == 1
+    assert stages["extract"]["candidates.extract_syvcs"][0] == 40
+    assert stages["slice"]["slicing.assemble_sevc"][0] == 117
+    assert stages["vectorize"]["vectorize.encode"][0] == 117
+    assert (tmp_path / "out" / "vectors.bin").exists()

@@ -160,6 +160,30 @@ def test_encode_requires_divisible_theta():
         encode(sym, table, theta=10)
 
 
+def reference_encode_values(sym, table, theta):
+    """encode's values as one slice assignment per kept symbol."""
+    d = table.dimension
+    lo, hi = truncation_window(len(sym.symbols), sym.anchor_lo, sym.anchor_hi, theta // d)
+    values = np.zeros(theta, dtype=np.float64)
+    for i, symbol in enumerate(sym.symbols[lo:hi]):
+        values[i * d : (i + 1) * d] = table.lookup(symbol)
+    return values
+
+
+@pytest.mark.parametrize(
+    "n, anchor",
+    [(3, (0, 1)), (6, (2, 3)), (8, (6, 7)), (8, (1, 2)), (11, (5, 6))],
+    ids=["padding", "exact-fit", "forward-short", "backward-short", "split"],
+)
+def test_encode_equals_a_per_symbol_reference(n, anchor):
+    table = hash_table(4, seed=3)
+    sym = SymbolicSeVC(0, [f"s{i % 5}" for i in range(n)], *anchor)
+    vec = encode(sym, table, theta=24)  # capacity 6
+    assert vec.values.dtype == np.float64
+    assert np.array_equal(vec.values, reference_encode_values(sym, table, 24))
+    assert vec.kept_symbols == min(n, 6)
+
+
 def test_encoding_laws_randomized():
     rng = np.random.default_rng(42)
     table_cache = {}
