@@ -72,15 +72,18 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         handle.write(payload)
 
 
+# json.dumps(record, sort_keys=True) from one encoder, not one per record.
+# A dataclass record is encoded as its vars(): its fields only as long as
+# its type adds no other attribute (as a cached_property would), so none may.
+encode_record = json.JSONEncoder(sort_keys=True, default=vars).encode
+
+
 def write_jsonl(
-    path: str, artifact: str, seed: int, records: Sequence[dict], **header_fields
+    path: str, artifact: str, seed: int, records: Sequence[Any], **header_fields
 ) -> None:
-    """``write_jsonl_lines`` of the records, each JSON-encoded with sorted
-    keys as it is written."""
-    # the same bytes as json.dumps(..., sort_keys=True), which would build
-    # a new encoder for every record
-    encode = json.JSONEncoder(sort_keys=True).encode
-    _write_lines(path, artifact, seed, len(records), map(encode, records), header_fields)
+    """``write_jsonl_lines`` of the records, dicts or dataclasses, each
+    encoded by ``encode_record`` as it is written."""
+    _write_lines(path, artifact, seed, len(records), map(encode_record, records), header_fields)
 
 
 def write_jsonl_lines(

@@ -26,7 +26,7 @@ Each statement's nodes come from the parser: extraction walks its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .frontend import (
@@ -96,6 +96,7 @@ class SyVC:
 
     ``span`` indexes into the owning statement's token list;
     ``anchor_text`` is the space-joined text of the spanned tokens.
+    Its fields are its syvc.jsonl record.
     """
 
     id: int
@@ -107,16 +108,12 @@ class SyVC:
     line: int
     span: tuple[int, int]
     anchor_text: str
+    program: str = ""
 
     @classmethod
     def from_record(cls, record: dict) -> SyVC:
-        """The candidate of a ``syvc_record``; other keys are ignored."""
-        values = {name: record[name] for name in _SYVC_FIELDS}
-        values["span"] = tuple(values["span"])
-        return cls(**values)
-
-
-_SYVC_FIELDS = tuple(f.name for f in fields(SyVC))
+        """The candidate of a syvc.jsonl record."""
+        return cls(**{**record, "span": tuple(record["span"])})
 
 
 def match_characteristic(
@@ -190,13 +187,7 @@ def extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> list[SyVC]:
             line=st.line_first,
             span=span,
             anchor_text=" ".join(t.text for t in st.tokens[span[0] : span[1]]),
+            program=program.name,
         )
         for i, (_, _, span, _, kind, fn, st) in enumerate(found)
     ]
-
-
-def syvc_record(syvc: SyVC) -> dict:
-    """The syvc.jsonl record for one candidate: every field, span as a list."""
-    record = {name: getattr(syvc, name) for name in _SYVC_FIELDS}
-    record["span"] = list(syvc.span)
-    return record

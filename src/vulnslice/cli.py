@@ -19,6 +19,8 @@ directory and write their own atomically:
 parse writes the lines frontend.dump_ast formats, one per AST node of
 each function in pre-order, through artifacts.write_jsonl_lines; the
 other JSONL artifacts are records that artifacts.write_jsonl encodes.
+A syvc, sevc, labels or detect record is its dataclass, written as its
+fields; cls(**record) reads it back and refuses a missing or unknown key.
 
 One root seed drives every stochastic stage and is recorded in every
 artifact header. One argument parser reads the stage, a positional, and
@@ -110,7 +112,7 @@ import stat
 import sys
 from collections.abc import Callable, Container, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import artifacts
 from .artifacts import StageError, derive_seed
@@ -135,7 +137,6 @@ LAZY_NAMES = {
     "default_fc_calls": "candidates:default_fc_calls",
     "extract_syvcs": "candidates:extract_syvcs",
     "load_fc_calls": "candidates:load_fc_calls",
-    "syvc_record": "candidates:syvc_record",
     "GraphError": "graphs:GraphError",
     "build_call_graph": "graphs:build_call_graph",
     "build_pdgs": "graphs:build_pdgs",
@@ -143,7 +144,6 @@ LAZY_NAMES = {
     "SliceConsistencyError": "slicing:SliceConsistencyError",
     "assemble_sevc": "slicing:assemble_sevc",
     "interprocedural_slices": "slicing:interprocedural_slices",
-    "sevc_record": "slicing:sevc_record",
     "MARK_DELETED": "labeling:MARK_DELETED",
     "apply_labels": "labeling:apply_labels",
     "mark_lines": "labeling:mark_lines",
@@ -344,11 +344,6 @@ class ManifestProgram:
     diff_path: str | None = None
 
 
-@dataclass
-class Manifest:
-    programs: list[ManifestProgram] = field(default_factory=list)
-
-
 def _text(record: dict, key: str, where: str) -> str | None:
     value = record.get(key)
     if value is not None and not isinstance(value, str):
@@ -356,9 +351,9 @@ def _text(record: dict, key: str, where: str) -> str | None:
     return value
 
 
-def load_manifest(path: str) -> Manifest:
-    """Read a corpus manifest. A malformed one is a StageError that names
-    the file and, where there is one, the program record."""
+def load_manifest(path: str) -> list[ManifestProgram]:
+    """A corpus manifest's programs. A malformed manifest is a StageError
+    that names the file and, where there is one, the program record."""
     if not os.path.exists(path):
         raise StageError(f"manifest not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
@@ -373,7 +368,7 @@ def load_manifest(path: str) -> Manifest:
     root = os.path.normpath(os.path.join(base, corpus_root))
     if "fc_list" in raw:
         raise StageError(f"manifest {path} names an 'fc_list'; pass that file with --fc-list")
-    manifest = Manifest()
+    programs = []
     owners: dict[str, int] = {}  # manifest-relative source file -> its record
     for number, record in enumerate(raw.get("programs", [])):
         where = f"manifest {path}, programs[{number}]"
@@ -401,11 +396,14 @@ def load_manifest(path: str) -> Manifest:
         name = os.path.normpath(rel)
         if os.path.isabs(name) or name == os.pardir or name.startswith(os.pardir + os.sep):
             name = os.path.relpath(full, root)
-        if is_dir:  # its regular files with a C suffix
+        if is_dir:
+            # its regular files with a C suffix, and broken links, which load_program
+            # names unreadable; no FIFO or link to one: open would block on it
             names = sorted(
                 entry.name
                 for entry in os.scandir(full)
-                if entry.name.endswith((".c", ".cpp", ".h")) and entry.is_file()
+                if entry.name.endswith((".c", ".cpp", ".h"))
+                and (entry.is_file() or entry.is_symlink() and not os.path.exists(entry.path))
             )
             if not names:
                 raise StageError(f"manifest program has no C sources: {full}")
@@ -425,7 +423,7 @@ def load_manifest(path: str) -> Manifest:
             diff_path = os.path.join(root, record["diff"])
             if not os.path.exists(diff_path):
                 raise StageError(f"manifest diff does not exist: {diff_path}")
-        manifest.programs.append(
+        programs.append(
             ManifestProgram(
                 path=rel,
                 source_paths=sources,
@@ -435,9 +433,9 @@ def load_manifest(path: str) -> Manifest:
                 diff_path=diff_path,
             )
         )
-    if not manifest.programs:
+    if not programs:
         raise StageError(f"manifest lists no programs: {path}")
-    return manifest
+    return programs
 
 
 def _parse_program(prog: ManifestProgram) -> ProgramModel:
@@ -445,20 +443,20 @@ def _parse_program(prog: ManifestProgram) -> ProgramModel:
     return _layers.load_program(prog.source_paths, name=prog.path, names=prog.files)
 
 
-def _parse_programs(manifest: Manifest) -> Iterator[ProgramModel]:
+def _parse_programs(programs: list[ManifestProgram]) -> Iterator[ProgramModel]:
     """Each manifest program parsed, one at a time, in manifest order."""
-    return map(_parse_program, manifest.programs)
+    return map(_parse_program, programs)
 
 
 def _program_named(
-    manifest: Manifest, artifact: str, stage: str
+    programs: list[ManifestProgram], artifact: str, stage: str
 ) -> Callable[[str], ManifestProgram]:
     """A lookup of manifest programs by name that refuses a name the
     manifest does not hold: ``artifact`` is stale, and ``stage`` rewrites it."""
-    programs = {prog.path: prog for prog in manifest.programs}
+    by_name = {prog.path: prog for prog in programs}
 
     def lookup(name: str) -> ManifestProgram:
-        prog = programs.get(name)
+        prog = by_name.get(name)
         if prog is None:
             raise StageError(
                 f"{artifact} references unknown program {name!r}; "
@@ -469,10 +467,10 @@ def _program_named(
     return lookup
 
 
-def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
+def _ground_truth(programs: list[ManifestProgram]) -> dict[str, dict[int, str]]:
     """labeling's file -> {pre-patch line: mark} map, over every source file."""
     truth: dict[str, dict[int, str]] = {}
-    for prog in manifest.programs:
+    for prog in programs:
         if prog.diff_path is None:
             if prog.program_class is None:
                 raise StageError(
@@ -514,11 +512,11 @@ def _ground_truth(manifest: Manifest) -> dict[str, dict[int, str]]:
 
 
 def stage_parse(config: RunConfig) -> None:
-    manifest = load_manifest(config.manifest)
+    programs = load_manifest(config.manifest)
     ast_lines = []
     diagnostics = []
     functions = statements = 0
-    for model in _parse_programs(manifest):  # each model is dropped once dumped
+    for model in _parse_programs(programs):  # each model is dropped once dumped
         ast_lines.extend(_layers.dump_ast(model))
         for diag in model.diagnostics:
             diagnostics.append(
@@ -534,31 +532,31 @@ def stage_parse(config: RunConfig) -> None:
         config.path("parse_report.json"),
         {
             "seed": config.seed,
-            "programs": len(manifest.programs),
+            "programs": len(programs),
             "functions": functions,
             "statements": statements,
             "diagnostics": diagnostics,
         },
     )
     print(
-        f"parsed {len(manifest.programs)} programs: {functions} functions, "
+        f"parsed {len(programs)} programs: {functions} functions, "
         f"{statements} statements, {len(diagnostics)} diagnostics"
     )
 
 
 def stage_extract(config: RunConfig) -> None:
     artifacts.require(config.path("parse_report.json"), "parse")
-    manifest = load_manifest(config.manifest)
+    programs = load_manifest(config.manifest)
     cset = config.characteristic_set()
     records = []
-    for model in _parse_programs(manifest):
-        for syvc in _layers.extract_syvcs(model, cset):
-            record = _layers.syvc_record(syvc)
-            # ids are per-program at extraction; renumber corpus-wide so
-            # downstream artifacts can join on them
-            record["id"] = len(records)
-            record["program"] = model.name
-            records.append(record)
+    for model in _parse_programs(programs):
+        # ids are per-program at extraction; renumber corpus-wide so
+        # downstream artifacts can join on them
+        first = len(records)
+        records.extend(
+            {**vars(syvc), "id": first + i}
+            for i, syvc in enumerate(_layers.extract_syvcs(model, cset))
+        )
     artifacts.write_jsonl(
         config.path("syvc.jsonl"), "syvc", config.seed, records
     )
@@ -571,14 +569,13 @@ def stage_extract(config: RunConfig) -> None:
 
 def stage_slice(config: RunConfig) -> None:
     _, syvcs = artifacts.read_jsonl(
-        config.path("syvc.jsonl"), "syvc", "extract",
-        lambda record: (record["program"], _layers.SyVC.from_record(record)),
+        config.path("syvc.jsonl"), "syvc", "extract", _layers.SyVC.from_record
     )
     program_named = _program_named(load_manifest(config.manifest), "syvc.jsonl", "extract")
     by_program: dict[str, list[SyVC]] = {}
-    for program, syvc in syvcs:
-        by_program.setdefault(program, []).append(syvc)
-    sevc_records = []
+    for syvc in syvcs:
+        by_program.setdefault(syvc.program, []).append(syvc)
+    sevcs = []
     diagnostics = set()  # slice_report.json: (program, message) of unresolved calls
     skipped = []  # slice_report.json: what could not be sliced, and why
     graph_diagnostics = []  # slice_report.json: e.g. dead code the CFG pruned
@@ -614,16 +611,14 @@ def stage_slice(config: RunConfig) -> None:
                 skip(program_name, syvc.id, exc)
                 continue
             diagnostics.update((program_name, message) for message in slice_.diagnostics)
-            sevc_records.append(_layers.sevc_record(sevc))
-    artifacts.write_jsonl(
-        config.path("sevc.jsonl"), "sevc", config.seed, sevc_records
-    )
+            sevcs.append(sevc)
+    artifacts.write_jsonl(config.path("sevc.jsonl"), "sevc", config.seed, sevcs)
     artifacts.write_json(
         config.path("slice_report.json"),
         {
             "seed": config.seed,
             "programs": len(by_program),
-            "sevcs": len(sevc_records),
+            "sevcs": len(sevcs),
             "skipped": skipped,
             "graph_diagnostics": graph_diagnostics,
             "slice_diagnostics": [
@@ -633,7 +628,7 @@ def stage_slice(config: RunConfig) -> None:
         },
     )
     print(
-        f"sliced {len(sevc_records)} SeVCs "
+        f"sliced {len(sevcs)} SeVCs "
         f"({len(diagnostics)} distinct slice diagnostics, "
         f"{len(skipped)} skipped)"
     )
@@ -742,12 +737,7 @@ def stage_label(config: RunConfig) -> None:
     for _, sevcs in _sevcs_by_program(config):  # each program's SeVCs as they stream
         labels = _layers.apply_labels(sevcs, truth)
         label_records.extend(
-            {
-                "syvc_id": sevc.syvc_id,
-                "program": sevc.program,
-                "label": label,
-                "needs_review": needs_review,
-            }
+            _Label(sevc.syvc_id, sevc.program, label, needs_review)
             for sevc, (label, needs_review) in zip(sevcs, labels)
         )
         queue.extend(_layers.review_queue(sevcs, labels))
@@ -757,15 +747,16 @@ def stage_label(config: RunConfig) -> None:
     artifacts.write_jsonl(
         config.path("review.jsonl"), "review-queue", config.seed, queue
     )
-    positive = sum(r["label"] for r in label_records)
-    review = sum(r["needs_review"] for r in label_records)
+    positive = sum(r.label for r in label_records)
+    review = sum(r.needs_review for r in label_records)
     print(
         f"labeled {len(label_records)} SeVCs: {positive} vulnerable, "
         f"{len(queue)} in review.jsonl, {review} needing review"
     )
 
 
-class _Label(NamedTuple):
+@dataclass
+class _Label:
     """A labels.jsonl record."""
 
     syvc_id: int
@@ -773,17 +764,15 @@ class _Label(NamedTuple):
     label: int
     needs_review: bool
 
-    @classmethod
-    def from_record(cls, record: dict) -> "_Label":
-        if record["label"] not in (0, 1):
-            raise ValueError(f"label {record['label']!r} is not 0 or 1")
-        return cls(*(record[name] for name in cls._fields))
+    def __post_init__(self):
+        if self.label not in (0, 1):
+            raise ValueError(f"label {self.label!r} is not 0 or 1")
 
 
 def _labels(config: RunConfig) -> list[_Label]:
     """Every labels.jsonl record; a malformed one asks to re-run label."""
     _, labels = artifacts.read_jsonl(
-        config.path("labels.jsonl"), "labels", "label", _Label.from_record
+        config.path("labels.jsonl"), "labels", "label", lambda record: _Label(**record)
     )
     return labels
 
@@ -874,17 +863,11 @@ def stage_detect(config: RunConfig) -> int:
             continue
         files, lines, functions = where[syvc_id]
         findings.append(
-            {
-                "syvc_id": syvc_id,
-                "kind": kind,
-                "program": program,
-                "probability": round(prob, 6),
-                "files": files,
-                "functions": functions,
-                "lines": lines,
+            _Finding(
+                syvc_id, kind, program, round(prob, 6), files, functions, lines,
                 # the activation at every kept symbol; explain works from these
-                "activations": trace.outputs.tolist(),
-            }
+                trace.outputs.tolist(),
+            )
         )
     artifacts.write_jsonl(
         config.path("detect.jsonl"), "detections", config.seed, findings,
@@ -892,10 +875,10 @@ def stage_detect(config: RunConfig) -> int:
     )
     for f in findings:
         print(
-            f"FLAGGED syvc={f['syvc_id']} kind={f['kind']} "
-            f"p={f['probability']:.3f} program={f['program']} "
-            f"files={','.join(f['files'])} functions={','.join(f['functions'])} "
-            f"lines={f['lines']}"
+            f"FLAGGED syvc={f.syvc_id} kind={f.kind} "
+            f"p={f.probability:.3f} program={f.program} "
+            f"files={','.join(f.files)} functions={','.join(f.functions)} "
+            f"lines={f.lines}"
         )
     print(f"{len(findings)} SeVCs flagged out of {len(samples)}")
     return EXIT_FINDINGS if findings else EXIT_OK
@@ -905,20 +888,18 @@ def _stale_detections(problem: str) -> StageError:
     return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
 
 
-class _Finding(NamedTuple):
-    """What evaluate and explain read of a detect.jsonl record."""
+@dataclass
+class _Finding:
+    """A detect.jsonl record."""
 
     syvc_id: int
+    kind: str
     program: str
     probability: float
-    activations: list[float] | None  # None when an older detect wrote it
-
-    @classmethod
-    def from_record(cls, record: dict) -> "_Finding":
-        return cls(
-            record["syvc_id"], record["program"], record["probability"],
-            record.get("activations"),
-        )
+    files: list[str]
+    functions: list[str]
+    lines: list[int]
+    activations: list[float] | None = None  # None when an older detect wrote it
 
 
 def _detections(config: RunConfig, activations: bool = False) -> list[_Finding]:
@@ -926,7 +907,8 @@ def _detections(config: RunConfig, activations: bool = False) -> list[_Finding]:
     old file or another --threshold is stale, and a malformed record
     asks to re-run detect."""
     header, findings = artifacts.read_jsonl(
-        config.path("detect.jsonl"), "detections", "detect", _Finding.from_record
+        config.path("detect.jsonl"), "detections", "detect",
+        lambda record: _Finding(**record),
     )
     if activations and any(f.activations is None for f in findings):
         raise _stale_detections("holds no activations (written by an older detect)")

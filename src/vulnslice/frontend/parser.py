@@ -857,8 +857,8 @@ def dump_ast(model: ProgramModel) -> list[str]:
     AST node, each function's nodes in ``AstNode.walk`` (pre-order) order.
 
     A line holds the node's file, function, id, kind, parent id, span and
-    statement id, and the program's name, and is byte for byte what
-    ``json.JSONEncoder(sort_keys=True).encode`` gives for that record.
+    statement id, and the program's name, and is byte for byte what the
+    shared record encoder, ``artifacts.encode_record``, gives for that record.
     Names and kinds are JSON-encoded once each, not once per node.
     """
     dumps = json.dumps

@@ -34,7 +34,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .frontend import ProgramModel, ST_RETURN
 from .graphs import CallGraph, CallSite, Pdg, reachable
@@ -59,10 +59,6 @@ class ProgramSlice:
     forward_nodes: list[int]
     backward_nodes: list[int]
     diagnostics: list[str] = field(default_factory=list)
-
-
-_STATEMENT_FIELDS = tuple(f.name for f in fields(SevcStatement))
-_SEVC_FIELDS = tuple(f.name for f in fields(SeVC) if f.name != "statements")
 
 
 def _slice(pdg: Pdg, anchor_statement: int, adj: dict[int, list[int]]) -> list[int]:
@@ -289,13 +285,3 @@ def assemble_sevc(
         program=program.name,
     )
 
-
-def sevc_record(sevc: SeVC) -> dict:
-    """The sevc.jsonl record for one SeVC: its fields, with each
-    statement's as a dict."""
-    record = {name: getattr(sevc, name) for name in _SEVC_FIELDS}
-    record["statements"] = [
-        {name: getattr(s, name) for name in _STATEMENT_FIELDS}
-        for s in sevc.statements
-    ]
-    return record

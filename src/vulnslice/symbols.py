@@ -87,7 +87,7 @@ class SeVC:
 
     @classmethod
     def from_record(cls, record: dict) -> SeVC:
-        """The SeVC of a ``slicing.sevc_record``."""
+        """The SeVC of a sevc.jsonl record."""
         statements = [SevcStatement(**s) for s in record["statements"]]
         return cls(**{**record, "statements": statements})
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, encode_record
 from .symbols import (  # noqa: F401  re-exported
     EncodingError,
     SymbolicSeVC,
@@ -111,8 +111,6 @@ def save_vectors(path: str, samples: Iterable[SampleVector], seed: int) -> None:
     if first is None:
         raise EncodingError("refusing to write an empty vector store")
     theta, d = first.theta, first.dimension
-    # the same bytes as json.dumps(..., sort_keys=True), with one encoder
-    encode = json.JSONEncoder(sort_keys=True).encode
     count = 0
     with atomic_open(path, "wb") as store, atomic_open(path + ".idx", "w") as index:
         store.write(_MAGIC)
@@ -122,7 +120,7 @@ def save_vectors(path: str, samples: Iterable[SampleVector], seed: int) -> None:
                 raise EncodingError("mixed theta/dimension in one vector store")
             store.write(s.values.astype("<f4").tobytes())
             row = {name: getattr(s, name) for name in _INDEX_FIELDS}
-            index.write(encode({"row": count, **row}))
+            index.write(encode_record({"row": count, **row}))
             index.write("\n")
             count += 1
         store.seek(_COUNT_OFFSET)

@@ -5,10 +5,12 @@ statement, and ``match_characteristic`` checked each kind's node kind
 itself, and it numbered the sorted SyVCs with ``dataclasses.replace``.
 Extraction now tests a node only against the enabled kinds its node kind
 can match (``candidates.NODE_KINDS``), sorts the matches, and makes each
-SyVC once with its id. Both old functions are kept here, unchanged, as
-the reference: every bundled C file, the mini-corpus templates and
-random mutants of both must give the same SyVC list from both, ids
-included, for each kind set below. Each SyVC's ``syvc_record`` must
+SyVC once with its id. Both old functions are kept here as the
+reference, unchanged but for naming each SyVC's program, which the CLI
+used to add to its record: every bundled C file, the mini-corpus
+templates and random mutants of both must give the same SyVC list from
+both, ids included, for each kind set below. Each SyVC's syvc.jsonl line, as
+``artifacts.encode_record`` writes it, must hold exactly its fields and
 read back as itself through ``SyVC.from_record``.
 """
 
@@ -19,13 +21,13 @@ from dataclasses import fields, replace
 
 from hypothesis import given, settings
 
+from vulnslice.artifacts import encode_record
 from vulnslice.candidates import (
     CharacteristicConfigError,
     CharacteristicSet,
     SyVC,
     default_fc_calls,
     extract_syvcs,
-    syvc_record,
 )
 from vulnslice.frontend import (
     IDENTIFIER,
@@ -123,6 +125,7 @@ def reference_extract_syvcs(program: ProgramModel, cset: CharacteristicSet) -> l
                             line=st.line_first,
                             span=span,
                             anchor_text=text,
+                            program=program.name,
                         )
                     )
     found.sort(
@@ -147,8 +150,8 @@ def assert_extracts_as_reference(source: str) -> dict[tuple[str, ...], int]:
         assert syvcs == reference_extract_syvcs(model, cset), kinds
         assert [s.id for s in syvcs] == list(range(len(syvcs)))
         for syvc in syvcs:
-            record = json.loads(json.dumps(syvc_record(syvc)))
-            assert list(record) == [f.name for f in fields(SyVC)]
+            record = json.loads(encode_record(syvc))
+            assert list(record) == sorted(f.name for f in fields(SyVC))
             assert SyVC.from_record(record) == syvc
         found[kinds] = len(syvcs)
     return found

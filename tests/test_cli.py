@@ -681,12 +681,45 @@ def test_a_directory_named_like_a_source_is_not_a_source(tmp_path):
     (root / "manifest.json").write_text(
         json.dumps({"programs": [{"path": "prog", "class": "good"}]})
     )
-    [prog] = cli.load_manifest(str(root / "manifest.json")).programs
+    [prog] = cli.load_manifest(str(root / "manifest.json"))
     assert prog.files == [os.path.join("prog", "guarded.c"), os.path.join("prog", "leak.c")]
     out = tmp_path / "out"
     assert parse_only(root, out) == 0
     report = json.loads((out / "parse_report.json").read_text())
     assert report["functions"] == 2 and report["diagnostics"] == []
+
+
+def test_a_broken_link_in_a_directory_program_is_named_in_a_diagnostic(tmp_path):
+    """A C-suffixed link with no target is listed, so load_program names
+    it as unreadable instead of the program silently losing a file."""
+    root = tmp_path / "corpus"
+    (root / "prog").mkdir(parents=True)
+    (root / "prog" / "a.c").write_text(TINY_PROGRAMS["leak.c"])
+    os.symlink(tmp_path / "nonexistent" / "b.c", root / "prog" / "b.c")
+    (root / "manifest.json").write_text(
+        json.dumps({"programs": [{"path": "prog", "class": "good"}]})
+    )
+    out = tmp_path / "out"
+    assert parse_only(root, out) == 0
+    [diagnostic] = json.loads((out / "parse_report.json").read_text())["diagnostics"]
+    assert diagnostic["file"] == os.path.join("prog", "b.c")
+    assert diagnostic["message"].startswith(
+        os.path.join("prog", "b.c") + ": cannot read: "
+    ) and diagnostic["message"].endswith(" (file skipped)")
+
+
+def test_a_fifo_in_a_directory_program_is_neither_read_nor_named(tmp_path):
+    """open would block on a FIFO, or on a link to one: neither is listed."""
+    root = tmp_path / "corpus"
+    (root / "prog").mkdir(parents=True)
+    (root / "prog" / "a.c").write_text(TINY_PROGRAMS["leak.c"])
+    os.mkfifo(root / "prog" / "c.c")
+    os.symlink(root / "prog" / "c.c", root / "prog" / "d.c")
+    (root / "manifest.json").write_text(
+        json.dumps({"programs": [{"path": "prog", "class": "good"}]})
+    )
+    [prog] = cli.load_manifest(str(root / "manifest.json"))
+    assert prog.files == [os.path.join("prog", "a.c")]
 
 
 def test_a_source_that_cannot_be_read_is_skipped_with_a_diagnostic(tmp_path, monkeypatch):
@@ -741,7 +774,7 @@ def test_manifest_file_names_are_the_relpaths_from_the_corpus_root(tmp_path):
         "corpus_root": "../corpus",
         "programs": [{"path": p, "class": "good"} for p in paths],
     }))
-    programs = cli.load_manifest(str(manifest)).programs
+    programs = cli.load_manifest(str(manifest))
     root = str(corpus)
     for prog in programs:
         assert prog.files == [os.path.relpath(p, root) for p in prog.source_paths], prog.path
@@ -913,12 +946,17 @@ def test_a_stale_statement_text_names_slice(tmp_path, capsys, stage):
     )
 
 
-def drop_from_record(path, key, index=0):
-    """Drop ``key`` from record ``index`` of a jsonl artifact, or from its
-    first statement for a statement's key; the record's line number."""
+def drop_or_add_key(path, key, index=0):
+    """Drop ``key`` from record ``index`` of a jsonl artifact (from its
+    first statement for a statement's key), or add it to a record that
+    lacks it; the record's line number."""
     lines = path.read_text().splitlines()
     record = json.loads(lines[index + 1])
-    del (record["statements"][0] if key == "line" else record)[key]
+    held = record["statements"][0] if key == "line" else record
+    if key in held:
+        del held[key]
+    else:
+        held[key] = 0
     lines[index + 1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     return index + 2
@@ -949,6 +987,10 @@ WRITERS = {"syvc.jsonl": "extract", "sevc.jsonl": "slice", "labels.jsonl": "labe
         ("detect.jsonl", "syvc_id", "evaluate"),
         ("detect.jsonl", "syvc_id", "explain"),
         ("detect.jsonl", "probability", "explain"),
+        # a key the record's type does not have
+        ("syvc.jsonl", "extra", "slice"),
+        ("labels.jsonl", "extra", "evaluate"),
+        ("detect.jsonl", "extra", "explain"),
     ],
 )
 def test_a_malformed_record_names_the_stage_that_writes_it(
@@ -957,13 +999,44 @@ def test_a_malformed_record_names_the_stage_that_writes_it(
     out = detected(tmp_path, corpus, "--threshold", "0.000001")
     # train reads every label, those of the programs it holds out too
     index = first_held_out_label(out) if stage == "train" else 0
-    line = drop_from_record(out / artifact, key, index)
+    line = drop_or_add_key(out / artifact, key, index)
     capsys.readouterr()
     assert run(corpus, out, stage, "--threshold", "0.000001") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / artifact} line {line} is malformed ("), err
     assert err.endswith(f"; re-run the '{WRITERS[artifact]}' stage\n"), err
     assert repr(key) in err
+
+
+def touched(record):
+    """``record`` once each of its attributes has been read, as a
+    cached_property adds its value to the instance on first read."""
+    for name in dir(record):
+        if not name.startswith("__"):
+            getattr(record, name)
+    return record
+
+
+def test_a_record_is_the_fields_of_its_dataclass(tmp_path, corpus):
+    """Each record line holds its type's fields and nothing else, and
+    encodes back to itself: so no record type may hold another attribute
+    (artifacts.encode_record writes an instance's vars)."""
+    out = detected(tmp_path, corpus, "--threshold", "0.000001")
+    decoders = {
+        "syvc.jsonl": cli.SyVC.from_record,
+        "sevc.jsonl": cli.SeVC.from_record,
+        "labels.jsonl": lambda record: cli._Label(**record),
+        "detect.jsonl": lambda record: cli._Finding(**record),
+    }
+    for artifact, decode in decoders.items():
+        lines = (out / artifact).read_text().splitlines()[1:]
+        assert lines, artifact
+        for line in lines:
+            record = touched(decode(json.loads(line)))
+            for part in [record, *getattr(record, "statements", [])]:  # a SeVC's too
+                assert sorted(vars(part)) == sorted(f.name for f in fields(part)), artifact
+            assert sorted(json.loads(line)) == sorted(f.name for f in fields(record))
+            assert artifacts.encode_record(record) == line, artifact
 
 
 def test_a_label_that_is_not_0_or_1_names_label(tmp_path, corpus, capsys):
@@ -1059,6 +1132,29 @@ def test_the_front_half_keeps_its_bytes(tmp_path):
         for name in FRONT_HALF_SHA256
     }
     assert digests == FRONT_HALF_SHA256
+
+
+# What vectorize and label write on the mini corpus at --seed 101
+# --embed-mode hash, by SHA-256: no float the BLAS rounds is among them,
+# so the digests hold on every machine.
+BACK_HALF_SHA256 = {
+    "labels.jsonl": "774fadc729f044dee5f063ad21e8ac8674cf41e4cac61fa4d264fb6b9881859d",
+    "review.jsonl": "d9b05c8d513945e579575940d985e4eaf7609bf98303ff428c6788d4e076fc37",
+    "vectors.bin.idx": "8cb0812dce42ef4ce89c6c2b8f0c063a0643218237a280bef10d94fc1fe7e750",
+}
+
+
+def test_the_back_half_records_keep_their_bytes(tmp_path):
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice", "vectorize", "label"):
+        argv = [stage, "--manifest", mini_corpus_manifest(), "--out", str(out),
+                "--seed", "101", "--embed-mode", "hash"]
+        assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in BACK_HALF_SHA256
+    }
+    assert digests == BACK_HALF_SHA256
 
 
 def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):

@@ -304,9 +304,8 @@ def test_bundled_sources_match_reference():
 
 
 def test_mini_corpus_matches_reference():
-    manifest = load_manifest(mini_corpus_manifest())
     functions = 0
-    for program in manifest.programs:
+    for program in load_manifest(mini_corpus_manifest()):
         model = load_program(program.source_paths, name=program.path)
         assert assert_same_as_reference(model) == (0, 0)
         functions += len(model.functions)

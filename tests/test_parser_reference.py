@@ -909,8 +909,8 @@ def test_bundled_sources_match_reference():
 
 
 def test_mini_corpus_matches_reference():
-    manifest = load_manifest(mini_corpus_manifest())
-    changed = [assert_program_matches(p.source_paths, p.path) for p in manifest.programs]
+    programs = load_manifest(mini_corpus_manifest())
+    changed = [assert_program_matches(p.source_paths, p.path) for p in programs]
     assert changed == [False] * 40
 
 

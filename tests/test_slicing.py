@@ -274,11 +274,11 @@ def test_recursive_calls_cut_by_visited_set():
 
 
 def test_determinism_of_sevc_serialization():
-    from vulnslice.slicing import sevc_record
+    from vulnslice.artifacts import encode_record
 
     a = sevc_for(RUNNING_EXAMPLE, lambda s: s.kind == "PU")[3]
     b = sevc_for(RUNNING_EXAMPLE, lambda s: s.kind == "PU")[3]
-    assert sevc_record(a) == sevc_record(b)
+    assert encode_record(a) == encode_record(b)
 
 
 def test_slice_monotone_under_added_edges():
@@ -309,7 +309,7 @@ def test_slice_monotone_under_added_edges():
 
 def _corpus_programs():
     """The mini corpus, the bundled sources and seeded random programs."""
-    for prog in load_manifest(mini_corpus_manifest()).programs:
+    for prog in load_manifest(mini_corpus_manifest()):
         yield load_program(prog.source_paths, name=prog.path)
     for name, source in BUNDLED.items():
         yield parse_source(source, name)

@@ -12,7 +12,7 @@ mini-corpus templates and of seeded random programs must give the same
 forward and backward node order and the same diagnostics from both,
 under data+control PDGs and under data-only PDGs, or fail the same way.
 Each SeVC assembled from those slices must also come back equal from its
-``sevc_record`` through ``SeVC.from_record``.
+sevc.jsonl line (``artifacts.encode_record``) through ``SeVC.from_record``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import numpy as np
 import pytest
 
+from vulnslice.artifacts import encode_record
 from vulnslice.candidates import CharacteristicSet, SyVC, extract_syvcs
 from vulnslice.cli import load_manifest
 from vulnslice.data import mini_corpus_manifest
@@ -41,7 +42,6 @@ from vulnslice.slicing import (
     SliceConsistencyError,
     assemble_sevc,
     interprocedural_slices,
-    sevc_record,
 )
 
 from oracles import random_structured_source
@@ -292,7 +292,7 @@ def assert_record_round_trips(model: ProgramModel, call_graph, pdgs, syvc) -> No
     """The SeVC read back from its sevc.jsonl line equals the SeVC written."""
     slice_ = interprocedural_slices(model, call_graph, pdgs, syvc)
     sevc = assemble_sevc(model, slice_, syvc, call_graph)
-    assert SeVC.from_record(json.loads(json.dumps(sevc_record(sevc)))) == sevc
+    assert SeVC.from_record(json.loads(encode_record(sevc))) == sevc
 
 
 def assert_same_as_reference(model: ProgramModel) -> int:
@@ -344,10 +344,9 @@ def random_program(rng: np.random.Generator) -> str:
 
 
 def test_mini_corpus_matches_reference():
-    manifest = load_manifest(mini_corpus_manifest())
     sliced = sum(
         assert_same_as_reference(load_program(p.source_paths, name=p.path))
-        for p in manifest.programs
+        for p in load_manifest(mini_corpus_manifest())
     )
     assert sliced == 117
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -94,3 +95,35 @@ def test_stage_profile_times_each_stage_and_its_layer_calls(tmp_path):
     assert stages["slice"]["slicing.assemble_sevc"][0] == 117
     assert stages["vectorize"]["vectorize.encode"][0] == 117
     assert (tmp_path / "out" / "vectors.bin").exists()
+
+
+def test_same_bytes_compares_two_source_trees(tmp_path):
+    """tools/same_bytes.py finds no difference between the checkout and a
+    copy of it, and names the stream a changed ``print`` alters."""
+    tool = os.path.join(REPO_ROOT, "tools", "same_bytes.py")
+    src = os.path.join(REPO_ROOT, "src")
+    copy = tmp_path / "copy"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    manifest = os.path.join(data_path("mini_corpus"), "manifest.json")
+
+    def same_bytes(change_src, stages):
+        return subprocess.run(
+            [sys.executable, tool, src, str(change_src), manifest, stages, "--seed", "101"],
+            capture_output=True, text=True, timeout=300,
+        )
+
+    result = same_bytes(copy, "parse,extract,slice")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == "same bytes: 5 files; exit codes parse 0, extract 0, slice 0\n"
+    cli_py = copy / "vulnslice" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count('f"parsed {') == 1
+    cli_py.write_text(text.replace('f"parsed {', 'f"Parsed {'))
+    result = same_bytes(copy, "parse")
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        "parse stdout: first at byte 0 (line 1): parent b'parsed 40 programs: "
+        "48 functions, 198 statements, 0 diagnostics', change b'Parsed 40 programs: "
+        "48 functions, 198 statements, 0 diagnostics'",
+        "1 differences",
+    ]
