@@ -14,6 +14,7 @@ import os
 import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass
 from typing import IO, Any
 
 
@@ -123,8 +124,10 @@ def iter_jsonl(
     artifact raises a ``StageError`` that asks to run it. A wrong
     artifact name raises here; a corrupt record, or one whose ``decode``
     raises ``KeyError``, ``TypeError`` or ``ValueError``, raises when the
-    iterator reaches it, and a record count that is not the header's (as
-    a copy cut short at a line boundary leaves it) when the iterator ends.
+    iterator reaches it (naming the keys it lacks or should not hold when
+    ``decode`` is a record dataclass's ``from_record``), and a record
+    count that is not the header's (as a copy cut short at a line
+    boundary leaves it) when the iterator ends.
     """
     if stage is not None:
         require(path, stage)
@@ -174,7 +177,8 @@ def _counted(
             try:
                 record = decode(record)
             except (KeyError, TypeError, ValueError) as exc:
-                raise StageError(f"{path} line {number} is malformed ({exc!r}){rerun}") from None
+                problem = _key_problem(record, decode) or repr(exc)
+                raise StageError(f"{path} line {number} is malformed ({problem}){rerun}") from None
         yield record
     if "record_count" not in header:
         raise StageError(f"{path} has no record count in its header{rerun}")
@@ -183,6 +187,24 @@ def _counted(
             f"{path} holds {count} records, its header counts "
             f"{header['record_count']}{rerun}"
         )
+
+
+def _key_problem(record: dict, decode: Callable[[dict], Any]) -> str | None:
+    """The keys ``record`` lacks or should not hold, when ``decode`` is the
+    ``from_record`` of a record dataclass; None when they are its fields."""
+    record_type = getattr(decode, "__self__", None)
+    if not (isinstance(record_type, type) and is_dataclass(record_type)):
+        return None
+    names = {f.name for f in fields(record_type)}
+    required = {f.name for f in fields(record_type)
+                if f.default is MISSING and f.default_factory is MISSING}
+    problems = [
+        f"{what} key{'s' if len(keys) > 1 else ''} {', '.join(map(repr, sorted(keys)))}"
+        for what, keys in (("missing", required - record.keys()),
+                           ("unknown", record.keys() - names))
+        if keys
+    ]
+    return "; ".join(problems) or None
 
 
 def read_jsonl(

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -66,6 +67,44 @@ def test_read_jsonl_errors_name_the_file_line_and_stage(tmp_path, text, message)
         artifacts.read_jsonl(str(path), "demo", "make-demo")
     assert message in str(caught.value) and str(path) in str(caught.value)
     assert str(caught.value).endswith("; re-run the 'make-demo' stage")
+
+
+@dataclass
+class _Demo:
+    id: int
+    name: str
+    tags: list = field(default_factory=list)
+    note: str = ""
+
+    @classmethod
+    def from_record(cls, record: dict) -> "_Demo":
+        if record.get("id", 0) < 0:
+            raise ValueError("negative id")
+        return cls(**record)
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ({"id": 1, "name": "a", "extra": 2}, "unknown key 'extra'"),
+        ({"note": "n"}, "missing keys 'id', 'name'"),
+        ({"name": "a", "x": 1, "y": 2}, "missing key 'id'; unknown keys 'x', 'y'"),
+        ({"id": -1, "name": "a"}, "ValueError('negative id')"),  # the keys hold
+    ],
+    ids=["unknown", "missing", "both", "bad-value"],
+)
+def test_a_record_with_wrong_keys_is_refused_by_name(tmp_path, record, problem):
+    """A record decoded by its dataclass's from_record is refused by the
+    keys it lacks (those without a default) or should not hold, and
+    otherwise by the decoder's own error."""
+    path = tmp_path / "demo.jsonl"
+    path.write_text('{"artifact": "demo", "record_count": 2}\n'
+                    f'{{"id": 1, "name": "a"}}\n{json.dumps(record)}\n')
+    with pytest.raises(artifacts.StageError) as caught:
+        artifacts.read_jsonl(str(path), "demo", "make-demo", _Demo.from_record)
+    assert str(caught.value) == (
+        f"{path} line 3 is malformed ({problem}); re-run the 'make-demo' stage"
+    )
 
 
 def test_read_jsonl_of_a_missing_artifact_asks_to_run_its_stage(tmp_path):

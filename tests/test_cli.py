@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -353,10 +354,16 @@ def test_dimension_must_be_positive(tmp_path, corpus, capsys, dim):
     assert capsys.readouterr().err == f"error: dimension={dim} must be positive\n"
 
 
-@pytest.mark.parametrize("flag, value", [("theta", "0"), ("theta", "-32"), ("hidden", "0")])
+@pytest.mark.parametrize("flag, value", [
+    ("theta", "0"), ("theta", "-32"), ("hidden", "0"), ("layers", "0"), ("epochs", "0"),
+    ("threshold", "1.5"),
+])
 def test_theta_and_hidden_must_be_positive(tmp_path, corpus, capsys, flag, value):
-    message = f"{flag}={value} must be positive"
-    with pytest.raises(artifacts.StageError, match=message):
+    """Every BGRU flag value the presets' Hyperparams refuses is refused
+    up front, by its flag name and value."""
+    bound = "must be in (0, 1)" if flag == "threshold" else "must be positive"
+    message = f"{flag}={value} {bound}"
+    with pytest.raises(artifacts.StageError, match=re.escape(message)):
         parse_config("--manifest", "m.json", f"--{flag}", value).hyperparams()
     out = tmp_path / "out"
     for stage in ("parse", "extract", "slice"):
@@ -1003,9 +1010,12 @@ def test_a_malformed_record_names_the_stage_that_writes_it(
     capsys.readouterr()
     assert run(corpus, out, stage, "--threshold", "0.000001") == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / artifact} line {line} is malformed ("), err
-    assert err.endswith(f"; re-run the '{WRITERS[artifact]}' stage\n"), err
-    assert repr(key) in err
+    # a record's key is named as such; detect reads a statement's line itself
+    problem = ("KeyError('line')" if key == "line"
+               else f"{'unknown' if key == 'extra' else 'missing'} key {key!r}")
+    assert err == (f"error: {out / artifact} line {line} is malformed ({problem}); "
+                   f"re-run the '{WRITERS[artifact]}' stage\n"), err
+    assert "__init__" not in err, err
 
 
 def touched(record):
@@ -1025,8 +1035,8 @@ def test_a_record_is_the_fields_of_its_dataclass(tmp_path, corpus):
     decoders = {
         "syvc.jsonl": cli.SyVC.from_record,
         "sevc.jsonl": cli.SeVC.from_record,
-        "labels.jsonl": lambda record: cli._Label(**record),
-        "detect.jsonl": lambda record: cli._Finding(**record),
+        "labels.jsonl": cli._Label.from_record,
+        "detect.jsonl": cli._Finding.from_record,
     }
     for artifact, decode in decoders.items():
         lines = (out / artifact).read_text().splitlines()[1:]
@@ -1175,6 +1185,14 @@ def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):
     assert any(data[k] != full[k] for k in full)
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh stage process: this checkout's package,
+    and no VULNSLICE_* flag defaults."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {k: v for k, v in env.items() if not k.startswith(cli.ENV_PREFIX)}
+
+
 STAGE_PROBE = """
 import json
 import sys
@@ -1223,16 +1241,13 @@ def test_each_stage_process_loads_only_its_layers(tmp_path, capsys):
     capsys.readouterr()
     assert main(["pipeline", *flags, "--out", str(in_process)]) == 1
     pipeline_stdout = capsys.readouterr().out
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    env = {k: v for k, v in env.items() if not k.startswith(cli.ENV_PREFIX)}
     stdout = ""
     for stage, extra in STAGE_MODULES.items():
         argv = [] if stage is None else [stage, *flags, "--out", str(by_stage)]
         probe = tmp_path / "probe.json"
         result = subprocess.run(
             [sys.executable, "-c", STAGE_PROBE, str(probe), *argv],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=fresh_env(), capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr
         stdout += result.stdout
@@ -1862,7 +1877,13 @@ def test_slice_builds_each_statement_index_once(tmp_path, corpus, monkeypatch):
 def test_main_runs_a_stage_without_cyclic_gc_and_restores_the_setting(
     tmp_path, monkeypatch, collecting
 ):
+    """When main returns, in process, the collector is as it was and
+    nothing is frozen (main leaves the freeze to exit), so the caller
+    keeps collecting cycles."""
     seen = []
+
+    def restored():
+        return gc.isenabled() is collecting and gc.get_freeze_count() == 0
 
     def stage(code=None, error=None):
         def run_stage(config):
@@ -1880,20 +1901,61 @@ def test_main_runs_a_stage_without_cyclic_gc_and_restores_the_setting(
             gc.disable()
         monkeypatch.setitem(cli.STAGE_FUNCS, "parse", stage())
         assert main(["parse", *argv]) == 0
-        assert gc.isenabled() is collecting
+        assert restored()
         monkeypatch.setattr(cli, "stage_detect", stage(code=1))
         assert main(["detect", *argv]) == 1
-        assert gc.isenabled() is collecting
+        assert restored()
         for error in (cli.StageError("stop"), ValueError("stop")):
             monkeypatch.setitem(cli.STAGE_FUNCS, "parse", stage(error=error))
             assert main(["parse", *argv]) == 2
-            assert gc.isenabled() is collecting
+            assert restored()
         with pytest.raises(SystemExit) as usage:
             main(["parse"])  # no --manifest
-        assert usage.value.code == 2 and gc.isenabled() is collecting
+        assert usage.value.code == 2 and restored()
     finally:
         gc.enable()
     assert seen == [False] * 4
+
+
+# Runs main on its arguments twice, counting the heap freezes at exit
+# from a handler registered before main's, which so runs after it.
+EXIT_PROBE = """
+import atexit
+import gc
+import sys
+
+from vulnslice import cli
+
+freezes = []
+freeze = gc.freeze
+gc.freeze = lambda: freezes.append(1) or freeze()
+atexit.register(lambda: print(f"froze {len(freezes)}: {gc.get_freeze_count() > 0}"))
+codes = [cli.main(sys.argv[1:]) for _ in range(2)]
+sys.exit(codes[-1])
+"""
+
+
+def test_a_stage_process_freezes_its_heap_once_at_exit(tmp_path, corpus, capsys):
+    """main has gc.freeze run at exit, once however often it ran, so the
+    collections of interpreter shutdown walk nothing the stage left
+    alive; the process still prints and writes all that the same run in
+    process does."""
+    flags = ["pipeline", "--manifest", str(corpus / "manifest.json"), "--seed", "5",
+             "--embed-mode", "hash", "--epochs", "1"]
+    in_process, fresh = tmp_path / "in_process", tmp_path / "fresh"
+    capsys.readouterr()
+    code = main([*flags, "--out", str(in_process)])
+    stdout = capsys.readouterr().out
+    result = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, *flags, "--out", str(fresh)],
+        env=fresh_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert (result.returncode, result.stderr) == (code, ""), result.stderr
+    assert result.stdout == stdout * 2 + "froze 1: True\n"
+    names = sorted(os.listdir(in_process))
+    assert "explain.jsonl" in names and names == sorted(os.listdir(fresh))
+    for name in names:
+        assert (in_process / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_stage_data_leaves_no_cyclic_garbage(tmp_path, corpus):

@@ -33,7 +33,8 @@ def test_mini_corpus_generator_writes_the_bundled_corpus(tmp_path, capsys):
 
 def test_stage_rss_reports_each_stage_process(tmp_path):
     """tools/stage_rss.py runs every stage, then the pipeline, each in a
-    process of its own, and prints each one's peak RSS."""
+    process of its own, and prints each one's peak RSS and wall time,
+    split into start-up, main and exit."""
     root = tmp_path / "corpus"
     root.mkdir()
     for name in ("a.c", "b.c"):  # train splits by program: it needs two
@@ -51,16 +52,37 @@ def test_stage_rss_reports_each_stage_process(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
-    assert header.split() == ["stage", "peak_rss_mb", "wall_s", "exit"]
+    assert header.split() == ["stage", "peak_rss_mb", "wall_s", "startup_ms", "main_ms",
+                              "exit_ms", "exit"]
     stages = ["parse", "extract", "slice", "vectorize", "label", "train",
               "detect", "evaluate", "explain", "pipeline"]
     assert [row.split()[0] for row in rows] == stages
     for row in rows:
-        stage, rss_mb, wall_s, code = row.split()
+        stage, rss_mb, wall_s, *parts_ms, code = row.split()
         assert float(rss_mb) > 1 and float(wall_s) > 0
+        parts = [float(ms) / 1000 for ms in parts_ms]
+        assert all(part > 0 for part in parts), row
+        # the parts are rounded to 0.1 ms and the wall time to 10 ms
+        assert abs(sum(parts) - float(wall_s)) <= 0.0052, row
         # detect, and the pipeline that ends in it, exit 1 on findings
         assert int(code) == (1 if stage in ("detect", "pipeline") else 0), row
     assert (tmp_path / "out" / "explain.jsonl").exists()
+
+
+def test_stage_rss_stops_at_a_stage_that_fails(tmp_path):
+    """A process that exits 2 ends the run, and the tool exits 2; the
+    row still splits that process's time."""
+    tool = os.path.join(REPO_ROOT, "tools", "stage_rss.py")
+    result = subprocess.run(
+        [sys.executable, tool, str(tmp_path / "missing.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 2
+    header, row = result.stdout.splitlines()
+    stage, _, _, startup_ms, main_ms, exit_ms, code = row.split()
+    assert (stage, code) == ("parse", "2") and float(startup_ms) > 0
+    assert float(main_ms) >= 0 and float(exit_ms) > 0
+    assert "manifest not found" in result.stderr
 
 
 def test_stage_profile_times_each_stage_and_its_layer_calls(tmp_path):
