@@ -124,10 +124,10 @@ def iter_jsonl(
     artifact raises a ``StageError`` that asks to run it. A wrong
     artifact name raises here; a corrupt record, or one whose ``decode``
     raises ``KeyError``, ``TypeError`` or ``ValueError``, raises when the
-    iterator reaches it (naming the keys it lacks or should not hold when
-    ``decode`` is a record dataclass's ``from_record``), and a record
-    count that is not the header's (as a copy cut short at a line
-    boundary leaves it) when the iterator ends.
+    iterator reaches it (naming the keys it or a record nested in it
+    lacks or should not hold when ``decode`` is a record dataclass's
+    ``from_record``), and a record count that is not the header's (as a
+    copy cut short at a line boundary leaves it) when the iterator ends.
     """
     if stage is not None:
         require(path, stage)
@@ -177,7 +177,8 @@ def _counted(
             try:
                 record = decode(record)
             except (KeyError, TypeError, ValueError) as exc:
-                problem = _key_problem(record, decode) or repr(exc)
+                # a record dataclass's from_record is bound to its type
+                problem = _key_problem(record, getattr(decode, "__self__", None)) or repr(exc)
                 raise StageError(f"{path} line {number} is malformed ({problem}){rerun}") from None
         yield record
     if "record_count" not in header:
@@ -189,10 +190,11 @@ def _counted(
         )
 
 
-def _key_problem(record: dict, decode: Callable[[dict], Any]) -> str | None:
-    """The keys ``record`` lacks or should not hold, when ``decode`` is the
-    ``from_record`` of a record dataclass; None when they are its fields."""
-    record_type = getattr(decode, "__self__", None)
+def _key_problem(record: dict, record_type: Any) -> str | None:
+    """The keys ``record`` lacks or should not hold, when ``record_type``
+    is a record dataclass, or else those of the first malformed item of
+    a list field whose metadata names the items' ``"record"`` type; None
+    when there are none."""
     if not (isinstance(record_type, type) and is_dataclass(record_type)):
         return None
     names = {f.name for f in fields(record_type)}
@@ -204,7 +206,15 @@ def _key_problem(record: dict, decode: Callable[[dict], Any]) -> str | None:
                            ("unknown", record.keys() - names))
         if keys
     ]
-    return "; ".join(problems) or None
+    if problems:
+        return "; ".join(problems)
+    for f in fields(record_type):
+        items = record.get(f.name) if "record" in f.metadata else None
+        for i, item in enumerate(items if isinstance(items, list) else ()):
+            problem = isinstance(item, dict) and _key_problem(item, f.metadata["record"])
+            if problem:
+                return f"{problem} in {f.name}[{i}]"
+    return None
 
 
 def read_jsonl(

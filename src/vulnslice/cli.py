@@ -21,7 +21,7 @@ each function in pre-order, through artifacts.write_jsonl_lines; the
 other JSONL artifacts are records that artifacts.write_jsonl encodes.
 A syvc, sevc, labels or detect record is its dataclass, written as its
 fields; the dataclass's from_record (cls(**record)) reads it back, and
-a missing or unknown key is refused by name.
+a missing or unknown key, a sevc statement's too, is refused by name.
 
 One root seed drives every stochastic stage and is recorded in every
 artifact header. One argument parser reads the stage, a positional, and
@@ -62,8 +62,10 @@ input. Vectors stay float32 from the store until forward_batch copies a
 chunk's rows into its float64 buffer; float32 to float64 is exact, so
 the traces are those of a float64 copy bit for bit.
 
-labels.jsonl is the one record of each SeVC's label and review flag,
-and train_report.json of the program split that train draws: evaluate
+label labels each SeVC against the ground truth that labeling builds
+from the manifest's classes, vulnerable lines and diffs. labels.jsonl
+is the one record of each SeVC's label and review flag, and
+train_report.json of the program split that train draws: evaluate
 scores every labeled SeVC of a program train did not train on.
 
 A stage process imports only the layers its stage runs. ``import
@@ -150,7 +152,6 @@ LAZY_NAMES = {
     "dump_ast": "frontend:dump_ast",
     "CharacteristicSet": "candidates:CharacteristicSet",
     "SyVC": "candidates:SyVC",
-    "default_fc_calls": "candidates:default_fc_calls",
     "extract_syvcs": "candidates:extract_syvcs",
     "load_fc_calls": "candidates:load_fc_calls",
     "GraphError": "graphs:GraphError",
@@ -160,15 +161,12 @@ LAZY_NAMES = {
     "SliceConsistencyError": "slicing:SliceConsistencyError",
     "assemble_sevc": "slicing:assemble_sevc",
     "interprocedural_slices": "slicing:interprocedural_slices",
-    "MARK_DELETED": "labeling:MARK_DELETED",
     "apply_labels": "labeling:apply_labels",
-    "mark_lines": "labeling:mark_lines",
-    "parse_diff": "labeling:parse_diff",
+    "ground_truth": "labeling:ground_truth",
     "review_queue": "labeling:review_queue",
     "ActivationTrace": "symbols:ActivationTrace",
     "EncodingError": "symbols:EncodingError",
     "symbolize": "symbols:symbolize",
-    "truncation_window": "symbols:truncation_window",
     "explain_trace": "symbols:explain",
     "train_model": "bgru:train",
     "forward_batch": "bgru:forward_batch",
@@ -336,12 +334,9 @@ class RunConfig:
         )
 
     def characteristic_set(self) -> CharacteristicSet:
-        calls = (
-            _layers.load_fc_calls(self.fc_list)
-            if self.fc_list is not None
-            else _layers.default_fc_calls()
-        )
-        return _layers.CharacteristicSet(fc_calls=calls, enabled=self.kinds)
+        # without --fc-list, CharacteristicSet's own default list
+        calls = {} if self.fc_list is None else {"fc_calls": _layers.load_fc_calls(self.fc_list)}
+        return _layers.CharacteristicSet(enabled=self.kinds, **calls)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -392,7 +387,7 @@ def load_manifest(path: str) -> list[ManifestProgram]:
         if not isinstance(record, dict) or _text(record, "path", where) is None:
             raise StageError(f"{where}: a program record needs a 'path' string")
         lines = record.get("vulnerable_lines", [])
-        if not isinstance(lines, list) or not all(type(n) is int for n in lines):
+        if not isinstance(lines, list) or not all(type(n) is int and n > 0 for n in lines):
             raise StageError(f"{where}: 'vulnerable_lines' must be a list of line numbers")
         program_class = _text(record, "class", where)
         if program_class not in (None, *PROGRAM_CLASSES):
@@ -484,45 +479,6 @@ def _program_named(
     return lookup
 
 
-def _ground_truth(programs: list[ManifestProgram]) -> dict[str, dict[int, str]]:
-    """labeling's file -> {pre-patch line: mark} map, over every source file."""
-    truth: dict[str, dict[int, str]] = {}
-    for prog in programs:
-        if prog.diff_path is None:
-            if prog.program_class is None:
-                raise StageError(
-                    f"program {prog.path} needs either a class or a diff"
-                )
-            for rel in prog.files:
-                truth[rel] = dict.fromkeys(prog.vulnerable_lines, _layers.MARK_DELETED)
-            continue
-        with open(prog.diff_path, "r", encoding="utf-8") as handle:
-            marks = _layers.parse_diff(handle.read())
-        if not marks:
-            raise StageError(
-                f"program {prog.path}: its diff only adds lines, "
-                "so it marks no vulnerable line"
-            )
-        owner = {}  # the diff's file name -> the program's source file
-        names = list(dict.fromkeys(mark.file for mark in marks))
-        for name in names:
-            # a one-file diff of a one-file program may name it anything
-            matches = prog.files if len(prog.files) == len(names) == 1 else [
-                rel for rel in prog.files if rel == name or rel.endswith("/" + name)
-            ]
-            if len(matches) != 1:
-                raise StageError(
-                    f"program {prog.path}: diff file {name} matches "
-                    f"{len(matches)} of its source files, not 1"
-                )
-            owner[name] = matches[0]
-        for rel in prog.files:
-            truth[rel] = _layers.mark_lines(
-                mark for mark in marks if owner[mark.file] == rel
-            )
-    return truth
-
-
 # --------------------------------------------------------------------------
 # stages
 # --------------------------------------------------------------------------
@@ -603,17 +559,12 @@ def stage_slice(config: RunConfig) -> None:
     for program_name in sorted(by_program):  # one parsed program at a time
         model = _parse_program(program_named(program_name))
         try:
-            pdgs = _layers.build_pdgs(model)
+            pdgs = _layers.build_pdgs(model, config.deps)
         except _layers.GraphError as exc:
             # without one function's PDG its callers' slices would stop
             # short, so the whole program is skipped
             skip(program_name, None, exc)
             continue
-        if config.deps == "dd":
-            pdgs = {
-                idx: replace(p, edges=[e for e in p.edges if e.kind == "data"])
-                for idx, p in pdgs.items()
-            }
         for fn in model.functions:
             graph_diagnostics.extend(
                 {"program": program_name, "function": fn.name, "message": message}
@@ -718,10 +669,7 @@ def stage_vectorize(config: RunConfig) -> None:
     skipped = []  # vectorize_report.json: SeVCs whose anchor the window cuts
     for sym in symbolic:
         try:
-            # the window encode will cut: a SeVC it cannot encode is skipped
-            _layers.truncation_window(
-                len(sym.symbols), sym.anchor_lo, sym.anchor_hi, hp.seq_len
-            )
+            sym.kept(hp.seq_len)  # what encode will keep: a SeVC it cannot encode is skipped
         except _layers.EncodingError as exc:
             skipped.append(
                 {"program": sym.program, "syvc_id": sym.syvc_id, "message": str(exc)}
@@ -748,7 +696,7 @@ def stage_vectorize(config: RunConfig) -> None:
 
 
 def stage_label(config: RunConfig) -> None:
-    truth = _ground_truth(load_manifest(config.manifest))
+    truth = _layers.ground_truth(load_manifest(config.manifest))
     label_records = []
     queue = []
     for _, sevcs in _sevcs_by_program(config):  # each program's SeVCs as they stream
@@ -965,12 +913,7 @@ def stage_evaluate(config: RunConfig) -> None:
         config.path("metrics.json"),
         {
             "seed": config.seed,
-            "counts": {
-                "TP": counts.tp,
-                "FP": counts.fp,
-                "TN": counts.tn,
-                "FN": counts.fn,
-            },
+            "counts": counts.as_dict(),
             "metrics": report.as_dict(),
             "test_samples": len(test_side),
         },
@@ -996,30 +939,19 @@ def stage_explain(config: RunConfig) -> None:
             raise _stale_detections(
                 f"flags SyVC {finding.syvc_id}, which sevc.jsonl does not hold"
             )
-        lo, hi = _layers.truncation_window(
-            len(sym.symbols), sym.anchor_lo, sym.anchor_hi, capacity
-        )
-        trace = _layers.ActivationTrace(finding.activations)
-        if len(trace.outputs) != hi - lo:
+        kept = sym.kept(capacity)
+        if len(finding.activations) != len(kept):
             raise _stale_detections(
-                f"holds {len(trace.outputs)} activations for SyVC "
-                f"{finding.syvc_id}, whose kept symbol window has {hi - lo}"
+                f"holds {len(finding.activations)} activations for SyVC "
+                f"{finding.syvc_id}, whose kept symbol window has {len(kept)}"
             )
-        critical = _layers.explain_trace(trace, sym.symbols[lo:hi], delta=config.delta)
+        trace = _layers.ActivationTrace(finding.activations)
         records.append(
             {
                 "syvc_id": finding.syvc_id,
                 "program": finding.program,
                 "probability": finding.probability,
-                "critical_tokens": [
-                    {
-                        "position": c.position,
-                        "symbol": c.symbol,
-                        "direction": c.direction,
-                        "delta": round(c.delta, 6),
-                    }
-                    for c in critical
-                ],
+                "critical_tokens": _layers.explain_trace(trace, kept, delta=config.delta),
             }
         )
     artifacts.write_jsonl(

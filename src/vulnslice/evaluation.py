@@ -32,6 +32,9 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
+    def as_dict(self) -> dict:
+        return {"TP": self.tp, "FP": self.fp, "TN": self.tn, "FN": self.fn}
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -127,9 +130,9 @@ def format_metrics_table(report: MetricsReport, counts: ConfusionCounts) -> str:
     def cell(value: float | None) -> str:
         return "n/a" if value is None else f"{100.0 * value:6.2f}%"
 
+    cells = " ".join(f"{name}={value}" for name, value in counts.as_dict().items())
     lines = [
-        f"samples: {counts.total}  TP={counts.tp} FP={counts.fp} "
-        f"TN={counts.tn} FN={counts.fn}",
+        f"samples: {counts.total}  {cells}",
         "metric   value",
         "-------  -------",
     ]

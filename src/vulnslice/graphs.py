@@ -564,7 +564,10 @@ def compute_control_deps(cfg: Cfg) -> list[DependenceEdge]:
 # --------------------------------------------------------------------------
 
 
-def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None) -> Pdg:
+def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None, deps: str = "ddcd") -> Pdg:
+    """``fn``'s PDG with the dependences ``deps`` names: "ddcd", data and
+    control, or "dd", data only. "dd" derives the control dependences
+    too, so a CFG the post-dominator pass refuses is refused for both."""
     cfg = cfg if cfg is not None else build_cfg(fn)
     facts = extract_def_use(fn)
     data = compute_data_deps(cfg, facts)
@@ -572,7 +575,7 @@ def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None) -> Pdg:
         control = compute_control_deps(cfg)
     except GraphError as exc:  # name the function, as the CFG builder's errors do
         raise GraphError(f"{exc} ({fn.file_path}:{fn.name})") from None
-    edges = data + control
+    edges = {"ddcd": data + control, "dd": data}[deps]
     return Pdg(
         function_index=fn.index,
         nodes=list(cfg.nodes),
@@ -582,8 +585,9 @@ def build_pdg(fn: FunctionDecl, cfg: Cfg | None = None) -> Pdg:
     )
 
 
-def build_pdgs(program: ProgramModel) -> dict[int, Pdg]:
-    return {fn.index: build_pdg(fn) for fn in program.functions}
+def build_pdgs(program: ProgramModel, deps: str = "ddcd") -> dict[int, Pdg]:
+    """Each function's ``build_pdg``, by its index."""
+    return {fn.index: build_pdg(fn, deps=deps) for fn in program.functions}
 
 
 def build_call_graph(program: ProgramModel) -> CallGraph:

@@ -13,6 +13,10 @@ file of the corpus as a key. Both labeling sources fill it:
   files map its annotated vulnerable lines to the deleted mark, and a
   "good" program's files map to nothing.
 
+``ground_truth`` builds it from the manifest's programs, and refuses,
+naming the program, one that marks no line: no class and no diff, a
+"bad" or "mixed" class without vulnerable lines, or an add-only diff.
+
 A SeVC is label 1 when it holds a deleted/modified line. It is label 1
 and queued for human review when its only marked lines are moves
 inside a known-vulnerable file. Otherwise it is label 0.
@@ -27,6 +31,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from .artifacts import StageError
 from .symbols import SeVC
 
 MARK_DELETED = "deleted-or-modified"
@@ -109,6 +114,47 @@ def mark_lines(marks: Iterable[DiffMark]) -> dict[int, str]:
         if lines.get(mark.line) != MARK_DELETED:
             lines[mark.line] = mark.mark
     return lines
+
+
+def ground_truth(programs: Iterable) -> dict[str, dict[int, str]]:
+    """The file -> {pre-patch line: mark} map over every source file of
+    a corpus manifest's programs (``cli.ManifestProgram``)."""
+    truth: dict[str, dict[int, str]] = {}
+    for prog in programs:
+        if prog.diff_path is None:
+            if prog.program_class is None:
+                raise StageError(f"program {prog.path} needs either a class or a diff")
+            if prog.program_class != "good" and not prog.vulnerable_lines:
+                raise StageError(
+                    f"program {prog.path}: its class is {prog.program_class!r}, "
+                    "but it marks no vulnerable line"
+                )
+            for rel in prog.files:
+                truth[rel] = dict.fromkeys(prog.vulnerable_lines, MARK_DELETED)
+            continue
+        with open(prog.diff_path, "r", encoding="utf-8") as handle:
+            marks = parse_diff(handle.read())
+        if not marks:
+            raise StageError(
+                f"program {prog.path}: its diff only adds lines, "
+                "so it marks no vulnerable line"
+            )
+        owner = {}  # the diff's file name -> the program's source file
+        names = list(dict.fromkeys(mark.file for mark in marks))
+        for name in names:
+            # a one-file diff of a one-file program may name it anything
+            matches = prog.files if len(prog.files) == len(names) == 1 else [
+                rel for rel in prog.files if rel == name or rel.endswith("/" + name)
+            ]
+            if len(matches) != 1:
+                raise StageError(
+                    f"program {prog.path}: diff file {name} matches "
+                    f"{len(matches)} of its source files, not 1"
+                )
+            owner[name] = matches[0]
+        for rel in prog.files:
+            truth[rel] = mark_lines(mark for mark in marks if owner[mark.file] == rel)
+    return truth
 
 
 def label_sevc(sevc: SeVC, truth: dict[str, dict[int, str]]) -> tuple[int, bool]:

@@ -18,9 +18,12 @@ whole-symbol granularity around the anchor statement's symbols:
 
 The anchor span must survive whichever branch applies; if it cannot,
 truncation fails rather than silently cutting the anchor.
+``SymbolicSeVC.kept`` applies it wherever a stream is fitted.
 
 A verdict is explained by the BGRU's activation output at each kept
-symbol: where it jumps by at least delta, the symbol is critical.
+symbol: where it jumps by at least delta, the symbol is critical. Its
+``CriticalToken`` holds the jump rounded to 6 places, as explain.jsonl
+records it.
 
 ``vectorize`` (encoding) and ``bgru`` (the model) re-export these
 names; they live here so that the ``explain`` stage, which works from
@@ -36,7 +39,7 @@ nor the slicer.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .lexicon import (
@@ -82,7 +85,7 @@ class SeVC:
     syvc_id: int
     kind: str
     anchor_statement: int
-    statements: list[SevcStatement]
+    statements: list[SevcStatement] = field(metadata={"record": SevcStatement})
     program: str = ""
 
     @classmethod
@@ -107,6 +110,13 @@ class SymbolicSeVC:
     anchor_hi: int
     kind: str = ""
     program: str = ""
+
+    def kept(self, capacity: int) -> list[str]:
+        """The symbols a model of ``capacity`` symbols keeps: those of
+        ``truncation_window``, which raises ``EncodingError`` when the
+        anchor span cannot survive it."""
+        lo, hi = truncation_window(len(self.symbols), self.anchor_lo, self.anchor_hi, capacity)
+        return self.symbols[lo:hi]
 
 
 def symbolize(sevc: SeVC, program: ProgramModel, cset: CharacteristicSet) -> SymbolicSeVC:
@@ -214,7 +224,7 @@ class CriticalToken:
     position: int  # timestep (0-based) of the critical token
     symbol: str
     direction: str  # "vulnerable" | "not-vulnerable"
-    delta: float
+    delta: float  # the activation jump, rounded to 6 places
 
 
 def explain(
@@ -224,7 +234,7 @@ def explain(
 
     A rise of at least delta marks the right-hand token as critical
     toward vulnerable; a fall of at least delta marks it critical
-    toward not vulnerable.
+    toward not vulnerable. delta is compared with the unrounded jump.
     """
     outputs = trace.outputs
     if len(symbols) != len(outputs):
@@ -235,10 +245,7 @@ def explain(
     report: list[CriticalToken] = []
     for t in range(len(outputs) - 1):
         jump = float(outputs[t + 1] - outputs[t])
-        if jump >= delta:
-            report.append(CriticalToken(t + 1, symbols[t + 1], "vulnerable", jump))
-        elif jump <= -delta:
-            report.append(
-                CriticalToken(t + 1, symbols[t + 1], "not-vulnerable", jump)
-            )
+        if abs(jump) >= delta:
+            direction = "vulnerable" if jump >= delta else "not-vulnerable"
+            report.append(CriticalToken(t + 1, symbols[t + 1], direction, round(jump, 6)))
     return report

@@ -4,8 +4,8 @@ Encoding concatenates one embedding per symbol (symbolization is in
 ``symbols``) and fits the result to a fixed length of ``theta``
 numbers (``theta = L * d``). Shorter streams are zero-padded at the
 end. Longer streams keep the anchor-centred window of
-``symbols.truncation_window``; if the anchor span cannot survive it,
-encoding fails rather than silently cutting the anchor.
+``SymbolicSeVC.kept``; if the anchor span cannot survive it, encoding
+fails rather than silently cutting the anchor.
 """
 
 from __future__ import annotations
@@ -60,10 +60,7 @@ def encode(sym: SymbolicSeVC, table: EmbeddingTable, theta: int) -> SampleVector
     d = table.dimension
     if theta % d != 0:
         raise EncodingError(f"theta={theta} is not divisible by dimension={d}")
-    capacity = theta // d
-    n = len(sym.symbols)
-    lo, hi = truncation_window(n, sym.anchor_lo, sym.anchor_hi, capacity)
-    kept = sym.symbols[lo:hi]
+    kept = sym.kept(theta // d)
     values = np.zeros(theta, dtype=np.float64)
     if kept:  # the kept rows, filled in one copy
         rows = [table.lookup(symbol) for symbol in kept]

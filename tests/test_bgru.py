@@ -594,6 +594,18 @@ def test_explain_falling_jump_marks_not_vulnerable():
     assert report[0].position == 1
 
 
+def test_explain_rounds_each_delta_and_compares_the_unrounded_jump():
+    # jumps of +0.7123456789, -0.6123456789 and +0.5999996: the last one
+    # rounds to 0.6 but is below delta=0.6, so it is not critical
+    trace = ActivationTrace(outputs=np.array([0.0, 0.7123456789, 0.1, 0.6999996]))
+    report = explain(trace, ["a", "b", "c", "d"], delta=0.6)
+    assert report == [
+        CriticalToken(1, "b", "vulnerable", 0.712346),
+        CriticalToken(2, "c", "not-vulnerable", -0.612346),
+    ]
+    assert [token.delta for token in report] == [round(token.delta, 6) for token in report]
+
+
 def test_explain_length_mismatch_raises():
     trace = ActivationTrace(outputs=np.array([0.5, 0.5]))
     with pytest.raises(ModelError):

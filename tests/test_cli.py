@@ -490,6 +490,8 @@ SHARED_LEAK = "programs[0] and programs[1] both hold the source file leak.c"
          "programs[0]: 'vulnerable_lines' must be a list of line numbers"),
         ({"programs": [{"path": "leak.c", "class": "bad", "vulnerable_lines": ["4"]}]},
          "programs[0]: 'vulnerable_lines' must be a list of line numbers"),
+        ({"programs": [{"path": "leak.c", "class": "mixed", "vulnerable_lines": [0, -4]}]},
+         "programs[0]: 'vulnerable_lines' must be a list of line numbers"),
         ({"programs": [{"path": "leak.c", "class": ["bad"]}]}, "programs[0]: 'class' must be"),
         ({"programs": [{"path": "patched.c", "diff": 7}]}, "programs[0]: 'diff' must be"),
         ({"fc_list": "calls.txt", "programs": [{"path": "leak.c", "class": "bad"}]},
@@ -506,9 +508,9 @@ SHARED_LEAK = "programs[0] and programs[1] both hold the source file leak.c"
         ({"programs": [GOOD_ROOT, BAD_LEAK]}, SHARED_LEAK),
     ],
     ids=["not-json", "list", "programs-object", "root-number", "record-string",
-         "no-path", "lines-number", "lines-strings", "class-list", "diff-number", "fc-list",
-         "class-wild", "good-with-lines", "file-bad-then-good", "file-good-then-bad",
-         "file-then-directory", "directory-then-file"],
+         "no-path", "lines-number", "lines-strings", "lines-below-1", "class-list",
+         "diff-number", "fc-list", "class-wild", "good-with-lines", "file-bad-then-good",
+         "file-good-then-bad", "file-then-directory", "directory-then-file"],
 )
 def test_a_malformed_manifest_is_an_error_that_names_it(tmp_path, corpus, capsys, manifest, problem):
     path = corpus / "malformed.json"
@@ -955,11 +957,13 @@ def test_a_stale_statement_text_names_slice(tmp_path, capsys, stage):
 
 def drop_or_add_key(path, key, index=0):
     """Drop ``key`` from record ``index`` of a jsonl artifact (from its
-    first statement for a statement's key), or add it to a record that
-    lacks it; the record's line number."""
+    first statement for ``line`` or ``statements.<key>``), or add it to a
+    record that lacks it; the record's line number."""
     lines = path.read_text().splitlines()
     record = json.loads(lines[index + 1])
-    held = record["statements"][0] if key == "line" else record
+    held = record
+    if key == "line" or key.startswith("statements."):
+        held, key = record["statements"][0], key.removeprefix("statements.")
     if key in held:
         del held[key]
     else:
@@ -998,6 +1002,10 @@ WRITERS = {"syvc.jsonl": "extract", "sevc.jsonl": "slice", "labels.jsonl": "labe
         ("syvc.jsonl", "extra", "slice"),
         ("labels.jsonl", "extra", "evaluate"),
         ("detect.jsonl", "extra", "explain"),
+        # a key of a sevc.jsonl statement, which is a record of its own
+        ("sevc.jsonl", "statements.text", "vectorize"),
+        ("sevc.jsonl", "statements.text", "label"),
+        ("sevc.jsonl", "statements.extra", "explain"),
     ],
 )
 def test_a_malformed_record_names_the_stage_that_writes_it(
@@ -1011,8 +1019,10 @@ def test_a_malformed_record_names_the_stage_that_writes_it(
     assert run(corpus, out, stage, "--threshold", "0.000001") == 2
     err = capsys.readouterr().err
     # a record's key is named as such; detect reads a statement's line itself
+    name = key.removeprefix("statements.")
     problem = ("KeyError('line')" if key == "line"
-               else f"{'unknown' if key == 'extra' else 'missing'} key {key!r}")
+               else f"{'unknown' if name == 'extra' else 'missing'} key {name!r}"
+               + (" in statements[0]" if name != key else ""))
     assert err == (f"error: {out / artifact} line {line} is malformed ({problem}); "
                    f"re-run the '{WRITERS[artifact]}' stage\n"), err
     assert "__init__" not in err, err
@@ -1541,6 +1551,35 @@ def test_label_refuses_a_diff_that_only_adds_lines(tmp_path, capsys):
         "error: program reader.c: its diff only adds lines, "
         "so it marks no vulnerable line\n"
     )
+    assert not (out / "labels.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ({"path": "leak.c", "class": "bad"},
+         "program leak.c: its class is 'bad', but it marks no vulnerable line"),
+        ({"path": "leak.c", "class": "mixed", "vulnerable_lines": []},
+         "program leak.c: its class is 'mixed', but it marks no vulnerable line"),
+        ({"path": "leak.c"}, "program leak.c needs either a class or a diff"),
+    ],
+    ids=["bad-without-lines", "mixed-without-lines", "no-class-no-diff"],
+)
+def test_label_refuses_a_program_that_marks_no_line(tmp_path, capsys, record, problem):
+    """Such a program would be labeled all 0 without a word; parse through
+    slice take it, as its manifest is well formed."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in ("leak.c", "guarded.c"):
+        (root / name).write_text(TINY_PROGRAMS[name])
+    manifest = {"programs": [record, {"path": "guarded.c", "class": "good"}]}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    for stage in ("parse", "extract", "slice"):
+        assert run(root, out, stage) == 0
+    capsys.readouterr()
+    assert run(root, out, "label") == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
     assert not (out / "labels.jsonl").exists()
 
 

@@ -145,3 +145,11 @@ def test_table_renders_na():
     counts = ConfusionCounts(tp=0, fn=0, fp=0, tn=4)
     text = format_metrics_table(compute_metrics(counts), counts)
     assert "n/a" in text and "TP=0" in text
+
+
+def test_counts_as_dict_name_each_count_and_head_the_table():
+    counts = ConfusionCounts(tp=8, fp=2, tn=7, fn=1)
+    assert counts.as_dict() == {"TP": 8, "FP": 2, "TN": 7, "FN": 1}
+    assert list(counts.as_dict()) == ["TP", "FP", "TN", "FN"]
+    text = format_metrics_table(compute_metrics(counts), counts)
+    assert text.splitlines()[0] == "samples: 18  TP=8 FP=2 TN=7 FN=1"

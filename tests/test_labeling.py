@@ -2,12 +2,15 @@
 
 import pytest
 
+from vulnslice.artifacts import StageError
+from vulnslice.cli import ManifestProgram
 from vulnslice.labeling import (
     MARK_DELETED,
     DiffMark,
     DiffParseError,
     LabelingError,
     apply_labels,
+    ground_truth,
     label_sevc,
     mark_lines,
     parse_diff,
@@ -199,3 +202,51 @@ def test_a_line_marked_deleted_and_moved_counts_as_deleted():
     for marks in (parse_diff(diff), parse_diff(diff)[::-1]):
         truth = {"f.c": mark_lines(marks)}
         assert label_sevc(make_sevc([("f.c", 3, "x = 1;")]), truth) == (1, False)
+
+
+def program(path, files=None, diff=None, **fields):
+    return ManifestProgram(
+        path=path, source_paths=[], files=files or [path], diff_path=diff, **fields
+    )
+
+
+def test_ground_truth_maps_every_file_of_each_source(tmp_path):
+    diff = tmp_path / "vuln.diff"
+    diff.write_text(DIFF_DELETE)
+    truth = ground_truth([
+        program("bad.c", program_class="bad", vulnerable_lines=(4, 7)),
+        program("ok", files=["ok/a.c", "ok/b.c"], program_class="good"),
+        # a one-file diff of a one-file program may name it anything
+        program("patched.c", diff=str(diff)),
+    ])
+    assert truth == {
+        "bad.c": {4: MARK_DELETED, 7: MARK_DELETED},
+        "ok/a.c": {},
+        "ok/b.c": {},
+        "patched.c": {9: MARK_DELETED},
+    }
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ({"program_class": "bad"},
+         "program p.c: its class is 'bad', but it marks no vulnerable line"),
+        ({"program_class": "mixed"},
+         "program p.c: its class is 'mixed', but it marks no vulnerable line"),
+        ({}, "program p.c needs either a class or a diff"),
+        ({"diff": DIFF_ADD_ONLY},
+         "program p.c: its diff only adds lines, so it marks no vulnerable line"),
+        ({"diff": DIFF_DELETE, "files": ["p/a.c", "p/b.c"]},
+         "program p.c: diff file vuln.c matches 0 of its source files, not 1"),
+    ],
+    ids=["bad-without-lines", "mixed-without-lines", "no-class-no-diff", "add-only-diff",
+         "diff-of-another-file"],
+)
+def test_ground_truth_refuses_a_program_by_name(tmp_path, record, problem):
+    if "diff" in record:
+        (tmp_path / "p.diff").write_text(record.pop("diff"))
+        record["diff"] = str(tmp_path / "p.diff")
+    with pytest.raises(StageError) as refused:
+        ground_truth([program("good.c", program_class="good"), program("p.c", **record)])
+    assert str(refused.value) == problem

@@ -381,3 +381,30 @@ def test_anchor_in_unreachable_code_fails_like_reference():
     syvc = next(s for s in extract_syvcs(model, CharacteristicSet()) if s.kind == "FC")
     with pytest.raises(SliceConsistencyError, match="not in PDG"):
         interprocedural_slices(model, build_call_graph(model), build_pdgs(model), syvc)
+
+
+def test_data_only_pdgs_are_the_data_edges_of_the_full_ones():
+    """build_pdgs for "dd" gives, edge for edge, the data edges of the
+    data+control PDGs (the filter the slice stage once applied itself),
+    and where the full build raises GraphError it raises the same one:
+    it still derives the control dependences."""
+    models = [
+        load_program(p.source_paths, name=p.path)
+        for p in load_manifest(mini_corpus_manifest())
+    ]
+    rng = np.random.default_rng(2024)
+    models += [parse_source(random_program(rng)) for _ in range(150)]
+    # the post-dominator pass refuses a loop with no path to exit
+    models.append(parse_source("void f(int a){for (;;) { a = 1; } after();}"))
+    refused = 0
+    for model in models:
+        try:
+            expected = data_only(build_pdgs(model))
+        except GraphError as exc:
+            with pytest.raises(GraphError) as raised:
+                build_pdgs(model, "dd")
+            assert str(raised.value) == str(exc)
+            refused += 1
+            continue
+        assert build_pdgs(model, "dd") == expected, model.name
+    assert (refused, len(models)) == (1, 40 + 150 + 1)

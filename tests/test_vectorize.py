@@ -153,6 +153,14 @@ def test_anchor_must_survive():
         truncation_window(10, 1, 9, 3)
 
 
+def test_kept_symbols_are_those_of_the_truncation_window():
+    sym = SymbolicSeVC(0, list("abcdefghijk"), 5, 6)
+    assert sym.kept(8) == list("cdefghij")  # the split branch's (2, 10)
+    assert sym.kept(11) == sym.symbols
+    with pytest.raises(EncodingError):
+        SymbolicSeVC(0, list("abcdefghij"), 1, 9).kept(3)
+
+
 def test_encode_requires_divisible_theta():
     table = hash_table(3, seed=0)
     sym = SymbolicSeVC(0, ["a"], 0, 1)
