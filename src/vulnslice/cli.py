@@ -63,7 +63,8 @@ chunk's rows into its float64 buffer; float32 to float64 is exact, so
 the traces are those of a float64 copy bit for bit.
 
 label labels each SeVC against the ground truth that labeling builds
-from the manifest's classes, vulnerable lines and diffs. labels.jsonl
+from the manifest's classes, vulnerable lines and diffs, and refuses a
+vulnerable line past the end of every file of its program. labels.jsonl
 is the one record of each SeVC's label and review flag, and
 train_report.json of the program split that train draws: evaluate
 scores every labeled SeVC of a program train did not train on.
@@ -695,8 +696,36 @@ def stage_vectorize(config: RunConfig) -> None:
     )
 
 
+def _refuse_lines_past_the_end(programs: list[ManifestProgram]) -> None:
+    """A class-based program's vulnerable line must lie within one of its
+    source files; one past the end of all of them would label nothing.
+    A file that cannot be read counts no lines, and a program with no
+    readable file is left to parse's diagnostic."""
+    for prog in programs:
+        if prog.diff_path is not None or not prog.vulnerable_lines:
+            continue
+        lengths = {}
+        for rel, source in zip(prog.files, prog.source_paths):
+            try:
+                with open(source, "r", encoding="utf-8", errors="replace") as handle:
+                    lengths[rel] = sum(1 for _ in handle)
+            except OSError:
+                continue
+        if not lengths:
+            continue
+        longest = max(lengths, key=lengths.get)
+        for line in prog.vulnerable_lines:
+            if line > lengths[longest]:
+                raise StageError(
+                    f"program {prog.path}: vulnerable line {line} is past the end of "
+                    f"its longest source file, {longest} ({lengths[longest]} lines)"
+                )
+
+
 def stage_label(config: RunConfig) -> None:
-    truth = _layers.ground_truth(load_manifest(config.manifest))
+    programs = load_manifest(config.manifest)
+    truth = _layers.ground_truth(programs)
+    _refuse_lines_past_the_end(programs)
     label_records = []
     queue = []
     for _, sevcs in _sevcs_by_program(config):  # each program's SeVCs as they stream

@@ -1,14 +1,26 @@
 """Token embeddings: skip-gram with negative sampling, plus a hashed mode.
 
 The skip-gram trainer is deliberately single-threaded and seeded so the
-same corpus and seed always produce the same table, bit for bit. It
-draws the negatives of all pairs of one window at once: one call for
-k * negatives doubles reads the same generator stream as k calls for
-`negatives` each, so the draws, and the float operations of each
-(center, context) pair, are those of a pair-by-pair loop. The
-"hash" mode derives every vector from a keyed blake2 digest instead of
-training; it is the fast deterministic fallback used by tests and as
-the out-of-vocabulary rule at encode time.
+same corpus and seed always produce the same table, bit for bit: the
+table of a plain loop that draws and updates one (center, context) pair
+at a time. Three things keep it so.
+
+- The same draws: per center, one ``integers`` call for its window and
+  one ``random`` call for the negatives of all its pairs, whose
+  k * negatives doubles are the stream of k calls for ``negatives``.
+- Each pair's float operations are that loop's, in its order, or their
+  exact negation: the center table is held negated while training, and
+  IEEE negation commutes with every rounding, BLAS dot products
+  included. Only the sign of a zero can differ, and a zero reaches the
+  table only through an exact cancellation.
+- The context table's update is one ``add.at`` over its flat cells, in
+  draw order, so a cell that a negative draw repeats gets its additions
+  in the same order.
+
+A finite table is bit-identical; one that overflows to NaN may differ in
+the sign bits of its NaNs. The "hash" mode derives every vector from a
+keyed blake2 digest instead of training; it is the fast deterministic
+fallback used by tests and as the out-of-vocabulary rule at encode time.
 """
 
 from __future__ import annotations
@@ -136,21 +148,33 @@ def train_embeddings(
 
     center_vecs = (rng.random((v, dimension)) - 0.5) / dimension
     context_vecs = np.zeros((v, dimension), dtype=np.float64)
+    # training holds the center table negated; negating back is exact
+    np.negative(center_vecs, out=center_vecs)
+    # flat view of the context table, and each row's flat cell indices
+    context_cells = context_vecs.reshape(-1)
+    cells_of = np.arange(v * dimension).reshape(v, dimension)
 
     encoded = [[index[s] for s in sentence] for sentence in sentences]
     width = negatives + 1
-    labels = np.zeros(width)
-    labels[0] = 1.0
-    # per-pair buffers, reused so each pair allocates nothing
+    # per-pair buffers, reused so each pair allocates nothing; array
+    # operands, since a Python float costs a conversion per call
     rows = np.empty((width, dimension))
     scores = np.empty(width)
-    gradient = np.empty(width)
-    gradient_column = gradient[:, None]  # outer products as a broadcast
-    updates = np.empty((width, dimension))
+    scores_column = scores[:, None]  # outer products as a broadcast
+    updates = np.empty(width * dimension)
+    update_rows = updates.reshape(width, dimension)
     center_grad = np.empty(dimension)
+    ones = np.ones(width)
+    clamp = np.full(width, 60.0)
+    rate = np.empty(width)
     # one row per (center, context) pair of a window: context, then negatives
     most_pairs = min(2 * window, max(len(s) for s in sentences))
     window_targets = np.empty((most_pairs, width), dtype=np.int64)
+    # the hot callables, bound once
+    integers, random = rng.integers, rng.random
+    searchsorted = table_cdf.searchsorted
+    take, dot, minimum, exp = context_vecs.take, np.dot, np.minimum, np.exp
+    add, divide, multiply, add_at = np.add, np.divide, np.multiply, np.add.at
 
     total_tokens = sum(len(s) for s in sentences)
     scheduled = max(1, total_tokens * epochs)
@@ -160,7 +184,7 @@ def train_embeddings(
             for pos, center in enumerate(ids):
                 lr = max(min_lr, initial_lr * (1.0 - done / scheduled))
                 done += 1
-                reach = int(rng.integers(1, window + 1))
+                reach = int(integers(1, window + 1))
                 lo = max(0, pos - reach)
                 contexts = ids[lo:pos] + ids[pos + 1:pos + reach + 1]
                 if not contexts:
@@ -169,27 +193,30 @@ def train_embeddings(
                 targets = window_targets[:k]
                 targets[:, 0] = contexts
                 # the same stream as one rng.random(negatives) per pair
-                targets[:, 1:] = np.searchsorted(
-                    table_cdf, rng.random(k * negatives)
-                ).reshape(k, negatives)
-                cv = center_vecs[center]
-                for pair in targets:
-                    context_vecs.take(pair, 0, rows)
-                    np.dot(rows, cv, out=scores)
-                    # no upper clamp: above 60 the sigmoid is exactly 1.0
-                    np.maximum(scores, -60.0, out=scores)
-                    np.negative(scores, out=scores)
-                    np.exp(scores, out=scores)
-                    np.add(scores, 1.0, out=scores)
-                    np.divide(1.0, scores, out=scores)
-                    np.subtract(labels, scores, out=gradient)
-                    np.multiply(gradient, lr, out=gradient)
-                    np.multiply(gradient_column, cv, out=updates)
-                    np.dot(gradient, rows, out=center_grad)
-                    # add.at accumulates correctly when a negative draw
-                    # repeats an index
-                    np.add.at(context_vecs, pair, updates)
-                    cv += center_grad
+                targets[:, 1:] = searchsorted(random(k * negatives)).reshape(k, negatives)
+                rate.fill(lr)
+                ncv = center_vecs[center]  # the center's vector, negated
+                for pair, cells in zip(targets, cells_of[targets].reshape(k, -1)):
+                    take(pair, 0, rows)
+                    # -(rows @ cv): negation commutes with every rounding
+                    dot(rows, ncv, out=scores)
+                    # min(-x, 60) is -max(x, -60), the lower clamp; no upper
+                    # one: above 60 the sigmoid is exactly 1.0 either way
+                    minimum(scores, clamp, out=scores)
+                    exp(scores, out=scores)
+                    add(scores, ones, out=scores)
+                    divide(ones, scores, out=scores)
+                    # scores becomes -(labels - scores) * lr
+                    scores[0] -= 1.0
+                    multiply(scores, rate, out=scores)
+                    # (-gradient) * (-cv): the loop's outer product, exactly
+                    multiply(scores_column, ncv, out=update_rows)
+                    dot(scores, rows, out=center_grad)
+                    # a 1-D add.at (numpy's fast path) adds a cell that a
+                    # negative draw repeats in draw order, as one on rows does
+                    add_at(context_cells, cells, updates)
+                    ncv += center_grad
+    np.negative(center_vecs, out=center_vecs)
     return EmbeddingTable(
         dimension=dimension,
         vectors={s: center_vecs[index[s]].copy() for s in vocab},

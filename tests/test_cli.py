@@ -1562,8 +1562,12 @@ def test_label_refuses_a_diff_that_only_adds_lines(tmp_path, capsys):
         ({"path": "leak.c", "class": "mixed", "vulnerable_lines": []},
          "program leak.c: its class is 'mixed', but it marks no vulnerable line"),
         ({"path": "leak.c"}, "program leak.c needs either a class or a diff"),
+        ({"path": "leak.c", "class": "bad", "vulnerable_lines": [99]},
+         "program leak.c: vulnerable line 99 is past the end of "
+         "its longest source file, leak.c (6 lines)"),
     ],
-    ids=["bad-without-lines", "mixed-without-lines", "no-class-no-diff"],
+    ids=["bad-without-lines", "mixed-without-lines", "no-class-no-diff",
+         "line-past-the-end"],
 )
 def test_label_refuses_a_program_that_marks_no_line(tmp_path, capsys, record, problem):
     """Such a program would be labeled all 0 without a word; parse through
@@ -1581,6 +1585,46 @@ def test_label_refuses_a_program_that_marks_no_line(tmp_path, capsys, record, pr
     assert run(root, out, "label") == 2
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not (out / "labels.jsonl").exists()
+
+
+def test_a_vulnerable_line_may_lie_in_any_file_of_a_program(tmp_path, capsys):
+    """prog/ holds a.c (6 lines) and b.c (9 lines): line 10 lies past the
+    end of both, and line 7 lies in b.c and labels its SeVCs."""
+    root = tmp_path / "corpus"
+    (root / "prog").mkdir(parents=True)
+    (root / "prog" / "a.c").write_text(TINY_PROGRAMS["leak.c"])
+    (root / "prog" / "b.c").write_text(TINY_PROGRAMS["guarded.c"])
+    (root / "safe_reader.c").write_text(TINY_PROGRAMS["safe_reader.c"])
+    out = tmp_path / "out"
+
+    def label(line):
+        manifest = {"programs": [
+            {"path": "prog", "class": "bad", "vulnerable_lines": [line]},
+            {"path": "safe_reader.c", "class": "good"},
+        ]}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        for stage in ("parse", "extract", "slice"):
+            assert run(root, out, stage) == 0
+        capsys.readouterr()
+        return run(root, out, "label")
+
+    assert label(10) == 2
+    assert capsys.readouterr().err == (
+        "error: program prog: vulnerable line 10 is past the end of "
+        "its longest source file, prog/b.c (9 lines)\n"
+    )
+    assert not (out / "labels.jsonl").exists()
+    assert label(7) == 0
+    _, labels = artifacts.read_jsonl(str(out / "labels.jsonl"))
+    _, sevcs = artifacts.read_jsonl(str(out / "sevc.jsonl"))
+    holds_b7 = {
+        sevc["syvc_id"]: any(
+            (s["file"], s["line"]) == ("prog/b.c", 7) for s in sevc["statements"]
+        )
+        for sevc in sevcs
+    }
+    assert any(holds_b7.values())
+    assert all(record["label"] == holds_b7[record["syvc_id"]] for record in labels)
 
 
 TWO_FILE_DIFF = """--- a/b.c

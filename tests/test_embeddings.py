@@ -215,6 +215,8 @@ WORDS = [["V1", "=", "V2", ";"], ["memset", "(", "V1", ",", "0", ")", ";"]] * 3
         (WORDS, {"negatives": 0}),
         (WORDS, {"dimension": 1, "window": 1, "negatives": 0, "epochs": 1}),
         (WORDS, {"window": 50, "negatives": 12, "epochs": 2}),
+        (WORDS, {"initial_lr": 2.0}),
+        ([["a", "b"] * 6, ["b", "a", "a"]], {"initial_lr": 1.0, "negatives": 12}),
     ],
     ids=[
         "single-token-sentences",
@@ -226,6 +228,8 @@ WORDS = [["V1", "=", "V2", ";"], ["memset", "(", "V1", ",", "0", ")", ";"]] * 3
         "negatives-0",
         "all-minimal",
         "window-wider-than-sentences",
+        "saturated-scores",
+        "saturated-scores-repeated-draws",
     ],
 )
 def test_trainer_matches_reference_bit_for_bit(corpus, options):
