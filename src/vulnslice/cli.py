@@ -19,9 +19,10 @@ directory and write their own atomically:
 parse writes the lines frontend.dump_ast formats, one per AST node of
 each function in pre-order, through artifacts.write_jsonl_lines; the
 other JSONL artifacts are records that artifacts.write_jsonl encodes.
-A syvc, sevc, labels or detect record is its dataclass, written as its
-fields; the dataclass's from_record (cls(**record)) reads it back, and
-a missing or unknown key, a sevc statement's too, is refused by name.
+A syvc, sevc, labels, detect or explain record is its dataclass,
+written as its fields; the dataclass's from_record (cls(**record))
+reads back those a later stage reads, and a missing or unknown key, a
+sevc statement's too, is refused by name.
 
 One root seed drives every stochastic stage and is recorded in every
 artifact header. One argument parser reads the stage, a positional, and
@@ -64,25 +65,32 @@ the traces are those of a float64 copy bit for bit.
 
 label labels each SeVC against the ground truth that labeling builds
 from the manifest's classes, vulnerable lines and diffs, and refuses a
-vulnerable line past the end of every file of its program. labels.jsonl
-is the one record of each SeVC's label and review flag, and
-train_report.json of the program split that train draws: evaluate
-scores every labeled SeVC of a program train did not train on.
+vulnerable line that holds no token in any file of its program: one
+past the end of each, or blank, a comment or a preprocessor line (after
+frontend.scrub) in each that reaches it. labels.jsonl is the one record
+of each SeVC's label and review flag, and train_report.json of the
+program split that train draws: evaluate scores every labeled SeVC of a
+program train did not train on.
 
-A stage process imports only the layers its stage runs. ``import
-vulnslice.cli`` loads artifacts and presets alone. Stage code reads each
-layer name as an attribute of this module (``_layers.build_pdgs``), and
-the module ``__getattr__`` imports the layer on the first such read:
+Each stage's body is a module of the stages package, and this module
+reads each stage function as a lazy name (``cli.stage_parse`` is
+``stages.parse.stage_parse``), so a stage process compiles and imports
+this module, its own stage module and the layers its stage runs, and
+``import vulnslice.cli`` loads artifacts and presets alone. Stage code
+reads each layer name as an attribute of this module
+(``cli.build_pdgs``), and the module ``__getattr__`` imports the layer
+on the first such read:
 
-    parse     frontend
-    extract   frontend, candidates
-    slice     frontend, candidates, graphs, slicing (with symbols)
-    vectorize frontend, candidates, symbols, embeddings, vectorize
-    label     frontend, symbols, labeling
-    train     vectorize (with symbols), bgru, evaluation
-    detect    vectorize (with symbols), bgru
-    evaluate  evaluation
-    explain   frontend, candidates, symbols
+    stage     stages.*           layers
+    parse     parse              frontend
+    extract   extract            frontend, candidates
+    slice     slice              frontend, candidates, graphs, slicing (with symbols)
+    vectorize vectorize, shared  frontend, candidates, symbols, embeddings, vectorize
+    label     label, shared      frontend, symbols, labeling
+    train     train, shared      vectorize (with symbols), bgru, evaluation
+    detect    detect, shared     vectorize (with symbols), bgru
+    evaluate  evaluate, shared   evaluation
+    explain   explain, shared    frontend, candidates, symbols
     pipeline  each of them, in the first stage that reads it
 
 So only vectorize, train, detect and evaluate import numpy (through
@@ -124,30 +132,29 @@ import argparse
 import atexit
 import gc
 import importlib
-import itertools
 import json
 import os
 import stat
 import sys
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
-from . import artifacts
-from .artifacts import StageError, derive_seed
+from .artifacts import StageError
 from .presets import ALL_KINDS, MODE_HASH, MODE_SKIPGRAM, PRESETS, Hyperparams
 
 if TYPE_CHECKING:
-    from .candidates import CharacteristicSet, SyVC
+    from .candidates import CharacteristicSet
     from .frontend import ProgramModel
-    from .symbols import SeVC
 
-# Every layer name the stages use, as name -> "module:attribute" in this
-# package. Module __getattr__ resolves them on first access, and stage
-# code reads them as _layers.<name>, so getattr(cli, name) and patches by
-# name work as for an eager import, and a stage process imports only the
-# layers it reads. predict and bgru_forward stay here although the
-# stages use forward_batch: perfbench/child.py wraps them by name.
+# Every layer name the stages use, and each stage function, as name ->
+# "module:attribute" in this package. Module __getattr__ resolves them on
+# first access, and the stage modules read them as cli.<name> (this
+# module as _layers.<name>), so getattr(cli, name) and patches by name
+# work as for an eager import, and a stage process imports only its own
+# stage module and the layers it reads. predict and bgru_forward stay
+# here although the stages use forward_batch: perfbench/child.py wraps
+# them by name.
 LAZY_NAMES = {
     "load_program": "frontend:load_program",
     "dump_ast": "frontend:dump_ast",
@@ -185,6 +192,17 @@ LAZY_NAMES = {
     "count_confusion": "evaluation:count_confusion",
     "format_metrics_table": "evaluation:format_metrics_table",
     "split_by_program": "evaluation:split_by_program",
+    "scrub": "frontend:scrub",
+    "LexError": "frontend:LexError",
+    "stage_parse": "stages.parse:stage_parse",
+    "stage_extract": "stages.extract:stage_extract",
+    "stage_slice": "stages.slice:stage_slice",
+    "stage_vectorize": "stages.vectorize:stage_vectorize",
+    "stage_label": "stages.label:stage_label",
+    "stage_train": "stages.train:stage_train",
+    "stage_detect": "stages.detect:stage_detect",
+    "stage_evaluate": "stages.evaluate:stage_evaluate",
+    "stage_explain": "stages.explain:stage_explain",
 }
 
 
@@ -481,528 +499,20 @@ def _program_named(
 
 
 # --------------------------------------------------------------------------
-# stages
+# the pipeline; each stage's body is in its module under stages/
 # --------------------------------------------------------------------------
 
 
-def stage_parse(config: RunConfig) -> None:
-    programs = load_manifest(config.manifest)
-    ast_lines = []
-    diagnostics = []
-    functions = statements = 0
-    for model in _parse_programs(programs):  # each model is dropped once dumped
-        ast_lines.extend(_layers.dump_ast(model))
-        for diag in model.diagnostics:
-            diagnostics.append(
-                {"program": model.name, "file": diag.file, "line": diag.line,
-                 "message": diag.message}
-            )
-        functions += len(model.functions)
-        statements += sum(len(f.all_statements()) for f in model.functions)
-    artifacts.write_jsonl_lines(
-        config.path("ast.jsonl"), "ast-dump", config.seed, ast_lines
-    )
-    artifacts.write_json(
-        config.path("parse_report.json"),
-        {
-            "seed": config.seed,
-            "programs": len(programs),
-            "functions": functions,
-            "statements": statements,
-            "diagnostics": diagnostics,
-        },
-    )
-    print(
-        f"parsed {len(programs)} programs: {functions} functions, "
-        f"{statements} statements, {len(diagnostics)} diagnostics"
-    )
-
-
-def stage_extract(config: RunConfig) -> None:
-    artifacts.require(config.path("parse_report.json"), "parse")
-    programs = load_manifest(config.manifest)
-    cset = config.characteristic_set()
-    records = []
-    for model in _parse_programs(programs):
-        # ids are per-program at extraction; renumber corpus-wide so
-        # downstream artifacts can join on them
-        first = len(records)
-        records.extend(
-            {**vars(syvc), "id": first + i}
-            for i, syvc in enumerate(_layers.extract_syvcs(model, cset))
-        )
-    artifacts.write_jsonl(
-        config.path("syvc.jsonl"), "syvc", config.seed, records
-    )
-    by_kind: dict[str, int] = {}
-    for r in records:
-        by_kind[r["kind"]] = by_kind.get(r["kind"], 0) + 1
-    summary = ", ".join(f"{k}={by_kind.get(k, 0)}" for k in config.kinds)
-    print(f"extracted {len(records)} SyVCs ({summary})")
-
-
-def stage_slice(config: RunConfig) -> None:
-    _, syvcs = artifacts.read_jsonl(
-        config.path("syvc.jsonl"), "syvc", "extract", _layers.SyVC.from_record
-    )
-    program_named = _program_named(load_manifest(config.manifest), "syvc.jsonl", "extract")
-    by_program: dict[str, list[SyVC]] = {}
-    for syvc in syvcs:
-        by_program.setdefault(syvc.program, []).append(syvc)
-    sevcs = []
-    diagnostics = set()  # slice_report.json: (program, message) of unresolved calls
-    skipped = []  # slice_report.json: what could not be sliced, and why
-    graph_diagnostics = []  # slice_report.json: e.g. dead code the CFG pruned
-
-    def skip(program: str, syvc_id: int | None, exc: Exception) -> None:
-        skipped.append({"program": program, "syvc_id": syvc_id, "message": str(exc)})
-
-    for program_name in sorted(by_program):  # one parsed program at a time
-        model = _parse_program(program_named(program_name))
-        try:
-            pdgs = _layers.build_pdgs(model, config.deps)
-        except _layers.GraphError as exc:
-            # without one function's PDG its callers' slices would stop
-            # short, so the whole program is skipped
-            skip(program_name, None, exc)
-            continue
-        for fn in model.functions:
-            graph_diagnostics.extend(
-                {"program": program_name, "function": fn.name, "message": message}
-                for message in pdgs[fn.index].diagnostics
-            )
-        call_graph = _layers.build_call_graph(model)
-        for syvc in by_program[program_name]:
-            try:
-                slice_ = _layers.interprocedural_slices(model, call_graph, pdgs, syvc)
-                sevc = _layers.assemble_sevc(model, slice_, syvc, call_graph)
-            except _layers.SliceConsistencyError as exc:
-                skip(program_name, syvc.id, exc)
-                continue
-            diagnostics.update((program_name, message) for message in slice_.diagnostics)
-            sevcs.append(sevc)
-    artifacts.write_jsonl(config.path("sevc.jsonl"), "sevc", config.seed, sevcs)
-    artifacts.write_json(
-        config.path("slice_report.json"),
-        {
-            "seed": config.seed,
-            "programs": len(by_program),
-            "sevcs": len(sevcs),
-            "skipped": skipped,
-            "graph_diagnostics": graph_diagnostics,
-            "slice_diagnostics": [
-                {"program": program, "message": message}
-                for program, message in sorted(diagnostics)
-            ],
-        },
-    )
-    print(
-        f"sliced {len(sevcs)} SeVCs "
-        f"({len(diagnostics)} distinct slice diagnostics, "
-        f"{len(skipped)} skipped)"
-    )
-
-
-def _sevcs_by_program(
-    config: RunConfig, wanted: Container[int] | None = None
-) -> Iterator[tuple[ProgramModel, list[SeVC]]]:
-    """sevc.jsonl's SeVCs, one program at a time: for each program's
-    records, in file order, parse the program and yield it with its
-    SeVCs. ``wanted`` limits the SeVCs built to those syvc ids; every
-    program is parsed all the same."""
-    program_named = _program_named(load_manifest(config.manifest), "sevc.jsonl", "slice")
-    _, all_sevcs = artifacts.iter_jsonl(
-        config.path("sevc.jsonl"), "sevc", "slice", _layers.SeVC.from_record
-    )
-    done = set()
-    for name, group in itertools.groupby(all_sevcs, key=lambda sevc: sevc.program):
-        if name in done:
-            raise StageError(
-                f"sevc.jsonl holds the records of program {name!r} apart from "
-                "each other; re-run the 'slice' stage"
-            )
-        done.add(name)
-        model = _parse_program(program_named(name))
-        index = model.statement_index()
-        sevcs = []
-        for sevc in group:
-            if wanted is not None and sevc.syvc_id not in wanted:
-                continue
-            for s in sevc.statements:
-                st = index.get(s.statement_id)
-                # an edit can keep every id, so the text is compared too
-                if st is None or st.text != s.text:
-                    held, reads = (
-                        ("", "does not") if st is None
-                        else (f" as {s.text!r}", f"now reads as {st.text!r}")
-                    )
-                    raise StageError(
-                        f"sevc.jsonl out of sync with sources: SyVC {sevc.syvc_id} holds "
-                        f"statement {s.statement_id}{held}, which program {name!r} "
-                        f"{reads}; re-run the 'slice' stage"
-                    )
-            sevcs.append(sevc)
-        yield model, sevcs
-
-
-def stage_vectorize(config: RunConfig) -> None:
-    hp = config.hyperparams()  # a bad flag fails before the corpus is parsed
-    cset = config.characteristic_set()
-    # only the symbol streams outlive each program's parse
-    symbolic = [
-        _layers.symbolize(sevc, model, cset)
-        for model, sevcs in _sevcs_by_program(config)
-        for sevc in sevcs
-    ]
-    if not symbolic:
-        raise StageError("no SeVCs to vectorize; check the 'slice' stage output")
-    d = hp.input_dim
-    theta = hp.theta
-    embed_seed = derive_seed(config.seed, "embeddings")
-    if config.embed_mode == MODE_HASH:
-        table = _layers.hash_table(d, embed_seed)
-    else:
-        table = _layers.train_embeddings(
-            [sym.symbols for sym in symbolic], dimension=d, seed=embed_seed
-        )
-    table.save(config.path("embeddings.json"))
-    fits = []
-    skipped = []  # vectorize_report.json: SeVCs whose anchor the window cuts
-    for sym in symbolic:
-        try:
-            sym.kept(hp.seq_len)  # what encode will keep: a SeVC it cannot encode is skipped
-        except _layers.EncodingError as exc:
-            skipped.append(
-                {"program": sym.program, "syvc_id": sym.syvc_id, "message": str(exc)}
-            )
-            continue
-        fits.append(sym)
-    artifacts.write_json(
-        config.path("vectorize_report.json"),
-        {"seed": config.seed, "vectors": len(fits), "skipped": skipped},
-    )
-    if not fits:
-        raise StageError("no SeVC could be vectorized; see vectorize_report.json")
-    # each vector is written as it is encoded: the store is never in memory
-    _layers.save_vectors(
-        config.path("vectors.bin"),
-        (_layers.encode(sym, table, theta) for sym in fits),
-        config.seed,
-    )
-    print(
-        f"vectorized {len(fits)} SeVCs (theta={theta}, d={d}, "
-        f"mode={config.embed_mode})"
-        + (f", {len(skipped)} skipped" if skipped else "")
-    )
-
-
-def _refuse_lines_past_the_end(programs: list[ManifestProgram]) -> None:
-    """A class-based program's vulnerable line must lie within one of its
-    source files; one past the end of all of them would label nothing.
-    A file that cannot be read counts no lines, and a program with no
-    readable file is left to parse's diagnostic."""
-    for prog in programs:
-        if prog.diff_path is not None or not prog.vulnerable_lines:
-            continue
-        lengths = {}
-        for rel, source in zip(prog.files, prog.source_paths):
-            try:
-                with open(source, "r", encoding="utf-8", errors="replace") as handle:
-                    lengths[rel] = sum(1 for _ in handle)
-            except OSError:
-                continue
-        if not lengths:
-            continue
-        longest = max(lengths, key=lengths.get)
-        for line in prog.vulnerable_lines:
-            if line > lengths[longest]:
-                raise StageError(
-                    f"program {prog.path}: vulnerable line {line} is past the end of "
-                    f"its longest source file, {longest} ({lengths[longest]} lines)"
-                )
-
-
-def stage_label(config: RunConfig) -> None:
-    programs = load_manifest(config.manifest)
-    truth = _layers.ground_truth(programs)
-    _refuse_lines_past_the_end(programs)
-    label_records = []
-    queue = []
-    for _, sevcs in _sevcs_by_program(config):  # each program's SeVCs as they stream
-        labels = _layers.apply_labels(sevcs, truth)
-        label_records.extend(
-            _Label(sevc.syvc_id, sevc.program, label, needs_review)
-            for sevc, (label, needs_review) in zip(sevcs, labels)
-        )
-        queue.extend(_layers.review_queue(sevcs, labels))
-    artifacts.write_jsonl(
-        config.path("labels.jsonl"), "labels", config.seed, label_records
-    )
-    artifacts.write_jsonl(
-        config.path("review.jsonl"), "review-queue", config.seed, queue
-    )
-    positive = sum(r.label for r in label_records)
-    review = sum(r.needs_review for r in label_records)
-    print(
-        f"labeled {len(label_records)} SeVCs: {positive} vulnerable, "
-        f"{len(queue)} in review.jsonl, {review} needing review"
-    )
-
-
-@dataclass
-class _Label:
-    """A labels.jsonl record."""
-
-    syvc_id: int
-    program: str
-    label: int
-    needs_review: bool
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label {self.label!r} is not 0 or 1")
-
-    @classmethod
-    def from_record(cls, record: dict) -> _Label:
-        return cls(**record)
-
-
-def _labels(config: RunConfig) -> list[_Label]:
-    """Every labels.jsonl record; a malformed one asks to re-run label."""
-    _, labels = artifacts.read_jsonl(
-        config.path("labels.jsonl"), "labels", "label", _Label.from_record
-    )
-    return labels
-
-
-def stage_train(config: RunConfig) -> None:
-    hp = replace(config.hyperparams(), seed=derive_seed(config.seed, "train"))
-    artifacts.require(config.path("vectors.bin"), "vectorize")
-    samples, _ = _layers.load_vectors(config.path("vectors.bin"))
-    for flag, held, wanted in (("--dim", samples[0].dimension, hp.input_dim),
-                               ("--theta", samples[0].theta, hp.theta)):
-        if held != wanted:
-            raise StageError(
-                f"vectors.bin holds vectors at {flag[2:]} {held}, not at {flag} "
-                f"{wanted}; re-run the 'vectorize' stage with it"
-            )
-    labels = {r.syvc_id: r for r in _labels(config)}
-    unlabeled = [s.syvc_id for s in samples if s.syvc_id not in labels]
-    if unlabeled:
-        raise StageError(f"no label for SyVC {unlabeled[0]}; re-run the 'label' stage")
-    if config.strict_review:
-        samples = [s for s in samples if not labels[s.syvc_id].needs_review]
-    split_seed = derive_seed(config.seed, "split")
-    train_side, test_side = _layers.split_by_program(samples, ratio=0.8, seed=split_seed)
-    dataset = [(s, labels[s.syvc_id].label) for s in train_side]
-    params, report = _layers.train_model(dataset, hp)
-    _layers.save_checkpoint(config.path("checkpoint.bin"), params, config.seed)
-    artifacts.write_json(
-        config.path("train_report.json"),
-        {
-            "seed": config.seed,
-            "train_samples": len(train_side),
-            "test_samples": len(test_side),
-            "train_programs": sorted({s.program for s in train_side}),
-            "test_programs": sorted({s.program for s in test_side}),
-            "epoch_losses": report.epoch_losses,
-            "epochs": report.epochs,
-        },
-    )
-    print(
-        f"trained on {len(train_side)} samples "
-        f"({len(report.epoch_losses)} epochs, final loss "
-        f"{report.epoch_losses[-1]:.4f}); held out {len(test_side)}"
-    )
-
-
-def _finding_place(record: dict) -> tuple[int, tuple[list, list, list]]:
-    """A sevc.jsonl record's SyVC id, with the SeVC's files, lines and
-    functions: all a finding needs of it."""
-    statements = record["statements"]
-    return record["syvc_id"], (
-        sorted({s["file"] for s in statements}),
-        [s["line"] for s in statements],
-        sorted({s["function"] for s in statements}),
-    )
-
-
-def stage_detect(config: RunConfig) -> int:
-    artifacts.require(config.path("vectors.bin"), "vectorize")
-    stored, _ = _layers.iter_vectors(config.path("vectors.bin"))
-    _, places = artifacts.iter_jsonl(
-        config.path("sevc.jsonl"), "sevc", "slice", _finding_place
-    )
-    where = dict(places)
-    artifacts.require(config.path("checkpoint.bin"), "train")
-    hp = config.hyperparams()
-    params, _ = _layers.load_checkpoint(
-        config.path("checkpoint.bin"), expect_theta=hp.theta, expect_dim=hp.input_dim
-    )
-    threshold = params.hp.threshold if config.threshold is None else config.threshold
-    samples = []  # each sample's (syvc_id, kind, program), in store order
-
-    def values():  # forward_batch reads each sample's values once, then drops them
-        for sample in stored:
-            samples.append((sample.syvc_id, sample.kind, sample.program))
-            yield sample
-
-    traces = _layers.forward_batch(values(), params, params.hp)
-    stale = [syvc_id for syvc_id, _, _ in samples if syvc_id not in where]
-    if stale:
-        raise StageError(
-            f"vectors.bin holds {len(stale)} SyVCs that sevc.jsonl does not "
-            f"(first {stale[0]}); re-run the 'vectorize' stage"
-        )
-    findings = []
-    for (syvc_id, kind, program), trace in zip(samples, traces):
-        prob = trace.final
-        if prob < threshold:
-            continue
-        files, lines, functions = where[syvc_id]
-        findings.append(
-            _Finding(
-                syvc_id, kind, program, round(prob, 6), files, functions, lines,
-                # the activation at every kept symbol; explain works from these
-                trace.outputs.tolist(),
-            )
-        )
-    artifacts.write_jsonl(
-        config.path("detect.jsonl"), "detections", config.seed, findings,
-        threshold=threshold,
-    )
-    for f in findings:
-        print(
-            f"FLAGGED syvc={f.syvc_id} kind={f.kind} "
-            f"p={f.probability:.3f} program={f.program} "
-            f"files={','.join(f.files)} functions={','.join(f.functions)} "
-            f"lines={f.lines}"
-        )
-    print(f"{len(findings)} SeVCs flagged out of {len(samples)}")
-    return EXIT_FINDINGS if findings else EXIT_OK
-
-
-def _stale_detections(problem: str) -> StageError:
-    return StageError(f"detect.jsonl {problem}; re-run the 'detect' stage")
-
-
-@dataclass
-class _Finding:
-    """A detect.jsonl record."""
-
-    syvc_id: int
-    kind: str
-    program: str
-    probability: float
-    files: list[str]
-    functions: list[str]
-    lines: list[int]
-    activations: list[float] | None = None  # None when an older detect wrote it
-
-    @classmethod
-    def from_record(cls, record: dict) -> _Finding:
-        return cls(**record)
-
-
-def _detections(config: RunConfig, activations: bool = False) -> list[_Finding]:
-    """detect.jsonl's findings, with their ``activations`` if asked; an
-    old file or another --threshold is stale, and a malformed record
-    asks to re-run detect."""
-    header, findings = artifacts.read_jsonl(
-        config.path("detect.jsonl"), "detections", "detect", _Finding.from_record
-    )
-    if activations and any(f.activations is None for f in findings):
-        raise _stale_detections("holds no activations (written by an older detect)")
-    threshold = header.get("threshold")
-    if threshold is None:
-        raise _stale_detections("holds no threshold (written by an older detect)")
-    if config.threshold is not None and config.threshold != threshold:
-        raise _stale_detections(
-            f"flags at threshold {threshold}, not at --threshold {config.threshold}"
-        )
-    return findings
-
-
-def stage_evaluate(config: RunConfig) -> None:
-    flagged = {f.syvc_id for f in _detections(config)}
-    label_records = _labels(config)
-    if not flagged <= {r.syvc_id for r in label_records}:
-        raise _stale_detections("flags a SyVC that labels.jsonl does not hold")
-    # held out: every program train did not train on
-    train_report = artifacts.read_json(
-        config.path("train_report.json"), "train", keys=("train_programs",)
-    )
-    trained = set(train_report["train_programs"])
-    test_side = [r for r in label_records if r.program not in trained]
-    # detect scored every sample: its findings are the positive predictions
-    predictions = [int(r.syvc_id in flagged) for r in test_side]
-    counts = _layers.count_confusion(predictions, [r.label for r in test_side])
-    report = _layers.compute_metrics(counts)
-    artifacts.write_json(
-        config.path("metrics.json"),
-        {
-            "seed": config.seed,
-            "counts": counts.as_dict(),
-            "metrics": report.as_dict(),
-            "test_samples": len(test_side),
-        },
-    )
-    print(_layers.format_metrics_table(report, counts))
-
-
-def stage_explain(config: RunConfig) -> None:
-    findings = _detections(config, activations=True)
-    cset = config.characteristic_set()
-    # only the flagged SeVCs are built, and symbolized while their program is parsed
-    flagged = {finding.syvc_id for finding in findings}
-    symbolic = {
-        sevc.syvc_id: _layers.symbolize(sevc, model, cset)
-        for model, sevcs in _sevcs_by_program(config, flagged)
-        for sevc in sevcs
-    }
-    capacity = config.hyperparams().seq_len
-    records = []
-    for finding in findings:
-        sym = symbolic.get(finding.syvc_id)
-        if sym is None:
-            raise _stale_detections(
-                f"flags SyVC {finding.syvc_id}, which sevc.jsonl does not hold"
-            )
-        kept = sym.kept(capacity)
-        if len(finding.activations) != len(kept):
-            raise _stale_detections(
-                f"holds {len(finding.activations)} activations for SyVC "
-                f"{finding.syvc_id}, whose kept symbol window has {len(kept)}"
-            )
-        trace = _layers.ActivationTrace(finding.activations)
-        records.append(
-            {
-                "syvc_id": finding.syvc_id,
-                "program": finding.program,
-                "probability": finding.probability,
-                "critical_tokens": _layers.explain_trace(trace, kept, delta=config.delta),
-            }
-        )
-    artifacts.write_jsonl(
-        config.path("explain.jsonl"), "explanations", config.seed, records
-    )
-    total = sum(len(r["critical_tokens"]) for r in records)
-    print(
-        f"explained {len(records)} flagged SeVCs "
-        f"({total} critical tokens at delta={config.delta})"
-    )
-
-
 def stage_pipeline(config: RunConfig) -> int:
-    stage_parse(config)
-    stage_extract(config)
-    stage_slice(config)
-    stage_vectorize(config)
-    stage_label(config)
-    stage_train(config)
-    code = stage_detect(config)
-    stage_evaluate(config)
-    stage_explain(config)
+    _layers.stage_parse(config)
+    _layers.stage_extract(config)
+    _layers.stage_slice(config)
+    _layers.stage_vectorize(config)
+    _layers.stage_label(config)
+    _layers.stage_train(config)
+    code = _layers.stage_detect(config)
+    _layers.stage_evaluate(config)
+    _layers.stage_explain(config)
     return code
 
 
@@ -1044,16 +554,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
-STAGE_FUNCS = {
-    "parse": stage_parse,
-    "extract": stage_extract,
-    "slice": stage_slice,
-    "vectorize": stage_vectorize,
-    "label": stage_label,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
-    "explain": stage_explain,
-}
+# The stages main runs for their artifacts alone (detect and pipeline
+# return an exit code). main calls the function a caller sets here, or
+# else cli.stage_<name>: a lazy name, so importing cli imports no stage.
+STAGE_FUNCS: dict[str, Callable[[RunConfig], None] | None] = dict.fromkeys(
+    ("parse", "extract", "slice", "vectorize", "label", "train", "evaluate", "explain")
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1071,8 +577,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.stage == "pipeline":
                 return stage_pipeline(config)
             if args.stage == "detect":
-                return stage_detect(config)
-            STAGE_FUNCS[args.stage](config)
+                return _layers.stage_detect(config)
+            (STAGE_FUNCS[args.stage] or getattr(_layers, f"stage_{args.stage}"))(config)
             return EXIT_OK
         except StageError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -1086,4 +592,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # python -m vulnslice.cli: the stage modules import this module by name
+    sys.modules[f"{__package__}.cli"] = _layers
     sys.exit(main())

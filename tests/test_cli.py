@@ -8,6 +8,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -26,6 +27,7 @@ from vulnslice.embeddings import EmbeddingTable, hash_vector
 from vulnslice.evaluation import compute_metrics, count_confusion, split_by_program
 from vulnslice.frontend import ProgramModel
 from vulnslice.frontend import parser as frontend_parser
+from vulnslice.stages import explain, shared
 from vulnslice.vectorize import load_vectors, symbolize, truncation_window
 
 from test_bgru_reference import reference_train
@@ -1045,8 +1047,9 @@ def test_a_record_is_the_fields_of_its_dataclass(tmp_path, corpus):
     decoders = {
         "syvc.jsonl": cli.SyVC.from_record,
         "sevc.jsonl": cli.SeVC.from_record,
-        "labels.jsonl": cli._Label.from_record,
-        "detect.jsonl": cli._Finding.from_record,
+        "labels.jsonl": shared._Label.from_record,
+        "detect.jsonl": shared._Finding.from_record,
+        "explain.jsonl": lambda record: explain._Explanation(**record),
     }
     for artifact, decode in decoders.items():
         lines = (out / artifact).read_text().splitlines()[1:]
@@ -1120,7 +1123,7 @@ def test_a_sevc_across_files_and_functions_is_one_symbol_stream(tmp_path):
     out = tmp_path / "out"
     assert stages(manifest, out, "parse", "extract", "slice") == 0
     config = parse_config("--manifest", str(manifest), "--out", str(out))
-    [(model, sevcs)] = cli._sevcs_by_program(config)
+    [(model, sevcs)] = shared._sevcs_by_program(config)
     [fc] = [sevc for sevc in sevcs if sevc.kind == "FC"]
     assert [(s.file, s.function) for s in fc.statements] == (
         [("prog/a.c", "handle")] * 3 + [("prog/b.c", "sink_copy")] * 2
@@ -1177,6 +1180,37 @@ def test_the_back_half_records_keep_their_bytes(tmp_path):
     assert digests == BACK_HALF_SHA256
 
 
+# What explain writes on the mini corpus at --seed 101 for a detect.jsonl
+# that flags every SeVC with activations that step by fixed amounts, so
+# no float a BLAS rounds is among its inputs, by SHA-256.
+EXPLAIN_SHA256 = "200799d04d24a8dbd145faabd7e7c6ad731df71839d4248a9accbae448b43397"
+
+
+def test_the_explain_records_keep_their_bytes(tmp_path):
+    out = tmp_path / "out"
+    flags = ["--manifest", mini_corpus_manifest(), "--out", str(out), "--seed", "101"]
+    for stage in ("parse", "extract", "slice"):
+        assert main([stage, *flags]) == 0
+    config = parse_config(*flags, stage="explain")
+    cset = config.characteristic_set()
+    findings = []
+    for model, sevcs in shared._sevcs_by_program(config):
+        for sevc in sevcs:
+            kept = symbolize(sevc, model, cset).kept(config.hyperparams().seq_len)
+            # rises of 0.7 and falls of 0.8, each critical at delta 0.6, between small steps
+            activations = [(0.1, 0.8, 0.9, 0.5, 0.1)[i % 5] for i in range(len(kept))]
+            findings.append({
+                "syvc_id": sevc.syvc_id, "kind": sevc.kind, "program": sevc.program,
+                "probability": 0.9, "files": [], "functions": [], "lines": [],
+                "activations": activations,
+            })
+    artifacts.write_jsonl(
+        str(out / "detect.jsonl"), "detections", 101, findings, threshold=0.5
+    )
+    assert main(["explain", *flags]) == 0
+    assert hashlib.sha256((out / "explain.jsonl").read_bytes()).hexdigest() == EXPLAIN_SHA256
+
+
 def test_data_only_slices_are_subsets_of_data_and_control_slices(tmp_path):
     ddcd, dd = tmp_path / "ddcd", tmp_path / "dd"
     assert stages(mini_corpus_manifest(), ddcd, "parse", "extract", "slice") == 0
@@ -1218,24 +1252,35 @@ with open(sys.argv[1], "w") as handle:
 """
 
 # The modules a stage process loads beyond vulnslice.cli, artifacts and
-# presets: the layers its stage uses and what they import. hashlib, which
-# loads OpenSSL, comes only with the stages that derive a seed.
+# presets: its own stage module (with the stages package), the module of
+# the helpers it shares with other stages if it uses them, and the layers
+# its stage uses and what they import. hashlib, which loads OpenSSL, comes
+# only with the stages that derive a seed.
 FRONTEND = {"lexicon", "frontend", "frontend.lexer", "frontend.parser"}
 SLICER = FRONTEND | {"candidates", "data", "graphs", "slicing", "symbols"}
 # what symbolizes the SeVCs of sevc.jsonl: no PDG builder, no slicer
 SYMBOLIZER = FRONTEND | {"candidates", "data", "symbols"}
 MODEL = {"lexicon", "symbols", "vectorize", "bgru", "numpy"}
+
+
+def own_modules(stage, *, shares=True):
+    """A stage's own module, with the stages package and, if it ``shares``
+    helpers, stages.shared."""
+    return {"stages", f"stages.{stage}"} | ({"stages.shared"} if shares else set())
+
+
 STAGE_MODULES = {
     None: set(),  # import vulnslice.cli alone
-    "parse": FRONTEND,
-    "extract": FRONTEND | {"candidates", "data"},
-    "slice": SLICER - {"data"},
-    "vectorize": SYMBOLIZER | {"embeddings", "vectorize", "numpy", "hashlib"},
-    "label": FRONTEND | {"symbols", "labeling"},
-    "train": MODEL | {"evaluation", "hashlib"},
-    "detect": MODEL,
-    "evaluate": {"evaluation", "numpy"},
-    "explain": SYMBOLIZER,
+    "parse": own_modules("parse", shares=False) | FRONTEND,
+    "extract": own_modules("extract", shares=False) | FRONTEND | {"candidates", "data"},
+    "slice": own_modules("slice", shares=False) | (SLICER - {"data"}),
+    "vectorize": own_modules("vectorize")
+    | SYMBOLIZER | {"embeddings", "vectorize", "numpy", "hashlib"},
+    "label": own_modules("label") | FRONTEND | {"symbols", "labeling"},
+    "train": own_modules("train") | MODEL | {"evaluation", "hashlib"},
+    "detect": own_modules("detect") | MODEL,
+    "evaluate": own_modules("evaluate") | {"evaluation", "numpy"},
+    "explain": own_modules("explain") | SYMBOLIZER,
 }
 
 
@@ -1283,26 +1328,35 @@ def _globals_read(code) -> set[str]:
 
 
 def test_every_global_a_cli_function_reads_is_bound():
-    """A cli function reads a layer name as an attribute of cli (through
-    its __getattr__), never as a bare global, which would be a NameError
-    in a fresh stage process; every other global it reads is bound at
-    import, so the function works when called without main (as
-    old_explain_records calls _sevcs_by_program)."""
-    at_import = set(vars(cli)) - set(cli.LAZY_NAMES)
-    owners = [cli] + [
-        v for v in vars(cli).values() if isinstance(v, type) and v.__module__ == cli.__name__
+    """A function of cli or of a stage module reads a layer name as an
+    attribute of cli (through its __getattr__), never as a bare global,
+    which would be a NameError in a fresh stage process and would escape
+    a patch of cli; every other global it reads is bound at import, so
+    the function works when called without main (as old_explain_records
+    calls _sevcs_by_program)."""
+    modules = [cli] + [
+        importlib.import_module(f"vulnslice.stages.{info.name}")
+        for info in pkgutil.iter_modules([os.path.dirname(shared.__file__)])
     ]
-    functions = [
-        value for owner in owners for value in vars(owner).values()
-        if inspect.isfunction(value) and value.__module__ == cli.__name__
-    ]
-    assert {f.__name__ for f in functions} >= {"stage_slice", "characteristic_set", "main"}
-    for function in functions:
+    functions = []
+    for module in modules:
+        owners = [module] + [
+            v for v in vars(module).values()
+            if isinstance(v, type) and v.__module__ == module.__name__
+        ]
+        functions += [
+            (module, value) for owner in owners for value in vars(owner).values()
+            if inspect.isfunction(value) and value.__module__ == module.__name__
+        ]
+    assert {f.__name__ for _, f in functions} >= {
+        "stage_slice", "stage_explain", "_sevcs_by_program", "characteristic_set", "main",
+    }
+    for module, function in functions:
         read = _globals_read(inspect.unwrap(function).__code__)
         bare = read & set(cli.LAZY_NAMES)
-        assert not bare, (function.__name__, bare)
-        unbound = read - at_import - set(dir(builtins))
-        assert not unbound, (function.__name__, unbound)
+        assert not bare, (function.__qualname__, bare)
+        unbound = read - (set(vars(module)) - set(cli.LAZY_NAMES)) - set(dir(builtins))
+        assert not unbound, (function.__qualname__, unbound)
 
 
 def test_lazy_names_are_the_layer_attributes():
@@ -1346,7 +1400,7 @@ def old_explain_records(config):
     cset = config.characteristic_set()
     symbolic = {
         sevc.syvc_id: symbolize(sevc, model, cset)
-        for model, sevcs in cli._sevcs_by_program(config)
+        for model, sevcs in shared._sevcs_by_program(config)
         for sevc in sevcs
     }
     records = []
@@ -1625,6 +1679,54 @@ def test_a_vulnerable_line_may_lie_in_any_file_of_a_program(tmp_path, capsys):
     }
     assert any(holds_b7.values())
     assert all(record["label"] == holds_b7[record["syvc_id"]] for record in labels)
+
+
+# leak.c with a line of each kind that holds no token once comments and
+# preprocessor lines are blanked
+TOKENLESS_LEAK = (
+    "#define ROOM 8\n"
+    "void leak(char *input)\n"
+    "{\n"
+    "    char room[8];\n"
+    "\n"
+    "    /* copy the input\n"
+    "       into the room */\n"
+    "    strcpy(room, input); /* unchecked */\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("line", [5, 7, 1], ids=["blank", "block-comment", "define"])
+def test_label_refuses_a_vulnerable_line_that_holds_no_token(tmp_path, capsys, line):
+    """Line 5 is blank, line 7 ends a /* ... */ comment and line 1 is a
+    #define: none is part of a statement, so each would label nothing;
+    line 8, which holds a statement and a comment, labels its SeVCs."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "leak.c").write_text(TOKENLESS_LEAK)
+    (root / "guarded.c").write_text(TINY_PROGRAMS["guarded.c"])
+    out = tmp_path / "out"
+
+    def label(vulnerable):
+        manifest = {"programs": [
+            {"path": "leak.c", "class": "bad", "vulnerable_lines": [vulnerable]},
+            {"path": "guarded.c", "class": "good"},
+        ]}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        for stage in ("parse", "extract", "slice"):
+            assert run(root, out, stage) == 0
+        capsys.readouterr()
+        return run(root, out, "label")
+
+    assert label(line) == 2
+    assert capsys.readouterr().err == (
+        f"error: program leak.c: vulnerable line {line} holds no token in any of its "
+        "source files (it is blank, a comment or a preprocessor line)\n"
+    )
+    assert not (out / "labels.jsonl").exists()
+    assert label(8) == 0
+    _, labels = artifacts.read_jsonl(str(out / "labels.jsonl"))
+    assert any(record["label"] for record in labels)
 
 
 TWO_FILE_DIFF = """--- a/b.c

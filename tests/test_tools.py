@@ -31,19 +31,26 @@ def test_mini_corpus_generator_writes_the_bundled_corpus(tmp_path, capsys):
             assert (tmp_path / name).read_bytes() == handle.read(), name
 
 
-def test_stage_rss_reports_each_stage_process(tmp_path):
-    """tools/stage_rss.py runs every stage, then the pipeline, each in a
-    process of its own, and prints each one's peak RSS and wall time,
-    split into start-up, main and exit."""
+def two_program_corpus(tmp_path):
+    """A corpus of two small bad programs: train splits by program, so it
+    needs two."""
     root = tmp_path / "corpus"
     root.mkdir()
-    for name in ("a.c", "b.c"):  # train splits by program: it needs two
+    for name in ("a.c", "b.c"):
         (root / name).write_text(
             "void leak(char *input)\n{\n    char buf[8];\n    strcpy(buf, input);\n}\n"
         )
     (root / "manifest.json").write_text(json.dumps({"programs": [
         {"path": name, "class": "bad", "vulnerable_lines": [4]} for name in ("a.c", "b.c")
     ]}))
+    return root
+
+
+def test_stage_rss_reports_each_stage_process(tmp_path):
+    """tools/stage_rss.py runs every stage, then the pipeline, each in a
+    process of its own, and prints each one's peak RSS and wall time,
+    split into start-up, main and exit."""
+    root = two_program_corpus(tmp_path)
     tool = os.path.join(REPO_ROOT, "tools", "stage_rss.py")
     result = subprocess.run(
         [sys.executable, tool, str(root / "manifest.json"), str(tmp_path / "out"),
@@ -85,6 +92,31 @@ def test_stage_rss_stops_at_a_stage_that_fails(tmp_path):
     assert "manifest not found" in result.stderr
 
 
+def test_stage_rss_compiles_from_source_and_leaves_no_bytecode(tmp_path):
+    """tools/stage_rss.py runs its processes as in a fresh checkout, from
+    a copy of src/ without __pycache__, so a checkout's cached bytecode
+    cannot hide the compile time from the start-up column; even where
+    the environment lets Python write bytecode, a run leaves no
+    __pycache__ under the checkout's src/."""
+    checkout = tmp_path / "checkout"
+    shutil.copytree(os.path.join(REPO_ROOT, "src"), checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (checkout / "tools").mkdir()
+    shutil.copy(os.path.join(REPO_ROOT, "tools", "stage_rss.py"), checkout / "tools")
+    root = two_program_corpus(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    result = subprocess.run(
+        [sys.executable, str(checkout / "tools" / "stage_rss.py"), str(root / "manifest.json"),
+         str(tmp_path / "out"), "--embed-mode", "hash", "--epochs", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 11  # the header and ten processes
+    cached = [directory for directory, _, _ in os.walk(checkout / "src")
+              if os.path.basename(directory) == "__pycache__"]
+    assert cached == []
+
+
 def test_stage_profile_times_each_stage_and_its_layer_calls(tmp_path):
     """tools/stage_profile.py runs the stages warm in one process and
     prints each stage's wall time, its layer calls and artifact I/O."""
@@ -112,6 +144,8 @@ def test_stage_profile_times_each_stage_and_its_layer_calls(tmp_path):
     assert list(stages) == ["parse", "extract", "slice", "vectorize"]
     for layers in stages.values():  # every stage parses the corpus once
         assert layers["frontend.load_program"][0] == 40
+        # a stage function is not timed as a layer: its own time is the stage code
+        assert "(stage code)" in layers and not any(k.startswith("stages.") for k in layers)
     assert stages["parse"]["artifacts.write_jsonl_lines"][0] == 1
     assert stages["extract"]["candidates.extract_syvcs"][0] == 40
     assert stages["slice"]["slicing.assemble_sevc"][0] == 117
@@ -137,10 +171,10 @@ def test_same_bytes_compares_two_source_trees(tmp_path):
     result = same_bytes(copy, "parse,extract,slice")
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout == "same bytes: 5 files; exit codes parse 0, extract 0, slice 0\n"
-    cli_py = copy / "vulnslice" / "cli.py"
-    text = cli_py.read_text()
+    parse_py = copy / "vulnslice" / "stages" / "parse.py"
+    text = parse_py.read_text()
     assert text.count('f"parsed {') == 1
-    cli_py.write_text(text.replace('f"parsed {', 'f"Parsed {'))
+    parse_py.write_text(text.replace('f"parsed {', 'f"Parsed {'))
     result = same_bytes(copy, "parse")
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.splitlines() == [

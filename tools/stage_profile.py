@@ -12,9 +12,10 @@ function the stage reads through ``cli.LAZY_NAMES`` and of each
 ``artifacts`` read or write. A call's self time is its time less that
 of the timed calls it makes; the time an iterator it returns spends in
 each step counts as its own. The rest of the stage is the stage code in
-``cli`` itself (the manifest read included). detect's exit code 1 (a
-finding) counts as success; the tool stops at the first exit code 2 and
-exits 2 itself. The stages' own stdout is dropped.
+``cli`` and in the stage's module under ``stages/`` (the manifest read
+included). detect's exit code 1 (a finding) counts as success; the tool
+stops at the first exit code 2 and exits 2 itself. The stages' own
+stdout is dropped.
 
 Rounds repeat the stages in one process, so they measure warm work, as
 a long scan would repeat it, and leave out process start and imports
@@ -85,10 +86,11 @@ class Timer:
 
 def install(timer: Timer) -> None:
     """Time every layer function the stages read and every artifact read
-    or write, where the stage code looks them up."""
+    or write, where the stage code looks them up. The stage functions,
+    lazy names too, are left alone: their self time is the stage code."""
     for name, target in cli.LAZY_NAMES.items():
         value = getattr(cli, name)  # imports the layer
-        if inspect.isfunction(value):
+        if inspect.isfunction(value) and not target.startswith("stages."):
             setattr(cli, name, timer.wrap(target.replace(":", "."), value))
     for name in ARTIFACT_CALLS:
         setattr(artifacts, name, timer.wrap(f"artifacts.{name}", getattr(artifacts, name)))

@@ -15,15 +15,20 @@ wall time and its exit code, and splits the wall time into start-up
 exit handlers and interpreter shutdown). It stops at the first process
 that exits 2, and then exits 2 itself.
 
-The processes import the ``vulnslice`` package from this checkout's
-``src/``.
+The processes import the ``vulnslice`` package from a copy of this
+checkout's ``src/`` that holds no ``__pycache__``, and write no bytecode
+(``PYTHONDONTWRITEBYTECODE=1``), so each one compiles the modules it
+imports, as a process in a fresh checkout does; the copy is removed
+when the run ends.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -44,11 +49,12 @@ sys.exit(code)
 """
 
 
-def run_stage(stage: str, manifest: str, out: str, flags: list[str]) -> dict:
+def run_stage(stage: str, manifest: str, out: str, flags: list[str], src: str) -> dict:
     """One stage process's exit code, peak RSS in MB, and wall, start-up,
-    main and exit seconds (the last two None if main was never entered)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    main and exit seconds (the last two None if main was never entered),
+    importing the package from ``src``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     read_end, write_end = os.pipe()
     argv = [sys.executable, "-c", CHILD, str(write_end), stage,
             "--manifest", manifest, "--out", out, *flags]
@@ -87,13 +93,16 @@ def main(argv: list[str]) -> int:
     manifest, out, flags = argv[0], argv[1], argv[2:]
     print(f"{'stage':<10} {'peak_rss_mb':>11} {'wall_s':>7} {'startup_ms':>10} "
           f"{'main_ms':>9} {'exit_ms':>7} {'exit':>4}")
-    for stage in STAGES:
-        run = run_stage(stage, manifest, out, flags)
-        print(f"{stage:<10} {run['peak_rss_mb']:>11.1f} {run['wall_s']:>7.2f} "
-              f"{_ms(run['startup_s']):>10} {_ms(run['main_s']):>9} "
-              f"{_ms(run['exit_s']):>7} {run['exit']:>4}", flush=True)
-        if run["exit"] == 2:
-            return 2
+    with tempfile.TemporaryDirectory(prefix="stage-rss-") as scratch:
+        src = shutil.copytree(SRC, os.path.join(scratch, "src"),
+                              ignore=shutil.ignore_patterns("__pycache__"))
+        for stage in STAGES:
+            run = run_stage(stage, manifest, out, flags, src)
+            print(f"{stage:<10} {run['peak_rss_mb']:>11.1f} {run['wall_s']:>7.2f} "
+                  f"{_ms(run['startup_s']):>10} {_ms(run['main_s']):>9} "
+                  f"{_ms(run['exit_s']):>7} {run['exit']:>4}", flush=True)
+            if run["exit"] == 2:
+                return 2
     return 0
 
 
